@@ -13,6 +13,12 @@ t x t^-1 with x in the omega-image) and, for i >= 1, g_i is the canonical
 Hermite residue modulo the image lattice attached to the sign of t_i; excess
 lattice parts are pushed to the left and absorbed by g0. Two words represent
 the same group element exactly when their canonical forms are equal.
+
+All normal-form arithmetic goes through one step, ``_FastOps.apply``, which
+right-multiplies a canonical form, held as a flat integer list, by one
+generator step and leaves it canonical. ``britton_reduce`` folds a word into
+the identity with it, ``nf_multiply`` folds a word into a given form, and the
+geodesic search expands every state with it.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from functools import lru_cache
 from typing import Optional
 
 from .gog import GoGSpec, ensure_valid, vertex_letters
-from .linalg import QMat, ZMat, hermite_normal_form, lattice_residue
+from .linalg import hermite_normal_form, lattice_residue
 from .words import Word
 
 
@@ -55,17 +61,24 @@ class NormalForm:
         return " ".join(parts) if parts else "(0)"
 
 
-@dataclass(frozen=True)
-class _LoopData:
-    name: str
-    mat: QMat        # omega * alpha^-1, the action x -> t^-1 x t
-    inv: QMat
-    hnf_alpha: ZMat  # column HNF of the alpha-image lattice
-    hnf_omega: ZMat
+class _FastOps:
+    """Per-spec tables and the normal-form step (single-vertex specs).
 
+    State layout: a canonical form g0 t1^e1 g1 ... tk^ek gk is the flat
+    integer sequence (g0[0..n-1], then per entry: loop_index, sign,
+    vec[0..n-1]), a list while it is being changed and a tuple as a
+    dictionary key. ``apply`` is the one normal-form step: it
+    right-multiplies such a list in place by a vertex step (kind 0: any
+    integer added to one coordinate of the last vector) or a stable step
+    (kind 1: t^{+-1}), and leaves it canonical. ``fold`` right-multiplies by
+    a whole word through ``apply``.
 
-class _Engine:
-    """Per-spec tables for normal-form arithmetic (single-vertex specs)."""
+    ``tables[(loop_index, sign)]`` holds what an entry of that sign needs:
+    the pinch lattice (alpha-image for sign -1, omega-image for sign +1) as
+    a ZMat HNF and by columns, the push map x -> t^-sign x t^sign that moves
+    a lattice part left past the letter as a QMat, and the same map as an
+    integer matrix over a common denominator, so a step is integer work.
+    """
 
     def __init__(self, spec: GoGSpec):
         ensure_valid(spec)
@@ -73,171 +86,21 @@ class _Engine:
             raise UnsupportedSpecError(
                 "normal forms are implemented for one-vertex graphs of groups"
             )
-        self.spec = spec
-        self.rank = spec.rank
-        vertex = spec.vertices[0]
-        self.vletters = {name: i for i, name in enumerate(vertex_letters(spec)[vertex])}
-        self.loops = {}
-        for e in spec.loop_edges():
-            m = e.omega.to_qmat() * e.alpha.to_qmat().inverse()
-            self.loops[e.name] = _LoopData(
-                e.name, m, m.inverse(), hermite_normal_form(e.alpha), hermite_normal_form(e.omega)
-            )
-        self.zero = (0,) * self.rank
-
-    def int_apply(self, m: QMat, vec) -> tuple:
-        out = m.apply(vec)
-        assert all(c.denominator == 1 for c in out)
-        return tuple(int(c) for c in out)
-
-    def pinch_lattice(self, loop: _LoopData, sign: int) -> ZMat:
-        # t^-1 x t pinches for x in the alpha-image; t x t^-1 for the omega-image
-        return loop.hnf_alpha if sign < 0 else loop.hnf_omega
-
-    def pinch_result(self, loop: _LoopData, sign: int, vec) -> tuple:
-        return self.int_apply(loop.mat if sign < 0 else loop.inv, vec)
-
-
-@lru_cache(maxsize=None)
-def _engine(spec: GoGSpec) -> _Engine:
-    return _Engine(spec)
-
-
-def _vec_add(a, b):
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def britton_reduce(spec: GoGSpec, w: Word) -> NormalForm:
-    """Canonical normal form of the group element spelled by ``w``."""
-    eng = _engine(spec)
-    head = list(eng.zero)
-    tail: list[list] = []  # [name, sign, vector-list]
-
-    def last_vec():
-        return tail[-1][2] if tail else head
-
-    for name, step in w.single_letters():
-        if name in eng.vletters:
-            last_vec()[eng.vletters[name]] += step
-        elif name in eng.loops:
-            loop = eng.loops[name]
-            if tail and tail[-1][0] == name and tail[-1][1] == -step:
-                vec = tuple(tail[-1][2])
-                lattice = eng.pinch_lattice(loop, -step)
-                residue, _ = lattice_residue(lattice, vec)
-                if not any(residue):
-                    pinched = eng.pinch_result(loop, -step, vec)
-                    tail.pop()
-                    prev = last_vec()
-                    for i, c in enumerate(pinched):
-                        prev[i] += c
-                    continue
-            tail.append([name, step, list(eng.zero)])
-        else:
-            raise KeyError(f"unknown letter {name!r}")
-    # transversal pass: reduce every tail vector modulo the lattice attached
-    # to its own letter, pushing lattice parts to the left
-    for i in range(len(tail) - 1, -1, -1):
-        name, sign, vec = tail[i]
-        loop = eng.loops[name]
-        lattice = eng.pinch_lattice(loop, sign)
-        residue, lat = lattice_residue(lattice, tuple(vec))
-        if any(lat):
-            tail[i][2] = list(residue)
-            pushed = eng.pinch_result(loop, sign, lat)
-            target = tail[i - 1][2] if i > 0 else head
-            for j, c in enumerate(pushed):
-                target[j] += c
-    return NormalForm(tuple(head), tuple((n, s, tuple(v)) for n, s, v in tail))
-
-
-def is_identity(spec: GoGSpec, w: Word) -> bool:
-    """Word problem: does ``w`` represent the identity?"""
-    return britton_reduce(spec, w).is_trivial()
-
-
-def _nf_mul_vertex(eng: _Engine, nf: NormalForm, index: int, step: int) -> NormalForm:
-    if not nf.tail:
-        head = list(nf.head)
-        head[index] += step
-        return NormalForm(tuple(head), ())
-    tail = [list(entry) for entry in nf.tail]
-    vec = list(tail[-1][2])
-    vec[index] += step
-    tail[-1][2] = tuple(vec)
-    head = list(nf.head)
-    # re-reduce from the last entry leftwards (adding the vertex generator may
-    # break the residue condition; pushes cascade toward the head)
-    for i in range(len(tail) - 1, -1, -1):
-        name, sign, v = tail[i]
-        loop = eng.loops[name]
-        residue, lat = lattice_residue(eng.pinch_lattice(loop, sign), tuple(v))
-        if not any(lat):
-            break
-        tail[i][2] = tuple(residue)
-        pushed = eng.pinch_result(loop, sign, lat)
-        if i > 0:
-            tail[i - 1][2] = _vec_add(tail[i - 1][2], pushed)
-        else:
-            head = list(_vec_add(tuple(head), pushed))
-    return NormalForm(tuple(head), tuple((n, s, tuple(v)) for n, s, v in tail))
-
-
-def _nf_mul_stable(eng: _Engine, nf: NormalForm, name: str, step: int) -> NormalForm:
-    loop = eng.loops[name]
-    if nf.tail:
-        last_name, last_sign, last_vec = nf.tail[-1]
-        if last_name == name and last_sign == -step and not any(last_vec):
-            # pinch: the residue between the opposite letters is zero
-            return NormalForm(nf.head, nf.tail[:-1])
-    return NormalForm(nf.head, nf.tail + ((name, step, eng.zero),))
-
-
-def _nf_mul_letter(eng: _Engine, nf: NormalForm, name: str, step: int) -> NormalForm:
-    if name in eng.vletters:
-        return _nf_mul_vertex(eng, nf, eng.vletters[name], step)
-    return _nf_mul_stable(eng, nf, name, step)
-
-
-def nf_multiply(spec: GoGSpec, nf: NormalForm, w: Word) -> NormalForm:
-    """Right-multiply a canonical form by a word, staying canonical."""
-    eng = _engine(spec)
-    for name, step in w.single_letters():
-        if name not in eng.vletters and name not in eng.loops:
-            raise KeyError(f"unknown letter {name!r}")
-        nf = _nf_mul_letter(eng, nf, name, step)
-    return nf
-
-
-class _FastOps:
-    """Normal-form arithmetic on flat integer tuples, for BFS throughput.
-
-    State layout: (g0[0..n-1], then per entry: loop_index, sign, vec[0..n-1]).
-    All tables (Hermite columns, push matrices with common denominator) are
-    precomputed so the per-letter multiply is pure integer work.
-    """
-
-    def __init__(self, eng: _Engine):
-        self.eng = eng
-        self.n = eng.rank
-        self.loop_names = sorted(eng.loops)
+        self.n = n = spec.rank
+        self.vletters = {name: i for i, name in enumerate(vertex_letters(spec)[spec.vertices[0]])}
+        edges = {e.name: e for e in spec.loop_edges()}
+        self.loop_names = sorted(edges)
         self.loop_index = {name: i for i, name in enumerate(self.loop_names)}
-        # per (loop, sign < 0): alpha tables; sign > 0: omega tables
         self.tables = {}
         for idx, name in enumerate(self.loop_names):
-            loop = eng.loops[name]
-            for sign in (-1, 1):
-                hnf = eng.pinch_lattice(loop, sign)
-                cols = tuple(tuple(hnf.rows[r][c] for r in range(self.n)) for c in range(self.n))
-                mat = loop.mat if sign < 0 else loop.inv
-                den = 1
-                for row in mat.rows:
-                    for x in row:
-                        den = den * x.denominator // math.gcd(den, x.denominator)
-                push = tuple(
-                    tuple(int(x * den) for x in row) for row in mat.rows
-                )
-                self.tables[(idx, sign)] = (cols, push, den)
+            e = edges[name]
+            mat = e.omega.to_qmat() * e.alpha.to_qmat().inverse()  # x -> t^-1 x t
+            for sign, image, push in ((-1, e.alpha, mat), (1, e.omega, mat.inverse())):
+                hnf = hermite_normal_form(image)
+                cols = tuple(tuple(hnf.rows[r][c] for r in range(n)) for c in range(n))
+                den = math.lcm(*(x.denominator for row in push.rows for x in row))
+                ints = tuple(tuple(int(x * den) for x in row) for row in push.rows)
+                self.tables[(idx, sign)] = (cols, ints, den, hnf, push)
 
     def to_flat(self, nf: NormalForm) -> tuple:
         flat = list(nf.head)
@@ -247,14 +110,14 @@ class _FastOps:
             flat.extend(vec)
         return tuple(flat)
 
-    def from_flat(self, state: tuple) -> NormalForm:
+    def from_flat(self, state) -> NormalForm:
         n = self.n
-        head = state[:n]
+        head = tuple(state[:n])
         tail = []
         pos = n
         while pos < len(state):
             tail.append(
-                (self.loop_names[state[pos]], state[pos + 1], state[pos + 2 : pos + 2 + n])
+                (self.loop_names[state[pos]], state[pos + 1], tuple(state[pos + 2 : pos + 2 + n]))
             )
             pos += n + 2
         return NormalForm(head, tuple(tail))
@@ -265,7 +128,7 @@ class _FastOps:
     def generator_steps(self):
         """(kind, index, step) triples in the canonical expansion order."""
         steps = []
-        for i in range(len(self.eng.vletters)):
+        for i in range(len(self.vletters)):
             steps.append((0, i, 1))
             steps.append((0, i, -1))
         for i in range(len(self.loop_names)):
@@ -273,34 +136,41 @@ class _FastOps:
             steps.append((1, i, -1))
         return steps
 
-    def mul(self, state: tuple, kind: int, index: int, step: int) -> tuple:
+    def apply(self, s: list, kind: int, index: int, step: int) -> None:
+        """Right-multiply the canonical form ``s`` in place by one step.
+
+        Kind 1 appends t_index^step (step is +-1), or pinches it against the
+        last entry when that is the same letter with the opposite sign and a
+        zero vector (a canonical residue is zero exactly when it lies in the
+        pinch lattice). Kind 0 adds ``step`` to coordinate ``index`` of the
+        last vector, then cascades: each vector, from the last one leftwards,
+        is reduced to its residue and its lattice part is pushed into the
+        vector before it, until a vector needs no reduction. Every vector
+        but the last must be canonical on entry; the last may be anything,
+        so a caller may add to several of its coordinates and let one
+        cascade settle them all.
+        """
         n = self.n
         size = n + 2
-        if kind == 1:
-            pos = len(state) - size
-            if (
-                pos >= n
-                and state[pos] == index
-                and state[pos + 1] == -step
-                and not any(state[pos + 2 :])
-            ):
-                return state[:pos]
-            return state + (index, step) + (0,) * n
-        # vertex letter: add to the trailing vector, then cascade residues left
-        s = list(state)
-        s[len(s) - n + index] += step
         pos = len(s) - size
+        if kind == 1:
+            if pos >= n and s[pos] == index and s[pos + 1] == -step and not any(s[pos + 2 :]):
+                del s[pos:]
+            else:
+                s += (index, step)
+                s += (0,) * n
+            return
+        s[len(s) - n + index] += step
         while pos >= n:
-            cols, push, den = self.tables[(s[pos], s[pos + 1])]
+            cols, push, den, _, _ = self.tables[(s[pos], s[pos + 1])]
             vecpos = pos + 2
             moved = False
             lat = [0] * n
             for i in range(n):
-                di = cols[i][i]
-                q = s[vecpos + i] // di
+                col = cols[i]
+                q = s[vecpos + i] // col[i]
                 if q:
                     moved = True
-                    col = cols[i]
                     for r in range(i, n):
                         delta = q * col[r]
                         s[vecpos + r] -= delta
@@ -315,12 +185,66 @@ class _FastOps:
                     acc += row[k] * lat[k]
                 s[target + j] += acc // den
             pos -= size
-        return tuple(s)
+
+    def fold(self, s: list, w: Word) -> None:
+        """Right-multiply the canonical form ``s`` in place by the word ``w``.
+
+        Vertex letters commute, so a run of them is summed into a pending
+        vector and applied with one cascade before the next stable letter
+        and once at the end.
+        """
+        n = self.n
+        apply = self.apply
+        vletters, loop_index = self.vletters, self.loop_index
+        pending = [0] * n
+
+        def flush():
+            # the other coordinates go straight into the last vector; the
+            # step on the final one runs the cascade that settles them all
+            if any(pending):
+                last = len(s) - n
+                for i in range(n - 1):
+                    s[last + i] += pending[i]
+                apply(s, 0, n - 1, pending[n - 1])
+                pending[:] = [0] * n
+
+        for name, step in w.single_letters():
+            i = vletters.get(name)
+            if i is not None:
+                pending[i] += step
+                continue
+            idx = loop_index.get(name)
+            if idx is None:
+                raise KeyError(f"unknown letter {name!r}")
+            flush()
+            apply(s, 1, idx, step)
+        flush()
 
 
 @lru_cache(maxsize=None)
 def _fast_ops(spec: GoGSpec) -> _FastOps:
-    return _FastOps(_engine(spec))
+    return _FastOps(spec)
+
+
+def britton_reduce(spec: GoGSpec, w: Word) -> NormalForm:
+    """Canonical normal form of the group element spelled by ``w``."""
+    ops = _fast_ops(spec)
+    s = list(ops.identity())
+    ops.fold(s, w)
+    return ops.from_flat(s)
+
+
+def is_identity(spec: GoGSpec, w: Word) -> bool:
+    """Word problem: does ``w`` represent the identity?"""
+    return britton_reduce(spec, w).is_trivial()
+
+
+def nf_multiply(spec: GoGSpec, nf: NormalForm, w: Word) -> NormalForm:
+    """Right-multiply a canonical form by a word, staying canonical."""
+    ops = _fast_ops(spec)
+    s = list(ops.to_flat(nf))
+    ops.fold(s, w)
+    return ops.from_flat(s)
 
 
 class GeodesicOracle:
@@ -344,14 +268,16 @@ class GeodesicOracle:
         self.depth = 0
 
     def _grow_forward(self, depth: int):
-        mul = self.ops.mul
+        apply = self.ops.apply
         dist = self.dist
         while self.depth < depth and self.frontier:
             nxt = []
             d = self.depth + 1
             for state in self.frontier:
                 for kind, index, step in self.steps:
-                    child = mul(state, kind, index, step)
+                    c = list(state)
+                    apply(c, kind, index, step)
+                    child = tuple(c)
                     if child not in dist:
                         dist[child] = d
                         nxt.append(child)
@@ -369,7 +295,7 @@ class GeodesicOracle:
             return None
         # backward search from the target; state x at depth l satisfies
         # d(x, target) = l, so a forward-ball hit gives d <= dist[x] + l
-        mul = self.ops.mul
+        apply = self.ops.apply
         dist = self.dist
         best: Optional[int] = None
         seen = {flat_target}
@@ -383,7 +309,9 @@ class GeodesicOracle:
             nxt = []
             for state in frontier:
                 for kind, index, step in self.steps:
-                    child = mul(state, kind, index, step)
+                    c = list(state)
+                    apply(c, kind, index, step)
+                    child = tuple(c)
                     if child in seen:
                         continue
                     seen.add(child)
@@ -438,21 +366,23 @@ class DistortionProfile:
         return math.log(m) / math.log(self.analytic_constant)
 
 
-def _vertex_vector(eng: _Engine, element: Word) -> tuple:
-    vec = list(eng.zero)
+def _vertex_vector(ops: _FastOps, element: Word) -> tuple:
+    vec = [0] * ops.n
     for name, exp in element:
-        if name not in eng.vletters:
+        if name not in ops.vletters:
             raise ValueError(f"{name!r} is not a vertex letter")
-        vec[eng.vletters[name]] += exp
+        vec[ops.vletters[name]] += exp
     return tuple(vec)
 
 
-def _find_doubler(eng: _Engine, vec: tuple):
+def _find_doubler(ops: _FastOps, vec: tuple):
     """Stable letter whose conjugation scales ``vec`` by an integer >= 2."""
     best = None
-    for name in sorted(eng.loops):
-        loop = eng.loops[name]
-        for sign, mat in ((1, loop.mat), (-1, loop.inv)):
+    for idx, name in enumerate(ops.loop_names):
+        for sign in (1, -1):
+            # t^-sign vec t^sign is the push map of an entry of sign -sign,
+            # and it needs vec in that entry's pinch lattice
+            _, _, _, hnf, mat = ops.tables[(idx, -sign)]
             image = mat.apply(vec)
             ratios = {image[i] / vec[i] for i in range(len(vec)) if vec[i] != 0}
             if len(ratios) != 1:
@@ -462,7 +392,7 @@ def _find_doubler(eng: _Engine, vec: tuple):
                 continue
             if any(image[i] != 0 for i in range(len(vec)) if vec[i] == 0):
                 continue
-            residue, _ = lattice_residue(eng.pinch_lattice(loop, -sign), vec)
+            residue, _ = lattice_residue(hnf, vec)
             if any(residue):
                 continue
             lam = int(lam)
@@ -487,15 +417,15 @@ def distortion_profile(
     |mv| / log m. The analytic lower bound is attached via
     ``analytic_lower_bound`` and is not BFS-verified.
     """
-    eng = _engine(spec)
-    vec = _vertex_vector(eng, element)
+    ops = _fast_ops(spec)
+    vec = _vertex_vector(ops, element)
     if not any(vec):
         raise ValueError("element must be a nonzero vertex-group element")
-    doubler = _find_doubler(eng, vec)
+    doubler = _find_doubler(ops, vec)
     memo: dict[int, Word] = {}
 
     def direct(m: int) -> Word:
-        return Word((name, m * vec[i]) for name, i in eng.vletters.items())
+        return Word((name, m * vec[i]) for name, i in ops.vletters.items())
 
     def spell(m: int) -> Word:
         """Cheapest known spelling of m*v: direct, or recurse through the
@@ -519,9 +449,8 @@ def distortion_profile(
         return best
 
     growth = 2.0
-    for loop in eng.loops.values():
-        for mat in (loop.mat, loop.inv):
-            growth = max(growth, float(mat.max_abs_entry()))
+    for _, _, _, _, mat in ops.tables.values():
+        growth = max(growth, float(mat.max_abs_entry()))
 
     oracle = GeodesicOracle(spec)
     entries = []

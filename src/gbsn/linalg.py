@@ -301,6 +301,20 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
     return s, sign * d
 
 
+def _sgn(x) -> int:
+    return (x > 0) - (x < 0)
+
+
+def _root_sign(a: Q, b: Q, d: int) -> int:
+    """Sign of a + b*sqrt(d) for d >= 0, which need not be squarefree."""
+    if b == 0:
+        return _sgn(a)
+    if a == 0 or (a > 0) == (b > 0):
+        return _sgn(b)
+    # opposite signs: compare a^2 with b^2 d
+    return _sgn(a) * _sgn(a * a - b * b * d)
+
+
 @dataclass(frozen=True)
 class QuadraticNumber:
     """Exact element a + b*sqrt(d) of a quadratic extension of Q.
@@ -388,32 +402,42 @@ class QuadraticNumber:
         """Sign of the real value (requires d >= 0)."""
         if self.d < 0:
             raise ValueError("sign undefined for complex quadratic numbers")
-        if self.b == 0:
-            return (self.a > 0) - (self.a < 0)
-        if self.a == 0:
-            return (self.b > 0) - (self.b < 0)
-        if self.a > 0 and self.b > 0:
-            return 1
-        if self.a < 0 and self.b < 0:
-            return -1
-        # opposite signs: compare a^2 with b^2 d
-        lhs, rhs = self.a * self.a, self.b * self.b * self.d
-        if lhs == rhs:
-            return 0
-        bigger_rational = lhs > rhs
-        return (1 if bigger_rational else -1) * (1 if self.a > 0 else -1)
+        return _root_sign(self.a, self.b, self.d)
+
+    def _compare(self, other) -> int:
+        """Sign of self - other, exact also across radicands d1 != d2.
+
+        Only the order crosses fields; arithmetic across them still raises.
+        """
+        other = QuadraticNumber.of(other)
+        if self.b == 0 or other.b == 0 or self.d == other.d:
+            # one field: the radicand is already squarefree, so no make()
+            b, d = self.b - other.b, self.d or other.d
+            if b and d < 0:
+                raise ValueError("sign undefined for complex quadratic numbers")
+            return _root_sign(self.a - other.a, b, d)
+        if self.d < 0 or other.d < 0:
+            raise ValueError("sign undefined for complex quadratic numbers")
+        # x + u with u = y sqrt(d1) + z sqrt(d2); distinct squarefree radicands
+        # make u and x + u irrational, so neither sign is 0
+        x, y, z, d1, d2 = self.a - other.a, self.b, -other.b, self.d, other.d
+        u = _sgn(y) if (y > 0) == (z > 0) else _sgn(y) * _sgn(y * y * d1 - z * z * d2)
+        if x == 0 or (x > 0) == (u > 0):
+            return u if x == 0 else _sgn(x)
+        # opposite signs: the larger square wins; x^2 - u^2 lies in Q(sqrt(d1 d2))
+        return _sgn(x) * _root_sign(x * x - y * y * d1 - z * z * d2, -2 * y * z, d1 * d2)
 
     def __lt__(self, other):
-        return (self - QuadraticNumber.of(other)).sign() < 0
+        return self._compare(other) < 0
 
     def __le__(self, other):
-        return (self - QuadraticNumber.of(other)).sign() <= 0
+        return self._compare(other) <= 0
 
     def __gt__(self, other):
-        return (self - QuadraticNumber.of(other)).sign() > 0
+        return self._compare(other) > 0
 
     def __ge__(self, other):
-        return (self - QuadraticNumber.of(other)).sign() >= 0
+        return self._compare(other) >= 0
 
     def __abs__(self):
         return -self if self.sign() < 0 else self

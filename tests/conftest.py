@@ -3,6 +3,8 @@ from pathlib import Path
 import pytest
 
 from gbsn import gogfile
+from gbsn.gog import vertex_letters
+from gbsn.words import Word
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -10,6 +12,19 @@ DATA = Path(__file__).resolve().parent.parent / "data"
 def load_spec(name):
     doc = gogfile.parse((DATA / name).read_text())
     return doc.to_spec()
+
+
+def word_of_normal_form(spec, nf):
+    """Re-spell a normal form as a word (head and entry vectors in letters)."""
+    names = vertex_letters(spec)[spec.vertices[0]]
+
+    def vec_word(vec):
+        return Word((names[i], c) for i, c in enumerate(vec))
+
+    w = vec_word(nf.head)
+    for name, sign, vec in nf.tail:
+        w = w * Word([(name, sign)]) * vec_word(vec)
+    return w
 
 
 @pytest.fixture(scope="session")

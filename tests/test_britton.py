@@ -13,10 +13,12 @@ from gbsn.britton import (
     is_identity,
     nf_multiply,
 )
-from gbsn.gog import Edge, GoGSpec, presentation, vertex_letters
+from gbsn.gog import Edge, GoGSpec, presentation
 from gbsn.holonomy import compute_holonomy, word_image
 from gbsn.linalg import QMat, ZMat
 from gbsn.words import Word, parse_word
+
+from conftest import word_of_normal_form
 
 
 def random_word(rng, letters, max_len=10, max_exp=2):
@@ -24,19 +26,6 @@ def random_word(rng, letters, max_len=10, max_exp=2):
     return Word(
         (rng.choice(letters), rng.choice(choices)) for _ in range(rng.randint(0, max_len))
     )
-
-
-def word_of_normal_form(spec, nf):
-    """Re-spell a normal form as a word (head and entry vectors in letters)."""
-    names = vertex_letters(spec)[spec.vertices[0]]
-
-    def vec_word(vec):
-        return Word((names[i], c) for i, c in enumerate(vec))
-
-    w = vec_word(nf.head)
-    for name, sign, vec in nf.tail:
-        w = w * Word([(name, sign)]) * vec_word(vec)
-    return w
 
 
 class TestBrittonReduce:
@@ -155,38 +144,38 @@ class TestGeodesics:
     def test_exceeds_radius(self, spec_a):
         assert geodesic_length(spec_a, parse_word("a^16"), 4) == "exceeds radius"
 
-    def test_matches_naive_bfs(self, spec_a):
-        # bidirectional meeting is exact: compare with plain forward search
+    @pytest.mark.parametrize(
+        "fixture, letters, radius",
+        [("spec_a", "abhp", 7), ("spec_b", "abhpe", 6), ("spec_bs12", "at", 10)],
+        ids=["specA", "specB", "bs12"],
+    )
+    def test_matches_naive_bfs(self, request, fixture, letters, radius):
+        # bidirectional meeting is exact: compare with a plain forward ball
+        # grown by the same normal-form step
         from gbsn.britton import _fast_ops
 
-        ops = _fast_ops(spec_a)
-
-        def naive(target, radius):
-            dist = {ops.identity(): 0}
-            frontier = [ops.identity()]
-            flat = ops.to_flat(target)
-            if flat in dist:
-                return 0
-            for d in range(1, radius + 1):
-                nxt = []
-                for s in frontier:
-                    for kind, idx, step in ops.generator_steps():
-                        c = ops.mul(s, kind, idx, step)
-                        if c not in dist:
-                            dist[c] = d
-                            if c == flat:
-                                return d
-                            nxt.append(c)
-                frontier = nxt
-            return None
+        spec = request.getfixturevalue(fixture)
+        ops = _fast_ops(spec)
+        naive = {ops.identity(): 0}
+        frontier = [ops.identity()]
+        for d in range(1, radius + 1):
+            nxt = []
+            for s in frontier:
+                for kind, idx, step in ops.generator_steps():
+                    c = list(s)
+                    ops.apply(c, kind, idx, step)
+                    c = tuple(c)
+                    if c not in naive:
+                        naive[c] = d
+                        nxt.append(c)
+            frontier = nxt
 
         rng = random.Random(3)
-        letters = ["a", "b", "h", "p"]
         for _ in range(40):
-            w = random_word(rng, letters, max_len=5, max_exp=1)
-            target = britton_reduce(spec_a, w)
-            oracle = GeodesicOracle(spec_a, forward_cap=3)
-            assert oracle.distance(target, 7) == naive(target, 7)
+            w = random_word(rng, list(letters), max_len=radius + 2, max_exp=1)
+            target = britton_reduce(spec, w)
+            oracle = GeodesicOracle(spec, forward_cap=3)
+            assert oracle.distance(target, radius) == naive.get(ops.to_flat(target))
 
     def test_triangle_inequality(self, spec_a):
         rng = random.Random(59)

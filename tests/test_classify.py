@@ -10,7 +10,9 @@ from gbsn.classify import (
     whyte_classify,
 )
 from gbsn.gog import Edge, GoGSpec
+from gbsn.holonomy import compute_holonomy
 from gbsn.linalg import ZMat
+from gbsn.matgroups import verify_certificate
 
 
 class TestWhyte:
@@ -100,6 +102,25 @@ class TestCornulierValette:
         report = cv_properties(spec_bs12)
         assert report.haagerup is True
         assert report.cowling_haagerup == "1"
+
+    def test_free_pair_across_quadratic_fields(self):
+        # the players' fixed points lie in Q(sqrt 2) and Q(sqrt 3); ordering
+        # them on the circle compares numbers of different fields
+        spec = GoGSpec.make(
+            2,
+            ["X"],
+            [
+                Edge("s", "X", "X", ZMat.identity(2), ZMat([[2, 1], [1, 1]])),
+                Edge("u", "X", "X", ZMat.identity(2), ZMat([[3, 2], [1, 1]])),
+            ],
+        )
+        report = cv_properties(spec)
+        assert report.haagerup is False
+        assert report.weakly_amenable is False
+        hd = compute_holonomy(spec)
+        gens = [hd.stable[n] for n in sorted(hd.stable)]
+        (cert,) = [ev.payload for ev in report.evidence if ev.label.startswith("tits-certificate")]
+        assert verify_certificate(gens, cert, sorted(hd.stable))
 
     def test_rank_three_undetermined(self):
         spec = GoGSpec.make(

@@ -74,6 +74,20 @@ class TestReports:
         assert code == 0
         assert "α_2 = 0" in out
 
+    def test_free_pair_across_quadratic_fields(self, capsys, tmp_path):
+        spec = tmp_path / "sqrt2_sqrt3.gog"
+        spec.write_text(
+            "rank 2\nvertex X\n"
+            "edge s: X -> X alpha [[1,0],[0,1]] omega [[2,1],[1,1]]\n"
+            "edge u: X -> X alpha [[1,0],[0,1]] omega [[3,2],[1,1]]\n"
+        )
+        code, out, _ = invoke(capsys, "classify", str(spec))
+        assert code == 0
+        assert out.strip().splitlines()[-1].startswith("Whyte case: 2a; Haagerup: no")
+        code, out, _ = invoke(capsys, "compression", str(spec), "--p", "3/2")
+        assert code == 0
+        assert "α_3/2 = 0" in out
+
     def test_compression_undetermined_exit_two(self, capsys):
         code, out, _ = invoke(capsys, "compression", SPEC_B, "--p", "3")
         assert code == 2

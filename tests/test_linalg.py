@@ -257,6 +257,28 @@ class TestQuadraticNumber:
         assert Q(141, 100) < sqrt2 < Q(142, 100)
         assert abs(-sqrt2) == sqrt2
 
+    def test_ordering_across_radicands(self):
+        def num(a, b, d):
+            return QuadraticNumber.make(a, b, d)
+
+        def real(x):
+            return float(x.a) + float(x.b) * math.sqrt(x.d)
+
+        assert num(0, 1, 2) < num(0, 1, 3)
+        assert num(1, 1, 2) > num(0, 1, 5)
+        assert num(3, -1, 2) < num(0, 1, 3)
+        assert num(0, -1, 7) <= num(Q(-1, 2), -1, 3)
+        rng = random.Random(31)
+        for _ in range(300):
+            x = num(Q(rng.randint(-20, 20), rng.randint(1, 4)), rng.randint(-6, 6), rng.choice([2, 3, 5, 6, 7]))
+            y = num(Q(rng.randint(-20, 20), rng.randint(1, 4)), rng.randint(-6, 6), rng.choice([10, 11, 13, 15]))
+            assert (x < y) == (real(x) < real(y))
+            assert (x > y) == (real(x) > real(y))
+
+    def test_arithmetic_across_radicands_still_raises(self):
+        with pytest.raises(ValueError):
+            QuadraticNumber.make(0, 1, 2) + QuadraticNumber.make(0, 1, 3)
+
     def test_sign_undefined_for_complex(self):
         i = QuadraticNumber.make(0, 1, -1)
         with pytest.raises(ValueError):

@@ -19,6 +19,14 @@ right-multiplies a canonical form, held as a flat integer list, by one
 generator step and leaves it canonical. ``britton_reduce`` folds a word into
 the identity with it, ``nf_multiply`` folds a word into a given form, and the
 geodesic search expands every state with it.
+
+Geodesic lengths come from a meet-in-the-middle breadth-first search
+(``GeodesicOracle``): a forward ball around the identity, grown in complete
+levels to depth ceil(r/2) for a query of radius r and further only while it
+holds fewer than ``FORWARD_BALL_STATES`` states, and a backward search from
+the target for the rest. ``geodesic_length`` builds one oracle per call;
+``distortion_profile`` builds one per call and reuses its ball across the
+powers it measures.
 """
 
 from __future__ import annotations
@@ -247,14 +255,41 @@ def nf_multiply(spec: GoGSpec, nf: NormalForm, w: Word) -> NormalForm:
     return ops.from_flat(s)
 
 
+# Not a tuned value: it lets bs12's forward ball reach depth 8 (1,317
+# states), which the benchmark's tracer test asserts. The balanced split
+# would stop at ceil(r/2) always.
+FORWARD_BALL_STATES = 4096
+
+
 class GeodesicOracle:
     """Exact word-metric distances by breadth-first search on canonical forms.
 
     The generating set is every vertex letter and every stable letter with
-    exponent +-1. A forward ball around the identity is grown once and reused;
-    distances beyond it are resolved by a backward search from the target that
-    meets the forward ball (still exact: any geodesic of length d <= F + B
-    passes through the forward ball at depth F).
+    exponent +-1. ``dist`` maps each state of the forward ball around the
+    identity to its distance; the ball only ever holds complete levels, up to
+    ``depth``, and ``frontier`` is the sphere at that depth. It is grown
+    lazily and kept for later queries to the same oracle; a level that an
+    exception interrupts is taken out again.
+
+    A query of radius r first grows the ball to depth ceil(r/2), then on
+    towards min(r, ``forward_cap``) while it holds fewer than
+    ``FORWARD_BALL_STATES`` states. A small ball (bs12 has 1,317 states at
+    depth 8) then answers most queries alone; a large one (specA has 6,539
+    states at depth 5 and 570,069 at depth 8) stops early and leaves the
+    rest to a backward search from the target, which only goes as deep as
+    the answer needs. ``forward_cap`` bounds the ball whatever the radius.
+
+    The backward search is exact. Let F be the forward depth and D > F the
+    true distance of the target, which is not in the ball. A state at
+    level L of the backward search is at distance exactly L from the
+    target, so one that is also in the ball, at distance d <= F from the
+    identity, gives D <= d + L <= F + L. No state meets before level
+    D - F, then. At level D - F one does: the point of a geodesic at
+    distance F from the identity. And any state met there has
+    D <= d + (D - F), so d = F and the path through it has length exactly
+    D. The search therefore returns F + L at the first state met, which is
+    the stop rule "best <= F + L after level L" applied without finishing
+    the level; if nothing meets by level r - F, then D > r.
     """
 
     def __init__(self, spec: GoGSpec, forward_cap: int = 8):
@@ -267,45 +302,48 @@ class GeodesicOracle:
         self.frontier = [identity]
         self.depth = 0
 
-    def _grow_forward(self, depth: int):
+    def _grow_forward(self, radius: int):
+        """Add complete levels to depth ceil(radius/2), then on towards
+        min(radius, forward_cap) while the ball is under the state budget."""
+        half = min(-(-radius // 2), self.forward_cap)
+        top = min(radius, self.forward_cap)
         apply = self.ops.apply
         dist = self.dist
-        while self.depth < depth and self.frontier:
+        while self.frontier and self.depth < top and (
+            self.depth < half or len(dist) < FORWARD_BALL_STATES
+        ):
             nxt = []
             d = self.depth + 1
-            for state in self.frontier:
-                for kind, index, step in self.steps:
-                    c = list(state)
-                    apply(c, kind, index, step)
-                    child = tuple(c)
-                    if child not in dist:
-                        dist[child] = d
-                        nxt.append(child)
+            try:
+                for state in self.frontier:
+                    for kind, index, step in self.steps:
+                        c = list(state)
+                        apply(c, kind, index, step)
+                        child = tuple(c)
+                        if child not in dist:
+                            dist[child] = d
+                            nxt.append(child)
+            except BaseException:
+                for child in [s for s, k in dist.items() if k == d]:
+                    del dist[child]
+                raise
             self.frontier = nxt
             self.depth = d
 
     def distance(self, target: NormalForm, max_radius: int) -> Optional[int]:
         """Exact distance from the identity, or None when it exceeds max_radius."""
         flat_target = self.ops.to_flat(target)
-        self._grow_forward(min(max_radius, self.forward_cap))
-        if flat_target in self.dist:
-            d = self.dist[flat_target]
-            return d if d <= max_radius else None
-        if self.depth >= max_radius:
-            return None
-        # backward search from the target; state x at depth l satisfies
-        # d(x, target) = l, so a forward-ball hit gives d <= dist[x] + l
-        apply = self.ops.apply
+        self._grow_forward(max_radius)
         dist = self.dist
-        best: Optional[int] = None
+        d = dist.get(flat_target)
+        if d is not None:
+            return d if d <= max_radius else None
+        forward = self.depth
+        # backward search; a state at level l is at distance l from the target
+        apply = self.ops.apply
         seen = {flat_target}
         frontier = [flat_target]
-        level = 0
-        limit = max_radius - self.depth
-        while frontier and level < limit:
-            level += 1
-            if best is not None and level + 1 > best:
-                break
+        for level in range(1, max_radius - forward + 1):
             nxt = []
             for state in frontier:
                 for kind, index, step in self.steps:
@@ -314,16 +352,11 @@ class GeodesicOracle:
                     child = tuple(c)
                     if child in seen:
                         continue
+                    if child in dist:
+                        return forward + level
                     seen.add(child)
-                    d = dist.get(child)
-                    if d is not None:
-                        total = d + level
-                        if best is None or total < best:
-                            best = total
                     nxt.append(child)
             frontier = nxt
-        if best is not None and best <= max_radius:
-            return best
         return None
 
 
@@ -331,13 +364,17 @@ def geodesic_length(spec: GoGSpec, w: Word, max_radius: int):
     """Exact geodesic length of ``w``, or the string 'exceeds radius'.
 
     Never an approximation: the answer is the true distance in the word
-    metric for the standard generating set, or an explicit refusal.
+    metric for the standard generating set, or an explicit refusal. Each
+    call builds its own ``GeodesicOracle``, freed when it returns. Its
+    forward ball stays within 8 levels and passes depth ceil(r/2) only
+    while it has fewer than ``FORWARD_BALL_STATES`` states, so it is no
+    bigger than the larger of the ball of depth ceil(r/2) and the first
+    ball to reach that budget.
     """
     target = britton_reduce(spec, w)
     if target.is_trivial():
         return 0
-    oracle = GeodesicOracle(spec, forward_cap=min(max_radius, 8))
-    d = oracle.distance(target, max_radius)
+    d = GeodesicOracle(spec).distance(target, max_radius)
     return d if d is not None else "exceeds radius"
 
 

@@ -322,6 +322,10 @@ class QuadraticNumber:
     d is squarefree (possibly negative); b == 0 forces d == 0 so that equal
     values have equal representations. Arithmetic mixes freely with rationals
     but two irrational operands must share the same radicand.
+
+    ``make`` normalizes any radicand it is given, which factors it; the
+    arithmetic builds its results with ``_in_field`` instead, since the
+    operands' radicand is already squarefree.
     """
 
     a: Q
@@ -337,6 +341,13 @@ class QuadraticNumber:
         if d0 == 1:
             return QuadraticNumber(a + b * s, Q(0), 0)
         return QuadraticNumber(a, b * s, d0)
+
+    @staticmethod
+    def _in_field(a: Q, b: Q, d: int) -> "QuadraticNumber":
+        """a + b*sqrt(d) for a radicand d that is already squarefree (or 0)."""
+        if b == 0 or d == 0:
+            return QuadraticNumber(a, Q(0), 0)
+        return QuadraticNumber(a, b, d)
 
     @staticmethod
     def of(x) -> "QuadraticNumber":
@@ -359,7 +370,7 @@ class QuadraticNumber:
     def __add__(self, other):
         other = QuadraticNumber.of(other)
         d = self._common_d(other)
-        return QuadraticNumber.make(self.a + other.a, self.b + other.b, d)
+        return QuadraticNumber._in_field(self.a + other.a, self.b + other.b, d)
 
     def __neg__(self):
         return QuadraticNumber(-self.a, -self.b, self.d)
@@ -372,7 +383,7 @@ class QuadraticNumber:
         d = self._common_d(other)
         a = self.a * other.a + self.b * other.b * d
         b = self.a * other.b + self.b * other.a
-        return QuadraticNumber.make(a, b, d)
+        return QuadraticNumber._in_field(a, b, d)
 
     __radd__ = __add__
     __rmul__ = __mul__
@@ -384,7 +395,7 @@ class QuadraticNumber:
         norm = self.a * self.a - self.b * self.b * self.d
         if norm == 0:
             raise ZeroDivisionError("zero quadratic number")
-        return QuadraticNumber.make(self.a / norm, -self.b / norm, self.d)
+        return QuadraticNumber._in_field(self.a / norm, -self.b / norm, self.d)
 
     def __truediv__(self, other):
         return self * QuadraticNumber.of(other).inverse()

@@ -1,24 +1,33 @@
 import random
+from functools import lru_cache
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gbsn.britton import (
+    FORWARD_BALL_STATES,
     GeodesicOracle,
     NormalForm,
     UnsupportedSpecError,
+    _fast_ops,
     britton_reduce,
     distortion_profile,
     geodesic_length,
     is_identity,
     nf_multiply,
 )
-from gbsn.gog import Edge, GoGSpec, presentation
+from gbsn.gog import Edge, GoGSpec, presentation, vertex_letters
 from gbsn.holonomy import compute_holonomy, word_image
 from gbsn.linalg import QMat, ZMat
 from gbsn.words import Word, parse_word
 
-from conftest import word_of_normal_form
+from conftest import load_spec, naive_ball, word_of_normal_form
+
+# radius of the naive ball each spec's geodesic answers are checked against
+NAIVE_RADIUS = {"bs12": 10, "ascend2": 10, "specB": 6, "specA": 7}
+NAIVE_SPECS = {name: load_spec(f"{name}.gog") for name in NAIVE_RADIUS}
 
 
 def random_word(rng, letters, max_len=10, max_exp=2):
@@ -152,23 +161,9 @@ class TestGeodesics:
     def test_matches_naive_bfs(self, request, fixture, letters, radius):
         # bidirectional meeting is exact: compare with a plain forward ball
         # grown by the same normal-form step
-        from gbsn.britton import _fast_ops
-
         spec = request.getfixturevalue(fixture)
         ops = _fast_ops(spec)
-        naive = {ops.identity(): 0}
-        frontier = [ops.identity()]
-        for d in range(1, radius + 1):
-            nxt = []
-            for s in frontier:
-                for kind, idx, step in ops.generator_steps():
-                    c = list(s)
-                    ops.apply(c, kind, idx, step)
-                    c = tuple(c)
-                    if c not in naive:
-                        naive[c] = d
-                        nxt.append(c)
-            frontier = nxt
+        naive = naive_ball(spec, radius)
 
         rng = random.Random(3)
         for _ in range(40):
@@ -189,6 +184,134 @@ class TestGeodesics:
             duv = oracle.distance(britton_reduce(spec_a, u * v), 12)
             if None not in (du, dv, duv):
                 assert duv <= du + dv
+
+
+def assert_complete_levels(oracle, naive):
+    """The oracle's ball is the naive ball cut at its depth, and its
+    frontier is the sphere at that depth."""
+    depth = oracle.depth
+    assert oracle.dist == {s: d for s, d in naive.items() if d <= depth}
+    assert sorted(oracle.frontier) == sorted(s for s, d in naive.items() if d == depth)
+
+
+@lru_cache(maxsize=None)
+def naive_spheres(name):
+    """The states of a spec's naive ball, listed by distance."""
+    spheres = [[] for _ in range(NAIVE_RADIUS[name] + 1)]
+    for state, d in naive_ball(NAIVE_SPECS[name], NAIVE_RADIUS[name]).items():
+        spheres[d].append(state)
+    return spheres
+
+
+@st.composite
+def geodesic_queries(draw):
+    """A spec, a forward cap and a short sequence of (word, radius) queries.
+
+    A query is a random word at a random radius, or spells a state drawn
+    from a sphere of the naive ball, so that every distance up to the
+    ball's radius comes up, at a radius from one below its distance."""
+    name = draw(st.sampled_from(sorted(NAIVE_RADIUS)))
+    spec = NAIVE_SPECS[name]
+    ops = _fast_ops(spec)
+    spheres = naive_spheres(name)
+    letters = list(vertex_letters(spec)[spec.vertices[0]]) + [e.name for e in spec.loop_edges()]
+    top = NAIVE_RADIUS[name]
+    letter = st.tuples(st.sampled_from(letters), st.sampled_from([1, -1]))
+
+    def on_sphere(d):
+        word = st.sampled_from(spheres[d]).map(lambda s: word_of_normal_form(spec, ops.from_flat(s)))
+        return st.tuples(word, st.integers(max(d - 1, 0), top))
+
+    query = st.one_of(
+        st.tuples(st.lists(letter, max_size=top + 2).map(Word), st.integers(0, top)),
+        st.integers(0, top).flatmap(on_sphere),
+    )
+    queries = draw(st.lists(query, min_size=1, max_size=4))
+    return name, draw(st.sampled_from((1, 2, 3, 4, 8))), queries
+
+
+class Interrupt(BaseException):
+    pass
+
+
+class InterruptingOps:
+    """The spec's normal-form operations, raising ``Interrupt`` from the
+    ``calls``-th ``apply`` on, as a time limit or ^C would."""
+
+    def __init__(self, ops, calls):
+        self.ops = ops
+        self.calls = calls
+
+    def __getattr__(self, name):
+        return getattr(self.ops, name)
+
+    def apply(self, *args):
+        self.calls -= 1
+        if self.calls <= 0:
+            raise Interrupt
+        return self.ops.apply(*args)
+
+
+class TestGeodesicOracle:
+    @given(geodesic_queries())
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    def test_reused_oracle_in_any_query_order(self, case):
+        # one oracle answers the drawn queries in order, as distortion_profile
+        # reuses its oracle; its ball depth depends on the queries before
+        name, cap, queries = case
+        spec = NAIVE_SPECS[name]
+        naive = naive_ball(spec, NAIVE_RADIUS[name])
+        ops = _fast_ops(spec)
+        oracle = GeodesicOracle(spec, forward_cap=cap)
+        for word, radius in queries:
+            target = britton_reduce(spec, word)
+            d = naive.get(ops.to_flat(target))
+            assert oracle.distance(target, radius) == (d if d is not None and d <= radius else None)
+            assert_complete_levels(oracle, naive)
+
+    @pytest.mark.parametrize("calls", [3, 40, 700, 4000])
+    def test_interrupted_level_is_undone(self, spec_a, calls):
+        # an exception in the middle of a level leaves the complete levels
+        # only, and the same oracle still answers exactly afterwards
+        naive = naive_ball(spec_a, 7)
+        target = britton_reduce(spec_a, parse_word("a^16"))
+        oracle = GeodesicOracle(spec_a)
+        ops = oracle.ops
+        oracle.ops = InterruptingOps(ops, calls)
+        with pytest.raises(Interrupt):
+            oracle.distance(target, 8)
+        oracle.ops = ops
+        assert_complete_levels(oracle, naive)
+        assert oracle.depth < 5
+        assert oracle.distance(target, 8) == 8
+        assert_complete_levels(oracle, naive)
+
+    @pytest.mark.parametrize("name", sorted(NAIVE_RADIUS))
+    def test_every_distance_and_cap(self, name):
+        # the boundary radii D - 1 and D for a state of each sphere, with
+        # forward depths from 2 up, so backward searches of up to 8 levels
+        spec = NAIVE_SPECS[name]
+        ops = _fast_ops(spec)
+        for cap in range(2, 9):
+            for d, sphere in enumerate(naive_spheres(name)):
+                target = ops.from_flat(sphere[-1])
+                if d:
+                    assert GeodesicOracle(spec, forward_cap=cap).distance(target, d - 1) is None
+                assert GeodesicOracle(spec, forward_cap=cap).distance(target, d) == d
+
+    def test_large_ball_stops_at_budget(self, spec_a):
+        # ceil(8/2) = 4 levels, then one more while under the budget
+        oracle = GeodesicOracle(spec_a)
+        assert oracle.distance(britton_reduce(spec_a, parse_word("a^16")), 8) == 8
+        assert (oracle.depth, len(oracle.dist)) == (5, 6539)
+        assert len(oracle.dist) >= FORWARD_BALL_STATES
+        assert_complete_levels(oracle, naive_ball(spec_a, 7))
+
+    def test_small_ball_grows_to_cap(self, spec_bs12):
+        oracle = GeodesicOracle(spec_bs12)
+        assert oracle.distance(britton_reduce(spec_bs12, parse_word("a^16")), 10) == 8
+        assert (oracle.depth, len(oracle.dist)) == (8, 1317)
+        assert_complete_levels(oracle, naive_ball(spec_bs12, 10))
 
 
 class TestDistortion:

@@ -252,6 +252,41 @@ class TestQuadraticNumber:
         assert (x / x).a == 1 and (x / x).is_rational()
         assert (x - x).is_zero()
 
+    def test_field_arithmetic_does_not_factor(self, monkeypatch):
+        # the operands' radicand is already squarefree, so results are built
+        # without factoring it again, and still equal make()'s normal form
+        import gbsn.linalg as linalg
+
+        rng = random.Random(37)
+        cases = []
+        for _ in range(200):
+            d = rng.choice([2, 3, 6, -1, -3, 1155])
+            x, y = (
+                QuadraticNumber.make(Q(rng.randint(-9, 9), rng.randint(1, 4)), rng.randint(-2, 2), d)
+                for _ in range(2)
+            )
+            cases.append((x, y, d))
+        cases.append((QuadraticNumber.make(1, 2, 3), QuadraticNumber.make(0, -2, 3), 3))
+        expected = []
+        for x, y, d in cases:
+            norm = x.a * x.a - x.b * x.b * d
+            expected.append((
+                QuadraticNumber.make(x.a + y.a, x.b + y.b, d),
+                QuadraticNumber.make(x.a - y.a, x.b - y.b, d),
+                QuadraticNumber.make(x.a * y.a + x.b * y.b * d, x.a * y.b + x.b * y.a, d),
+                QuadraticNumber.make(x.a / norm, -x.b / norm, d) if norm else None,
+            ))
+
+        def refuse(n):
+            raise AssertionError("squarefree_decompose called")
+
+        monkeypatch.setattr(linalg, "squarefree_decompose", refuse)
+        for (x, y, _), (total, diff, product, inverse) in zip(cases, expected):
+            assert x + y == total and x - y == diff and x * y == product
+            if inverse is not None:
+                assert x.inverse() == inverse
+        assert (cases[-1][0] + cases[-1][1]).d == 0
+
     def test_exact_ordering(self):
         sqrt2 = QuadraticNumber.make(0, 1, 2)
         assert Q(141, 100) < sqrt2 < Q(142, 100)

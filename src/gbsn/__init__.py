@@ -42,13 +42,11 @@ from .gog import (
 from .gogfile import GoGDocument, GoGParseError, parse, render
 from .holonomy import HolonomyData, compute_holonomy, non_discreteness_witness, word_image
 from .linalg import (
-    CartanProjection,
     EigenData,
     ProjPoint,
     QMat,
     QuadraticNumber,
     ZMat,
-    cartan_projection,
     eigen_directions,
     hermite_normal_form,
     lattice_solve,

@@ -21,17 +21,17 @@ from fractions import Fraction
 from typing import Optional
 
 from .gog import GoGSpec, bass_serre_degrees, ensure_valid, underlying_rank
-from .holonomy import HolonomyData, compute_holonomy, non_discreteness_witness
-from .linalg import QMat, spectral_radius_gt_one, sublattice_index
+from .holonomy import compute_holonomy, non_discreteness_witness
+from .linalg import spectral_radius_gt_one, sublattice_index
 from .matgroups import (
     TitsResult,
+    WordBall,
     cartan_hausdorff_samples,
     closure_describe,
     coarse_density,
     verify_certificate,
     virtually_solvable,
 )
-from .words import Word
 
 Q = Fraction
 
@@ -60,30 +60,6 @@ class ClassificationReport:
 
 def _tri(value: Optional[bool]) -> str:
     return {True: "yes", False: "no", None: "undetermined"}[value]
-
-
-def _stable_letter_relation(hd: HolonomyData, max_len: int = 6) -> Optional[Word]:
-    """Shortest nontrivial reduced stable-letter word with identity image."""
-    names = sorted(hd.stable)
-    steps = []
-    for name in names:
-        steps.append(((name, 1), hd.stable[name]))
-        steps.append(((name, -1), hd.stable[name].inverse()))
-    identity = QMat.identity(hd.rank)
-    frontier = [(Word(), identity)]
-    for _ in range(max_len):
-        nxt = []
-        for w, m in frontier:
-            for letter, mat in steps:
-                w2 = w * Word([letter])
-                if len(w2) != len(w) + 1:
-                    continue
-                m2 = m * mat
-                if m2 == identity:
-                    return w2
-                nxt.append((w2, m2))
-        frontier = nxt
-    return None
 
 
 def whyte_classify(
@@ -167,7 +143,12 @@ def whyte_classify(
             for e in spec.edges
         )
         if unimodular:
-            relation = _stable_letter_relation(hd)
+            # a reduced relation of length <= 6 exists exactly when two
+            # distinct reduced words of length <= 3 have the same image
+            ball = WordBall({name: hd.stable[name] for name in sorted(hd.stable)})
+            for _ in ball.grow(3):
+                pass
+            relation = ball.relation()
             if relation is None:
                 whyte = "2a"
                 evidence.append(

@@ -10,10 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .gog import GoGSpec, ensure_valid, vertex_letters
 from .linalg import QMat
+from .matgroups import WordBall
 from .words import Word
 
 
@@ -86,111 +86,25 @@ class WitnessResult:
     searched_length: int = 0
 
 
-def _scaled(m: QMat, denom: int) -> tuple:
-    """Represent m as (entries..., e) with m = entries / denom^e, e minimal."""
-    e = 0
-    entries = [x for row in m.rows for x in row]
-    while any(x.denominator != 1 for x in entries):
-        entries = [x * denom for x in entries]
-        e += 1
-    ints = [int(x) for x in entries]
-    while e > 0 and all(x % denom == 0 for x in ints):
-        ints = [x // denom for x in ints]
-        e -= 1
-    return (*ints, e)
-
-
-def _scaled_mul(a: tuple, b: tuple, n: int, denom: int) -> tuple:
-    if n == 2:
-        a0, a1, a2, a3, ae = a
-        b0, b1, b2, b3, be = b
-        o0 = a0 * b0 + a1 * b2
-        o1 = a0 * b1 + a1 * b3
-        o2 = a2 * b0 + a3 * b2
-        o3 = a2 * b1 + a3 * b3
-        e = ae + be
-        if denom > 1:
-            while e > 0 and o0 % denom == 0 and o1 % denom == 0 and o2 % denom == 0 and o3 % denom == 0:
-                o0 //= denom
-                o1 //= denom
-                o2 //= denom
-                o3 //= denom
-                e -= 1
-        return (o0, o1, o2, o3, e)
-    e = a[-1] + b[-1]
-    out = []
-    for i in range(n):
-        for j in range(n):
-            out.append(sum(a[i * n + k] * b[k * n + j] for k in range(n)))
-    if denom > 1:
-        while e > 0 and all(x % denom == 0 for x in out):
-            out = [x // denom for x in out]
-            e -= 1
-    return (*out, e)
-
-
-def _scaled_close_to_identity(m: tuple, n: int, denom: int, eps: Fraction) -> bool:
-    scale = denom ** m[-1]
-    p, q = eps.numerator, eps.denominator
-    for i in range(n):
-        for j in range(n):
-            delta = m[i * n + j] - (scale if i == j else 0)
-            if q * abs(delta) >= p * scale:
-                return False
-    return True
-
-
 def non_discreteness_witness(
     hd: HolonomyData, epsilon, max_word_length: int = 12
 ) -> WitnessResult:
     """Search stable-letter words for a nontrivial image within epsilon of I.
 
-    Breadth-first over distinct image-group elements, expanding letters in a
-    fixed order (names ascending, positive exponent before negative), so the
-    returned witness is a shortest one and deterministic. The entrywise
-    max-norm comparison against epsilon is exact rational arithmetic.
+    Walks the word ball of the image group, letters in a fixed order (names
+    ascending, positive exponent before negative), and stops at the first
+    element within epsilon of I, so the returned witness is a shortest one
+    and deterministic. The entrywise max-norm comparison against epsilon is
+    exact rational arithmetic.
     """
     eps = Fraction(epsilon)
     if eps <= 0:
         raise ValueError("epsilon must be positive")
-    gens = {name: m for name, m in hd.stable.items()}
-    if all(m.is_integral() and abs(m.det()) == 1 for m in gens.values()):
+    if all(m.is_integral() and abs(m.det()) == 1 for m in hd.stable.values()):
         return WitnessResult("discrete (integral)")
-    n = hd.rank
-    denom = lcm(
-        1,
-        *(
-            x.denominator
-            for m in gens.values()
-            for mm in (m, m.inverse())
-            for row in mm.rows
-            for x in row
-        ),
-    )
-    steps = []
-    for name in sorted(gens):
-        steps.append(((name, 1), _scaled(gens[name], denom)))
-        steps.append(((name, -1), _scaled(gens[name].inverse(), denom)))
-    identity = _scaled(QMat.identity(n), denom)
-    parent: dict[tuple, tuple] = {identity: ()}
-    frontier = [identity]
-    for _ in range(max_word_length):
-        nxt = []
-        for state in frontier:
-            for letter, mat in steps:
-                child = _scaled_mul(state, mat, n, denom)
-                if child in parent:
-                    continue
-                parent[child] = (state, letter)
-                if _scaled_close_to_identity(child, n, denom, eps):
-                    letters = []
-                    cur = child
-                    while parent[cur]:
-                        prev, lt = parent[cur]
-                        letters.append(lt)
-                        cur = prev
-                    word = Word(reversed(letters))
-                    return WitnessResult("witness", word, word_image(hd, word), max_word_length)
-                nxt.append(child)
-        frontier = nxt
+    ball = WordBall({name: hd.stable[name] for name in sorted(hd.stable)})
+    for state in ball.grow(max_word_length):
+        if ball.near_identity(state, eps):
+            word = ball.word(state)
+            return WitnessResult("witness", word, word_image(hd, word), max_word_length)
     return WitnessResult("none found", searched_length=max_word_length)

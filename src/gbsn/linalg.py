@@ -1,10 +1,9 @@
 """Exact rational and integer linear algebra for small square matrices.
 
 Everything in this module is exact: matrix entries are ``fractions.Fraction``
-(or plain ``int`` for lattice maps), eigendirections of 2x2 matrices live in a
-quadratic extension Q(sqrt(d)), and the only approximate quantity -- the
-Cartan projection (log-singular values) -- carries a certified error bound
-obtained from interval arithmetic.
+(or plain ``int`` for lattice maps), eigenvalues and eigendirections of 2x2
+matrices live in a quadratic extension Q(sqrt(d)), and numbers of two
+different quadratic fields are ordered exactly by comparing squares.
 
 Matrices act on column vectors; the columns of an integer matrix generate the
 sublattice it defines.
@@ -12,12 +11,9 @@ sublattice it defines.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
-
-import mpmath
 
 Q = Fraction
 
@@ -544,56 +540,6 @@ def eigen_directions(m: QMat) -> EigenData:
             points.append(p)
             values.append(lam)
     return EigenData(False, tuple(points), tuple(values), rad)
-
-
-@dataclass(frozen=True)
-class CartanProjection:
-    """Log-singular values (log s1 >= log s2) with a certified error bound."""
-
-    log_sigma1: float
-    log_sigma2: float
-    error_bound: float
-
-
-def cartan_projection(m: QMat, tol: float = 1e-12) -> CartanProjection:
-    """Certified log-singular values of an invertible 2x2 rational matrix.
-
-    The squared singular values are the exact roots of the characteristic
-    polynomial of m^T m; their logarithms are enclosed by interval arithmetic
-    at increasing precision until the enclosure is narrower than ``tol``.
-    """
-    if m.n != 2:
-        raise ValueError("cartan projection implemented for n = 2 only")
-    mtm = m.transpose() * m
-    t, d = mtm.trace(), mtm.det()
-    if d == 0:
-        raise SingularMatrixError("matrix is singular")
-    disc = t * t - 4 * d  # >= 0: m^T m is symmetric
-    prec = 80
-    while True:
-        iv = mpmath.iv
-        old = iv.prec
-        try:
-            iv.prec = prec
-            tv = iv.mpf(t.numerator) / iv.mpf(t.denominator)
-            dv = iv.mpf(d.numerator) / iv.mpf(d.denominator)
-            discv = iv.mpf(disc.numerator) / iv.mpf(disc.denominator)
-            root = iv.sqrt(discv)
-            s1sq = (tv + root) / 2
-            log1 = iv.log(s1sq) / 2
-            # log s2 = (log det - log s1^2) / ... use s1 s2 = |det m| to avoid
-            # cancellation in t - sqrt(disc)
-            log2 = iv.log(dv) / 2 - log1
-            width = max(float(log1.delta), float(log2.delta))
-            if width <= tol:
-                return CartanProjection(
-                    float(log1.mid), float(log2.mid), max(width, 0.0)
-                )
-        finally:
-            iv.prec = old
-        prec *= 2
-        if prec > 100000:
-            raise RuntimeError("interval refinement failed to converge")
 
 
 def spectral_radius_gt_one(m: QMat) -> bool:

@@ -9,18 +9,21 @@ eigendirections of short words, and every certificate re-verifies by exact
 arithmetic. The negative answer is certified by a ping-pong free pair acting
 on the projective line, coordinatized by the slope y/x in Q u {inf}.
 
-All interval computations use exact rational endpoints; the only floating
-point in this module lives in the explicitly 'sampled' coarse-density
-evidence.
+All interval computations use exact rational endpoints. Floating point
+appears in two places: ``rational_key_between`` takes a float midpoint as a
+first guess and a float as the start of its scan, but keeps a separator
+only after exact comparisons; and the explicitly 'sampled' coarse-density
+evidence computes its Cartan values in floats.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .linalg import ProjPoint, QMat, QuadraticNumber, eigen_directions
 from .words import Word
@@ -147,12 +150,13 @@ def rational_key_between(ka, kb) -> Q:
         cand = Q(round(approx * denom), denom)
         if _key_lt(ka, cand) and _key_lt(cand, kb):
             return cand
-        # dyadic sweep at this resolution, then refine
-        lo_int = math.floor(_float_key(ka) * denom) - 2
-        for j in range(lo_int, lo_int + 6 * denom):
-            cand = Q(j, denom)
-            if _key_lt(ka, cand) and _key_lt(cand, kb):
+        # the multiples of 1/denom strictly between the keys form one run:
+        # scan up from just below ka to the first at or past kb, then refine
+        j = math.floor(_float_key(ka) * denom) - 2
+        while _key_lt(cand := Q(j, denom), kb):
+            if _key_lt(ka, cand):
                 return cand
+            j += 1
         denom *= 16
 
 
@@ -363,6 +367,150 @@ def virtually_solvable(
 
 
 # --------------------------------------------------------------------------
+# word balls
+
+
+def _scaled(m: QMat, denom: int) -> tuple:
+    """Represent m as (entries..., e) with m = entries / denom^e, e minimal."""
+    e = 0
+    entries = [x for row in m.rows for x in row]
+    while any(x.denominator != 1 for x in entries):
+        entries = [x * denom for x in entries]
+        e += 1
+    ints = [int(x) for x in entries]
+    while e > 0 and all(x % denom == 0 for x in ints):
+        ints = [x // denom for x in ints]
+        e -= 1
+    return (*ints, e)
+
+
+def _scaled_mul(a: tuple, b: tuple, n: int, denom: int) -> tuple:
+    if n == 2:
+        a0, a1, a2, a3, ae = a
+        b0, b1, b2, b3, be = b
+        o0 = a0 * b0 + a1 * b2
+        o1 = a0 * b1 + a1 * b3
+        o2 = a2 * b0 + a3 * b2
+        o3 = a2 * b1 + a3 * b3
+        e = ae + be
+        if denom > 1:
+            while e > 0 and o0 % denom == 0 and o1 % denom == 0 and o2 % denom == 0 and o3 % denom == 0:
+                o0 //= denom
+                o1 //= denom
+                o2 //= denom
+                o3 //= denom
+                e -= 1
+        return (o0, o1, o2, o3, e)
+    e = a[-1] + b[-1]
+    out = []
+    for i in range(n):
+        for j in range(n):
+            out.append(sum(a[i * n + k] * b[k * n + j] for k in range(n)))
+    if denom > 1:
+        while e > 0 and all(x % denom == 0 for x in out):
+            out = [x // denom for x in out]
+            e -= 1
+    return (*out, e)
+
+
+class WordBall:
+    """The ball of a matrix group in its word metric, grown breadth-first.
+
+    A state is a group element scaled to integers, (entries..., e) for
+    entries / denom^e with e minimal, where denom clears every denominator
+    of the generators and their inverses; equal matrices give equal states.
+    Each element is stored once, with the (parent state, letter) that first
+    reached it, and nothing else: words and matrices are rebuilt on demand.
+    Letters are tried in the order of ``named``, exponent +1 before -1.
+    Shortlex-least spellings are prefix-closed (Epstein et al., Word
+    Processing in Groups, 1992), so elements are found in the shortlex order
+    of their least spellings and ``word`` returns that spelling.
+    """
+
+    def __init__(self, named: dict):
+        mats = list(named.values())
+        self.n = mats[0].n
+        self.denom = lcm(
+            1, *(x.denominator for m in mats for mm in (m, m.inverse()) for row in mm.rows for x in row)
+        )
+        self.steps = [
+            ((name, sign), _scaled(m if sign == 1 else m.inverse(), self.denom))
+            for name, m in named.items()
+            for sign in (1, -1)
+        ]
+        self.identity = _scaled(QMat.identity(self.n), self.denom)
+        self.parent: dict[tuple, tuple] = {self.identity: ()}
+        # first (state, letter, child) whose child was already stored, the
+        # step back along the state's own parent link excepted
+        self._collision: Optional[tuple] = None
+
+    def __len__(self) -> int:
+        return len(self.parent)
+
+    def grow(self, radius: int, cap: Optional[int] = None) -> Iterator[tuple]:
+        """Yield each new state in discovery order, level by level, out to
+        word length ``radius``; stop after the state that takes the count of
+        stored states past ``cap``. A ball is grown by one call."""
+        n, denom, parent, steps = self.n, self.denom, self.parent, self.steps
+        frontier = [self.identity]
+        for _ in range(radius):
+            nxt = []
+            for state in frontier:
+                for letter, mat in steps:
+                    child = _scaled_mul(state, mat, n, denom)
+                    if child in parent:
+                        if self._collision is None:
+                            link = parent[state]
+                            if not link or link[1] != (letter[0], -letter[1]):
+                                self._collision = (state, letter, child)
+                        continue
+                    parent[child] = (state, letter)
+                    nxt.append(child)
+                    yield child
+                    if cap is not None and len(parent) > cap:
+                        return
+            frontier = nxt
+
+    def word(self, state: tuple) -> Word:
+        letters = []
+        while self.parent[state]:
+            state, letter = self.parent[state]
+            letters.append(letter)
+        return Word(reversed(letters))
+
+    def matrix(self, state: tuple) -> QMat:
+        n, scale = self.n, self.denom ** state[-1]
+        return QMat([[Q(state[i * n + j], scale) for j in range(n)] for i in range(n)])
+
+    def near_identity(self, state: tuple, eps: Q) -> bool:
+        """Is every entry of the element within eps of the identity's?"""
+        n, scale = self.n, self.denom ** state[-1]
+        p, q = eps.numerator, eps.denominator
+        for i in range(n):
+            for j in range(n):
+                delta = state[i * n + j] - (scale if i == j else 0)
+                if q * abs(delta) >= p * scale:
+                    return False
+        return True
+
+    def relation(self) -> Optional[Word]:
+        """A nontrivial freely reduced word with image I, of length at most
+        twice the grown radius, or None.
+
+        Two distinct reduced words of length <= r with one image exist
+        exactly when some step of the radius-r ball, other than a step back
+        along a parent link, reaches a stored element. For the first such
+        step the word is the element's stored spelling followed by the
+        inverse of the new one; the two end in different letters, so nothing
+        cancels.
+        """
+        if self._collision is None:
+            return None
+        state, letter, child = self._collision
+        return self.word(child) * Word([(letter[0], -letter[1])]) * self.word(state).inverse()
+
+
+# --------------------------------------------------------------------------
 # ping-pong search
 
 
@@ -398,30 +546,6 @@ def _classify_player(word: Word, m: QMat) -> Optional[_Player]:
     )
 
 
-def _short_words(named: dict, max_len: int) -> list[tuple[Word, QMat]]:
-    n = next(iter(named.values())).n
-    letters = []
-    for name in named:
-        letters.append((Word([(name, 1)]), named[name]))
-        letters.append((Word([(name, -1)]), named[name].inverse()))
-    out, seen = [], set()
-    frontier = [(Word(), QMat.identity(n))]
-    for _ in range(max_len):
-        nxt = []
-        for w, m in frontier:
-            for lw, lm in letters:
-                w2 = w * lw
-                if len(w2) != len(w) + 1:
-                    continue  # cancellation: not a reduced extension
-                m2 = m * lm
-                nxt.append((w2, m2))
-                if m2 not in seen:
-                    seen.add(m2)
-                    out.append((w2, m2))
-        frontier = nxt
-    return out
-
-
 def _fixed_slopes_disjoint(a: _Player, b: _Player) -> bool:
     return not any(slopes_equal(s, t) for s in a.fixed for t in b.fixed)
 
@@ -429,16 +553,11 @@ def _fixed_slopes_disjoint(a: _Player, b: _Player) -> bool:
 def _sorted_fixed_points(x: _Player, y: _Player) -> Optional[list]:
     """Fixed points of both players in circle order, or None when the blocks
     interleave (no pair of disjoint arcs can then contain them)."""
-    pts = []
-    for owner, pl in enumerate((x, y)):
-        for s in pl.fixed:
-            pts.append((circle_key(s), owner))
-    pts.sort(key=lambda rec: _float_key(rec[0]))
-    for i in range(1, len(pts)):  # exact repair of float-guided sort
-        j = i
-        while j > 0 and _key_lt(pts[j][0], pts[j - 1][0]):
-            pts[j], pts[j - 1] = pts[j - 1], pts[j]
-            j -= 1
+    # keys never tie: the players' fixed slopes are disjoint
+    pts = sorted(
+        ((circle_key(s), owner) for owner, pl in enumerate((x, y)) for s in pl.fixed),
+        key=functools.cmp_to_key(lambda a, b: -1 if _key_lt(a[0], b[0]) else 1),
+    )
     owners = [rec[1] for rec in pts]
     changes = sum(1 for i in range(len(owners)) if owners[i] != owners[i - 1])
     return pts if changes <= 2 else None
@@ -573,9 +692,10 @@ def pingpong_certify(
     named = _named(gens, names)
     if not named or next(iter(named.values())).n != 2:
         return None
+    ball = WordBall(named)
     players = []
-    for w, m in _short_words(named, max_word_len):
-        pl = _classify_player(w, m)
+    for state in ball.grow(max_word_len):
+        pl = _classify_player(ball.word(state), ball.matrix(state))
         if pl is not None:
             players.append(pl)
     for i in range(len(players)):
@@ -849,22 +969,12 @@ class CoarseDensityReport:
     evidence: tuple = ()
 
 
-def _finite_closure_size(mats: list[QMat], cap: int = 400) -> Optional[int]:
-    seen = {QMat.identity(mats[0].n)}
-    frontier = list(seen)
-    gens = mats + [m.inverse() for m in mats]
-    while frontier:
-        nxt = []
-        for m in frontier:
-            for g in gens:
-                prod = m * g
-                if prod not in seen:
-                    if len(seen) >= cap:
-                        return None
-                    seen.add(prod)
-                    nxt.append(prod)
-        frontier = nxt
-    return len(seen)
+def _finite_closure_size(named: dict, cap: int = 400) -> Optional[int]:
+    """Order of the group, or None when it has more than ``cap`` elements."""
+    ball = WordBall(named)
+    for _ in ball.grow(cap, cap):  # a group of order <= cap has diameter < cap
+        pass
+    return len(ball) if len(ball) <= cap else None
 
 
 def _mu(m: QMat) -> float:
@@ -877,22 +987,13 @@ def _mu(m: QMat) -> float:
     return 0.5 * (math.log(s1sq) - 0.5 * math.log(d))
 
 
-def _ball_mu_values(mats: list[QMat], radius: int, cap: int = 200000) -> list[float]:
-    seen = {QMat.identity(mats[0].n)}
-    frontier = list(seen)
-    gens = mats + [m.inverse() for m in mats]
-    for _ in range(radius):
-        nxt = []
-        for m in frontier:
-            for g in gens:
-                prod = m * g
-                if prod not in seen:
-                    seen.add(prod)
-                    nxt.append(prod)
-                    if len(seen) > cap:
-                        raise RuntimeError("sampling ball too large")
-        frontier = nxt
-    return sorted(_mu(m) for m in seen)
+def _ball_mu_values(named: dict, radius: int, cap: int = 200000) -> list[float]:
+    ball = WordBall(named)
+    for _ in ball.grow(radius, cap):
+        pass
+    if len(ball) > cap:
+        raise RuntimeError("sampling ball too large")
+    return sorted(_mu(ball.matrix(state)) for state in ball.parent)
 
 
 def coarse_density(
@@ -916,7 +1017,7 @@ def coarse_density(
     mats = list(named.values())
     if not mats:
         return CoarseDensityReport("not-coarsely-dense", "trivial-group")
-    size = _finite_closure_size(mats)
+    size = _finite_closure_size(named)
     if size is not None:
         return CoarseDensityReport(
             "not-coarsely-dense", "finite-group", f"group is finite of order {size}"
@@ -942,7 +1043,7 @@ def coarse_density(
     if result.virtually_solvable is None:
         return CoarseDensityReport("undetermined", "no-certificate", result.detail)
     try:
-        values = _ball_mu_values(mats, radius)
+        values = _ball_mu_values(named, radius)
     except RuntimeError as exc:
         return CoarseDensityReport("undetermined", "sampling-overflow", str(exc))
     c = max(_mu(m) for m in mats)
@@ -981,8 +1082,8 @@ def cartan_hausdorff_samples(
     out = []
     for r in radii:
         try:
-            va = _ball_mu_values(list(gens_a), r)
-            vb = _ball_mu_values(list(gens_b), r)
+            va = _ball_mu_values(_named(gens_a, None), r)
+            vb = _ball_mu_values(_named(gens_b, None), r)
         except RuntimeError:
             break
 

@@ -6,6 +6,7 @@ import pytest
 from gbsn import gogfile
 from gbsn.britton import _fast_ops
 from gbsn.gog import vertex_letters
+from gbsn.linalg import QMat
 from gbsn.words import Word
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -48,6 +49,25 @@ def naive_ball(spec, radius):
                     nxt.append(c)
         frontier = nxt
     return ball
+
+
+def reduced_words(named, radius):
+    """Every freely reduced word of length <= radius with its matrix, in
+    shortlex order (letters in the order of ``named``, +1 before -1): a
+    plain breadth-first search over words, with no deduplication."""
+    letters = [(Word([(name, sign)]), m if sign == 1 else m.inverse())
+               for name, m in named.items() for sign in (1, -1)]
+    level = [(Word(), QMat.identity(next(iter(named.values())).n))]
+    yield from level
+    for _ in range(radius):
+        nxt = []
+        for w, m in level:
+            for lw, lm in letters:
+                w2 = w * lw
+                if len(w2) == len(w) + 1:  # no cancellation
+                    nxt.append((w2, m * lm))
+                    yield nxt[-1]
+        level = nxt
 
 
 @pytest.fixture(scope="session")

@@ -1,3 +1,5 @@
+import signal
+from contextlib import contextmanager
 from fractions import Fraction as Q
 
 import pytest
@@ -13,6 +15,22 @@ from gbsn.gog import Edge, GoGSpec
 from gbsn.holonomy import compute_holonomy
 from gbsn.linalg import ZMat
 from gbsn.matgroups import verify_certificate
+
+
+@contextmanager
+def time_budget(seconds):
+    """Raise TimeoutError in the block once ``seconds`` of wall time pass."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"over the {seconds} s budget")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 class TestWhyte:
@@ -61,7 +79,8 @@ class TestWhyte:
         report = whyte_classify(spec)
         assert report.whyte_case == "undetermined"
         assert report.amenable is False
-        assert any("ambiguous" in ev.detail for ev in report.evidence)
+        (relation,) = [ev.payload for ev in report.evidence if "ambiguous" in ev.detail]
+        assert str(relation) == "p q^-1"
 
     def test_two_ended_out_of_scope(self):
         spec = GoGSpec.make(
@@ -117,6 +136,27 @@ class TestCornulierValette:
         report = cv_properties(spec)
         assert report.haagerup is False
         assert report.weakly_amenable is False
+        hd = compute_holonomy(spec)
+        gens = [hd.stable[n] for n in sorted(hd.stable)]
+        (cert,) = [ev.payload for ev in report.evidence if ev.label.startswith("tits-certificate")]
+        assert verify_certificate(gens, cert, sorted(hd.stable))
+
+    def test_adversarial_three_loops_within_budget(self):
+        # diag(1000, 1/1000), a shear and a quarter turn: the ping-pong
+        # domains need separators between fixed points about 1e-6 apart
+        spec = GoGSpec.make(
+            2,
+            ["X"],
+            [
+                Edge("h", "X", "X", ZMat([[1, 0], [0, 1000]]), ZMat([[1000, 0], [0, 1]])),
+                Edge("p", "X", "X", ZMat.identity(2), ZMat([[1, 1], [0, 1]])),
+                Edge("e", "X", "X", ZMat.identity(2), ZMat([[0, 1], [-1, 0]])),
+            ],
+        )
+        with time_budget(10):
+            report = classify(spec)
+        assert report.whyte_case == "2c"
+        assert report.haagerup is False
         hd = compute_holonomy(spec)
         gens = [hd.stable[n] for n in sorted(hd.stable)]
         (cert,) = [ev.payload for ev in report.evidence if ev.label.startswith("tits-certificate")]

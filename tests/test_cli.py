@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +11,23 @@ SPEC_A = str(DATA / "specA.gog")
 SPEC_B = str(DATA / "specB.gog")
 BS12 = str(DATA / "bs12.gog")
 ASCEND2 = str(DATA / "ascend2.gog")
+
+# (golden file name, CLI arguments, exit code): tests/golden/<name>.json is
+# the exact --format json stdout of the command
+GOLDEN = Path(__file__).resolve().parent / "golden"
+GOLDEN_RUNS = [
+    entry
+    for spec in ("specA", "specB", "bs12", "ascend2")
+    for entry in (
+        (f"holonomy_{spec}", ["holonomy", f"data/{spec}.gog"], 0),
+        (f"classify_{spec}", ["classify", f"data/{spec}.gog"], 0),
+        (
+            f"compression_3-2_{spec}",
+            ["compression", f"data/{spec}.gog", "--p", "3/2"],
+            2 if spec == "bs12" else 0,
+        ),
+    )
+] + [("compare_specA_specB", ["compare", "data/specA.gog", "data/specB.gog"], 0)]
 
 
 def invoke(capsys, *argv):
@@ -129,10 +147,12 @@ class TestJson:
         cert = certs[0]
         assert {"word_x", "word_y", "domain_x", "domain_y", "traps_x", "traps_y"} <= set(cert)
 
-    def test_deterministic_output(self, capsys):
-        _, first, _ = invoke(capsys, "classify", SPEC_A, "--format", "json")
-        _, second, _ = invoke(capsys, "classify", SPEC_A, "--format", "json")
-        assert first == second
+    @pytest.mark.parametrize("name, argv, code", GOLDEN_RUNS, ids=[r[0] for r in GOLDEN_RUNS])
+    def test_deterministic_output(self, capsys, monkeypatch, name, argv, code):
+        # run from the repository root, so the report names data/<spec>.gog
+        monkeypatch.chdir(DATA.parent)
+        got_code, out, _ = invoke(capsys, *argv, "--format", "json")
+        assert (got_code, out) == (code, (GOLDEN / f"{name}.json").read_text())
 
     def test_compare_json(self, capsys):
         code, out, _ = invoke(capsys, "compare", ASCEND2, SPEC_A, "--format", "json")

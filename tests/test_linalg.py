@@ -2,7 +2,6 @@ import math
 import random
 from fractions import Fraction as Q
 
-import mpmath
 import pytest
 import sympy
 
@@ -12,7 +11,6 @@ from gbsn.linalg import (
     QuadraticNumber,
     SingularMatrixError,
     ZMat,
-    cartan_projection,
     eigen_directions,
     hermite_normal_form,
     lattice_residue,
@@ -170,39 +168,6 @@ class TestEigenDirections:
                 continue
             for p in eigen_directions(m).points:
                 assert p.apply(m) == p
-            done += 1
-
-
-class TestCartan:
-    def test_identity(self):
-        c = cartan_projection(QMat.identity(2))
-        assert c.log_sigma1 == 0 and c.log_sigma2 == 0
-        assert c.error_bound <= 1e-12
-
-    def test_diagonal(self):
-        c = cartan_projection(H)
-        assert abs(c.log_sigma1 - math.log(2)) <= 1e-12
-        assert abs(c.log_sigma2 + math.log(2)) <= 1e-12
-
-    def test_parabolic_golden_ratio(self):
-        # singular values of [[1,1],[0,1]] are phi and 1/phi
-        with mpmath.workdps(40):
-            expected = float(mpmath.log((1 + mpmath.sqrt(5)) / 2))
-        c = cartan_projection(P)
-        assert abs(c.log_sigma1 - expected) <= 2e-12
-        assert abs(c.log_sigma2 + expected) <= 2e-12
-
-    def test_inverse_antisymmetry_random(self):
-        rng = random.Random(23)
-        done = 0
-        while done < 40:
-            m = QMat([[Q(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(2)] for _ in range(2)])
-            if m.det() == 0:
-                continue
-            c = cartan_projection(m)
-            ci = cartan_projection(m.inverse())
-            assert abs(ci.log_sigma1 + c.log_sigma2) <= 4e-12
-            assert abs(ci.log_sigma2 + c.log_sigma1) <= 4e-12
             done += 1
 
 

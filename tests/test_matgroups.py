@@ -3,6 +3,7 @@ from fractions import Fraction as Q
 
 import pytest
 
+from gbsn import matgroups
 from gbsn.linalg import ProjPoint, QMat, QuadraticNumber
 from gbsn.matgroups import (
     INF,
@@ -80,6 +81,27 @@ class TestProjectiveCircle:
         sqrt2 = QuadraticNumber.make(0, 1, 2)
         r = rational_key_between(circle_key(sqrt2 - 1), circle_key(sqrt2))
         assert circle_key(sqrt2 - 1) < r < circle_key(sqrt2)
+
+    def test_close_keys_take_few_exact_comparisons(self, monkeypatch):
+        # keys 1e-7 apart need separators of denominator 4 * 16^6; a sweep
+        # over every multiple of 1/denom at each coarser resolution would
+        # make about 10^8 exact comparisons
+        compared = 0
+        key_lt = matgroups._key_lt
+
+        def counted(a, b):
+            nonlocal compared
+            compared += 1
+            assert compared <= 200, "unbounded scan for a separator"
+            return key_lt(a, b)
+
+        monkeypatch.setattr(matgroups, "_key_lt", counted)
+        sqrt2 = QuadraticNumber.make(0, 1, 2)
+        for ka in (Q(1, 3), circle_key(sqrt2), circle_key(-sqrt2)):
+            kb = ka + Q(1, 10**7)
+            compared = 0
+            r = rational_key_between(ka, kb)
+            assert isinstance(r, Q) and ka < r < kb
 
 
 class TestVirtuallySolvable:

@@ -1,0 +1,79 @@
+"""WordBall against the plain reduced-word search ``conftest.reduced_words``."""
+
+from fractions import Fraction as Q
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gbsn.linalg import QMat
+from gbsn.matgroups import WordBall, _finite_closure_size, evaluate_word
+
+from conftest import reduced_words
+
+H = QMat([[2, 0], [0, Q(1, 2)]])
+P = QMat([[1, 1], [0, 1]])
+E = QMat([[0, 1], [-1, 0]])  # order 4
+F = QMat([[1, 0], [0, -1]])  # order 2
+R3 = QMat([[0, -1], [1, -1]])  # order 3
+R6 = QMat([[0, -1], [1, 1]])  # order 6
+POOL = (
+    H, P, E, F, R3, R6,
+    QMat([[1, 0], [2, 1]]),
+    QMat([[2, 1], [1, 1]]),
+    QMat([[1, Q(1, 2)], [0, 1]]),
+    QMat([[3, 0], [0, 1]]),
+    QMat([[-1, 0], [0, -1]]),
+    QMat([[2, 0], [0, 2]]),
+)
+SETS = (
+    (P, P),  # p = q: the relation p q^-1
+    tuple(QMat([[x, x - 1], [1, 1]]) for x in (999, 1000, 1001)),
+    (E,),
+    (E, F),  # dihedral of order 8
+    (R6, QMat([[0, 1], [1, 0]])),  # dihedral of order 12
+    (QMat([[2]]), QMat([[Q(1, 3)]])),
+    (QMat([[0, 0, 1], [1, 0, 0], [0, 1, 0]]), QMat([[2, 0, 0], [0, 1, 0], [0, 0, 1]])),
+)
+generator_sets = st.one_of(
+    st.sampled_from(SETS), st.lists(st.sampled_from(POOL), min_size=1, max_size=2)
+)
+
+
+def group_order(mats, cap=400):
+    """Order of <mats> by a breadth-first closure of QMat products, or None
+    past ``cap`` elements."""
+    gens = mats + [m.inverse() for m in mats]
+    elements = {QMat.identity(mats[0].n)}
+    frontier = set(elements)
+    while frontier:
+        frontier = {a * g for a in frontier for g in gens} - elements
+        elements |= frontier
+        if len(elements) > cap:
+            return None
+    return len(elements)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(generator_sets)
+def test_matches_reduced_word_search(mats):
+    named = {f"g{i}": m for i, m in enumerate(mats)}
+    identity = QMat.identity(mats[0].n)
+    ball = WordBall(named)
+    states = [ball.identity, *ball.grow(3)]
+    # the first spelling of each element, in shortlex order
+    first = {}
+    for w, m in reduced_words(named, 3):
+        first.setdefault(m, w)
+    assert [(ball.word(s), ball.matrix(s)) for s in states] == [(w, m) for m, w in first.items()]
+    relation = ball.relation()
+    assert (relation is not None) == any(w and m == identity for w, m in reduced_words(named, 6))
+    if relation is not None:
+        assert 0 < len(relation) <= 6
+        assert evaluate_word(named, relation) == identity
+    assert _finite_closure_size(named) == group_order(list(mats))
+
+
+def test_cap_stops_growth():
+    ball = WordBall({"h": H, "p": P})
+    grown = list(ball.grow(10, cap=50))
+    assert len(ball) == 51 and len(grown) == 50

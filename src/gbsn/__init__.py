@@ -40,7 +40,14 @@ from .gog import (
     validate,
 )
 from .gogfile import GoGDocument, GoGParseError, parse, render
-from .holonomy import HolonomyData, compute_holonomy, non_discreteness_witness, word_image
+from .holonomy import (
+    HolonomyData,
+    WitnessResult,
+    compute_holonomy,
+    non_discreteness_witness,
+    verify_nondiscreteness,
+    word_image,
+)
 from .linalg import (
     EigenData,
     ProjPoint,

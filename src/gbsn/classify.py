@@ -7,11 +7,12 @@ detected through unimodular inclusions and integral discrete holonomy;
 (2b) virtually ascending HNN extensions -- exactly the amenable ones,
 detected in the literal single-loop ascending form; (2c) everything else,
 a single quasi-isometry class within a Hausdorff equivalence class of
-holonomy. The Haagerup property, weak amenability and the Cowling-Haagerup
-constant are all decided by amenability of the closure of the holonomy
-image, which for subgroups of GL_2(R) is equivalent to virtual solvability;
-the equivalence of the four properties makes the reports self-consistent by
-construction.
+holonomy -- decided for nonamenable groups whose holonomy image carries an
+exact non-discreteness certificate, re-verified before it is reported. The
+Haagerup property, weak amenability and the Cowling-Haagerup constant are
+all decided by amenability of the closure of the holonomy image, which for
+subgroups of GL_2(R) is equivalent to virtual solvability; the equivalence
+of the four properties makes the reports self-consistent by construction.
 """
 
 from __future__ import annotations
@@ -21,7 +22,12 @@ from fractions import Fraction
 from typing import Optional
 
 from .gog import GoGSpec, bass_serre_degrees, ensure_valid, underlying_rank
-from .holonomy import compute_holonomy, non_discreteness_witness
+from .holonomy import (
+    WitnessResult,
+    compute_holonomy,
+    non_discreteness_witness,
+    verify_nondiscreteness,
+)
 from .linalg import spectral_radius_gt_one, sublattice_index
 from .matgroups import (
     TitsResult,
@@ -62,11 +68,21 @@ def _tri(value: Optional[bool]) -> str:
     return {True: "yes", False: "no", None: "undetermined"}[value]
 
 
-def whyte_classify(
-    spec: GoGSpec,
-    witness_epsilon=Q(1, 1000),
-    witness_max_length: int = 11,
-) -> ClassificationReport:
+def _certificate_detail(witness: WitnessResult) -> str:
+    if witness.kind == "dense":
+        return (
+            "the absolute values of the holonomy generate a dense subgroup of the "
+            "positive reals; re-verified exactly"
+        )
+    h, g = witness.contractor, witness.word
+    return (
+        f"the conjugates ({h})^-k {g} ({h})^k, k >= 1, are pairwise distinct and tend "
+        f"to I: every nonzero entry (i, j) of {g} - I in an eigenbasis of {h} has "
+        "|lambda_j| < |lambda_i|; re-verified exactly"
+    )
+
+
+def whyte_classify(spec: GoGSpec) -> ClassificationReport:
     """Ends, amenability, and the quasi-isometry subclass of the group."""
     ensure_valid(spec)
     local = bass_serre_degrees(spec)
@@ -168,16 +184,13 @@ def whyte_classify(
                     )
                 )
         else:
-            witness = non_discreteness_witness(hd, witness_epsilon, witness_max_length)
-            if witness.kind == "witness":
+            witness = non_discreteness_witness(hd)
+            if witness.kind in ("contraction", "dense"):
+                if not verify_nondiscreteness(hd, witness):
+                    raise AssertionError("non-discreteness certificate failed re-verification")
                 whyte = "2c"
                 evidence.append(
-                    Evidence(
-                        "non-discreteness-witness",
-                        f"word {witness.word} has image within {witness_epsilon} of the "
-                        "identity (exact entrywise comparison)",
-                        witness,
-                    )
+                    Evidence("non-discreteness-certificate", _certificate_detail(witness), witness)
                 )
                 evidence.append(
                     Evidence("whyte-case", "2c: nonamenable with non-discrete holonomy image")
@@ -196,8 +209,8 @@ def whyte_classify(
                 evidence.append(
                     Evidence(
                         "whyte-case",
-                        f"no non-discreteness witness within word length {witness_max_length}; "
-                        "bounded search only",
+                        "no non-discreteness certificate: no contraction pair among the "
+                        "stable letters and their inverses, and no dense rank-1 image",
                     )
                 )
     else:
@@ -258,13 +271,9 @@ def cv_properties(spec: GoGSpec) -> ClassificationReport:
     )
 
 
-def classify(
-    spec: GoGSpec,
-    witness_epsilon=Q(1, 1000),
-    witness_max_length: int = 11,
-) -> ClassificationReport:
+def classify(spec: GoGSpec) -> ClassificationReport:
     """Combined report: Whyte subclass plus the holonomy-closure properties."""
-    w = whyte_classify(spec, witness_epsilon, witness_max_length)
+    w = whyte_classify(spec)
     c = cv_properties(spec)
     return ClassificationReport(
         w.ends,

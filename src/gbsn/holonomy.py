@@ -1,19 +1,27 @@
-"""The holonomy homomorphism into GL_n(Q) and its evaluation on words.
+"""The holonomy homomorphism into GL_n(Q), its evaluation on words, and an
+exact test that its image is not discrete.
 
 Every vertex letter maps to the identity; the stable letter of an edge with
 inclusions (alpha, omega) maps to omega * alpha^-1, transported to the base
 vertex through the spanning-tree identifications. Word images are plain
 matrix products, so relators map to the identity by construction.
+
+Non-discreteness is shown by a certificate that re-verifies from the
+matrices alone, never by a bounded search: in rank >= 2 a pair (h, g) of
+stable letters or their inverses whose conjugates h^-k g h^k tend to I
+through pairwise distinct elements, read off from h's rational eigenbasis;
+in rank 1 a dense group of absolute values.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 
 from .gog import GoGSpec, ensure_valid, vertex_letters
 from .linalg import QMat
-from .matgroups import WordBall
+from .matgroups import _multiplicative_group_shape
 from .words import Word
 
 
@@ -72,39 +80,140 @@ def word_image(hd: HolonomyData, w: Word) -> QMat:
 
 @dataclass(frozen=True)
 class WitnessResult:
-    """Outcome of the bounded search for elements near (but not at) identity.
+    """Outcome of the exact search for a proof that the holonomy image is
+    not discrete.
 
-    kind is 'witness' (word + image attached), 'discrete (integral)' when all
-    image generators lie in GL_n(Z) so the image is discrete, or 'none found'
-    after exhausting the bounded search. 'none found' is not a discreteness
-    proof; it only reports the searched bound.
+    kind is one of:
+
+    * 'contraction': the stable-letter words ``contractor`` (h) and ``word``
+      (g) of length one satisfy the contraction check. ``basis`` holds
+      eigenvectors of h's image as columns, so P^-1 h P is diagonal; every
+      nonzero entry (i, j) of P^-1 (g - I) P has |lambda_j| < |lambda_i|.
+      Then h^-k g h^k tends to I through pairwise distinct elements.
+    * 'dense': rank 1, and the absolute values of the holonomy generate a
+      dense subgroup of the positive reals.
+    * 'discrete (integral)': every image generator lies in GL_n(Z), so the
+      image is discrete.
+    * 'none found': neither certificate exists. This proves nothing either
+      way.
+
+    ``searched_length`` is the length of the candidate words h and g (one),
+    or 0 when no pair was searched.
     """
 
     kind: str
     word: Word | None = None
-    image: QMat | None = None
+    contractor: Word | None = None
+    basis: QMat | None = None
     searched_length: int = 0
 
 
-def non_discreteness_witness(
-    hd: HolonomyData, epsilon, max_word_length: int = 12
-) -> WitnessResult:
-    """Search stable-letter words for a nontrivial image within epsilon of I.
+def _rational_sqrt(x: Fraction) -> Fraction | None:
+    """The nonnegative rational square root of x, or None if x has none."""
+    if x < 0:
+        return None
+    num, den = isqrt(x.numerator), isqrt(x.denominator)
+    if num * num != x.numerator or den * den != x.denominator:
+        return None
+    return Fraction(num, den)
 
-    Walks the word ball of the image group, letters in a fixed order (names
-    ascending, positive exponent before negative), and stops at the first
-    element within epsilon of I, so the returned witness is a shortest one
-    and deterministic. The entrywise max-norm comparison against epsilon is
-    exact rational arithmetic.
+
+def _diagonal(m: QMat) -> tuple | None:
+    """The diagonal entries of m when m is diagonal, else None."""
+    n, rows = m.n, m.rows
+    if any(rows[i][j] for i in range(n) for j in range(n) if i != j):
+        return None
+    return tuple(rows[i][i] for i in range(n))
+
+
+def _rational_eigenbasis(h: QMat) -> tuple[QMat, tuple] | None:
+    """(P, eigenvalues) with P^-1 h P = diag(eigenvalues), or None.
+
+    Any diagonal h qualifies; in rank 2 so does any h with two distinct
+    rational eigenvalues, which holds exactly when its discriminant is the
+    square of a nonzero rational. Larger ranks take diagonal h only.
     """
-    eps = Fraction(epsilon)
-    if eps <= 0:
-        raise ValueError("epsilon must be positive")
+    lams = _diagonal(h)
+    if lams is not None:
+        return QMat.identity(h.n), lams
+    if h.n != 2:
+        return None
+    t = h.trace()
+    root = _rational_sqrt(t * t - 4 * h.det())
+    if not root:
+        return None  # irrational, or a repeated eigenvalue of a non-diagonal h
+    lams = ((t + root) / 2, (t - root) / 2)
+    (a, b), (c, d) = h.rows
+    # a kernel vector of h - lam: (b, lam - a) when b != 0, else c != 0
+    vecs = [(b, lam - a) if b else (lam - d, c) for lam in lams]
+    return QMat([[vecs[0][0], vecs[1][0]], [vecs[0][1], vecs[1][1]]]), lams
+
+
+def _contracts(basis: QMat, lams: tuple, g: QMat) -> bool:
+    """Is g != I with every nonzero entry (i, j) of basis^-1 (g - I) basis
+    at |lams[j]| < |lams[i]|?
+
+    Conjugating by h^k, h = basis diag(lams) basis^-1, multiplies that entry
+    by (lams[j] / lams[i])^k, so h^-k g h^k -> I, and no two terms agree.
+    """
+    m = (basis.inverse() * g * basis).rows
+    n = basis.n
+    moved = [(i, j) for i in range(n) for j in range(n) if m[i][j] != (i == j)]
+    return bool(moved) and all(abs(lams[j]) < abs(lams[i]) for i, j in moved)
+
+
+def _dense_absolute_values(hd: HolonomyData) -> bool:
+    """Is the rank 1 and do the absolute values of the holonomy generate a
+    dense subgroup of the positive reals?"""
+    if hd.rank != 1:
+        return False
+    values = [abs(m.rows[0][0]) for m in hd.image_generators()]
+    return _multiplicative_group_shape(values)[0] == "dense"
+
+
+def non_discreteness_witness(hd: HolonomyData) -> WitnessResult:
+    """An exact certificate that the holonomy image is not discrete.
+
+    In rank 1 the certificate is a dense group of absolute values. In rank
+    >= 2 it is a contraction pair (h, g) among the stable letters and their
+    inverses, tried in a fixed order (names ascending, exponent +1 before
+    -1, h in the outer loop), so the result is deterministic.
+    """
     if all(m.is_integral() and abs(m.det()) == 1 for m in hd.stable.values()):
         return WitnessResult("discrete (integral)")
-    ball = WordBall({name: hd.stable[name] for name in sorted(hd.stable)})
-    for state in ball.grow(max_word_length):
-        if ball.near_identity(state, eps):
-            word = ball.word(state)
-            return WitnessResult("witness", word, word_image(hd, word), max_word_length)
-    return WitnessResult("none found", searched_length=max_word_length)
+    if hd.rank == 1:
+        return WitnessResult("dense" if _dense_absolute_values(hd) else "none found")
+    letters = [
+        (Word([(name, sign)]), hd.letter_image(name, sign))
+        for name in sorted(hd.stable)
+        for sign in (1, -1)
+    ]
+    for h_word, h in letters:
+        eigen = _rational_eigenbasis(h)
+        if eigen is None:
+            continue
+        basis, lams = eigen
+        for g_word, g in letters:
+            if _contracts(basis, lams, g):
+                return WitnessResult("contraction", g_word, h_word, basis, 1)
+    return WitnessResult("none found", searched_length=1)
+
+
+def verify_nondiscreteness(hd: HolonomyData, result: WitnessResult) -> bool:
+    """Does ``result`` prove that the holonomy image is not discrete?
+
+    Recomputes the certificate's check from the holonomy matrices: for a
+    contraction, that ``basis`` diagonalizes the contractor's image and
+    that the contraction check holds for the image of ``word``; for
+    'dense', the rank-1 shape of the absolute values. Any other kind
+    proves nothing, and gives False.
+    """
+    if result.kind == "dense":
+        return _dense_absolute_values(hd)
+    if result.kind != "contraction":
+        return False
+    basis = result.basis
+    if basis is None or basis.det() == 0:
+        return False
+    lams = _diagonal(basis.inverse() * word_image(hd, result.contractor) * basis)
+    return lams is not None and _contracts(basis, lams, word_image(hd, result.word))

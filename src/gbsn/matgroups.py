@@ -482,17 +482,6 @@ class WordBall:
         n, scale = self.n, self.denom ** state[-1]
         return QMat([[Q(state[i * n + j], scale) for j in range(n)] for i in range(n)])
 
-    def near_identity(self, state: tuple, eps: Q) -> bool:
-        """Is every entry of the element within eps of the identity's?"""
-        n, scale = self.n, self.denom ** state[-1]
-        p, q = eps.numerator, eps.denominator
-        for i in range(n):
-            for j in range(n):
-                delta = state[i * n + j] - (scale if i == j else 0)
-                if q * abs(delta) >= p * scale:
-                    return False
-        return True
-
     def relation(self) -> Optional[Word]:
         """A nontrivial freely reduced word with image I, of length at most
         twice the grown radius, or None.

@@ -1,5 +1,7 @@
+import importlib
 import signal
 from contextlib import contextmanager
+from dataclasses import replace
 from fractions import Fraction as Q
 
 import pytest
@@ -12,9 +14,35 @@ from gbsn.classify import (
     whyte_classify,
 )
 from gbsn.gog import Edge, GoGSpec
-from gbsn.holonomy import compute_holonomy
+from gbsn.holonomy import compute_holonomy, non_discreteness_witness, verify_nondiscreteness
 from gbsn.linalg import ZMat
 from gbsn.matgroups import verify_certificate
+
+TURN = Edge("e", "X", "X", ZMat.identity(2), ZMat([[0, 1], [-1, 0]]))
+
+
+def diag_loop(name, m):
+    """A loop with holonomy diag(m, 1/m)."""
+    return Edge(name, "X", "X", ZMat([[1, 0], [0, m]]), ZMat([[m, 0], [0, 1]]))
+
+
+def shear_loop(name, k):
+    return Edge(name, "X", "X", ZMat.identity(2), ZMat([[1, k], [0, 1]]))
+
+
+def certificate_of(report):
+    (witness,) = [ev.payload for ev in report.evidence if ev.label == "non-discreteness-certificate"]
+    return witness
+
+
+CYCLIC = GoGSpec.make(
+    2,
+    ["X"],
+    [
+        Edge("s", "X", "X", ZMat([[1001, 0], [0, 1002]]), ZMat([[1002, 0], [0, 1001]])),
+        Edge("u", "X", "X", ZMat([[1001**2, 0], [0, 1002**2]]), ZMat([[1002**2, 0], [0, 1001**2]])),
+    ],
+)
 
 
 @contextmanager
@@ -39,10 +67,50 @@ class TestWhyte:
         assert report.whyte_case == "2c"
         assert report.amenable is False
         assert report.ends == "infinitely-many-ends"
-        assert any(ev.label == "non-discreteness-witness" for ev in report.evidence)
+        assert any(ev.label == "non-discreteness-certificate" for ev in report.evidence)
 
     def test_three_loop_case_2c(self, spec_b):
         assert whyte_classify(spec_b).whyte_case == "2c"
+
+    def test_three_loop_classify_within_budget(self, spec_b):
+        with time_budget(1):
+            report = classify(spec_b)
+        assert (report.whyte_case, report.haagerup) == ("2c", False)
+
+    @pytest.mark.parametrize(
+        "edges",
+        [
+            [diag_loop("h", 3), shear_loop("p", 1), TURN],
+            [diag_loop("h", 4), shear_loop("p", 10), TURN],
+            [diag_loop("h", 16), shear_loop("p", 3)],
+            [diag_loop("h", 100), shear_loop("p", 10)],
+        ],
+        ids=["shear-turn-3", "shear-turn-4", "diag-shear-16", "diag-shear-100"],
+    )
+    def test_case_2c_certificate_reverifies(self, edges):
+        spec = GoGSpec.make(2, ["X"], edges)
+        report = whyte_classify(spec)
+        assert report.whyte_case == "2c"
+        witness = certificate_of(report)
+        assert witness.kind == "contraction"
+        assert verify_nondiscreteness(compute_holonomy(spec), witness)
+
+    def test_discrete_cyclic_image_undetermined(self):
+        # holonomy diag(1002/1001, 1001/1002) and its square: a discrete
+        # cyclic image, although its generator lies within 1/1000 of I
+        report = classify(CYCLIC)
+        assert report.whyte_case == "undetermined"
+        assert not report.decided()
+        assert not any("non-discreteness" in ev.label for ev in report.evidence)
+
+    def test_certificate_failing_reverification_raises(self, spec_a, monkeypatch):
+        # the package rebinds gbsn.classify to the function of that name
+        module = importlib.import_module("gbsn.classify")
+        found = non_discreteness_witness(compute_holonomy(spec_a))
+        swapped = replace(found, contractor=found.word, word=found.contractor)
+        monkeypatch.setattr(module, "non_discreteness_witness", lambda hd: swapped)
+        with pytest.raises(AssertionError, match="re-verification"):
+            whyte_classify(spec_a)
 
     def test_ascending_case_2b(self, spec_bs12, spec_ascend2):
         for spec in (spec_bs12, spec_ascend2):
@@ -158,6 +226,7 @@ class TestCornulierValette:
         assert report.whyte_case == "2c"
         assert report.haagerup is False
         hd = compute_holonomy(spec)
+        assert verify_nondiscreteness(hd, certificate_of(report))
         gens = [hd.stable[n] for n in sorted(hd.stable)]
         (cert,) = [ev.payload for ev in report.evidence if ev.label.startswith("tits-certificate")]
         assert verify_certificate(gens, cert, sorted(hd.stable))

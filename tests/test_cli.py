@@ -106,6 +106,21 @@ class TestReports:
         assert code == 0
         assert "α_3/2 = 0" in out
 
+    def test_discrete_cyclic_holonomy_exit_two(self, capsys, tmp_path):
+        # holonomy diag(1002/1001, 1001/1002) and its square: the generator
+        # lies within 1/1000 of I, but the image is discrete and cyclic
+        spec = tmp_path / "cyclic.gog"
+        spec.write_text(
+            "rank 2\nvertex X\n"
+            "edge s: X -> X alpha [[1001,0],[0,1002]] omega [[1002,0],[0,1001]]\n"
+            "edge u: X -> X alpha [[1002001,0],[0,1004004]] omega [[1004004,0],[0,1002001]]\n"
+        )
+        code, out, _ = invoke(capsys, "classify", str(spec), "--format", "json")
+        assert code == 2
+        payload = json.loads(out)
+        assert payload["whyte_case"] == "undetermined"
+        assert payload["haagerup"] == "yes"
+
     def test_compression_undetermined_exit_two(self, capsys):
         code, out, _ = invoke(capsys, "compression", SPEC_B, "--p", "3")
         assert code == 2

@@ -9,6 +9,12 @@ eigendirections of short words, and every certificate re-verifies by exact
 arithmetic. The negative answer is certified by a ping-pong free pair acting
 on the projective line, coordinatized by the slope y/x in Q u {inf}.
 
+The scans themselves solve no eigenproblem: an invariant-pair candidate m is
+tested by commutation (g m = m g, or g m = adj(m) g), and a ping-pong player
+is read off the integer entries of a word-ball state, with its fixed slopes
+in closed form. ``eigen_directions`` runs once for the pivot of the
+invariant-line scan and once for an invariant-pair certificate it returns.
+
 All interval computations use exact rational endpoints. Floating point
 appears in two places: ``rational_key_between`` takes a float midpoint as a
 first guess and a float as the start of its scan, but keeps a separator
@@ -25,7 +31,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterator, Optional, Sequence
 
-from .linalg import ProjPoint, QMat, QuadraticNumber, eigen_directions
+from .linalg import ProjPoint, QMat, QuadraticNumber, eigen_directions, squarefree_decompose
 from .words import Word
 
 Q = Fraction
@@ -46,14 +52,6 @@ class _Infinity:
 
 
 INF = _Infinity()
-
-
-def slope_of_point(p: ProjPoint):
-    """Slope y/x of a projective point; INF for (0 : 1)."""
-    if p.x.is_zero():
-        return INF
-    s = p.y / p.x
-    return s.a if s.is_rational() else s
 
 
 def slopes_equal(s, t) -> bool:
@@ -292,7 +290,9 @@ def _candidate_pool(named: dict) -> list[tuple[Word, QMat]]:
     is generated, up to conjugation and scalars, by the non-swapping
     generators and pairwise products of swapping ones; and if all of those
     are scalar, every non-scalar element of the group has eigendirections
-    exactly {p, q}.
+    exactly {p, q}. A candidate m with distinct eigenvalues is tested by
+    commutation (``_preserves_eigenpair``), so the scan needs m's
+    eigendirections only for the first m that passes.
     """
     singles = [(Word([(n, 1)]), m) for n, m in named.items()]
     singles += [(Word([(n, -1)]), m.inverse()) for n, m in named.items()]
@@ -309,10 +309,31 @@ def _candidate_pool(named: dict) -> list[tuple[Word, QMat]]:
     return pool
 
 
+def _preserves_eigenpair(m: QMat, mats: Sequence[QMat]) -> bool:
+    """Does every g in ``mats`` fix or swap the two eigendirections of m?
+
+    For m with distinct eigenvalues (tr^2 != 4 det), real or complex, g fixes
+    both eigendirections exactly when g m = m g, and swaps them exactly when
+    g m = (tr(m) I - m) g. On entries, with m = [[a, b], [c, d]] and
+    g = [[p, q], [r, s]]: g m = m g iff (q, r, p - s) is parallel to the
+    nonzero (b, c, a - d), and g m = (tr(m) I - m) g iff tr g = 0 and
+    tr(g m) = p (a - d) + q c + r b = 0.
+    """
+    t = m.trace()
+    if t * t == 4 * m.det():
+        return False
+    (a, b), (c, d) = m.rows
+    for g in mats:
+        (p, q), (r, s) = g.rows
+        commutes = b * r == c * q and b * (p - s) == q * (a - d) and c * (p - s) == r * (a - d)
+        swaps = p + s == 0 and p * (a - d) + q * c + r * b == 0
+        if not (commutes or swaps):
+            return False
+    return True
+
+
 def virtually_solvable(
-    gens: Sequence[QMat],
-    names: Optional[Sequence[str]] = None,
-    pingpong_power_cap: int = 4096,
+    gens: Sequence[QMat], names: Optional[Sequence[str]] = None
 ) -> TitsResult:
     """Decide virtual solvability of <gens> inside GL_n(Q) (full power at n=2).
 
@@ -338,25 +359,15 @@ def virtually_solvable(
         if all(_fixes(g, p) for g in mats):
             return TitsResult(True, InvariantLineCertificate(p), "common eigendirection")
 
-    seen_pairs = set()
     for _, m in _candidate_pool(named):
-        eig = eigen_directions(m)
-        if len(eig.points) != 2:
-            continue
-        pair = frozenset(eig.points)
-        if pair in seen_pairs:
-            continue
-        seen_pairs.add(pair)
-        p, q = eig.points
-        if all(
-            (_fixes(g, p) and _fixes(g, q)) or (p.apply(g) == q and q.apply(g) == p)
-            for g in mats
-        ):
+        if _preserves_eigenpair(m, mats):
             return TitsResult(
-                True, InvariantPairCertificate((p, q)), "invariant two-point set"
+                True,
+                InvariantPairCertificate(eigen_directions(m).points),
+                "invariant two-point set",
             )
 
-    cert = pingpong_certify(gens, names, power_cap=pingpong_power_cap)
+    cert = pingpong_certify(gens, names)
     if cert is not None:
         return TitsResult(False, cert, "free subgroup by ping-pong")
     return TitsResult(
@@ -503,6 +514,10 @@ class WordBall:
 # ping-pong search
 
 
+PINGPONG_POWER_CAP = 4096  # largest power tried for a player's traps
+PINGPONG_WORD_LEN = 3  # players are the elements of the word ball of this radius
+
+
 @dataclass(frozen=True)
 class _Player:
     word: Word
@@ -511,28 +526,47 @@ class _Player:
     fixed: tuple  # slopes; hyperbolic: (attracting, repelling), parabolic: (f,)
 
 
-def _classify_player(word: Word, m: QMat) -> Optional[_Player]:
-    if m.is_scalar() or m.det() == 0:
+def _player_slopes(a: int, b: int, c: int, d: int) -> Optional[tuple]:
+    """Kind and fixed slopes of the integer matrix [[a, b], [c, d]] as a
+    ping-pong player, or None when it is scalar, elliptic or has eigenvalues
+    of equal modulus; a positive rescaling changes nothing.
+
+    With disc = (a - d)^2 + 4bc and t = a + d the eigenvalues are
+    (t +- sqrt(disc)) / 2, and the '+' one has the larger modulus exactly
+    when t > 0 (their squares differ by t sqrt(disc)). Slopes are Fractions,
+    INF, or QuadraticNumbers over the squarefree part of disc, equal to
+    those of ``eigen_directions``.
+    """
+    if b == 0 and c == 0 and a == d:
         return None
-    t, d = m.trace(), m.det()
-    disc = t * t - 4 * d
-    if disc < 0:
-        return None  # elliptic: no real fixed points
-    eig = eigen_directions(m)
-    if disc == 0:
-        return _Player(word, m, "parabolic", (slope_of_point(eig.points[0]),))
-    # |lam1| vs |lam2| exactly, via squares (both eigenvalues are real here)
-    lam1, lam2 = eig.eigenvalues
-    diff = lam1 * lam1 - lam2 * lam2
-    if diff.is_zero():
-        return None  # equal modulus: finite order in PGL_2, useless for ping-pong
-    order = (0, 1) if diff.sign() > 0 else (1, 0)
-    return _Player(
-        word,
-        m,
-        "hyperbolic",
-        (slope_of_point(eig.points[order[0]]), slope_of_point(eig.points[order[1]])),
-    )
+    disc = (a - d) * (a - d) + 4 * b * c
+    t = a + d
+    if disc < 0 or (disc > 0 and t == 0):
+        return None
+    if b == 0:  # eigenvalue a on the slope c/(a - d), eigenvalue d on INF
+        if disc == 0:
+            return "parabolic", (INF,)
+        line_a = Q(c, a - d)
+        plus, minus = (line_a, INF) if a > d else (INF, line_a)
+    else:  # slopes (d - a +- sqrt(disc)) / 2b
+        if disc == 0:
+            return "parabolic", (Q(d - a, 2 * b),)
+        root = math.isqrt(disc)
+        if root * root == disc:
+            plus, minus = Q(d - a + root, 2 * b), Q(d - a - root, 2 * b)
+        else:
+            s, rad = squarefree_decompose(disc)
+            mid, half = Q(d - a, 2 * b), Q(s, 2 * b)
+            plus, minus = QuadraticNumber(mid, half, rad), QuadraticNumber(mid, -half, rad)
+    return "hyperbolic", ((plus, minus) if t > 0 else (minus, plus))
+
+
+def _classify_player(word: Word, m: QMat) -> Optional[_Player]:
+    if m.det() == 0:
+        return None
+    scale = lcm(*(x.denominator for row in m.rows for x in row))
+    found = _player_slopes(*(int(x * scale) for row in m.rows for x in row))
+    return None if found is None else _Player(word, m, *found)
 
 
 def _fixed_slopes_disjoint(a: _Player, b: _Player) -> bool:
@@ -597,7 +631,7 @@ def _isolate(domain: ProjInterval, target, avoid: list) -> Optional[ProjInterval
 
 
 def _trap_pair(
-    player: _Player, domain: ProjInterval, opposite: ProjInterval, power_cap: int
+    player: _Player, domain: ProjInterval, opposite: ProjInterval
 ) -> Optional[tuple[int, ProjInterval, ProjInterval]]:
     """Find a power N and traps proving player^(kN)(opposite) <= domain, k != 0.
 
@@ -619,7 +653,7 @@ def _trap_pair(
         hi_side = ProjInterval(f, domain.hi)
         candidates = [(hi_side, lo_side), (lo_side, hi_side)]
     power = 1
-    while power <= power_cap:
+    while power <= PINGPONG_POWER_CAP:
         mp = m ** power
         mq = mp.inverse()
         for trap_fwd, trap_bwd in candidates:
@@ -636,7 +670,7 @@ def _trap_pair(
     return None
 
 
-def _try_pair(x: _Player, y: _Player, pts: list, power_cap: int):
+def _try_pair(x: _Player, y: _Player, pts: list):
     cuts = _block_cuts(pts)
     if cuts is None:
         return None
@@ -652,10 +686,10 @@ def _try_pair(x: _Player, y: _Player, pts: list, power_cap: int):
     domain_x, domain_y = (dom_a, dom_b) if owner_a == 0 else (dom_b, dom_a)
     if not domain_x.disjoint_from(domain_y):
         return None
-    fx = _trap_pair(x, domain_x, domain_y, power_cap)
+    fx = _trap_pair(x, domain_x, domain_y)
     if fx is None:
         return None
-    fy = _trap_pair(y, domain_y, domain_x, power_cap)
+    fy = _trap_pair(y, domain_y, domain_x)
     if fy is None:
         return None
     nx, tx_f, tx_b = fx
@@ -666,27 +700,26 @@ def _try_pair(x: _Player, y: _Player, pts: list, power_cap: int):
 
 
 def pingpong_certify(
-    gens: Sequence[QMat],
-    names: Optional[Sequence[str]] = None,
-    power_cap: int = 4096,
-    max_word_len: int = 3,
+    gens: Sequence[QMat], names: Optional[Sequence[str]] = None
 ) -> Optional[FreePairCertificate]:
     """Search short words for a certified free pair; None when none found.
 
     Players are short words with real fixed points and infinite order whose
     fixed-point sets are disjoint and unlinked on the circle; powers are
     escalated until the exact trap inclusions hold. The search order is
-    deterministic, so the returned certificate is reproducible.
+    deterministic, so the returned certificate is reproducible. A ball
+    state (a, b, c, d, e) is the matrix [[a, b], [c, d]] / denom^e, so the
+    players are read off its integer entries.
     """
     named = _named(gens, names)
     if not named or next(iter(named.values())).n != 2:
         return None
     ball = WordBall(named)
     players = []
-    for state in ball.grow(max_word_len):
-        pl = _classify_player(ball.word(state), ball.matrix(state))
-        if pl is not None:
-            players.append(pl)
+    for state in ball.grow(PINGPONG_WORD_LEN):
+        found = _player_slopes(*state[:4])
+        if found is not None:
+            players.append(_Player(ball.word(state), ball.matrix(state), *found))
     for i in range(len(players)):
         for j in range(len(players)):
             if i == j:
@@ -697,7 +730,7 @@ def pingpong_certify(
             pts = _sorted_fixed_points(x, y)
             if pts is None:
                 continue
-            cert = _try_pair(x, y, pts, power_cap)
+            cert = _try_pair(x, y, pts)
             if cert is not None:
                 return cert
     return None
@@ -710,9 +743,9 @@ def verify_free_pair(
 ) -> bool:
     """Re-verify a free-pair certificate from scratch, exactly.
 
-    Checks the four headline inclusions, disjointness, infinite order of the
-    players, and the trap conditions that extend the inclusions to all
-    nonzero powers.
+    Checks the four headline inclusions, disjointness, the trap conditions
+    that extend the inclusions to all nonzero powers, and that both players
+    are hyperbolic or parabolic.
     """
     named = _named(gens, names)
     mx = evaluate_word(named, cert.word_x)
@@ -740,7 +773,11 @@ def verify_free_pair(
         if not (tb.contains_interval(tb.image(mi)) and tb.contains_interval(opp.image(mi))):
             return False
         if _classify_player(Word(), m) is None:
-            return False  # finite order in PGL_2: not a free generator
+            # conservative: this refuses every element without a real fixed
+            # point or with eigenvalues of equal modulus, though such an
+            # element need not have finite order ([[2, -1], [1, 2]] is
+            # elliptic of infinite order)
+            return False
     return True
 
 

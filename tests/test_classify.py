@@ -6,6 +6,7 @@ from fractions import Fraction as Q
 
 import pytest
 
+from gbsn import matgroups
 from gbsn.classify import (
     classify,
     compression_report,
@@ -76,6 +77,16 @@ class TestWhyte:
         with time_budget(1):
             report = classify(spec_b)
         assert (report.whyte_case, report.haagerup) == ("2c", False)
+
+    def test_three_loop_classify_solves_few_eigenproblems(self, spec_b, monkeypatch):
+        # the ping-pong players and the invariant-pair candidates are read off
+        # integer entries; eigendirections are computed only for the pivot of
+        # the invariant-line scan and for a certificate that is returned
+        calls = []
+        solve = matgroups.eigen_directions
+        monkeypatch.setattr(matgroups, "eigen_directions", lambda m: calls.append(m) or solve(m))
+        assert classify(spec_b).haagerup is False
+        assert len(calls) <= 2
 
     @pytest.mark.parametrize(
         "edges",

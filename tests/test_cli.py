@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -58,6 +61,18 @@ class TestValidate:
     def test_missing_file(self, capsys):
         code, _, err = invoke(capsys, "validate", "no-such-file.gog")
         assert code == 1 and "error" in err
+
+    def test_module_entry_point(self):
+        src = str(DATA.parent / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-m", "gbsn", "validate", SPEC_A],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "OK"
 
 
 class TestReports:

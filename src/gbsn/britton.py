@@ -55,9 +55,6 @@ class NormalForm:
     def is_trivial(self) -> bool:
         return not self.tail and all(c == 0 for c in self.head)
 
-    def stable_letter_count(self) -> int:
-        return len(self.tail)
-
     def __str__(self):
         parts = []
         if any(self.head) or not self.tail:

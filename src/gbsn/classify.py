@@ -13,11 +13,15 @@ Haagerup property, weak amenability and the Cowling-Haagerup constant are
 all decided by amenability of the closure of the holonomy image, which for
 subgroups of GL_2(R) is equivalent to virtual solvability; the equivalence
 of the four properties makes the reports self-consistent by construction.
+Where the holonomy decision is out of reach (rank >= 3), an amenable group
+still has all three properties. ``qi_compare`` decides two (2c) groups from
+the certificates their classification reports carry, and never from
+sampled evidence.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional
 
@@ -30,6 +34,7 @@ from .holonomy import (
 )
 from .linalg import spectral_radius_gt_one, sublattice_index
 from .matgroups import (
+    CoarseDensityReport,
     TitsResult,
     WordBall,
     cartan_hausdorff_samples,
@@ -272,9 +277,21 @@ def cv_properties(spec: GoGSpec) -> ClassificationReport:
 
 
 def classify(spec: GoGSpec) -> ClassificationReport:
-    """Combined report: Whyte subclass plus the holonomy-closure properties."""
+    """Combined report: Whyte subclass plus the holonomy-closure properties.
+
+    An amenable group has the Haagerup property and is weakly amenable with
+    Lambda_cb = 1, so amenability decides all three where the holonomy
+    decision is undetermined.
+    """
     w = whyte_classify(spec)
     c = cv_properties(spec)
+    if w.amenable is True and c.haagerup is not True:
+        if c.haagerup is False:
+            raise AssertionError("an amenable group was reported without the Haagerup property")
+        amenability = Evidence("amenability", "an amenable group has the Haagerup property "
+                               "and is weakly amenable with Lambda_cb = 1")
+        c = replace(c, haagerup=True, weakly_amenable=True, cowling_haagerup="1",
+                    evidence=c.evidence + (amenability,))
     return ClassificationReport(
         w.ends,
         w.amenable,
@@ -291,18 +308,56 @@ def classify(spec: GoGSpec) -> ClassificationReport:
 class QIVerdict:
     verdict: str  # 'quasi-isometric' | 'not-quasi-isometric' | 'undetermined'
     reasons: tuple
-    sampled: bool = False
     evidence: tuple = ()
+
+
+def _rank2_density(report: ClassificationReport, gens: list, names: list) -> CoarseDensityReport:
+    """Coarse density in SL_2(R) of a rank-2 (2c) holonomy image; a
+    nonsolvable one is decided from its report's certificates (``qi_compare``)."""
+    if report.haagerup is not False:
+        return coarse_density(gens, names)
+    pair, witness = (
+        next(ev.payload for ev in report.evidence if ev.label.startswith(label))
+        for label in ("tits-certificate", "non-discreteness-certificate")
+    )
+    moved = [name for name, m in zip(names, gens) if abs(m.det()) != 1]
+    if moved:
+        detail = f"|det| != 1 on {', '.join(moved)}, outside the SL_2(R)-closure argument"
+        return CoarseDensityReport("undetermined", "no-certificate", detail)
+    return CoarseDensityReport(
+        "coarsely-dense",
+        "exact-sl2-closure",
+        f"free pair ({pair.word_x}, {pair.word_y}) by ping-pong and contraction pair "
+        f"({witness.contractor}, {witness.word}), both re-verified, with |det| = 1 on "
+        "every generator: the closure of the image contains SL_2(R)",
+    )
 
 
 def qi_compare(a: GoGSpec, b: GoGSpec) -> QIVerdict:
     """Compare two specs up to quasi-isometry.
 
-    Exact positive path: both of class (2c) with both holonomy images
-    coarsely dense in SL_2(R) -- then both are Hausdorff equivalent to
-    SL_2(R) itself and (2c) is a single quasi-isometry class. Exact negative
-    path: the quasi-isometry-invariant data (amenability, subclass) differ.
-    A sampled Cartan comparison provides labeled evidence otherwise.
+    Exact negative path: the quasi-isometry-invariant data (amenability,
+    subclass) differ. Class (2c) is a single quasi-isometry class within a
+    Hausdorff equivalence class of holonomy; two (2c) groups are decided from
+    the certificates ``classify`` has re-verified, never by sampling:
+
+    * Rank 1 (Whyte, "The large scale geometry of the higher
+      Baumslag-Solitar groups", GAFA 2001): both reports carry a 'dense'
+      certificate, so both closures are R>0 or R*, Hausdorff equivalent.
+    * Rank 2: both images are coarsely dense in SL_2(R). A virtually
+      solvable image is decided by ``coarse_density``'s exact closure shape.
+      An image with a free pair, a contraction pair and |det| = 1 on every
+      generator has a closure containing SL_2(R). Its part in SL_2(R) has
+      index <= 2, so it is still non-discrete and not virtually solvable;
+      let H be the closure of that part. H is a Lie group (Cartan's
+      closed-subgroup theorem); H° != 1, because the image is not discrete;
+      Lie(H°) is Ad-invariant under the image; the image is Zariski-dense in
+      SL_2, because every proper algebraic subgroup of SL_2 is virtually
+      solvable; sl_2 is irreducible under Ad, so Lie(H°) = sl_2 and
+      H = SL_2(R). A generator with |det| != 1 leaves that side undetermined.
+
+    Every other (2c) pair is 'undetermined', with sampled Cartan distances
+    as diagnostics only.
     """
     ensure_valid(a)
     ensure_valid(b)
@@ -321,34 +376,33 @@ def qi_compare(a: GoGSpec, b: GoGSpec) -> QIVerdict:
         reasons.append("the subclasses are quasi-isometry invariant and differ")
         return QIVerdict("not-quasi-isometric", tuple(reasons))
     if ra.whyte_case == rb.whyte_case == "2c":
-        hda, hdb = compute_holonomy(a), compute_holonomy(b)
-        gens_a = [hda.stable[n] for n in sorted(hda.stable)]
-        gens_b = [hdb.stable[n] for n in sorted(hdb.stable)]
+        certs = tuple(ev for r in (ra, rb) for ev in r.evidence
+                      if ev.label == "non-discreteness-certificate")
+        if a.rank == 1 and all(ev.payload.kind == "dense" for ev in certs):
+            reasons.append(
+                "both holonomy images have dense absolute values (re-verified), so both "
+                "closures are R>0 or R*, which are Hausdorff equivalent; rank-1 class (2c) "
+                "is a single quasi-isometry class (Whyte 2001)"
+            )
+            return QIVerdict("quasi-isometric", tuple(reasons), evidence=certs)
+        evidence = ()
         if a.rank == 2:
-            cda = coarse_density(gens_a, sorted(hda.stable))
-            cdb = coarse_density(gens_b, sorted(hdb.stable))
+            hda, hdb = compute_holonomy(a), compute_holonomy(b)
+            names_a, names_b = sorted(hda.stable), sorted(hdb.stable)
+            gens_a = [hda.stable[n] for n in names_a]
+            gens_b = [hdb.stable[n] for n in names_b]
+            cda = _rank2_density(ra, gens_a, names_a)
+            cdb = _rank2_density(rb, gens_b, names_b)
             if cda.verdict == cdb.verdict == "coarsely-dense":
                 reasons.append(
                     "both holonomy images are coarsely dense in SL_2(R), hence "
                     "Hausdorff equivalent; class (2c) within a Hausdorff class is a "
                     "single quasi-isometry class"
                 )
-                return QIVerdict(
-                    "quasi-isometric",
-                    tuple(reasons),
-                    sampled=cda.sampled or cdb.sampled,
-                    evidence=(cda, cdb),
-                )
-        samples = cartan_hausdorff_samples(gens_a, gens_b, radii=(4, 6, 8))
-        if samples and all(dist <= 1.0 for _, dist in samples):
-            reasons.append(
-                "sampled Cartan value sets stay Hausdorff-close at radii "
-                + ", ".join(str(r) for r, _ in samples)
-                + " (sampled evidence, not a proof)"
-            )
-            return QIVerdict("quasi-isometric", tuple(reasons), sampled=True, evidence=tuple(samples))
+                return QIVerdict("quasi-isometric", tuple(reasons), evidence=(cda, cdb))
+            evidence = (cda, cdb, *cartan_hausdorff_samples(gens_a, gens_b, radii=(4, 6, 8)))
         reasons.append("no exact Hausdorff-equivalence evidence within bounds")
-        return QIVerdict("undetermined", tuple(reasons), evidence=tuple(samples))
+        return QIVerdict("undetermined", tuple(reasons), evidence=evidence)
     if ra.whyte_case == rb.whyte_case == "2b":
         reasons.append(
             "both are ascending HNN extensions; their finer comparison is not implemented"

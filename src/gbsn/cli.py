@@ -155,7 +155,8 @@ def _cmd_compare(args) -> int:
         "command": "compare",
         "files": [args.file1, args.file2],
         "verdict": verdict.verdict,
-        "sampled": verdict.sampled,
+        # kept for readers of the report format: no verdict rests on sampling
+        "sampled": False,
         "reasons": list(verdict.reasons),
         "evidence": verdict.evidence,
     }

@@ -86,9 +86,6 @@ class QMat:
             raise ValueError("dimension mismatch")
         return tuple(sum(row[j] * Q(vec[j]) for j in range(self.n)) for row in self.rows)
 
-    def transpose(self) -> "QMat":
-        return QMat([[self.rows[j][i] for j in range(self.n)] for i in range(self.n)])
-
     def det(self) -> Q:
         """Exact determinant by fraction-free Gaussian elimination."""
         n = self.n

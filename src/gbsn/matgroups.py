@@ -18,13 +18,15 @@ invariant-line scan and once for an invariant-pair certificate it returns.
 All interval computations use exact rational endpoints. Floating point
 appears in two places: ``rational_key_between`` takes a float midpoint as a
 first guess and a float as the start of its scan, but keeps a separator
-only after exact comparisons; and the explicitly 'sampled' coarse-density
-evidence computes its Cartan values in floats.
+only after exact comparisons; and ``cartan_hausdorff_samples`` computes
+Cartan values in floats for the diagnostics of an undetermined comparison.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -709,30 +711,38 @@ def pingpong_certify(
     escalated until the exact trap inclusions hold. The search order is
     deterministic, so the returned certificate is reproducible. A ball
     state (a, b, c, d, e) is the matrix [[a, b], [c, d]] / denom^e, so the
-    players are read off its integer entries.
+    players are read off its integer entries, and only as far as the pair
+    loop reaches: the first pair that passes ends the scan of the ball.
     """
     named = _named(gens, names)
     if not named or next(iter(named.values())).n != 2:
         return None
     ball = WordBall(named)
+    pending = (
+        _Player(ball.word(state), ball.matrix(state), *slopes)
+        for state in ball.grow(PINGPONG_WORD_LEN)
+        for slopes in [_player_slopes(*state[:4])]
+        if slopes is not None
+    )
     players = []
-    for state in ball.grow(PINGPONG_WORD_LEN):
-        found = _player_slopes(*state[:4])
-        if found is not None:
-            players.append(_Player(ball.word(state), ball.matrix(state), *found))
-    for i in range(len(players)):
-        for j in range(len(players)):
-            if i == j:
-                continue
+
+    def reach(k: int) -> bool:
+        """Is there a player k? Classifies ball states only up to it."""
+        players.extend(itertools.islice(pending, max(0, k + 1 - len(players))))
+        return k < len(players)
+
+    i = 0
+    while reach(i):
+        j = 0
+        while reach(j):
             x, y = players[i], players[j]
-            if not _fixed_slopes_disjoint(x, y):
-                continue
-            pts = _sorted_fixed_points(x, y)
-            if pts is None:
-                continue
-            cert = _try_pair(x, y, pts)
-            if cert is not None:
-                return cert
+            if i != j and _fixed_slopes_disjoint(x, y):
+                pts = _sorted_fixed_points(x, y)
+                cert = None if pts is None else _try_pair(x, y, pts)
+                if cert is not None:
+                    return cert
+            j += 1
+        i += 1
     return None
 
 
@@ -991,8 +1001,6 @@ class CoarseDensityReport:
     verdict: str  # 'coarsely-dense' | 'not-coarsely-dense' | 'undetermined'
     method: str
     detail: str = ""
-    sampled: bool = False
-    evidence: tuple = ()
 
 
 def _finite_closure_size(named: dict, cap: int = 400) -> Optional[int]:
@@ -1003,14 +1011,18 @@ def _finite_closure_size(named: dict, cap: int = 400) -> Optional[int]:
     return len(ball) if len(ball) <= cap else None
 
 
-def _mu(m: QMat) -> float:
-    """Normalized Cartan coordinate: half the log ratio of singular values."""
-    mtm = m.transpose() * m
-    t = float(mtm.trace())
-    d = float(mtm.det())
-    disc = max(t * t - 4 * d, 0.0)
+def _mu(state: tuple, denom: int) -> float:
+    """Normalized Cartan coordinate of the 2x2 ball state (a, b, c, d, e),
+    the matrix m = [[a, b], [c, d]] / denom^e: half the log ratio of its
+    singular values, from the trace and determinant of m^T m (each a
+    correctly rounded quotient of integers)."""
+    a, b, c, d, e = state
+    scale = denom ** (2 * e)
+    t = (a * a + b * b + c * c + d * d) / scale
+    det = (a * d - b * c) ** 2 / (scale * scale)
+    disc = max(t * t - 4 * det, 0.0)
     s1sq = (t + math.sqrt(disc)) / 2
-    return 0.5 * (math.log(s1sq) - 0.5 * math.log(d))
+    return 0.5 * (math.log(s1sq) - 0.5 * math.log(det))
 
 
 def _ball_mu_values(named: dict, radius: int, cap: int = 200000) -> list[float]:
@@ -1019,25 +1031,24 @@ def _ball_mu_values(named: dict, radius: int, cap: int = 200000) -> list[float]:
         pass
     if len(ball) > cap:
         raise RuntimeError("sampling ball too large")
-    return sorted(_mu(ball.matrix(state)) for state in ball.parent)
+    return sorted(_mu(state, ball.denom) for state in ball.parent)
 
 
 def coarse_density(
-    gens: Sequence[QMat],
-    names: Optional[Sequence[str]] = None,
-    radius: int = 5,
-    mesh: float = 0.5,
+    gens: Sequence[QMat], names: Optional[Sequence[str]] = None
 ) -> CoarseDensityReport:
     """Is <gens> at finite Hausdorff distance from all of SL_2(R)?
 
-    Exact fast paths: a finite group is never coarsely dense; a
-    triangularizable group is coarsely dense iff its closure has the
-    {nontrivial diagonal value group} x {dense unipotent} shape (then it is
-    cocompact in the upper triangular subgroup, itself cocompact in
-    SL_2(R)); every other virtually solvable closure lies in a conjugate of
-    the triangular subgroup or of a torus normalizer and is never cocompact.
-    The nonsolvable case reports sampled evidence: normalized Cartan values
-    of a word ball hitting every mesh cell of [0, c*radius].
+    Decided exactly for virtually solvable groups only: a finite group is
+    never coarsely dense; a triangularizable group is coarsely dense iff its
+    closure has the {nontrivial diagonal value group} x {dense unipotent}
+    shape (then it is cocompact in the upper triangular subgroup, itself
+    cocompact in SL_2(R)); every other virtually solvable closure lies in a
+    conjugate of the triangular subgroup or of a torus normalizer and is
+    never cocompact. A group that is not virtually solvable gets
+    'undetermined' with method 'no-certificate': density in SL_2(R) needs
+    a non-discreteness certificate as well, which ``classify.qi_compare``
+    takes from the classification report.
     """
     named = _named(gens, names)
     mats = list(named.values())
@@ -1066,45 +1077,18 @@ def coarse_density(
             "exact-solvable-shape",
             "solvable closure is not cocompact in SL_2(R)",
         )
-    if result.virtually_solvable is None:
-        return CoarseDensityReport("undetermined", "no-certificate", result.detail)
-    try:
-        values = _ball_mu_values(named, radius)
-    except RuntimeError as exc:
-        return CoarseDensityReport("undetermined", "sampling-overflow", str(exc))
-    c = max(_mu(m) for m in mats)
-    if c <= 0:
-        return CoarseDensityReport(
-            "undetermined", "sampled-cartan", "all generators have trivial Cartan value"
-        )
-    reach = c * radius
-    cells = max(1, int(reach / mesh))
-    missed = [
-        i for i in range(cells)
-        if not any(i * mesh <= v <= (i + 1) * mesh for v in values)
-    ]
-    if not missed:
-        return CoarseDensityReport(
-            "coarsely-dense",
-            "sampled-cartan",
-            f"radius-{radius} ball hits all {cells} Cartan cells of [0, {reach:.2f}]",
-            sampled=True,
-            evidence=(radius, mesh, cells),
-        )
-    return CoarseDensityReport(
-        "undetermined",
-        "sampled-cartan",
-        f"Cartan cells {missed} not hit at radius {radius}",
-        sampled=True,
-        evidence=(radius, mesh, cells),
+    detail = result.detail if result.virtually_solvable is None else (
+        "not virtually solvable: density needs a non-discreteness certificate too"
     )
+    return CoarseDensityReport("undetermined", "no-certificate", detail)
 
 
 def cartan_hausdorff_samples(
     gens_a: Sequence[QMat], gens_b: Sequence[QMat], radii=(4, 6, 8)
 ) -> list[tuple[int, float]]:
     """Sampled symmetric Hausdorff distances between normalized Cartan value
-    sets of word balls; evidence only, clearly labeled sampled by callers."""
+    sets of word balls in GL_2: diagnostics attached to an undetermined comparison,
+    never the ground of a verdict."""
     out = []
     for r in radii:
         try:
@@ -1114,7 +1098,12 @@ def cartan_hausdorff_samples(
             break
 
         def directed(xs, ys):
-            return max(min(abs(x - y) for y in ys) for x in xs)
+            # ys is sorted, so the nearest y to x is a neighbour of its slot
+            worst = 0.0
+            for x in xs:
+                k = bisect.bisect_left(ys, x)
+                worst = max(worst, min(abs(x - ys[i]) for i in (k - 1, k) if 0 <= i < len(ys)))
+            return worst
 
         out.append((r, max(directed(va, vb), directed(vb, va))))
     return out

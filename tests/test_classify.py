@@ -1,4 +1,5 @@
 import importlib
+import json
 import signal
 from contextlib import contextmanager
 from dataclasses import replace
@@ -7,6 +8,7 @@ from fractions import Fraction as Q
 import pytest
 
 from gbsn import matgroups
+from gbsn.cli import run
 from gbsn.classify import (
     classify,
     compression_report,
@@ -19,6 +21,8 @@ from gbsn.holonomy import compute_holonomy, non_discreteness_witness, verify_non
 from gbsn.linalg import ZMat
 from gbsn.matgroups import verify_certificate
 
+from conftest import DATA
+
 TURN = Edge("e", "X", "X", ZMat.identity(2), ZMat([[0, 1], [-1, 0]]))
 
 
@@ -29,6 +33,30 @@ def diag_loop(name, m):
 
 def shear_loop(name, k):
     return Edge(name, "X", "X", ZMat.identity(2), ZMat([[1, k], [0, 1]]))
+
+
+def near_one(k):
+    """Rank 1, holonomy (k+1)/k and k/(k-1): a dense image, case (2c)."""
+    return GoGSpec.make(
+        1,
+        ["X"],
+        [
+            Edge("s", "X", "X", ZMat([[k]]), ZMat([[k + 1]])),
+            Edge("u", "X", "X", ZMat([[k - 1]]), ZMat([[k]])),
+        ],
+    )
+
+
+# specB with the loop h doubled on one side: holonomy diag(4, 1/2), det 2
+DET_TWO = GoGSpec.make(
+    2,
+    ["X"],
+    [
+        Edge("h", "X", "X", ZMat([[1, 0], [0, 2]]), ZMat([[4, 0], [0, 1]])),
+        shear_loop("p", 1),
+        TURN,
+    ],
+)
 
 
 def certificate_of(report):
@@ -242,6 +270,47 @@ class TestCornulierValette:
         (cert,) = [ev.payload for ev in report.evidence if ev.label.startswith("tits-certificate")]
         assert verify_certificate(gens, cert, sorted(hd.stable))
 
+    def test_unimodular_triple_factors_few_discriminants(self, monkeypatch):
+        # players are classified only as far as the pair loop reaches, and
+        # the first pair tried already passes
+        calls = []
+        factor = matgroups.squarefree_decompose
+        monkeypatch.setattr(
+            matgroups, "squarefree_decompose", lambda n: calls.append(n) or factor(n)
+        )
+        spec = GoGSpec.make(
+            2,
+            ["X"],
+            [
+                Edge(name, "X", "X", ZMat.identity(2), ZMat([[x, x - 1], [1, 1]]))
+                for name, x in zip("stu", (999, 1000, 1001))
+            ],
+        )
+        assert classify(spec).haagerup is False
+        assert len(calls) <= 10
+
+    def test_amenable_rank_three_decided_by_amenability(self):
+        spec = GoGSpec.make(
+            3,
+            ["X"],
+            [Edge("t", "X", "X", ZMat.identity(3), ZMat([[1, 1, 0], [0, 1, 0], [0, 0, 2]]))],
+        )
+        assert cv_properties(spec).haagerup is None  # no holonomy decision in rank 3
+        report = classify(spec)
+        assert (report.whyte_case, report.amenable) == ("2b", True)
+        assert (report.haagerup, report.weakly_amenable, report.cowling_haagerup) == (True, True, "1")
+        assert report.decided()
+        assert any(
+            ev.label == "amenability" and "Haagerup" in ev.detail for ev in report.evidence
+        )
+
+    def test_amenable_without_haagerup_raises(self, spec_bs12, monkeypatch):
+        module = importlib.import_module("gbsn.classify")
+        wrong = replace(cv_properties(spec_bs12), haagerup=False, weakly_amenable=False)
+        monkeypatch.setattr(module, "cv_properties", lambda spec: wrong)
+        with pytest.raises(AssertionError, match="amenable"):
+            classify(spec_bs12)
+
     def test_rank_three_undetermined(self):
         spec = GoGSpec.make(
             3,
@@ -304,6 +373,57 @@ class TestCompare:
             [Edge("t", "X", "X", ZMat.identity(2), ZMat([[2, 0], [0, 2]]))],
         )
         assert qi_compare(spec_ascend2, other).verdict == "undetermined"
+
+
+class TestPaperTheorem:
+    """specA and specB are quasi-isometric; specA has the Haagerup property
+    and is weakly amenable with Lambda_cb = 1, specB has neither property.
+    Every step rests on a certificate that re-verifies, none on sampling."""
+
+    def test_quasi_isometric_with_and_without_haagerup(self, spec_a, spec_b, capsys):
+        code = run(["compare", str(DATA / "specA.gog"), str(DATA / "specB.gog"), "--format", "json"])
+        report = json.loads(capsys.readouterr().out)
+        assert (code, report["verdict"], report["sampled"]) == (0, "quasi-isometric", False)
+        assert [ev["method"] for ev in report["evidence"]] == [
+            "exact-closure-shape",
+            "exact-sl2-closure",
+        ]
+        ra, rb = classify(spec_a), classify(spec_b)
+        assert (ra.haagerup, ra.weakly_amenable, ra.cowling_haagerup) == (True, True, "1")
+        assert (rb.haagerup, rb.weakly_amenable, rb.cowling_haagerup) == (
+            False,
+            False,
+            "not-weakly-amenable",
+        )
+        for spec, rep in ((spec_a, ra), (spec_b, rb)):
+            assert rep.whyte_case == "2c"
+            hd = compute_holonomy(spec)
+            names = sorted(hd.stable)
+            gens = [hd.stable[n] for n in names]
+            (tits,) = [ev.payload for ev in rep.evidence if ev.label.startswith("tits-certificate")]
+            assert verify_certificate(gens, tits, names)
+            assert verify_nondiscreteness(hd, certificate_of(rep))
+
+    def test_decided_without_sampling(self, spec_a, spec_b, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a comparison sampled Cartan values")
+
+        monkeypatch.setattr(matgroups, "_ball_mu_values", refuse)
+        assert qi_compare(spec_a, spec_b).verdict == "quasi-isometric"
+        rank_one = qi_compare(near_one(40), near_one(70))
+        assert rank_one.verdict == "quasi-isometric"
+        assert "Whyte" in rank_one.reasons[-1]
+        assert [ev.payload.kind for ev in rank_one.evidence] == ["dense", "dense"]
+
+    def test_sl2_closure_needs_unimodular_holonomy(self, spec_b):
+        report = classify(DET_TWO)
+        assert (report.whyte_case, report.haagerup) == ("2c", False)
+        verdict = qi_compare(spec_b, DET_TWO)
+        assert verdict.verdict == "undetermined"
+        first, second = verdict.evidence[:2]
+        assert (first.verdict, first.method) == ("coarsely-dense", "exact-sl2-closure")
+        assert (second.verdict, second.method) == ("undetermined", "no-certificate")
+        assert "|det| != 1 on h" in second.detail
 
 
 class TestCompression:

@@ -184,6 +184,23 @@ class TestJson:
         got_code, out, _ = invoke(capsys, *argv, "--format", "json")
         assert (got_code, out) == (code, (GOLDEN / f"{name}.json").read_text())
 
+    @pytest.mark.parametrize(
+        "name", [name for name, _, code in GOLDEN_RUNS if code == 0]
+    )
+    def test_decided_golden_reports_carry_no_sampled_evidence(self, name):
+        def walk(node):
+            if isinstance(node, dict):
+                assert node.get("sampled") is not True
+                for key in ("method", "label"):
+                    assert "sampled" not in str(node.get(key, ""))
+                for value in node.values():
+                    walk(value)
+            elif isinstance(node, list):
+                for value in node:
+                    walk(value)
+
+        walk(json.loads((GOLDEN / f"{name}.json").read_text()))
+
     def test_compare_json(self, capsys):
         code, out, _ = invoke(capsys, "compare", ASCEND2, SPEC_A, "--format", "json")
         assert code == 0
@@ -196,6 +213,17 @@ class TestExitCodes:
 
     def test_no_arguments(self, capsys):
         assert run([]) == 1
+
+    def test_compare_without_sl2_closure_exit_two(self, capsys, tmp_path):
+        # specB with holonomy det 2 on h: the closure argument does not apply,
+        # and sampled Cartan distances decide nothing
+        det_two = tmp_path / "det_two.gog"
+        det_two.write_text(
+            Path(SPEC_B).read_text().replace("omega [[2,0],[0,1]]", "omega [[4,0],[0,1]]")
+        )
+        code, out, _ = invoke(capsys, "compare", SPEC_B, str(det_two), "--format", "json")
+        report = json.loads(out)
+        assert (code, report["verdict"], report["sampled"]) == (2, "undetermined", False)
 
     def test_decided_undetermined_error_trichotomy(self, capsys, tmp_path):
         assert invoke(capsys, "classify", SPEC_A)[0] == 0

@@ -1,9 +1,12 @@
+import importlib
+import math
 import random
 from fractions import Fraction as Q
 
 import pytest
 
 from gbsn import matgroups
+from gbsn.classify import classify
 from gbsn.linalg import ProjPoint, QMat, QuadraticNumber
 from gbsn.matgroups import (
     INF,
@@ -31,6 +34,9 @@ from gbsn.words import Word
 H = QMat([[2, 0], [0, Q(1, 2)]])
 P = QMat([[1, 1], [0, 1]])
 E = QMat([[0, 1], [-1, 0]])
+
+# the package rebinds gbsn.classify to the function of that name
+classify_module = importlib.import_module("gbsn.classify")
 
 
 class TestProjectiveCircle:
@@ -211,6 +217,40 @@ class TestPingpong:
         )
         assert not verify_free_pair([H, P, E], bad, names=["h", "p", "e"])
 
+    @pytest.mark.parametrize(
+        "gens",
+        [
+            [H, P, E],
+            [QMat([[1, 2], [0, 1]]), QMat([[1, 0], [2, 1]])],
+            [QMat([[2, 1], [1, 1]]), QMat([[3, 2], [1, 1]])],
+            [QMat([[x, x - 1], [1, 1]]) for x in (999, 1000, 1001)],
+        ],
+        ids=["specB", "sanov", "two-fields", "unimodular-triple"],
+    )
+    def test_lazy_scan_returns_the_eager_certificate(self, gens):
+        # the scan the lazy one replaced: classify every state of the ball,
+        # then try the pairs (i, j) in order
+        ball = matgroups.WordBall(matgroups._named(gens, None))
+        players = [
+            matgroups._Player(ball.word(state), ball.matrix(state), *found)
+            for state in ball.grow(matgroups.PINGPONG_WORD_LEN)
+            for found in [matgroups._player_slopes(*state[:4])]
+            if found is not None
+        ]
+        eager = None
+        for x in players:
+            for y in players:
+                if x is y or not matgroups._fixed_slopes_disjoint(x, y):
+                    continue
+                pts = matgroups._sorted_fixed_points(x, y)
+                eager = None if pts is None else matgroups._try_pair(x, y, pts)
+                if eager is not None:
+                    break
+            if eager is not None:
+                break
+        assert eager is not None
+        assert pingpong_certify(gens) == eager
+
     def test_sanov_pair(self):
         a = QMat([[1, 2], [0, 1]])
         b = QMat([[1, 0], [2, 1]])
@@ -257,12 +297,16 @@ class TestCoarseDensity:
         report = coarse_density([H, P], names=["h", "p"])
         assert report.verdict == "coarsely-dense"
         assert report.method == "exact-closure-shape"
-        assert not report.sampled
 
-    def test_full_triple_sampled(self):
+    def test_full_triple_exact_from_certificates(self, spec_b):
+        # <H, P, E> (specB's holonomy) is not virtually solvable: coarse_density
+        # alone has no certificate of density, while the free pair and the
+        # contraction pair of specB's classification prove it exactly
         report = coarse_density([H, P, E], names=["h", "p", "e"])
-        assert report.verdict == "coarsely-dense"
-        assert report.sampled
+        assert (report.verdict, report.method) == ("undetermined", "no-certificate")
+        exact = classify_module._rank2_density(classify(spec_b), [E, H, P], ["e", "h", "p"])
+        assert (exact.verdict, exact.method) == ("coarsely-dense", "exact-sl2-closure")
+        assert "free pair" in exact.detail and "contraction pair (h, p)" in exact.detail
 
     def test_trivial_group(self):
         report = coarse_density([QMat.identity(2)])
@@ -282,3 +326,30 @@ class TestCoarseDensity:
         samples = cartan_hausdorff_samples([H, P], [H, P], radii=(3, 4))
         assert [r for r, _ in samples] == [3, 4]
         assert all(d == 0 for _, d in samples)
+
+    def test_cartan_values_are_half_log_singular_value_ratios(self):
+        named = {"h": QMat([[4, 0], [0, Q(1, 2)]]), "p": P, "e": E}
+        ball = matgroups.WordBall(named)
+        for _ in ball.grow(3):
+            pass
+        want = []
+        for state in ball.parent:
+            (a, b), (c, d) = [[float(x) for x in row] for row in ball.matrix(state).rows]
+            t, det = a * a + b * b + c * c + d * d, (a * d - b * c) ** 2
+            root = math.sqrt(max(t * t - 4 * det, 0.0))  # s1^2 - s2^2
+            want.append(0.25 * math.log((t + root) / (t - root)))
+        got = matgroups._ball_mu_values(named, 3)
+        assert len(got) == len(want)
+        assert all(math.isclose(g, w, abs_tol=1e-9) for g, w in zip(got, sorted(want)))
+
+    def test_hausdorff_sampler_matches_all_pairs_distance(self):
+        named_a, named_b = {"h": H, "p": P}, {"h": H, "p": P, "e": E}
+        samples = cartan_hausdorff_samples([H, P], [H, P, E], radii=(3, 4))
+        for radius, dist in samples:
+            va = matgroups._ball_mu_values(named_a, radius)
+            vb = matgroups._ball_mu_values(named_b, radius)
+
+            def directed(xs, ys):
+                return max(min(abs(x - y) for y in ys) for x in xs)
+
+            assert dist == max(directed(va, vb), directed(vb, va)) > 0

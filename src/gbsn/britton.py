@@ -22,16 +22,31 @@ geodesic search expands every state with it.
 
 Geodesic lengths come from a meet-in-the-middle breadth-first search
 (``GeodesicOracle``): a forward ball around the identity, grown in complete
-levels to depth ceil(r/2) for a query of radius r and further only while it
-holds fewer than ``FORWARD_BALL_STATES`` states, and a backward search from
-the target for the rest. ``geodesic_length`` builds one oracle per call;
-``distortion_profile`` builds one per call and reuses its ball across the
-powers it measures.
+levels, and a backward search from the target for the rest. A query grows
+the ball only until a complete level holds its target, which is then at
+exactly that level's distance, and otherwise to depth ceil(r/2) for a query
+of radius r, and further only while the ball holds fewer than
+``FORWARD_BALL_STATES`` states.
+
+``geodesic_length`` and ``distortion_profile`` take their oracle from one
+process-wide store keyed by spec, so a query pays only for the levels no
+earlier query on that spec has built. The store keeps at most
+``KEPT_BALL_STATES`` ball states in all, evicts the least recently used
+ball first, and keeps no ball that alone exceeds the bound. One lock covers
+lookup, query and eviction, so concurrent callers are served one at a time.
+Keeping balls between calls is safe for two reasons. Their memory is
+bounded by ``KEPT_BALL_STATES`` however many specs are queried. And a kept
+ball is never left half-grown: a level that an exception (a time limit,
+^C) interrupts is taken out again before the oracle goes back into the
+store, so it holds complete levels only and answers the next query exactly.
 """
 
 from __future__ import annotations
 
 import math
+import threading
+from collections import OrderedDict
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Optional
@@ -268,8 +283,11 @@ class GeodesicOracle:
     lazily and kept for later queries to the same oracle; a level that an
     exception interrupts is taken out again.
 
-    A query of radius r first grows the ball to depth ceil(r/2), then on
-    towards min(r, ``forward_cap``) while it holds fewer than
+    A query of radius r grows the ball one complete level at a time and
+    stops as soon as a level holds the target: every state of a complete
+    level k is at distance exactly k, and the target is in no earlier level,
+    so k is its distance. Otherwise the ball grows to depth ceil(r/2), then
+    on towards min(r, ``forward_cap``) while it holds fewer than
     ``FORWARD_BALL_STATES`` states. A small ball (bs12 has 1,317 states at
     depth 8) then answers most queries alone; a large one (specA has 6,539
     states at depth 5 and 570,069 at depth 8) stops early and leaves the
@@ -286,7 +304,9 @@ class GeodesicOracle:
     D <= d + (D - F), so d = F and the path through it has length exactly
     D. The search therefore returns F + L at the first state met, which is
     the stop rule "best <= F + L after level L" applied without finishing
-    the level; if nothing meets by level r - F, then D > r.
+    the level; if nothing meets by level r - F, then D > r. The argument
+    holds for any forward depth F, so a ball that stopped early for an
+    earlier target, or grew deeper for one, serves every later query.
     """
 
     def __init__(self, spec: GoGSpec, forward_cap: int = 8):
@@ -299,14 +319,15 @@ class GeodesicOracle:
         self.frontier = [identity]
         self.depth = 0
 
-    def _grow_forward(self, radius: int):
-        """Add complete levels to depth ceil(radius/2), then on towards
-        min(radius, forward_cap) while the ball is under the state budget."""
+    def _grow_forward(self, radius: int, target: tuple):
+        """Add complete levels until one holds ``target``; failing that, to
+        depth ceil(radius/2), then on towards min(radius, forward_cap) while
+        the ball is under the state budget."""
         half = min(-(-radius // 2), self.forward_cap)
         top = min(radius, self.forward_cap)
         apply = self.ops.apply
         dist = self.dist
-        while self.frontier and self.depth < top and (
+        while target not in dist and self.frontier and self.depth < top and (
             self.depth < half or len(dist) < FORWARD_BALL_STATES
         ):
             nxt = []
@@ -330,7 +351,7 @@ class GeodesicOracle:
     def distance(self, target: NormalForm, max_radius: int) -> Optional[int]:
         """Exact distance from the identity, or None when it exceeds max_radius."""
         flat_target = self.ops.to_flat(target)
-        self._grow_forward(max_radius)
+        self._grow_forward(max_radius, flat_target)
         dist = self.dist
         d = dist.get(flat_target)
         if d is not None:
@@ -357,21 +378,51 @@ class GeodesicOracle:
         return None
 
 
+# Bound on the forward-ball states the oracle store keeps, summed over specs:
+# room for all six balls of the perfbench geodesics workload (45,972 states,
+# 23,177 of them specB's), not for specA's depth-8 ball (570,069).
+KEPT_BALL_STATES = 1 << 16
+
+_kept: OrderedDict = OrderedDict()  # spec -> GeodesicOracle, least recent first
+_kept_lock = threading.Lock()
+
+
+@contextmanager
+def _kept_oracle(spec: GoGSpec):
+    """The stored oracle of ``spec``, or a new one, held under the store's lock.
+
+    On exit, normal or not, the oracle goes back as the most recently used,
+    unless its ball alone exceeds ``KEPT_BALL_STATES``; the least recently
+    used balls are then evicted until the kept states are within the bound.
+    """
+    with _kept_lock:
+        oracle = _kept.pop(spec, None) or GeodesicOracle(spec)
+        try:
+            yield oracle
+        finally:
+            if len(oracle.dist) <= KEPT_BALL_STATES:
+                _kept[spec] = oracle
+                while sum(len(o.dist) for o in _kept.values()) > KEPT_BALL_STATES:
+                    _kept.popitem(last=False)
+
+
 def geodesic_length(spec: GoGSpec, w: Word, max_radius: int):
     """Exact geodesic length of ``w``, or the string 'exceeds radius'.
 
     Never an approximation: the answer is the true distance in the word
-    metric for the standard generating set, or an explicit refusal. Each
-    call builds its own ``GeodesicOracle``, freed when it returns. Its
-    forward ball stays within 8 levels and passes depth ceil(r/2) only
-    while it has fewer than ``FORWARD_BALL_STATES`` states, so it is no
-    bigger than the larger of the ball of depth ceil(r/2) and the first
-    ball to reach that budget.
+    metric for the standard generating set, or an explicit refusal. The
+    query goes to the spec's oracle in the process-wide store, so it builds
+    only the forward levels that no earlier query on the spec has built,
+    and none past the first level that holds ``w``. The forward ball stays
+    within 8 levels and passes depth ceil(r/2) only while it has fewer than
+    ``FORWARD_BALL_STATES`` states; the store keeps it for later queries
+    while all kept balls together stay within ``KEPT_BALL_STATES`` states.
     """
     target = britton_reduce(spec, w)
     if target.is_trivial():
         return 0
-    d = GeodesicOracle(spec).distance(target, max_radius)
+    with _kept_oracle(spec) as oracle:
+        d = oracle.distance(target, max_radius)
     return d if d is not None else "exceeds radius"
 
 
@@ -450,6 +501,12 @@ def distortion_profile(
     bound; the reported max ratio over the window estimates the limsup of
     |mv| / log m. The analytic lower bound is attached via
     ``analytic_lower_bound`` and is not BFS-verified.
+
+    All exact lengths come from the spec's oracle in the store that
+    ``geodesic_length`` uses, held for the whole window, so each power's
+    search starts from the ball the earlier powers (and earlier calls) grew.
+    A ball grown past ``KEPT_BALL_STATES`` states serves the whole window
+    and is then dropped rather than kept.
     """
     ops = _fast_ops(spec)
     vec = _vertex_vector(ops, element)
@@ -486,24 +543,24 @@ def distortion_profile(
     for _, _, _, _, mat in ops.tables.values():
         growth = max(growth, float(mat.max_abs_entry()))
 
-    oracle = GeodesicOracle(spec)
     entries = []
     ratios = []
-    for m in powers:
-        m = int(m)
-        if m < 1:
-            raise ValueError("powers must be positive")
-        word = spell(m)
-        ub = len(word)
-        exact = None
-        if ub <= bfs_cap:
-            target = NormalForm(tuple(m * c for c in vec), ())
-            exact = oracle.distance(target, ub)
-        length = exact if exact is not None else ub
-        ratio = length / math.log(m) if m >= 2 else None
-        if ratio is not None:
-            ratios.append(ratio)
-        entries.append(ProfileEntry(m, ub, exact, ratio))
+    with _kept_oracle(spec) as oracle:
+        for m in powers:
+            m = int(m)
+            if m < 1:
+                raise ValueError("powers must be positive")
+            word = spell(m)
+            ub = len(word)
+            exact = None
+            if ub <= bfs_cap:
+                target = NormalForm(tuple(m * c for c in vec), ())
+                exact = oracle.distance(target, ub)
+            length = exact if exact is not None else ub
+            ratio = length / math.log(m) if m >= 2 else None
+            if ratio is not None:
+                ratios.append(ratio)
+            entries.append(ProfileEntry(m, ub, exact, ratio))
     note = (
         "upper bounds by greedy base-%d rewriting through %s"
         % (doubler[2], doubler[0])

@@ -313,17 +313,19 @@ class QIVerdict:
 
 def _rank2_density(report: ClassificationReport, gens: list, names: list) -> CoarseDensityReport:
     """Coarse density in SL_2(R) of a rank-2 (2c) holonomy image; a
-    nonsolvable one is decided from its report's certificates (``qi_compare``)."""
+    nonsolvable one is decided from its report's certificates (``qi_compare``).
+    Both paths need |det| = 1 on every generator: determinants 2^k keep an
+    image at infinite Hausdorff distance from SL_2(R)."""
+    moved = [name for name, m in zip(names, gens) if abs(m.det()) != 1]
+    if moved:
+        detail = f"|det| != 1 on {', '.join(moved)}, outside the SL_2(R)-closure argument"
+        return CoarseDensityReport("undetermined", "no-certificate", detail)
     if report.haagerup is not False:
         return coarse_density(gens, names)
     pair, witness = (
         next(ev.payload for ev in report.evidence if ev.label.startswith(label))
         for label in ("tits-certificate", "non-discreteness-certificate")
     )
-    moved = [name for name, m in zip(names, gens) if abs(m.det()) != 1]
-    if moved:
-        detail = f"|det| != 1 on {', '.join(moved)}, outside the SL_2(R)-closure argument"
-        return CoarseDensityReport("undetermined", "no-certificate", detail)
     return CoarseDensityReport(
         "coarsely-dense",
         "exact-sl2-closure",
@@ -344,17 +346,18 @@ def qi_compare(a: GoGSpec, b: GoGSpec) -> QIVerdict:
     * Rank 1 (Whyte, "The large scale geometry of the higher
       Baumslag-Solitar groups", GAFA 2001): both reports carry a 'dense'
       certificate, so both closures are R>0 or R*, Hausdorff equivalent.
-    * Rank 2: both images are coarsely dense in SL_2(R). A virtually
-      solvable image is decided by ``coarse_density``'s exact closure shape.
-      An image with a free pair, a contraction pair and |det| = 1 on every
-      generator has a closure containing SL_2(R). Its part in SL_2(R) has
-      index <= 2, so it is still non-discrete and not virtually solvable;
-      let H be the closure of that part. H is a Lie group (Cartan's
-      closed-subgroup theorem); H° != 1, because the image is not discrete;
-      Lie(H°) is Ad-invariant under the image; the image is Zariski-dense in
-      SL_2, because every proper algebraic subgroup of SL_2 is virtually
-      solvable; sl_2 is irreducible under Ad, so Lie(H°) = sl_2 and
-      H = SL_2(R). A generator with |det| != 1 leaves that side undetermined.
+    * Rank 2: both images are coarsely dense in SL_2(R), which needs
+      |det| = 1 on every generator; a generator with |det| != 1 leaves that
+      side undetermined. A virtually solvable image is then decided by
+      ``coarse_density``'s exact closure shape. An image with a free pair
+      and a contraction pair has a closure containing SL_2(R). Its part in
+      SL_2(R) has index <= 2, so it is still non-discrete and not virtually
+      solvable; let H be the closure of that part. H is a Lie group
+      (Cartan's closed-subgroup theorem); H° != 1, because the image is not
+      discrete; Lie(H°) is Ad-invariant under the image; the image is
+      Zariski-dense in SL_2, because every proper algebraic subgroup of SL_2
+      is virtually solvable; sl_2 is irreducible under Ad, so
+      Lie(H°) = sl_2 and H = SL_2(R).
 
     Every other (2c) pair is 'undetermined', with sampled Cartan distances
     as diagnostics only.

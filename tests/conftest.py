@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from gbsn import gogfile
+from gbsn import britton, gogfile
 from gbsn.britton import _fast_ops
 from gbsn.gog import vertex_letters
 from gbsn.linalg import QMat
@@ -68,6 +68,15 @@ def reduced_words(named, radius):
                     nxt.append((w2, m * lm))
                     yield nxt[-1]
         level = nxt
+
+
+@pytest.fixture(autouse=True)
+def empty_oracle_store():
+    """Each test starts and ends with no kept geodesic balls, so no answer or
+    timing depends on the order the tests run in."""
+    britton._kept.clear()
+    yield
+    britton._kept.clear()
 
 
 @pytest.fixture(scope="session")

@@ -1,4 +1,6 @@
 import random
+import sys
+import threading
 from functools import lru_cache
 from fractions import Fraction as Q
 
@@ -6,11 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gbsn import britton
 from gbsn.britton import (
     FORWARD_BALL_STATES,
     GeodesicOracle,
     NormalForm,
     UnsupportedSpecError,
+    _FastOps,
     _fast_ops,
     britton_reduce,
     distortion_profile,
@@ -194,6 +198,12 @@ def assert_complete_levels(oracle, naive):
     assert sorted(oracle.frontier) == sorted(s for s, d in naive.items() if d == depth)
 
 
+def assert_complete_levels_of_kept():
+    for spec, oracle in britton._kept.items():
+        name = next(n for n, s in NAIVE_SPECS.items() if s == spec)
+        assert_complete_levels(oracle, naive_ball(spec, NAIVE_RADIUS[name]))
+
+
 @lru_cache(maxsize=None)
 def naive_spheres(name):
     """The states of a spec's naive ball, listed by distance."""
@@ -203,14 +213,12 @@ def naive_spheres(name):
     return spheres
 
 
-@st.composite
-def geodesic_queries(draw):
-    """A spec, a forward cap and a short sequence of (word, radius) queries.
+def spec_queries(name):
+    """(word, radius) queries on one spec.
 
     A query is a random word at a random radius, or spells a state drawn
     from a sphere of the naive ball, so that every distance up to the
     ball's radius comes up, at a radius from one below its distance."""
-    name = draw(st.sampled_from(sorted(NAIVE_RADIUS)))
     spec = NAIVE_SPECS[name]
     ops = _fast_ops(spec)
     spheres = naive_spheres(name)
@@ -222,12 +230,39 @@ def geodesic_queries(draw):
         word = st.sampled_from(spheres[d]).map(lambda s: word_of_normal_form(spec, ops.from_flat(s)))
         return st.tuples(word, st.integers(max(d - 1, 0), top))
 
-    query = st.one_of(
+    return st.one_of(
         st.tuples(st.lists(letter, max_size=top + 2).map(Word), st.integers(0, top)),
         st.integers(0, top).flatmap(on_sphere),
     )
-    queries = draw(st.lists(query, min_size=1, max_size=4))
+
+
+@st.composite
+def geodesic_queries(draw):
+    """A spec, a forward cap and a short sequence of its queries."""
+    name = draw(st.sampled_from(sorted(NAIVE_RADIUS)))
+    queries = draw(st.lists(spec_queries(name), min_size=1, max_size=4))
     return name, draw(st.sampled_from((1, 2, 3, 4, 8))), queries
+
+
+@st.composite
+def store_sessions(draw):
+    """A small store bound and queries that interleave the four specs."""
+    bound = draw(st.sampled_from((300, 1500, 5000)))
+    name = st.sampled_from(sorted(NAIVE_RADIUS))
+    query = name.flatmap(lambda n: st.tuples(st.just(n), spec_queries(n)))
+    return bound, draw(st.lists(query, min_size=1, max_size=6))
+
+
+def expected_length(name, word, radius):
+    """geodesic_length's answer, read off the naive ball."""
+    spec = NAIVE_SPECS[name]
+    state = _fast_ops(spec).to_flat(britton_reduce(spec, word))
+    d = naive_ball(spec, NAIVE_RADIUS[name]).get(state)
+    return d if d is not None and d <= radius else "exceeds radius"
+
+
+def kept_states():
+    return sum(len(oracle.dist) for oracle in britton._kept.values())
 
 
 class Interrupt(BaseException):
@@ -312,6 +347,116 @@ class TestGeodesicOracle:
         assert oracle.distance(britton_reduce(spec_bs12, parse_word("a^16")), 10) == 8
         assert (oracle.depth, len(oracle.dist)) == (8, 1317)
         assert_complete_levels(oracle, naive_ball(spec_bs12, 10))
+
+    def test_stops_at_the_targets_level(self, spec_bs12):
+        # the first complete level that holds the target is its distance, so
+        # a radius-8 query for a state at distance 3 builds three levels only
+        target = _fast_ops(spec_bs12).from_flat(naive_spheres("bs12")[3][0])
+        oracle = GeodesicOracle(spec_bs12)
+        assert oracle.distance(target, 8) == 3
+        assert oracle.depth == 3
+        assert_complete_levels(oracle, naive_ball(spec_bs12, 10))
+
+
+class TestOracleStore:
+    @given(store_sessions())
+    @settings(derandomize=True, deadline=None, max_examples=30)
+    def test_interleaved_specs_within_a_small_bound(self, session):
+        bound, queries = session
+        britton._kept.clear()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(britton, "KEPT_BALL_STATES", bound)
+            for name, (word, radius) in queries:
+                answer = geodesic_length(NAIVE_SPECS[name], word, radius)
+                assert answer == expected_length(name, word, radius)
+                assert kept_states() <= bound
+                assert_complete_levels_of_kept()
+
+    def test_least_recent_evicted_and_oversized_dropped(self, spec_bs12, spec_ascend2, spec_a,
+                                                        monkeypatch):
+        monkeypatch.setattr(britton, "KEPT_BALL_STATES", 3000)
+        a16 = parse_word("a^16")
+        assert geodesic_length(spec_bs12, a16, 10) == 8  # 1,317 states
+        first = britton._kept[spec_bs12]
+        near = word_of_normal_form(spec_ascend2, _fast_ops(spec_ascend2).from_flat(
+            naive_spheres("ascend2")[3][0]))
+        assert geodesic_length(spec_ascend2, near, 8) == 3  # 89 states
+        assert geodesic_length(spec_bs12, a16, 10) == 8
+        assert list(britton._kept) == [spec_ascend2, spec_bs12]
+        assert britton._kept[spec_bs12] is first  # reused, not rebuilt
+        far = word_of_normal_form(spec_ascend2, _fast_ops(spec_ascend2).from_flat(
+            naive_spheres("ascend2")[7][0]))
+        assert geodesic_length(spec_ascend2, far, 8) == 7  # 2,161 states: bs12 goes
+        assert list(britton._kept) == [spec_ascend2]
+        assert len(britton._kept[spec_ascend2].dist) == 2161
+        assert geodesic_length(spec_a, a16, 8) == 8  # 6,539 states: not kept
+        assert list(britton._kept) == [spec_ascend2]
+        assert kept_states() == 2161
+
+    @pytest.mark.parametrize("calls", [3, 40, 700, 4000])
+    def test_interrupted_query_keeps_complete_levels(self, spec_a, monkeypatch, calls):
+        naive = naive_ball(spec_a, 7)
+        target = parse_word("a^16")
+        real_apply = _FastOps.apply
+        left = [calls + 1]  # the reduction of a^16 takes one step
+
+        def apply(self, *args):
+            left[0] -= 1
+            if left[0] <= 0:
+                raise Interrupt
+            return real_apply(self, *args)
+
+        monkeypatch.setattr(_FastOps, "apply", apply)
+        with pytest.raises(Interrupt):
+            geodesic_length(spec_a, target, 8)
+        monkeypatch.undo()
+        oracle = britton._kept[spec_a]
+        assert_complete_levels(oracle, naive)
+        assert oracle.depth < 5
+        assert geodesic_length(spec_a, target, 8) == 8
+        assert britton._kept[spec_a] is oracle
+        assert_complete_levels(oracle, naive)
+
+    def test_concurrent_queries(self, monkeypatch):
+        # four threads, each in its own order, on two specs with frequent
+        # thread switches and a bound that keeps evicting: the store's lock
+        # serves one query at a time, so every answer is exact, the bound
+        # holds and the kept balls hold complete levels
+        monkeypatch.setattr(britton, "KEPT_BALL_STATES", 3000)
+        queries = []
+        for name in ("bs12", "ascend2"):
+            ops = _fast_ops(NAIVE_SPECS[name])
+            for d, sphere in enumerate(naive_spheres(name)[:9]):
+                for state in sphere[:2]:
+                    word = word_of_normal_form(NAIVE_SPECS[name], ops.from_flat(state))
+                    queries += [(name, word, d), (name, word, max(d - 1, 0))]
+        expected = [expected_length(*q) for q in queries]
+        start = threading.Barrier(4, timeout=60)
+        answers = {}
+
+        def worker(k):
+            # each thread its own order: forwards or backwards, from its own start
+            order = list(range(len(queries)))[:: 1 if k % 2 else -1]
+            order = order[17 * k:] + order[: 17 * k]
+            start.wait()
+            answers[k] = {i: geodesic_length(NAIVE_SPECS[queries[i][0]], *queries[i][1:])
+                          for i in order}
+
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for k in range(4):
+            assert [answers[k][i] for i in range(len(queries))] == expected
+        assert kept_states() <= 3000
+        assert_complete_levels_of_kept()
 
 
 class TestDistortion:

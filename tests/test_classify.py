@@ -59,6 +59,10 @@ DET_TWO = GoGSpec.make(
 )
 
 
+# DET_TWO without the turn: a triangular image, Haagerup, determinants 2^k
+DET_TWO_TRIANGULAR = GoGSpec.make(2, ["X"], list(DET_TWO.edges[:2]))
+
+
 def certificate_of(report):
     (witness,) = [ev.payload for ev in report.evidence if ev.label == "non-discreteness-certificate"]
     return witness
@@ -424,6 +428,27 @@ class TestPaperTheorem:
         assert (first.verdict, first.method) == ("coarsely-dense", "exact-sl2-closure")
         assert (second.verdict, second.method) == ("undetermined", "no-certificate")
         assert "|det| != 1 on h" in second.detail
+
+    def test_closure_shape_needs_unimodular_holonomy(self, spec_a, spec_b, tmp_path, capsys):
+        # the triangular closure shape holds, but determinants 2^k keep the
+        # image at infinite Hausdorff distance from SL_2(R)
+        report = classify(DET_TWO_TRIANGULAR)
+        assert (report.whyte_case, report.haagerup) == ("2c", True)
+        for other in (spec_a, spec_b):
+            verdict = qi_compare(DET_TWO_TRIANGULAR, other)
+            assert verdict.verdict == "undetermined"
+            first = verdict.evidence[0]
+            assert (first.verdict, first.method) == ("undetermined", "no-certificate")
+            assert "|det| != 1 on h" in first.detail
+        path = tmp_path / "det2.gog"
+        path.write_text(
+            "rank 2\nvertex X\n"
+            "edge h: X -> X alpha [[1,0],[0,2]] omega [[4,0],[0,1]]\n"
+            "edge p: X -> X alpha [[1,0],[0,1]] omega [[1,1],[0,1]]\n"
+        )
+        for other in ("specA", "specB"):
+            code = run(["compare", str(path), str(DATA / f"{other}.gog"), "--format", "json"])
+            assert (code, json.loads(capsys.readouterr().out)["verdict"]) == (2, "undetermined")
 
 
 class TestCompression:

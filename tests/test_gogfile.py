@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gbsn.gogfile import GoGDocument, GoGParseError, parse, render
 
@@ -102,3 +104,34 @@ class TestRoundTrip:
             ("f",),
         )
         assert parse(render(doc)) == doc
+
+
+NAMES = st.from_regex(r"[A-Za-z_][A-Za-z_0-9]{0,5}", fullmatch=True)
+
+
+@st.composite
+def documents(draw):
+    """A document of rank 1-3 with 1-3 vertices: a tree edge into each vertex
+    after the first, from an earlier one, then 0-3 edges between any two
+    vertices (loops among them), with or without a ``tree`` line."""
+    rank = draw(st.integers(1, 3))
+    vertices = draw(st.lists(NAMES, min_size=1, max_size=3, unique=True))
+    ends = [(draw(st.sampled_from(vertices[:i])), v) for i, v in enumerate(vertices) if i]
+    n_loops = draw(st.integers(0, 3))
+    ends += [tuple(draw(st.lists(st.sampled_from(vertices), min_size=2, max_size=2)))
+             for _ in range(n_loops)]
+    names = draw(st.lists(NAMES, min_size=len(ends), max_size=len(ends), unique=True))
+    matrix = st.lists(
+        st.lists(st.integers(-50, 50), min_size=rank, max_size=rank).map(tuple),
+        min_size=rank, max_size=rank,
+    ).map(tuple)
+    edges = tuple((name, src, dst, draw(matrix), draw(matrix))
+                  for name, (src, dst) in zip(names, ends))
+    tree = draw(st.sampled_from((None, tuple(names[: len(vertices) - 1]))))
+    return GoGDocument(rank, tuple(vertices), edges, tree)
+
+
+@given(documents())
+@settings(derandomize=True, deadline=None, max_examples=100)
+def test_parse_inverts_render(doc):
+    assert parse(render(doc)) == doc

@@ -19,6 +19,7 @@ from .britton import (
     nf_multiply,
 )
 from .classify import (
+    AnalyticProperties,
     ClassificationReport,
     CompressionReport,
     QIVerdict,

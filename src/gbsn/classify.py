@@ -1,31 +1,40 @@
 """Top-level verdicts: quasi-isometry subclass, analytic properties,
 pairwise comparison, and equivariant Lp-compression exponents.
 
-The quasi-isometry trichotomy for groups whose tree has infinitely many ends:
-(2a) semidirect products Z^n x| F with F a free subgroup of GL_n(Z) --
-detected through unimodular inclusions and integral discrete holonomy;
-(2b) virtually ascending HNN extensions -- exactly the amenable ones,
-detected in the literal single-loop ascending form; (2c) everything else,
-a single quasi-isometry class within a Hausdorff equivalence class of
-holonomy -- decided for nonamenable groups whose holonomy image carries an
-exact non-discreteness certificate, re-verified before it is reported. The
-Haagerup property, weak amenability and the Cowling-Haagerup constant are
-all decided by amenability of the closure of the holonomy image, which for
-subgroups of GL_2(R) is equivalent to virtual solvability; the equivalence
-of the four properties makes the reports self-consistent by construction.
-Where the holonomy decision is out of reach (rank >= 3), an amenable group
-still has all three properties. ``qi_compare`` decides two (2c) groups from
-the certificates their classification reports carry, and never from
-sampled evidence.
+Every verdict reads one ``Analysis`` per spec: the holonomy (computed once,
+which also validates the spec) and, on first use, the Tits decision on the
+holonomy image, re-verified before it is read. ``classify``, ``qi_compare``
+and ``compression_report`` build one ``Analysis`` per spec and share it
+across their stages; ``whyte_classify`` and ``cv_properties`` each read a
+fresh one. Nothing is kept between calls.
+
+The quasi-isometry trichotomy for groups whose tree has infinitely many
+ends: (2a) semidirect products Z^n x| F with F a free subgroup of GL_n(Z) --
+detected through unimodular inclusions and integral discrete holonomy; (2b)
+virtually ascending HNN extensions -- exactly the amenable ones, detected in
+the literal single-loop ascending form; (2c) everything else, a single
+quasi-isometry class within a Hausdorff equivalence class of holonomy --
+decided for nonamenable groups whose holonomy image carries an exact
+non-discreteness certificate, re-verified before it is reported, and in rank
+1 for every nonamenable group with a holonomy value of absolute value != 1
+(Whyte 2001, Thm 0.1). The Haagerup property, weak amenability and the
+Cowling-Haagerup constant are all decided by amenability of the closure of
+the holonomy image, which for subgroups of GL_2(R) is equivalent to virtual
+solvability; the equivalence of the four properties makes the reports
+self-consistent by construction. Where the holonomy decision is out of reach
+(rank >= 3), an amenable group still has all three properties.
+``qi_compare`` decides two (2c) groups from the certificates their
+classification reports carry, and never from sampled evidence.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional
 
-from .gog import GoGSpec, bass_serre_degrees, ensure_valid, underlying_rank
+from .gog import GoGSpec, bass_serre_degrees, underlying_rank
 from .holonomy import (
     WitnessResult,
     compute_holonomy,
@@ -60,13 +69,49 @@ class ClassificationReport:
     amenable: Optional[bool]
     amenable_reason: str
     whyte_case: str  # '2a' | '2b' | '2c' | 'out-of-scope(ends)' | 'undetermined'
+    haagerup: Optional[bool] = None
+    weakly_amenable: Optional[bool] = None
+    cowling_haagerup: str = "undetermined"  # '1' | 'not-weakly-amenable' | 'undetermined'
+    evidence: tuple = ()
+
+    def decided(self) -> bool:
+        return self.whyte_case != "undetermined" and self.haagerup is not None
+
+
+@dataclass(frozen=True)
+class AnalyticProperties:
+    """The Haagerup property, weak amenability and Lambda_cb of one group."""
+
     haagerup: Optional[bool]
     weakly_amenable: Optional[bool]
     cowling_haagerup: str  # '1' | 'not-weakly-amenable' | 'undetermined'
     evidence: tuple = ()
 
-    def decided(self) -> bool:
-        return self.whyte_case != "undetermined" and self.haagerup is not None
+
+class Analysis:
+    """The stages of one spec, each computed at most once: the holonomy
+    (which validates the spec) on construction, and the Tits decision on
+    the holonomy image, certificate re-verified, on first use of ``tits``."""
+
+    def __init__(self, spec: GoGSpec):
+        self.spec = spec
+        self.holonomy = compute_holonomy(spec)
+        self.names = sorted(self.holonomy.stable)
+        self.gens = list(self.holonomy.image_generators())
+
+    def moved_letters(self) -> list:
+        """The stable letters whose holonomy has |det| != 1."""
+        return [n for n, m in zip(self.names, self.gens) if abs(m.det()) != 1]
+
+    @cached_property
+    def tits(self) -> TitsResult:
+        if not self.gens:
+            return TitsResult(True, None, "trivial holonomy image")
+        result = virtually_solvable(self.gens, self.names)
+        cert = result.certificate
+        if cert is not None and not verify_certificate(self.gens, cert, self.names):
+            raise AssertionError("certificate failed re-verification")
+        return result
 
 
 def _tri(value: Optional[bool]) -> str:
@@ -88,8 +133,29 @@ def _certificate_detail(witness: WitnessResult) -> str:
 
 
 def whyte_classify(spec: GoGSpec) -> ClassificationReport:
-    """Ends, amenability, and the quasi-isometry subclass of the group."""
-    ensure_valid(spec)
+    """Ends, amenability, and the quasi-isometry subclass of the group.
+
+    The rank-1 rule is Whyte, "The large scale geometry of the higher
+    Baumslag-Solitar groups" (GAFA 2001), Thm 0.1: a GBS_1 group whose tree
+    has infinitely many ends is virtually F_m x Z, or BS(1,n), or
+    quasi-isometric to BS(2,3). A stable letter with |hol| != 1 excludes the
+    first, non-amenability the second, so such a group is (2c).
+    """
+    return _whyte(Analysis(spec))
+
+
+def cv_properties(spec: GoGSpec) -> AnalyticProperties:
+    """Haagerup property, weak amenability and the Cowling-Haagerup constant.
+
+    All three are decided together by virtual solvability of the holonomy
+    image (equivalently, amenability of its closure in GL_n(R)); the
+    attached certificate re-verifies exactly before it is reported.
+    """
+    return _cv(Analysis(spec))
+
+
+def _whyte(analysis: Analysis) -> ClassificationReport:
+    spec = analysis.spec
     local = bass_serre_degrees(spec)
     evidence = [
         Evidence(
@@ -105,10 +171,7 @@ def whyte_classify(spec: GoGSpec) -> ClassificationReport:
             None,
             "not decided: the trichotomy applies to trees with infinitely many ends",
             "out-of-scope(ends)",
-            None,
-            None,
-            "undetermined",
-            tuple(evidence),
+            evidence=tuple(evidence),
         )
 
     rank = underlying_rank(spec)
@@ -145,10 +208,7 @@ def whyte_classify(spec: GoGSpec) -> ClassificationReport:
             None,
             "not decided: amalgams (no stable letters) are outside the decision scope",
             "out-of-scope(ends)",
-            None,
-            None,
-            "undetermined",
-            tuple(evidence),
+            evidence=tuple(evidence),
         )
     evidence.append(Evidence("amenability", f"{_tri(amenable)}: {reason}"))
 
@@ -158,7 +218,7 @@ def whyte_classify(spec: GoGSpec) -> ClassificationReport:
             Evidence("whyte-case", "2b: virtually ascending HNN extensions are the amenable ones")
         )
     elif amenable is False:
-        hd = compute_holonomy(spec)
+        hd = analysis.holonomy
         unimodular = all(
             sublattice_index(e.alpha) == 1 and sublattice_index(e.omega) == 1
             for e in spec.edges
@@ -166,7 +226,7 @@ def whyte_classify(spec: GoGSpec) -> ClassificationReport:
         if unimodular:
             # a reduced relation of length <= 6 exists exactly when two
             # distinct reduced words of length <= 3 have the same image
-            ball = WordBall({name: hd.stable[name] for name in sorted(hd.stable)})
+            ball = WordBall(dict(zip(analysis.names, analysis.gens)))
             for _ in ball.grow(3):
                 pass
             relation = ball.relation()
@@ -200,6 +260,23 @@ def whyte_classify(spec: GoGSpec) -> ClassificationReport:
                 evidence.append(
                     Evidence("whyte-case", "2c: nonamenable with non-discrete holonomy image")
                 )
+            elif spec.rank == 1 and (moved := analysis.moved_letters()):
+                whyte = "2c"
+                name, value = moved[0], hd.stable[moved[0]].rows[0][0]
+                evidence.append(
+                    Evidence(
+                        "modular-image",
+                        f"|hol({name})| = {abs(value)} != 1: not virtually F_m x Z",
+                        (name, value),
+                    )
+                )
+                evidence.append(
+                    Evidence(
+                        "whyte-case",
+                        "2c: nonamenable GBS_1 group, not virtually F_m x Z, hence "
+                        "quasi-isometric to BS(2,3) (Whyte 2001, Thm 0.1)",
+                    )
+                )
             elif witness.kind == "discrete (integral)":
                 whyte = "undetermined"
                 evidence.append(
@@ -221,59 +298,22 @@ def whyte_classify(spec: GoGSpec) -> ClassificationReport:
     else:
         whyte = "undetermined"
 
-    return ClassificationReport(
-        local.ends,
-        amenable,
-        reason,
-        whyte,
-        None,
-        None,
-        "undetermined",
-        tuple(evidence),
-    )
+    return ClassificationReport(local.ends, amenable, reason, whyte, evidence=tuple(evidence))
 
 
-def cv_properties(spec: GoGSpec) -> ClassificationReport:
-    """Haagerup property, weak amenability and the Cowling-Haagerup constant.
-
-    All three are decided together by virtual solvability of the holonomy
-    image (equivalently, amenability of its closure in GL_n(R)); the
-    attached certificate re-verifies exactly before it is reported.
-    """
-    ensure_valid(spec)
-    hd = compute_holonomy(spec)
-    names = sorted(hd.stable)
-    gens = [hd.stable[n] for n in names]
-    evidence = []
-    if not gens:
-        result = TitsResult(True, None, "trivial holonomy image")
-    else:
-        result = virtually_solvable(gens, names)
+def _cv(analysis: Analysis) -> AnalyticProperties:
+    result = analysis.tits
     if result.certificate is not None:
-        ok = verify_certificate(gens, result.certificate, names)
-        if not ok:
-            raise AssertionError("certificate failed re-verification")
-        evidence.append(
-            Evidence(
-                f"tits-certificate ({result.certificate.kind()})",
-                result.detail + "; re-verified exactly",
-                result.certificate,
-            )
+        evidence = Evidence(
+            f"tits-certificate ({result.certificate.kind()})",
+            result.detail + "; re-verified exactly",
+            result.certificate,
         )
     else:
-        evidence.append(Evidence("tits-alternative", result.detail))
+        evidence = Evidence("tits-alternative", result.detail)
     verdict = result.virtually_solvable
     cowling = {True: "1", False: "not-weakly-amenable", None: "undetermined"}[verdict]
-    return ClassificationReport(
-        "",
-        None,
-        "",
-        "",
-        verdict,
-        verdict,
-        cowling,
-        tuple(evidence),
-    )
+    return AnalyticProperties(verdict, verdict, cowling, (evidence,))
 
 
 def classify(spec: GoGSpec) -> ClassificationReport:
@@ -283,15 +323,17 @@ def classify(spec: GoGSpec) -> ClassificationReport:
     Lambda_cb = 1, so amenability decides all three where the holonomy
     decision is undetermined.
     """
-    w = whyte_classify(spec)
-    c = cv_properties(spec)
+    return _classify(Analysis(spec))
+
+
+def _classify(analysis: Analysis) -> ClassificationReport:
+    w, c = _whyte(analysis), _cv(analysis)
     if w.amenable is True and c.haagerup is not True:
         if c.haagerup is False:
             raise AssertionError("an amenable group was reported without the Haagerup property")
         amenability = Evidence("amenability", "an amenable group has the Haagerup property "
                                "and is weakly amenable with Lambda_cb = 1")
-        c = replace(c, haagerup=True, weakly_amenable=True, cowling_haagerup="1",
-                    evidence=c.evidence + (amenability,))
+        c = AnalyticProperties(True, True, "1", c.evidence + (amenability,))
     return ClassificationReport(
         w.ends,
         w.amenable,
@@ -311,20 +353,21 @@ class QIVerdict:
     evidence: tuple = ()
 
 
-def _rank2_density(report: ClassificationReport, gens: list, names: list) -> CoarseDensityReport:
+def _rank2_density(report: ClassificationReport, analysis: Analysis) -> CoarseDensityReport:
     """Coarse density in SL_2(R) of a rank-2 (2c) holonomy image; a
-    nonsolvable one is decided from its report's certificates (``qi_compare``).
-    Both paths need |det| = 1 on every generator: determinants 2^k keep an
-    image at infinite Hausdorff distance from SL_2(R)."""
-    moved = [name for name, m in zip(names, gens) if abs(m.det()) != 1]
+    nonsolvable one is decided from its free pair and its report's
+    contraction pair (``qi_compare``). Both paths need |det| = 1 on every
+    generator: determinants 2^k keep an image at infinite Hausdorff distance
+    from SL_2(R)."""
+    moved = analysis.moved_letters()
     if moved:
         detail = f"|det| != 1 on {', '.join(moved)}, outside the SL_2(R)-closure argument"
         return CoarseDensityReport("undetermined", "no-certificate", detail)
-    if report.haagerup is not False:
-        return coarse_density(gens, names)
-    pair, witness = (
-        next(ev.payload for ev in report.evidence if ev.label.startswith(label))
-        for label in ("tits-certificate", "non-discreteness-certificate")
+    if analysis.tits.virtually_solvable is not False:
+        return coarse_density(analysis.gens, analysis.tits)
+    pair = analysis.tits.certificate
+    witness = next(
+        ev.payload for ev in report.evidence if ev.label == "non-discreteness-certificate"
     )
     return CoarseDensityReport(
         "coarsely-dense",
@@ -344,8 +387,9 @@ def qi_compare(a: GoGSpec, b: GoGSpec) -> QIVerdict:
     the certificates ``classify`` has re-verified, never by sampling:
 
     * Rank 1 (Whyte, "The large scale geometry of the higher
-      Baumslag-Solitar groups", GAFA 2001): both reports carry a 'dense'
-      certificate, so both closures are R>0 or R*, Hausdorff equivalent.
+      Baumslag-Solitar groups", GAFA 2001, Thm 0.1): a rank-1 (2c) group is
+      nonamenable and not virtually F_m x Z, so it is quasi-isometric to
+      BS(2,3); any two are quasi-isometric.
     * Rank 2: both images are coarsely dense in SL_2(R), which needs
       |det| = 1 on every generator; a generator with |det| != 1 leaves that
       side undetermined. A virtually solvable image is then decided by
@@ -362,11 +406,10 @@ def qi_compare(a: GoGSpec, b: GoGSpec) -> QIVerdict:
     Every other (2c) pair is 'undetermined', with sampled Cartan distances
     as diagnostics only.
     """
-    ensure_valid(a)
-    ensure_valid(b)
+    aa, ab = Analysis(a), Analysis(b)
     if a.rank != b.rank:
         raise ValueError("dimension mismatch: specs have different ranks")
-    ra, rb = classify(a), classify(b)
+    ra, rb = _classify(aa), _classify(ab)
     reasons = [
         f"first: case {ra.whyte_case}, amenable {_tri(ra.amenable)}",
         f"second: case {rb.whyte_case}, amenable {_tri(rb.amenable)}",
@@ -379,23 +422,18 @@ def qi_compare(a: GoGSpec, b: GoGSpec) -> QIVerdict:
         reasons.append("the subclasses are quasi-isometry invariant and differ")
         return QIVerdict("not-quasi-isometric", tuple(reasons))
     if ra.whyte_case == rb.whyte_case == "2c":
-        certs = tuple(ev for r in (ra, rb) for ev in r.evidence
-                      if ev.label == "non-discreteness-certificate")
-        if a.rank == 1 and all(ev.payload.kind == "dense" for ev in certs):
+        if a.rank == 1:
             reasons.append(
-                "both holonomy images have dense absolute values (re-verified), so both "
-                "closures are R>0 or R*, which are Hausdorff equivalent; rank-1 class (2c) "
-                "is a single quasi-isometry class (Whyte 2001)"
+                "both are nonamenable and not virtually F_m x Z, so both are "
+                "quasi-isometric to BS(2,3); rank-1 class (2c) is a single "
+                "quasi-isometry class (Whyte 2001, Thm 0.1)"
             )
+            certs = tuple(ev for r in (ra, rb) for ev in r.evidence
+                          if ev.label in ("non-discreteness-certificate", "modular-image"))
             return QIVerdict("quasi-isometric", tuple(reasons), evidence=certs)
         evidence = ()
         if a.rank == 2:
-            hda, hdb = compute_holonomy(a), compute_holonomy(b)
-            names_a, names_b = sorted(hda.stable), sorted(hdb.stable)
-            gens_a = [hda.stable[n] for n in names_a]
-            gens_b = [hdb.stable[n] for n in names_b]
-            cda = _rank2_density(ra, gens_a, names_a)
-            cdb = _rank2_density(rb, gens_b, names_b)
+            cda, cdb = _rank2_density(ra, aa), _rank2_density(rb, ab)
             if cda.verdict == cdb.verdict == "coarsely-dense":
                 reasons.append(
                     "both holonomy images are coarsely dense in SL_2(R), hence "
@@ -403,7 +441,7 @@ def qi_compare(a: GoGSpec, b: GoGSpec) -> QIVerdict:
                     "single quasi-isometry class"
                 )
                 return QIVerdict("quasi-isometric", tuple(reasons), evidence=(cda, cdb))
-            evidence = (cda, cdb, *cartan_hausdorff_samples(gens_a, gens_b, radii=(4, 6, 8)))
+            evidence = (cda, cdb, *cartan_hausdorff_samples(aa.gens, ab.gens, radii=(4, 6, 8)))
         reasons.append("no exact Hausdorff-equivalence evidence within bounds")
         return QIVerdict("undetermined", tuple(reasons), evidence=evidence)
     if ra.whyte_case == rb.whyte_case == "2b":
@@ -438,13 +476,13 @@ def compression_report(spec: GoGSpec, p) -> CompressionReport:
     p = Q(p)
     if p < 1:
         raise ValueError("p must be >= 1")
-    ensure_valid(spec)
+    analysis = Analysis(spec)
     if spec.rank != 2:
         return CompressionReport(
             p, "undetermined", None, (), "compression decision implemented for rank 2"
         )
-    cv = cv_properties(spec)
-    if cv.haagerup is False:
+    haagerup = analysis.tits.virtually_solvable
+    if haagerup is False:
         if p <= 2:
             return CompressionReport(
                 p,
@@ -461,15 +499,12 @@ def compression_report(spec: GoGSpec, p) -> CompressionReport:
             (("haagerup", "no"),),
             "the vanishing argument applies to 1 <= p <= 2 only",
         )
-    if cv.haagerup is None:
+    if haagerup is None:
         return CompressionReport(p, "undetermined", None, (), "holonomy decision undetermined")
 
-    hd = compute_holonomy(spec)
-    names = sorted(hd.stable)
-    gens = [hd.stable[n] for n in names]
-    desc = closure_describe(gens, names)
+    desc = closure_describe(analysis.gens, analysis.tits)
     cocompact = desc.status == "triangular" and desc.diag_kind == "cyclic"
-    distortion = any(spectral_radius_gt_one(g) for g in gens)
+    distortion = any(spectral_radius_gt_one(g) for g in analysis.gens)
     checklist = (
         ("amenable-closure", "yes"),
         (

@@ -168,6 +168,8 @@ def _cmd_compare(args) -> int:
 def _cmd_distortion(args) -> int:
     spec = _load_spec(args.file)
     element = parse_word(args.element)
+    if args.max_power < 1 or args.bfs_cap < 0:
+        raise ValueError("--max-power must be >= 1 and --bfs-cap >= 0")
     profile = britton.distortion_profile(
         spec, element, range(1, args.max_power + 1), bfs_cap=args.bfs_cap
     )
@@ -197,7 +199,11 @@ def _cmd_distortion(args) -> int:
 
 def _cmd_compression(args) -> int:
     spec = _load_spec(args.file)
-    report = compression_report(spec, Fraction(args.p))
+    try:
+        p = Fraction(args.p)
+    except ZeroDivisionError:
+        raise ValueError(f"p = {args.p} has a zero denominator") from None
+    report = compression_report(spec, p)
     payload = {
         "command": "compression",
         "p": report.p,

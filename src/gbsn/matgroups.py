@@ -528,6 +528,14 @@ class _Player:
     fixed: tuple  # slopes; hyperbolic: (attracting, repelling), parabolic: (f,)
 
 
+def _is_player(a, b, c, d) -> bool:
+    """Is [[a, b], [c, d]] neither scalar, nor elliptic, nor with
+    eigenvalues of equal modulus? Decided on the signs of disc and trace,
+    so no discriminant is factored."""
+    disc = (a - d) * (a - d) + 4 * b * c
+    return not (b == c == 0 and a == d) and disc >= 0 and not (disc > 0 and a + d == 0)
+
+
 def _player_slopes(a: int, b: int, c: int, d: int) -> Optional[tuple]:
     """Kind and fixed slopes of the integer matrix [[a, b], [c, d]] as a
     ping-pong player, or None when it is scalar, elliptic or has eigenvalues
@@ -539,12 +547,10 @@ def _player_slopes(a: int, b: int, c: int, d: int) -> Optional[tuple]:
     INF, or QuadraticNumbers over the squarefree part of disc, equal to
     those of ``eigen_directions``.
     """
-    if b == 0 and c == 0 and a == d:
+    if not _is_player(a, b, c, d):
         return None
     disc = (a - d) * (a - d) + 4 * b * c
     t = a + d
-    if disc < 0 or (disc > 0 and t == 0):
-        return None
     if b == 0:  # eigenvalue a on the slope c/(a - d), eigenvalue d on INF
         if disc == 0:
             return "parabolic", (INF,)
@@ -561,14 +567,6 @@ def _player_slopes(a: int, b: int, c: int, d: int) -> Optional[tuple]:
             mid, half = Q(d - a, 2 * b), Q(s, 2 * b)
             plus, minus = QuadraticNumber(mid, half, rad), QuadraticNumber(mid, -half, rad)
     return "hyperbolic", ((plus, minus) if t > 0 else (minus, plus))
-
-
-def _classify_player(word: Word, m: QMat) -> Optional[_Player]:
-    if m.det() == 0:
-        return None
-    scale = lcm(*(x.denominator for row in m.rows for x in row))
-    found = _player_slopes(*(int(x * scale) for row in m.rows for x in row))
-    return None if found is None else _Player(word, m, *found)
 
 
 def _fixed_slopes_disjoint(a: _Player, b: _Player) -> bool:
@@ -782,7 +780,7 @@ def verify_free_pair(
             return False
         if not (tb.contains_interval(tb.image(mi)) and tb.contains_interval(opp.image(mi))):
             return False
-        if _classify_player(Word(), m) is None:
+        if not _is_player(*m.rows[0], *m.rows[1]):
             # conservative: this refuses every element without a real fixed
             # point or with eigenvalues of equal modulus, though such an
             # element need not have finite order ([[2, -1], [1, 2]] is
@@ -921,19 +919,17 @@ def _additive_group_generator(values: list[Q]) -> Q:
     return Q(g, l)
 
 
-def closure_describe(
-    gens: Sequence[QMat], names: Optional[Sequence[str]] = None, window: int = 8
-) -> ClosureDescription:
-    """Describe the closure of <gens> in GL_2(R) when it is triangularizable.
+def closure_describe(gens: Sequence[QMat], result: TitsResult) -> ClosureDescription:
+    """Describe the closure of <gens> in GL_2(R) when it is triangularizable,
+    given the Tits decision ``result`` on <gens>.
 
     The density flag for the unipotent part is exact: with a nonzero
     off-diagonal value present, its orbit under conjugation by the diagonal
     parts has unbounded denominators iff some diagonal ratio has absolute
-    value != 1 (the reported orbit sample uses the stated window).
+    value != 1 (the reported orbit sample covers powers -8..8).
     """
-    named = _named(gens, names)
-    mats = list(named.values())
-    result = virtually_solvable(gens, names)
+    mats = list(gens)
+    window = 8  # the orbit sample covers the scaling powers -window..window
     if result.virtually_solvable is False:
         return ClosureDescription(
             status="nonamenable", detail="full or large -- see coarse density"
@@ -1034,10 +1030,9 @@ def _ball_mu_values(named: dict, radius: int, cap: int = 200000) -> list[float]:
     return sorted(_mu(state, ball.denom) for state in ball.parent)
 
 
-def coarse_density(
-    gens: Sequence[QMat], names: Optional[Sequence[str]] = None
-) -> CoarseDensityReport:
-    """Is <gens> at finite Hausdorff distance from all of SL_2(R)?
+def coarse_density(gens: Sequence[QMat], result: TitsResult) -> CoarseDensityReport:
+    """Is <gens> at finite Hausdorff distance from all of SL_2(R)? ``result``
+    is the Tits decision on <gens>.
 
     Decided exactly for virtually solvable groups only: a finite group is
     never coarsely dense; a triangularizable group is coarsely dense iff its
@@ -1050,18 +1045,15 @@ def coarse_density(
     a non-discreteness certificate as well, which ``classify.qi_compare``
     takes from the classification report.
     """
-    named = _named(gens, names)
-    mats = list(named.values())
-    if not mats:
+    if not gens:
         return CoarseDensityReport("not-coarsely-dense", "trivial-group")
-    size = _finite_closure_size(named)
+    size = _finite_closure_size(_named(gens, None))
     if size is not None:
         return CoarseDensityReport(
             "not-coarsely-dense", "finite-group", f"group is finite of order {size}"
         )
-    result = virtually_solvable(gens, names)
     if result.virtually_solvable is True:
-        desc = closure_describe(gens, names)
+        desc = closure_describe(gens, result)
         if (
             desc.status == "triangular"
             and desc.diag_kind in ("cyclic", "dense")

@@ -7,7 +7,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from gbsn import matgroups
+from gbsn import holonomy, matgroups
 from gbsn.cli import run
 from gbsn.classify import (
     classify,
@@ -19,7 +19,7 @@ from gbsn.classify import (
 from gbsn.gog import Edge, GoGSpec
 from gbsn.holonomy import compute_holonomy, non_discreteness_witness, verify_nondiscreteness
 from gbsn.linalg import ZMat
-from gbsn.matgroups import verify_certificate
+from gbsn.matgroups import TitsResult, verify_certificate
 
 from conftest import DATA
 
@@ -308,10 +308,18 @@ class TestCornulierValette:
             ev.label == "amenability" and "Haagerup" in ev.detail for ev in report.evidence
         )
 
+    def test_tits_certificate_failing_reverification_raises(self, spec_b, monkeypatch):
+        module = importlib.import_module("gbsn.classify")
+        forged = TitsResult(True, matgroups.ScalarCertificate(), "specB's image is not scalar")
+        monkeypatch.setattr(module, "virtually_solvable", lambda gens, names: forged)
+        for verdict in (classify, cv_properties, lambda spec: compression_report(spec, 2)):
+            with pytest.raises(AssertionError, match="re-verification"):
+                verdict(spec_b)
+
     def test_amenable_without_haagerup_raises(self, spec_bs12, monkeypatch):
         module = importlib.import_module("gbsn.classify")
-        wrong = replace(cv_properties(spec_bs12), haagerup=False, weakly_amenable=False)
-        monkeypatch.setattr(module, "cv_properties", lambda spec: wrong)
+        wrong = TitsResult(False, None, "a Tits decision that contradicts amenability")
+        monkeypatch.setattr(module, "virtually_solvable", lambda gens, names: wrong)
         with pytest.raises(AssertionError, match="amenable"):
             classify(spec_bs12)
 
@@ -332,6 +340,100 @@ class TestCornulierValette:
         report = cv_properties(spec)
         assert report.haagerup is None
         assert report.cowling_haagerup == "undetermined"
+
+
+def rank_one_loop(alpha, omega):
+    return GoGSpec.make(1, ["X"], [Edge("t", "X", "X", ZMat([[alpha]]), ZMat([[omega]]))])
+
+
+def bs_file(tmp_path, omega):
+    """BS(2, omega) as a .gog file."""
+    path = tmp_path / f"bs2_{omega}.gog"
+    path.write_text(f"rank 1\nvertex X\nedge t: X -> X alpha [[2]] omega [[{omega}]]\n")
+    return str(path)
+
+
+class TestRankOneWhyte:
+    """Whyte 2001, Thm 0.1: a nonamenable GBS_1 group whose tree has
+    infinitely many ends and whose holonomy is not in {+-1} is
+    quasi-isometric to BS(2,3)."""
+
+    @pytest.mark.parametrize("omega", [3, 4, -3])
+    def test_baumslag_solitar_case_2c(self, omega, tmp_path, capsys):
+        report = classify(rank_one_loop(2, omega))
+        assert (report.whyte_case, report.amenable, report.haagerup) == ("2c", False, True)
+        (entry,) = [ev for ev in report.evidence if ev.label == "modular-image"]
+        assert entry.payload == ("t", Q(omega, 2))
+        assert f"|hol(t)| = {Q(abs(omega), 2)} != 1" in entry.detail
+        assert run(["classify", bs_file(tmp_path, omega), "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["whyte_case"] == "2c"
+
+    def test_any_two_are_quasi_isometric(self, tmp_path, capsys):
+        verdict = qi_compare(rank_one_loop(2, 3), rank_one_loop(2, 4))
+        assert verdict.verdict == "quasi-isometric"
+        assert "Whyte" in verdict.reasons[-1]
+        assert [ev.label for ev in verdict.evidence] == ["modular-image", "modular-image"]
+        mixed = qi_compare(rank_one_loop(2, 3), near_one(40))
+        assert mixed.verdict == "quasi-isometric"
+        assert [ev.label for ev in mixed.evidence] == [
+            "modular-image",
+            "non-discreteness-certificate",
+        ]
+        files = [bs_file(tmp_path, omega) for omega in (3, 4)]
+        assert run(["compare", *files, "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["verdict"] == "quasi-isometric"
+
+    def test_rule_is_for_rank_one_only(self):
+        # rank 2, holonomy 2I on both loops: |det| = 4 but no certificate
+        two = ZMat([[2, 0], [0, 2]])
+        spec = GoGSpec.make(
+            2, ["X"], [Edge(n, "X", "X", ZMat.identity(2), two) for n in ("s", "u")]
+        )
+        report = classify(spec)
+        assert (report.whyte_case, report.amenable) == ("undetermined", False)
+
+    @pytest.mark.parametrize("omega", [2, -2])
+    def test_unimodular_holonomy_stays_undetermined(self, omega):
+        # BS(2,+-2): hol(t) = +-1, virtually F_m x Z, not quasi-isometric to BS(2,3)
+        report = classify(rank_one_loop(2, omega))
+        assert (report.whyte_case, report.amenable) == ("undetermined", False)
+        assert not any(ev.label == "modular-image" for ev in report.evidence)
+        verdict = qi_compare(rank_one_loop(2, omega), rank_one_loop(2, 3))
+        assert verdict.verdict == "undetermined"
+
+
+class TestOneAnalysisPerSpec:
+    """Each command computes the holonomy and the Tits decision of a spec
+    once, whichever module's name a stage is reached through."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        module = importlib.import_module("gbsn.classify")
+        counts = {"holonomy": 0, "tits": 0}
+        for owner, attr, key in (
+            (module, "compute_holonomy", "holonomy"),
+            (holonomy, "compute_holonomy", "holonomy"),
+            (module, "virtually_solvable", "tits"),
+            (matgroups, "virtually_solvable", "tits"),
+        ):
+            def counted(*args, _stage=getattr(owner, attr), _key=key):
+                counts[_key] += 1
+                return _stage(*args)
+
+            monkeypatch.setattr(owner, attr, counted)
+        return counts
+
+    def test_classify_once(self, spec_b, counts):
+        assert classify(spec_b).decided()
+        assert counts == {"holonomy": 1, "tits": 1}
+
+    def test_compare_once_per_spec(self, spec_a, spec_b, counts):
+        assert qi_compare(spec_a, spec_b).verdict == "quasi-isometric"
+        assert counts == {"holonomy": 2, "tits": 2}
+
+    def test_compression_once(self, spec_a, counts):
+        assert compression_report(spec_a, 2).alpha_kind == "value"
+        assert counts == {"holonomy": 1, "tits": 1}
 
 
 class TestReportInvariants:

@@ -225,6 +225,20 @@ class TestExitCodes:
         report = json.loads(out)
         assert (code, report["verdict"], report["sampled"]) == (2, "undetermined", False)
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compression", BS12, "--p", "1/0"],
+            ["distortion", SPEC_A, "--element", "a", "--max-power", "0"],
+            ["distortion", SPEC_A, "--element", "a", "--bfs-cap", "-1"],
+        ],
+        ids=["p-zero-denominator", "max-power-zero", "bfs-cap-negative"],
+    )
+    def test_numeric_input_error_exit_one(self, capsys, argv):
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and "Traceback" not in err
+
     def test_decided_undetermined_error_trichotomy(self, capsys, tmp_path):
         assert invoke(capsys, "classify", SPEC_A)[0] == 0
         assert invoke(capsys, "compression", SPEC_B, "--p", "3")[0] == 2

@@ -180,6 +180,24 @@ class TestPingpong:
         assert pingpong_certify([H], names=["h"]) is None
         assert pingpong_certify([E], names=["e"]) is None
 
+    def test_verification_factors_no_discriminant(self, monkeypatch):
+        # the certified powers t^16 and (s t s)^16 have discriminants of
+        # about 116 bits; classifying them as players needs only the signs
+        # of discriminant and trace, never the radicand
+        gens = [
+            QMat([[Q(8, 3), Q(-2, 3)], [Q(4, 3), Q(5, 3)]]),
+            QMat([[Q(-2, 3), Q(1, 3)], [Q(1, 18), Q(7, 18)]]),
+            QMat([[-1, 1], [-1, 0]]),
+        ]
+        cert = pingpong_certify(gens, names=["s", "t", "u"])
+        assert str(cert.word_x).startswith("t^16")
+
+        def refuse(n):
+            raise AssertionError(f"factored {n}")
+
+        monkeypatch.setattr(matgroups, "squarefree_decompose", refuse)
+        assert verify_free_pair(gens, cert, names=["s", "t", "u"])
+
     def test_certificate_re_verifies_and_is_honest(self):
         cert = pingpong_certify([H, P, E], names=["h", "p", "e"])
         assert cert is not None
@@ -261,7 +279,7 @@ class TestPingpong:
 
 class TestClosure:
     def test_scaling_and_shear(self):
-        desc = closure_describe([H, P], names=["h", "p"])
+        desc = closure_describe([H, P], virtually_solvable([H, P]))
         assert desc.status == "triangular"
         assert desc.diag_kind == "cyclic" and desc.diag_generator == 2
         assert desc.unipotent_kind == "dense"
@@ -272,29 +290,29 @@ class TestClosure:
         assert desc.orbit_sample[-1] == Q(4) ** 8
 
     def test_scaling_alone_is_discrete(self):
-        desc = closure_describe([H], names=["h"])
+        desc = closure_describe([H], virtually_solvable([H]))
         assert desc.diag_kind == "cyclic" and desc.diag_generator == 2
         assert desc.unipotent_kind == "trivial"
 
     def test_shear_alone(self):
-        desc = closure_describe([P], names=["p"])
+        desc = closure_describe([P], virtually_solvable([P]))
         assert desc.diag_kind == "trivial"
         assert desc.unipotent_kind == "discrete"
         assert desc.unipotent_generator == 1
 
     def test_nonamenable(self):
-        desc = closure_describe([H, P, E])
+        desc = closure_describe([H, P, E], virtually_solvable([H, P, E]))
         assert desc.status == "nonamenable"
 
     def test_two_scalings_make_dense_diagonal(self):
         other = QMat([[3, 0], [0, Q(1, 3)]])
-        desc = closure_describe([H, other])
+        desc = closure_describe([H, other], virtually_solvable([H, other]))
         assert desc.diag_kind == "dense"
 
 
 class TestCoarseDensity:
     def test_triangular_dense_shape(self):
-        report = coarse_density([H, P], names=["h", "p"])
+        report = coarse_density([H, P], virtually_solvable([H, P]))
         assert report.verdict == "coarsely-dense"
         assert report.method == "exact-closure-shape"
 
@@ -302,23 +320,23 @@ class TestCoarseDensity:
         # <H, P, E> (specB's holonomy) is not virtually solvable: coarse_density
         # alone has no certificate of density, while the free pair and the
         # contraction pair of specB's classification prove it exactly
-        report = coarse_density([H, P, E], names=["h", "p", "e"])
+        report = coarse_density([H, P, E], virtually_solvable([H, P, E]))
         assert (report.verdict, report.method) == ("undetermined", "no-certificate")
-        exact = classify_module._rank2_density(classify(spec_b), [E, H, P], ["e", "h", "p"])
+        exact = classify_module._rank2_density(classify(spec_b), classify_module.Analysis(spec_b))
         assert (exact.verdict, exact.method) == ("coarsely-dense", "exact-sl2-closure")
         assert "free pair" in exact.detail and "contraction pair (h, p)" in exact.detail
 
     def test_trivial_group(self):
-        report = coarse_density([QMat.identity(2)])
+        report = coarse_density([QMat.identity(2)], virtually_solvable([QMat.identity(2)]))
         assert report.verdict == "not-coarsely-dense"
 
     def test_finite_group(self):
-        report = coarse_density([E])
+        report = coarse_density([E], virtually_solvable([E]))
         assert report.verdict == "not-coarsely-dense"
         assert "order 4" in report.detail
 
     def test_diagonal_alone_not_dense(self):
-        report = coarse_density([H])
+        report = coarse_density([H], virtually_solvable([H]))
         assert report.verdict == "not-coarsely-dense"
         assert report.method == "exact-solvable-shape"
 

@@ -3,10 +3,11 @@ pairwise comparison, and equivariant Lp-compression exponents.
 
 Every verdict reads one ``Analysis`` per spec: the holonomy (computed once,
 which also validates the spec) and, on first use, the Tits decision on the
-holonomy image, re-verified before it is read. ``classify``, ``qi_compare``
-and ``compression_report`` build one ``Analysis`` per spec and share it
-across their stages; ``whyte_classify`` and ``cv_properties`` each read a
-fresh one. Nothing is kept between calls.
+holonomy image, re-verified before it is read. ``classify`` and
+``qi_compare`` build one ``Analysis`` per spec, ``compression_report`` one
+for a valid rank-2 spec only, and share it across their stages;
+``whyte_classify`` and ``cv_properties`` each read a fresh one. Nothing is
+kept between calls.
 
 The quasi-isometry trichotomy for groups whose tree has infinitely many
 ends: (2a) semidirect products Z^n x| F with F a free subgroup of GL_n(Z) --
@@ -34,7 +35,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Optional
 
-from .gog import GoGSpec, bass_serre_degrees, underlying_rank
+from .gog import GoGSpec, bass_serre_degrees, ensure_valid, underlying_rank
 from .holonomy import (
     WitnessResult,
     compute_holonomy,
@@ -476,11 +477,12 @@ def compression_report(spec: GoGSpec, p) -> CompressionReport:
     p = Q(p)
     if p < 1:
         raise ValueError("p must be >= 1")
-    analysis = Analysis(spec)
     if spec.rank != 2:
+        ensure_valid(spec)  # the Analysis below validates a rank-2 spec
         return CompressionReport(
             p, "undetermined", None, (), "compression decision implemented for rank 2"
         )
+    analysis = Analysis(spec)
     haagerup = analysis.tits.virtually_solvable
     if haagerup is False:
         if p <= 2:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -223,7 +224,9 @@ def _cmd_compression(args) -> int:
     return 0 if report.alpha_kind != "undetermined" else 2
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared by later ones."""
     parser = argparse.ArgumentParser(
         prog="gbsn",
         description="Analyze generalized Baumslag-Solitar groups given as graphs of Z^n-groups",

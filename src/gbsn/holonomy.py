@@ -156,9 +156,9 @@ def _contracts(basis: QMat, lams: tuple, g: QMat) -> bool:
     Conjugating by h^k, h = basis diag(lams) basis^-1, multiplies that entry
     by (lams[j] / lams[i])^k, so h^-k g h^k -> I, and no two terms agree.
     """
-    m = (basis.inverse() * g * basis).rows
-    n = basis.n
-    moved = [(i, j) for i in range(n) for j in range(n) if m[i][j] != (i == j)]
+    m = basis.inverse() * g * basis
+    n, num, den = m.n, m.num, m.den
+    moved = [(i, j) for i in range(n) for j in range(n) if num[i][j] != (den if i == j else 0)]
     return bool(moved) and all(abs(lams[j]) < abs(lams[i]) for i, j in moved)
 
 

@@ -1,9 +1,14 @@
 """Exact rational and integer linear algebra for small square matrices.
 
-Everything in this module is exact: matrix entries are ``fractions.Fraction``
-(or plain ``int`` for lattice maps), eigenvalues and eigendirections of 2x2
-matrices live in a quadratic extension Q(sqrt(d)), and numbers of two
-different quadratic fields are ordered exactly by comparing squares.
+Everything in this module is exact. A rational matrix is an integer matrix
+over one positive denominator, in lowest terms (the gcd of the denominator
+and all entries is 1), so products, powers, determinants (Bareiss) and
+inverses (fraction-free Gauss-Jordan) are integer work and equal matrices
+have equal representations; its ``Fraction`` rows are a view built on first
+read. Lattice maps are plain ``int`` matrices. Eigenvalues and
+eigendirections of 2x2 matrices live in a quadratic extension Q(sqrt(d)),
+and numbers of two different quadratic fields are ordered exactly by
+comparing squares.
 
 Matrices act on column vectors; the columns of an integer matrix generate the
 sublattice it defines.
@@ -13,6 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 Q = Fraction
@@ -22,35 +29,82 @@ class SingularMatrixError(ValueError):
     """Raised when an operation needs an invertible matrix."""
 
 
-def _as_fraction_rows(rows) -> tuple[tuple[Q, ...], ...]:
-    out = tuple(tuple(Q(x) for x in row) for row in rows)
-    n = len(out)
-    if n == 0 or any(len(row) != n for row in out):
-        raise ValueError("matrix must be square and nonempty")
-    return out
+def _bareiss(rows: Sequence[Sequence[int]]) -> int:
+    """Determinant of a square integer matrix by Bareiss's fraction-free
+    elimination: every division is exact, so all work stays in Z."""
+    a = [list(row) for row in rows]
+    n, sign, prev = len(a), 1, 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            pivot = next((r for r in range(k + 1, n) if a[r][k]), None)
+            if pivot is None:
+                return 0
+            a[k], a[pivot], sign = a[pivot], a[k], -sign
+        p, row_k = a[k][k], a[k]
+        for row in a[k + 1 :]:
+            f = row[k]
+            for j in range(k + 1, n):
+                row[j] = (row[j] * p - f * row_k[j]) // prev
+        prev = p
+    return sign * a[-1][-1]
 
 
 class QMat:
-    """Immutable n x n matrix over the rationals."""
+    """Immutable n x n matrix over the rationals: the integer matrix ``num``
+    over the positive denominator ``den``, in lowest terms (the gcd of den
+    and all entries is 1), so equal matrices have equal (num, den).
 
-    __slots__ = ("rows", "n")
+    ``rows``, the entries as ``Fraction`` rows, is a view built on first
+    read and kept.
+    """
+
+    __slots__ = ("num", "den", "n", "_rows")
 
     def __init__(self, rows: Iterable[Iterable]):
-        object.__setattr__(self, "rows", _as_fraction_rows(rows))
-        object.__setattr__(self, "n", len(self.rows))
+        fracs = tuple(tuple(Q(x) for x in row) for row in rows)
+        n = len(fracs)
+        if n == 0 or any(len(row) != n for row in fracs):
+            raise ValueError("matrix must be square and nonempty")
+        # the lcm of lowest-terms denominators leaves no common factor
+        den = lcm(*(x.denominator for row in fracs for x in row))
+        num = tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in fracs)
+        for name, value in (("num", num), ("den", den), ("n", n), ("_rows", fracs)):
+            object.__setattr__(self, name, value)
+
+    @staticmethod
+    def from_ints(num: tuple, den: int) -> "QMat":
+        """The matrix num / den in lowest terms, for square integer rows num
+        (a tuple of tuples) and den != 0."""
+        g = gcd(den, *(x for row in num for x in row))
+        if den < 0:
+            g = -g
+        if g != 1:
+            num = tuple(tuple(x // g for x in row) for row in num)
+            den //= g
+        m = object.__new__(QMat)
+        for name, value in (("num", num), ("den", den), ("n", len(num)), ("_rows", None)):
+            object.__setattr__(m, name, value)
+        return m
 
     def __setattr__(self, *a):
         raise AttributeError("QMat is immutable")
 
+    @property
+    def rows(self) -> tuple[tuple[Q, ...], ...]:
+        if self._rows is None:
+            rows = tuple(tuple(Q(x, self.den) for x in row) for row in self.num)
+            object.__setattr__(self, "_rows", rows)
+        return self._rows
+
     @staticmethod
     def identity(n: int) -> "QMat":
-        return QMat([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return QMat.from_ints(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), 1)
 
     def __eq__(self, other):
-        return isinstance(other, QMat) and self.rows == other.rows
+        return isinstance(other, QMat) and self.den == other.den and self.num == other.num
 
     def __hash__(self):
-        return hash(self.rows)
+        return hash((self.num, self.den))
 
     def __repr__(self):
         body = ", ".join("[" + ", ".join(str(x) for x in row) + "]" for row in self.rows)
@@ -59,14 +113,9 @@ class QMat:
     def __mul__(self, other: "QMat") -> "QMat":
         if self.n != other.n:
             raise ValueError("dimension mismatch")
-        n = self.n
-        ot = other.rows
-        return QMat(
-            [
-                [sum(self.rows[i][k] * ot[k][j] for k in range(n)) for j in range(n)]
-                for i in range(n)
-            ]
-        )
+        cols = tuple(zip(*other.num))
+        num = tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in self.num)
+        return QMat.from_ints(num, self.den * other.den)
 
     def __pow__(self, k: int) -> "QMat":
         if k < 0:
@@ -84,64 +133,49 @@ class QMat:
         """Matrix times column vector."""
         if len(vec) != self.n:
             raise ValueError("dimension mismatch")
-        return tuple(sum(row[j] * Q(vec[j]) for j in range(self.n)) for row in self.rows)
+        vec = [Q(v) for v in vec]
+        scale = lcm(*(v.denominator for v in vec))
+        ints = [v.numerator * (scale // v.denominator) for v in vec]
+        return tuple(Q(sum(map(mul, row, ints)), self.den * scale) for row in self.num)
 
     def det(self) -> Q:
-        """Exact determinant by fraction-free Gaussian elimination."""
-        n = self.n
-        a = [list(row) for row in self.rows]
-        det = Q(1)
-        for col in range(n):
-            pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-            if pivot is None:
-                return Q(0)
-            if pivot != col:
-                a[col], a[pivot] = a[pivot], a[col]
-                det = -det
-            det *= a[col][col]
-            inv = 1 / a[col][col]
-            for r in range(col + 1, n):
-                factor = a[r][col] * inv
-                if factor:
-                    for c in range(col, n):
-                        a[r][c] -= factor * a[col][c]
-        return det
+        return Q(_bareiss(self.num), self.den**self.n)
 
     def trace(self) -> Q:
-        return sum(self.rows[i][i] for i in range(self.n))
+        return Q(sum(self.num[i][i] for i in range(self.n)), self.den)
 
     def inverse(self) -> "QMat":
+        """Fraction-free Gauss-Jordan on [num | I]: each step divides exactly
+        by the previous pivot, and the last pivot is +-det(num)."""
         n = self.n
-        a = [list(row) + [Q(1) if i == j else Q(0) for j in range(n)] for i, row in enumerate(self.rows)]
-        for col in range(n):
-            pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
+        a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(self.num)]
+        prev = 1
+        for k in range(n):
+            pivot = next((r for r in range(k, n) if a[r][k]), None)
             if pivot is None:
                 raise SingularMatrixError("matrix is singular")
-            a[col], a[pivot] = a[pivot], a[col]
-            inv = 1 / a[col][col]
-            a[col] = [x * inv for x in a[col]]
-            for r in range(n):
-                if r != col and a[r][col]:
-                    factor = a[r][col]
-                    a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
-        return QMat([row[n:] for row in a])
+            a[k], a[pivot] = a[pivot], a[k]
+            p, row_k = a[k][k], a[k]
+            for i in range(n):
+                if i != k:
+                    f = a[i][k]
+                    a[i] = [(x * p - f * y) // prev for x, y in zip(a[i], row_k)]
+            prev = p
+        # a = [prev * I | prev * num^-1], and (num / den)^-1 = den * num^-1
+        return QMat.from_ints(tuple(tuple(self.den * x for x in row[n:]) for row in a), prev)
 
     def is_scalar(self) -> bool:
-        d = self.rows[0][0]
-        return all(
-            self.rows[i][j] == (d if i == j else 0)
-            for i in range(self.n)
-            for j in range(self.n)
-        )
+        d = self.num[0][0]
+        return all(x == d * (i == j) for i, row in enumerate(self.num) for j, x in enumerate(row))
 
     def is_identity(self) -> bool:
-        return self == QMat.identity(self.n)
+        return self.den == 1 and self.is_scalar() and self.num[0][0] == 1
 
     def is_integral(self) -> bool:
-        return all(x.denominator == 1 for row in self.rows for x in row)
+        return self.den == 1
 
     def max_abs_entry(self) -> Q:
-        return max(abs(x) for row in self.rows for x in row)
+        return Q(max(abs(x) for row in self.num for x in row), self.den)
 
 
 class ZMat:
@@ -190,11 +224,10 @@ class ZMat:
         return tuple(sum(row[j] * vec[j] for j in range(self.n)) for row in self.rows)
 
     def to_qmat(self) -> QMat:
-        return QMat(self.rows)
+        return QMat.from_ints(self.rows, 1)
 
     def det(self) -> int:
-        d = self.to_qmat().det()
-        return int(d)
+        return _bareiss(self.rows)
 
 
 def sublattice_index(m: ZMat) -> int:

@@ -72,7 +72,7 @@ def slopes_equal(s, t) -> bool:
 
 def apply_slope(m: QMat, s):
     """Image of a slope under the projective action of m (columns act)."""
-    (a, b), (c, d) = m.rows
+    (a, b), (c, d) = m.num  # the common denominator cancels
     if s is INF:
         num, den = d, b
     else:
@@ -85,7 +85,7 @@ def apply_slope(m: QMat, s):
         return out.a if out.is_rational() else out
     if den == 0:
         return INF
-    return num / den
+    return Q(num, den)
 
 
 def circle_key(s):
@@ -321,12 +321,11 @@ def _preserves_eigenpair(m: QMat, mats: Sequence[QMat]) -> bool:
     nonzero (b, c, a - d), and g m = (tr(m) I - m) g iff tr g = 0 and
     tr(g m) = p (a - d) + q c + r b = 0.
     """
-    t = m.trace()
-    if t * t == 4 * m.det():
+    (a, b), (c, d) = m.num  # every test is homogeneous in m and in g
+    if (a - d) ** 2 + 4 * b * c == 0:
         return False
-    (a, b), (c, d) = m.rows
     for g in mats:
-        (p, q), (r, s) = g.rows
+        (p, q), (r, s) = g.num
         commutes = b * r == c * q and b * (p - s) == q * (a - d) and c * (p - s) == r * (a - d)
         swaps = p + s == 0 and p * (a - d) + q * c + r * b == 0
         if not (commutes or swaps):
@@ -384,17 +383,12 @@ def virtually_solvable(
 
 
 def _scaled(m: QMat, denom: int) -> tuple:
-    """Represent m as (entries..., e) with m = entries / denom^e, e minimal."""
-    e = 0
-    entries = [x for row in m.rows for x in row]
-    while any(x.denominator != 1 for x in entries):
-        entries = [x * denom for x in entries]
-        e += 1
-    ints = [int(x) for x in entries]
-    while e > 0 and all(x % denom == 0 for x in ints):
-        ints = [x // denom for x in ints]
-        e -= 1
-    return (*ints, e)
+    """Represent m as (entries..., e) with m = entries / denom^e, e minimal:
+    the least e with m.den dividing denom^e, since m is in lowest terms."""
+    e, scale = 0, 1
+    while scale % m.den:
+        e, scale = e + 1, scale * denom
+    return (*(x * (scale // m.den) for row in m.num for x in row), e)
 
 
 def _scaled_mul(a: tuple, b: tuple, n: int, denom: int) -> tuple:
@@ -443,9 +437,7 @@ class WordBall:
     def __init__(self, named: dict):
         mats = list(named.values())
         self.n = mats[0].n
-        self.denom = lcm(
-            1, *(x.denominator for m in mats for mm in (m, m.inverse()) for row in mm.rows for x in row)
-        )
+        self.denom = lcm(*(mm.den for m in mats for mm in (m, m.inverse())))
         self.steps = [
             ((name, sign), _scaled(m if sign == 1 else m.inverse(), self.denom))
             for name, m in named.items()
@@ -492,8 +484,9 @@ class WordBall:
         return Word(reversed(letters))
 
     def matrix(self, state: tuple) -> QMat:
-        n, scale = self.n, self.denom ** state[-1]
-        return QMat([[Q(state[i * n + j], scale) for j in range(n)] for i in range(n)])
+        n = self.n
+        num = tuple(state[i : i + n] for i in range(0, n * n, n))
+        return QMat.from_ints(num, self.denom ** state[-1])
 
     def relation(self) -> Optional[Word]:
         """A nontrivial freely reduced word with image I, of length at most

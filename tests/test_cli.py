@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import subprocess
@@ -6,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from gbsn.cli import run
+from gbsn.cli import build_parser, run
 
 from conftest import DATA
 
@@ -238,6 +239,41 @@ class TestExitCodes:
         code, out, err = invoke(capsys, *argv)
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_one_parser_serves_every_call(self, capsys):
+        calls = [
+            ["compression", SPEC_B],  # no --p: a usage error
+            ["compression", SPEC_B, "--p", "2"],
+            ["compression", SPEC_B, "--p", "3"],
+        ]
+        alone = []
+        for argv in calls:
+            build_parser.cache_clear()
+            alone.append(invoke(capsys, *argv))
+        build_parser.cache_clear()
+        together = [invoke(capsys, *argv) for argv in calls]
+        assert build_parser() is build_parser()
+        assert [code for code, _, _ in together] == [1, 0, 2]
+        assert together == alone
+
+    def test_compression_checks_rank_before_the_holonomy(self, capsys, monkeypatch, tmp_path):
+        def no_holonomy(spec):
+            raise AssertionError("holonomy computed for a rank-1 compression")
+
+        # the package rebinds gbsn.classify to the function of that name
+        module = importlib.import_module("gbsn.classify")
+        monkeypatch.setattr(module, "compute_holonomy", no_holonomy)
+        monkeypatch.chdir(DATA.parent)
+        argv = ["compression", "data/bs12.gog", "--p", "3/2", "--format", "json"]
+        got = invoke(capsys, *argv)[:2]
+        assert got == (2, (GOLDEN / "compression_3-2_bs12.json").read_text())
+        monkeypatch.undo()
+        bad = tmp_path / "bad.gog"
+        for rank, alpha, omega in ((1, "[[0]]", "[[1]]"), (2, "[[1,0],[0,0]]", "[[1,0],[0,1]]")):
+            bad.write_text(f"rank {rank}\nvertex X\nedge t: X -> X alpha {alpha} omega {omega}\n")
+            code, out, err = invoke(capsys, "compression", str(bad), "--p", "3/2")
+            assert (code, out) == (1, "")
+            assert err == "error: edge t: edge inclusion not injective (alpha)\n"
 
     def test_decided_undetermined_error_trichotomy(self, capsys, tmp_path):
         assert invoke(capsys, "classify", SPEC_A)[0] == 0

@@ -4,6 +4,8 @@ from fractions import Fraction as Q
 
 import pytest
 import sympy
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gbsn.linalg import (
     ProjPoint,
@@ -290,3 +292,132 @@ def test_spectral_radius():
     assert not spectral_radius_gt_one(P)
     assert not spectral_radius_gt_one(E)
     assert spectral_radius_gt_one(QMat([[1, 1], [1, 2]]))
+
+
+# --------------------------------------------------------------------------
+# the integer kernel against plain Fraction arithmetic
+
+
+def ref_mul(a, b):
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in cols) for row in a)
+
+
+def ref_identity(n):
+    return tuple(tuple(Q(int(i == j)) for j in range(n)) for i in range(n))
+
+
+def ref_det(a):
+    """Gaussian elimination over Fraction."""
+    a, n, det = [list(row) for row in a], len(a), Q(1)
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if pivot is None:
+            return Q(0)
+        if pivot != col:
+            a[col], a[pivot], det = a[pivot], a[col], -det
+        det *= a[col][col]
+        for r in range(col + 1, n):
+            f = a[r][col] / a[col][col]
+            a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    return det
+
+
+def ref_inverse(a):
+    """Gauss-Jordan over Fraction, or None for a singular matrix."""
+    n = len(a)
+    aug = [list(row) + list(e) for row, e in zip(a, ref_identity(n))]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        if pivot is None:
+            return None
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        aug[col] = [x / aug[col][col] for x in aug[col]]
+        for r in range(n):
+            if r != col:
+                f = aug[r][col]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
+    return tuple(tuple(row[n:]) for row in aug)
+
+
+def ref_pow(a, k):
+    if k < 0:
+        a, k = ref_inverse(a), -k
+    out = ref_identity(len(a))
+    for _ in range(k):
+        out = ref_mul(out, a)
+    return out
+
+
+def assert_canonical(m: QMat):
+    assert m.den > 0 and math.gcd(m.den, *(x for row in m.num for x in row)) == 1
+    assert m.rows == tuple(tuple(Q(x, m.den) for x in row) for row in m.num)
+
+
+BIG = [0, 1, -1, 2, -3, 7, 10**14 - 1, -(10**14) - 3, 2**64 + 13, -(2**65) + 1]
+integers = st.one_of(st.integers(-6, 6), st.sampled_from(BIG), st.integers(-(2**70), 2**70))
+denominators = st.one_of(st.integers(1, 6), st.sampled_from([10**14 + 7, 2**64 + 1]))
+rationals = st.builds(Q, integers, denominators)
+
+
+@st.composite
+def square_pairs(draw, entries=rationals):
+    """((a, b), vec): two n x n matrices as rows and an n-vector, n = 1..3."""
+    n = draw(st.integers(1, 3))
+    vector = st.lists(entries, min_size=n, max_size=n)
+    square = st.lists(vector, min_size=n, max_size=n)
+    return [tuple(map(tuple, draw(square))) for _ in range(2)], draw(vector)
+
+
+KERNEL = settings(derandomize=True, deadline=None, max_examples=100)
+
+
+def _case(a, b, vec):
+    return tuple(tuple(tuple(map(Q, row)) for row in m) for m in (a, b)), tuple(map(Q, vec))
+
+
+@KERNEL
+@given(square_pairs())
+# zero pivots: a row swap at the first step, and one at the second
+@example(_case([[0, 1], [1, 0]], [[0, 2], [3, 0]], [1, 2]))
+@example(_case([[1, 2, 3], [2, 4, 5], [0, 1, 1]], [[0, 0, 1], [1, 0, 0], [0, 1, 0]], [1, 0, 2]))
+def test_kernel_matches_fraction_reference(case):
+    (ra, rb), vec = case
+    a, b = QMat(ra), QMat(rb)
+    inv = ref_inverse(ra)
+    results = [a * b, a**0, a**1, a**2, a**3]
+    assert [m.rows for m in results] == [ref_mul(ra, rb)] + [ref_pow(ra, k) for k in range(4)]
+    assert a.det() == ref_det(ra) and a.trace() == sum(ra[i][i] for i in range(len(ra)))
+    assert a.apply(vec) == tuple(sum(x * v for x, v in zip(row, vec)) for row in ra)
+    if inv is None:
+        for op in (a.inverse, lambda: a**-1):
+            with pytest.raises(SingularMatrixError):
+                op()
+    else:
+        results += [a.inverse(), a**-1, a**-2, a**-3]
+        assert [m.rows for m in results[5:]] == [inv] + [ref_pow(ra, -k) for k in (1, 2, 3)]
+        assert a * a.inverse() == QMat.identity(a.n)
+        assert hash(a * a.inverse()) == hash(QMat.identity(a.n))
+    for m in results:
+        assert_canonical(m)
+
+
+@KERNEL
+@given(square_pairs(integers))
+def test_zmat_det_matches_fraction_reference(case):
+    (ra, _), _ = case
+    assert ZMat(ra).det() == ref_det(tuple(tuple(map(Q, row)) for row in ra))
+
+
+def test_equal_matrices_by_different_routes_are_equal():
+    routes = [
+        QMat([[Q(2, 4), 3], [0, -1]]),
+        QMat([[Q(1, 2), 3], [0, -1]]),
+        QMat([["1/2", "3"], ["0", "-1"]]),
+        QMat([[1, 6], [0, -2]]) * QMat([[Q(1, 2), 0], [0, Q(1, 2)]]),
+        QMat([[2, 12], [0, -4]]).inverse().inverse() * QMat([[Q(1, 4), 0], [0, Q(1, 4)]]),
+    ]
+    for m in routes:
+        assert m == routes[0] and hash(m) == hash(routes[0])
+        assert (m.num, m.den) == (((1, 6), (0, -2)), 2)
+        assert_canonical(m)

@@ -148,9 +148,9 @@ def whyte_classify(spec: GoGSpec) -> ClassificationReport:
 def cv_properties(spec: GoGSpec) -> AnalyticProperties:
     """Haagerup property, weak amenability and the Cowling-Haagerup constant.
 
-    All three are decided together by virtual solvability of the holonomy
-    image (equivalently, amenability of its closure in GL_n(R)); the
-    attached certificate re-verifies exactly before it is reported.
+    Decided together by virtual solvability of the holonomy image, which in
+    rank 2 only is amenability of its closure (SO(3) is compact and has dense
+    free subgroups); the certificate re-verifies exactly before it is reported.
     """
     return _cv(Analysis(spec))
 

@@ -18,8 +18,7 @@ from fractions import Fraction
 
 from . import britton, gog, gogfile, holonomy
 from .classify import classify, compression_report, qi_compare
-from .linalg import ProjPoint, QMat, QuadraticNumber, ZMat
-from .matgroups import INF, ProjInterval
+from .linalg import INF, ProjInterval, ProjPoint, QMat, QuadraticNumber, ZMat
 from .words import Word, parse_word
 
 

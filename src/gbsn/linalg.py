@@ -12,13 +12,19 @@ comparing squares.
 
 Matrices act on column vectors; the columns of an integer matrix generate the
 sublattice it defines.
+
+The projective line over Q is also a circle of integer directions: the slope
+y/x or INF is (x, y) with y > 0, or y = 0 < x, circle order is the sign of a
+cross product, and a matrix acts through its integer numerator. The
+ping-pong of ``matgroups`` works on its arcs (``ProjInterval``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from functools import cached_property
+from math import gcd, isqrt, lcm
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -331,14 +337,22 @@ def _sgn(x) -> int:
     return (x > 0) - (x < 0)
 
 
-def _root_sign(a: Q, b: Q, d: int) -> int:
-    """Sign of a + b*sqrt(d) for d >= 0, which need not be squarefree."""
-    if b == 0:
-        return _sgn(a)
-    if a == 0 or (a > 0) == (b > 0):
-        return _sgn(b)
-    # opposite signs: compare a^2 with b^2 d
-    return _sgn(a) * _sgn(a * a - b * b * d)
+def _root_sign(a, b, d: int, c=0, e: int = 0) -> int:
+    """Sign of a + b*sqrt(d) + c*sqrt(e) for rational or integer a, b, c and
+    d, e >= 0, which need not be squarefree or distinct."""
+    if c == 0 or e == 0:
+        if b == 0 or d == 0:
+            return _sgn(a)
+        if a == 0 or (a > 0) == (b > 0):
+            return _sgn(b)
+        # opposite signs: compare a^2 with b^2 d
+        return _sgn(a) * _sgn(a * a - b * b * d)
+    # u = b sqrt(d) + c sqrt(e); for opposite signs of a and u compare
+    # a^2 with u^2 = b^2 d + c^2 e + 2bc sqrt(de)
+    u = _sgn(c) if (b > 0) == (c > 0) else _sgn(c) * _sgn(c * c * e - b * b * d)
+    if u == 0 or a == 0 or (a > 0) == (u > 0):
+        return u or _sgn(a)
+    return _sgn(a) * _root_sign(a * a - b * b * d - c * c * e, -2 * b * c, d * e)
 
 
 @dataclass(frozen=True)
@@ -447,22 +461,9 @@ class QuadraticNumber:
         Only the order crosses fields; arithmetic across them still raises.
         """
         other = QuadraticNumber.of(other)
-        if self.b == 0 or other.b == 0 or self.d == other.d:
-            # one field: the radicand is already squarefree, so no make()
-            b, d = self.b - other.b, self.d or other.d
-            if b and d < 0:
-                raise ValueError("sign undefined for complex quadratic numbers")
-            return _root_sign(self.a - other.a, b, d)
-        if self.d < 0 or other.d < 0:
+        if min(self.d, other.d) < 0 and (self.b, self.d) != (other.b, other.d):
             raise ValueError("sign undefined for complex quadratic numbers")
-        # x + u with u = y sqrt(d1) + z sqrt(d2); distinct squarefree radicands
-        # make u and x + u irrational, so neither sign is 0
-        x, y, z, d1, d2 = self.a - other.a, self.b, -other.b, self.d, other.d
-        u = _sgn(y) if (y > 0) == (z > 0) else _sgn(y) * _sgn(y * y * d1 - z * z * d2)
-        if x == 0 or (x > 0) == (u > 0):
-            return u if x == 0 else _sgn(x)
-        # opposite signs: the larger square wins; x^2 - u^2 lies in Q(sqrt(d1 d2))
-        return _sgn(x) * _root_sign(x * x - y * y * d1 - z * z * d2, -2 * y * z, d1 * d2)
+        return _root_sign(self.a - other.a, self.b, self.d, -other.b, other.d)
 
     def __lt__(self, other):
         return self._compare(other) < 0
@@ -584,3 +585,189 @@ def spectral_radius_gt_one(m: QMat) -> bool:
         return abs(d) > 1
     one = QuadraticNumber.of(1)
     return any(abs(lam) > one for lam in eigen_directions(m).eigenvalues)
+
+
+# --------------------------------------------------------------------------
+# the projective line as a circle of integer directions
+
+
+class _Infinity:
+    """The slope of the vertical direction (0 : 1)."""
+
+    _instance = None
+
+    def __new__(cls):
+        if cls._instance is None:
+            cls._instance = super().__new__(cls)
+        return cls._instance
+
+    def __repr__(self):
+        return "inf"
+
+
+INF = _Infinity()
+
+
+def direction(s) -> tuple:
+    """The integer direction of a slope (a Fraction, an int or INF): (x, y)
+    for the slope y/x, normalised to y > 0, or y = 0 < x. A direction, (x, y)
+    or (x, y, q, d) for (x, y + q sqrt(d)), is returned as it is."""
+    if isinstance(s, tuple):
+        return s
+    if s is INF:
+        return (0, 1)
+    n, m = s.numerator, s.denominator
+    return (m, n) if n >= 0 else (-m, -n)
+
+
+def _slope(p: tuple):
+    """The slope of a rational direction: a Fraction, or INF."""
+    return INF if p[0] == 0 else Q(p[1], p[0])
+
+
+def _normal(x: int, y: int, q: int = 0, d: int = 0) -> tuple:
+    """The direction (x, y + q sqrt(d)), for d not a square, turned to
+    y + q sqrt(d) > 0, or to y = 0 < x."""
+    if q == 0:
+        return (x, y) if y > 0 or (y == 0 and x > 0) else (-x, -y)
+    return (x, y, q, d) if _root_sign(y, q, d) > 0 else (-x, -y, -q, d)
+
+
+def _cross(p: tuple, r: tuple) -> int:
+    """Sign of the cross product p x r of two directions: 1 when p comes
+    before r in circle order, 0 when they are the same point."""
+    if len(p) == 2 == len(r):
+        return _sgn(p[0] * r[1] - p[1] * r[0])
+    x1, y1, q1, d1 = p if len(p) == 4 else (*p, 0, 0)
+    x2, y2, q2, d2 = r if len(r) == 4 else (*r, 0, 0)
+    return _root_sign(x1 * y2 - y1 * x2, x1 * q2, d2, -x2 * q1, d1)
+
+
+def slopes_equal(s, t) -> bool:
+    """Are two slopes or directions the same point? Exact across radicands:
+    y1 + q1 sqrt(d1) and y2 + q2 sqrt(d2) agree in rational parts and roots."""
+    return _cross(direction(s), direction(t)) == 0
+
+
+def circle_key(s) -> tuple:
+    """Order-preserving chart of the projective circle onto [0, 2): (x, y) has
+    the key 1 - x / (|x| + y), so slopes s >= 0 go to s / (1 + s), INF to 1 and
+    negative slopes to (1, 2). A key (p, q, r, d) is (p + q sqrt(d)) / r with
+    r > 0 and d not a square; q = d = 0 for a rational direction."""
+    p = direction(s)
+    x, y, q, d = p if len(p) == 4 else (*p, 0, 0)
+    e = abs(x) + y
+    n = e * e - q * q * d  # (e + q sqrt(d)) (e - q sqrt(d)), not 0
+    return (n - x * e, x * q, n, d) if n > 0 else (x * e - n, -x * q, -n, d)
+
+
+def slope_from_key(k: tuple):
+    """The slope at a rational key, taken mod 2 (inverse of circle_key)."""
+    n, r = k[0] % (2 * k[2]), k[2]
+    return _slope((r - n, n) if n <= r else (r - n, 2 * r - n))
+
+
+def _key_add(k: tuple, n: int, r: int) -> tuple:
+    """The key k + n/r."""
+    p, q, s, d = k
+    return (p * r + n * s, q * r, s * r, d)
+
+
+def _key_sum_sign(ka: tuple, kb: tuple, n: int, r: int) -> int:
+    """Sign of ka + kb - n/r, exact across two radicands."""
+    pa, qa, ra, da = ka
+    pb, qb, rb, db = kb
+    return _root_sign((pa * rb + pb * ra) * r - n * ra * rb, qa * rb * r, da, qb * ra * r, db)
+
+
+def _key_cmp(ka: tuple, kb: tuple) -> int:
+    """Sign of ka - kb."""
+    return _key_sum_sign(ka, (-kb[0], -kb[1], kb[2], kb[3]), 0, 1)
+
+
+def _key_floor(k: tuple, n: int) -> int:
+    """floor(k * n) for n > 0; q n sqrt(d) is 0 or irrational, so its floor will do."""
+    p, q, r, d = k
+    t = q * n
+    root = isqrt(t * t * d)
+    return (p * n + (root if t >= 0 else -root - 1)) // r
+
+
+def rational_key_between(ka: tuple, kb: tuple) -> tuple:
+    """A rational key strictly between the keys ka < kb: for denom = 4, 64,
+    1024, ... the multiple of 1/denom nearest their midpoint (ties to even),
+    else the least multiple above ka, if it lies strictly between them."""
+    if _key_cmp(ka, kb) >= 0:
+        raise ValueError("empty key gap")
+    denom = 4
+    while True:
+        # (ka + kb) denom is in [f, f + 2) for the sum f of the floors
+        j = (_key_floor(ka, denom) + _key_floor(kb, denom)) // 2
+        while (s := _key_sum_sign(ka, kb, 2 * j + 1, denom)) > 0 or (s == 0 and j % 2):
+            j += 1
+        for cand in ((j, 0, denom, 0), (_key_floor(ka, denom) + 1, 0, denom, 0)):
+            if _key_cmp(ka, cand) < 0 and _key_cmp(cand, kb) < 0:
+                return cand
+        denom *= 16
+
+
+def _arc_in(outer: tuple, inner: tuple) -> bool:
+    """Does the arc ``outer`` contain the arc ``inner`` (rational ends)? From
+    outer's lo come inner's lo, inner's hi and outer's hi, in order: p is no
+    later than r if only r wraps past outer's lo, or if both or neither do
+    and p x r >= 0."""
+    (lx, ly), (hx, hy) = outer
+    (ax, ay), (bx, by) = inner
+    wa, wb, wh = lx * ay < ly * ax, lx * by < ly * bx, lx * hy < ly * hx
+    return (ax * by >= ay * bx if wa == wb else wb) and (bx * hy >= by * hx if wb == wh else wh)
+
+
+def _arc_image(arc: tuple, m: tuple) -> tuple:
+    """Image of an arc with rational ends under the integer 2x2 matrix m;
+    a negative determinant reverses the orientation."""
+    (a, b), (c, d) = m
+    (x1, y1), (x2, y2) = arc
+    p = _normal(a * x1 + b * y1, c * x1 + d * y1)
+    r = _normal(a * x2 + b * y2, c * x2 + d * y2)
+    return (p, r) if a * d > b * c else (r, p)
+
+
+def _adjugate(m: tuple) -> tuple:
+    """adj(m) = det(m) m^-1 acts on directions as m^-1, with its orientation."""
+    (a, b), (c, d) = m
+    return ((d, -b), (-c, a))
+
+
+@dataclass(frozen=True)
+class ProjInterval:
+    """Closed arc [lo, hi] of the projective circle, counterclockwise.
+
+    Counterclockwise means increasing circle_key with wraparound:
+    0 -> 1 -> INF -> -1 -> 0. Endpoints are rational slopes or INF, as
+    printed; containment is decided on their integer directions ``ends``.
+    """
+
+    lo: object
+    hi: object
+
+    @cached_property
+    def ends(self) -> tuple:
+        return direction(self.lo), direction(self.hi)
+
+    def contains_slope(self, s) -> bool:
+        (lo, hi), p = self.ends, direction(s)
+        if _cross(lo, hi) >= 0:
+            return _cross(lo, p) >= 0 and _cross(p, hi) >= 0
+        return _cross(lo, p) >= 0 or _cross(p, hi) >= 0
+
+    def contains_interval(self, other: "ProjInterval") -> bool:
+        return _arc_in(self.ends, other.ends)
+
+    def disjoint_from(self, other: "ProjInterval") -> bool:
+        return not any(a.contains_slope(p) for a, b in ((self, other), (other, self)) for p in b.ends)
+
+    def image(self, m: QMat) -> "ProjInterval":
+        return ProjInterval(*map(_slope, _arc_image(self.ends, m.num)))
+
+    def __str__(self):
+        return f"[{self.lo}, {self.hi}]"

@@ -15,11 +15,10 @@ is read off the integer entries of a word-ball state, with its fixed slopes
 in closed form. ``eigen_directions`` runs once for the pivot of the
 invariant-line scan and once for an invariant-pair certificate it returns.
 
-All interval computations use exact rational endpoints. Floating point
-appears in two places: ``rational_key_between`` takes a float midpoint as a
-first guess and a float as the start of its scan, but keeps a separator
-only after exact comparisons; and ``cartan_hausdorff_samples`` computes
-Cartan values in floats for the diagnostics of an undetermined comparison.
+The ping-pong is integer work on the circle of directions of ``linalg``,
+and irrational fixed slopes keep their raw discriminants. Floating point
+appears only in ``cartan_hausdorff_samples``, for the diagnostics of an
+undetermined comparison.
 """
 
 from __future__ import annotations
@@ -33,174 +32,13 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterator, Optional, Sequence
 
-from .linalg import ProjPoint, QMat, QuadraticNumber, eigen_directions, squarefree_decompose
+from .linalg import (
+    ProjInterval, ProjPoint, QMat, _adjugate, _arc_image, _arc_in, _key_add, _key_cmp, _normal,
+    _slope, circle_key, eigen_directions, rational_key_between, slope_from_key, slopes_equal,
+)
 from .words import Word
 
 Q = Fraction
-
-
-class _Infinity:
-    """The slope of the vertical direction (0 : 1)."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "inf"
-
-
-INF = _Infinity()
-
-
-def slopes_equal(s, t) -> bool:
-    if s is INF or t is INF:
-        return s is t
-    s_quad = isinstance(s, QuadraticNumber) and not s.is_rational()
-    t_quad = isinstance(t, QuadraticNumber) and not t.is_rational()
-    if s_quad != t_quad:
-        return False
-    if s_quad:
-        return s.d == t.d and s.a == t.a and s.b == t.b
-    sv = s.a if isinstance(s, QuadraticNumber) else Q(s)
-    tv = t.a if isinstance(t, QuadraticNumber) else Q(t)
-    return sv == tv
-
-
-def apply_slope(m: QMat, s):
-    """Image of a slope under the projective action of m (columns act)."""
-    (a, b), (c, d) = m.num  # the common denominator cancels
-    if s is INF:
-        num, den = d, b
-    else:
-        num, den = c + d * s, a + b * s
-    if isinstance(num, QuadraticNumber) or isinstance(den, QuadraticNumber):
-        num, den = QuadraticNumber.of(num), QuadraticNumber.of(den)
-        if den.is_zero():
-            return INF
-        out = num / den
-        return out.a if out.is_rational() else out
-    if den == 0:
-        return INF
-    return Q(num, den)
-
-
-def circle_key(s):
-    """Order-preserving chart of the projective circle into [0, 2).
-
-    Nonnegative slopes map to [0, 1), INF to 1, negative slopes to (1, 2);
-    rational slopes get rational keys and quadratic slopes quadratic keys,
-    so all order comparisons stay exact.
-    """
-    if s is INF:
-        return Q(1)
-    if isinstance(s, QuadraticNumber):
-        if s.is_rational():
-            s = s.a
-        elif s.sign() >= 0:
-            return s / (1 + s)
-        else:
-            return QuadraticNumber.of(1) + 1 / (1 - s)
-    s = Q(s)
-    if s >= 0:
-        return s / (1 + s)
-    return 1 + Q(1) / (1 - s)
-
-
-def slope_from_key(k: Q):
-    """Inverse of circle_key on rational keys."""
-    k = Q(k)
-    if k == 1:
-        return INF
-    if 0 <= k < 1:
-        return k / (1 - k)
-    return 1 - 1 / (k - 1)
-
-
-def _key_lt(a, b) -> bool:
-    if isinstance(a, QuadraticNumber) or isinstance(b, QuadraticNumber):
-        return QuadraticNumber.of(a) < QuadraticNumber.of(b)
-    return a < b
-
-
-def _key_le(a, b) -> bool:
-    if isinstance(a, QuadraticNumber) or isinstance(b, QuadraticNumber):
-        return QuadraticNumber.of(a) <= QuadraticNumber.of(b)
-    return a <= b
-
-
-def _float_key(k) -> float:
-    if isinstance(k, QuadraticNumber):
-        if k.d < 0:
-            raise ValueError("complex key")
-        return float(k.a) + float(k.b) * math.sqrt(float(k.d))
-    return float(k)
-
-
-def rational_key_between(ka, kb) -> Q:
-    """Exact rational strictly between two distinct key values."""
-    if not _key_lt(ka, kb):
-        raise ValueError("empty key gap")
-    denom = 4
-    while True:
-        approx = (_float_key(ka) + _float_key(kb)) / 2
-        cand = Q(round(approx * denom), denom)
-        if _key_lt(ka, cand) and _key_lt(cand, kb):
-            return cand
-        # the multiples of 1/denom strictly between the keys form one run:
-        # scan up from just below ka to the first at or past kb, then refine
-        j = math.floor(_float_key(ka) * denom) - 2
-        while _key_lt(cand := Q(j, denom), kb):
-            if _key_lt(ka, cand):
-                return cand
-            j += 1
-        denom *= 16
-
-
-@dataclass(frozen=True)
-class ProjInterval:
-    """Closed arc [lo, hi] of the projective circle, counterclockwise.
-
-    Counterclockwise means increasing circle_key with wraparound:
-    0 -> 1 -> INF -> -1 -> 0. Endpoints are rational slopes or INF.
-    """
-
-    lo: object
-    hi: object
-
-    def contains_slope(self, s) -> bool:
-        ka, kx, kb = circle_key(self.lo), circle_key(s), circle_key(self.hi)
-        if _key_le(ka, kb):
-            return _key_le(ka, kx) and _key_le(kx, kb)
-        return _key_le(ka, kx) or _key_le(kx, kb)
-
-    def contains_interval(self, other: "ProjInterval") -> bool:
-        base = circle_key(self.lo)
-
-        def offset(s):
-            k = circle_key(s) - base
-            return k + 2 if _key_lt(k, 0) else k
-
-        oa, ob, od = offset(other.lo), offset(other.hi), offset(self.hi)
-        return _key_le(oa, ob) and _key_le(ob, od)
-
-    def disjoint_from(self, other: "ProjInterval") -> bool:
-        return not (
-            self.contains_slope(other.lo)
-            or self.contains_slope(other.hi)
-            or other.contains_slope(self.lo)
-            or other.contains_slope(self.hi)
-        )
-
-    def image(self, m: QMat) -> "ProjInterval":
-        a, b = apply_slope(m, self.lo), apply_slope(m, self.hi)
-        return ProjInterval(a, b) if m.det() > 0 else ProjInterval(b, a)
-
-    def __str__(self):
-        return f"[{self.lo}, {self.hi}]"
 
 
 # --------------------------------------------------------------------------
@@ -518,7 +356,7 @@ class _Player:
     word: Word
     mat: QMat
     kind: str  # 'hyperbolic' | 'parabolic'
-    fixed: tuple  # slopes; hyperbolic: (attracting, repelling), parabolic: (f,)
+    fixed: tuple  # directions; hyperbolic: (attracting, repelling), parabolic: (f,)
 
 
 def _is_player(a, b, c, d) -> bool:
@@ -530,36 +368,32 @@ def _is_player(a, b, c, d) -> bool:
 
 
 def _player_slopes(a: int, b: int, c: int, d: int) -> Optional[tuple]:
-    """Kind and fixed slopes of the integer matrix [[a, b], [c, d]] as a
+    """Kind and fixed points of the integer matrix [[a, b], [c, d]] as a
     ping-pong player, or None when it is scalar, elliptic or has eigenvalues
     of equal modulus; a positive rescaling changes nothing.
 
     With disc = (a - d)^2 + 4bc and t = a + d the eigenvalues are
     (t +- sqrt(disc)) / 2, and the '+' one has the larger modulus exactly
-    when t > 0 (their squares differ by t sqrt(disc)). Slopes are Fractions,
-    INF, or QuadraticNumbers over the squarefree part of disc, equal to
-    those of ``eigen_directions``.
-    """
+    when t > 0 (their squares differ by t sqrt(disc)). The fixed points are
+    directions: (x, y) for a rational slope (a square disc is found by
+    ``math.isqrt``), else +-(2b, d - a, +-1, disc) with disc unfactored."""
     if not _is_player(a, b, c, d):
         return None
     disc = (a - d) * (a - d) + 4 * b * c
-    t = a + d
     if b == 0:  # eigenvalue a on the slope c/(a - d), eigenvalue d on INF
         if disc == 0:
-            return "parabolic", (INF,)
-        line_a = Q(c, a - d)
-        plus, minus = (line_a, INF) if a > d else (INF, line_a)
-    else:  # slopes (d - a +- sqrt(disc)) / 2b
-        if disc == 0:
-            return "parabolic", (Q(d - a, 2 * b),)
+            return "parabolic", ((0, 1),)
+        line_a = _normal(a - d, c)
+        plus, minus = (line_a, (0, 1)) if a > d else ((0, 1), line_a)
+    elif disc == 0:
+        return "parabolic", (_normal(2 * b, d - a),)
+    else:
         root = math.isqrt(disc)
         if root * root == disc:
-            plus, minus = Q(d - a + root, 2 * b), Q(d - a - root, 2 * b)
+            plus, minus = _normal(2 * b, d - a + root), _normal(2 * b, d - a - root)
         else:
-            s, rad = squarefree_decompose(disc)
-            mid, half = Q(d - a, 2 * b), Q(s, 2 * b)
-            plus, minus = QuadraticNumber(mid, half, rad), QuadraticNumber(mid, -half, rad)
-    return "hyperbolic", ((plus, minus) if t > 0 else (minus, plus))
+            plus, minus = _normal(2 * b, d - a, 1, disc), _normal(2 * b, d - a, -1, disc)
+    return "hyperbolic", ((plus, minus) if a + d > 0 else (minus, plus))
 
 
 def _fixed_slopes_disjoint(a: _Player, b: _Player) -> bool:
@@ -567,60 +401,58 @@ def _fixed_slopes_disjoint(a: _Player, b: _Player) -> bool:
 
 
 def _sorted_fixed_points(x: _Player, y: _Player) -> Optional[list]:
-    """Fixed points of both players in circle order, or None when the blocks
-    interleave (no pair of disjoint arcs can then contain them)."""
+    """Fixed points of both players as (key, owner) in circle order, or None
+    when the blocks interleave (then no two disjoint arcs contain them)."""
     # keys never tie: the players' fixed slopes are disjoint
     pts = sorted(
         ((circle_key(s), owner) for owner, pl in enumerate((x, y)) for s in pl.fixed),
-        key=functools.cmp_to_key(lambda a, b: -1 if _key_lt(a[0], b[0]) else 1),
+        key=functools.cmp_to_key(lambda a, b: _key_cmp(a[0], b[0])),
     )
-    owners = [rec[1] for rec in pts]
-    changes = sum(1 for i in range(len(owners)) if owners[i] != owners[i - 1])
+    changes = sum(pts[i][1] != pts[i - 1][1] for i in range(len(pts)))
     return pts if changes <= 2 else None
 
 
-def _unwrapped_key(pts: list, index: int):
-    m = len(pts)
-    return pts[index % m][0] + (2 if index >= m else 0)
-
-
 def _block_cuts(pts: list) -> Optional[tuple]:
-    """The two rational separator keys between the owner blocks, unwrapped."""
-    m = len(pts)
-    cuts = []
-    for i in range(m):
-        if pts[i][1] == pts[(i + 1) % m][1]:
-            continue
-        cuts.append((i, rational_key_between(pts[i][0], _unwrapped_key(pts, i + 1))))
+    """(i, separator, next key) at the two owner changes after pts[i]: the
+    separator lies between pts[i] and the next key, unwrapped by 2 past the end."""
+    following = [k for k, _ in pts[1:]] + [_key_add(pts[0][0], 2, 1)]
+    cuts = [
+        (i, rational_key_between(pts[i][0], nxt), nxt)
+        for i, nxt in enumerate(following)
+        if pts[i][1] != pts[(i + 1) % len(pts)][1]
+    ]
     return tuple(cuts) if len(cuts) == 2 else None
 
 
-def _isolate(domain: ProjInterval, target, avoid: list) -> Optional[ProjInterval]:
+def _isolate(domain: ProjInterval, target: tuple, avoid: tuple) -> Optional[ProjInterval]:
     """Rational-endpoint sub-interval of ``domain`` whose interior contains
-    ``target`` and which excludes every slope in ``avoid``."""
+    the direction ``target`` and which excludes the direction ``avoid``.
+    Offsets are keys counted from the key of domain.lo."""
     if not domain.contains_slope(target):
         return None
-    base = circle_key(domain.lo)
+    base_n, _, base_r, _ = circle_key(domain.lo)
 
     def offset(s):
-        k = circle_key(s) - base
-        return k + 2 if _key_lt(k, 0) else k
+        k = _key_add(circle_key(s), -base_n, base_r)
+        return k if _key_cmp(k, (0, 0, 1, 0)) >= 0 else _key_add(k, 2, 1)
 
     of = offset(target)
-    lo_off, hi_off = Q(0), offset(domain.hi)
-    for s in avoid:
-        if not domain.contains_slope(s):
-            continue
-        oa = offset(s)
-        if _key_lt(oa, of) and _key_lt(lo_off, oa):
-            lo_off = oa
-        if _key_lt(of, oa) and _key_lt(oa, hi_off):
-            hi_off = oa
-    if not (_key_lt(lo_off, of) and _key_lt(of, hi_off)):
+    lo_off, hi_off = (0, 0, 1, 0), offset(domain.hi)
+    if domain.contains_slope(avoid):  # then 0 <= offset(avoid) <= hi_off
+        oa = offset(avoid)
+        lo_off, hi_off = (oa, hi_off) if _key_cmp(oa, of) < 0 else (lo_off, oa)
+    if not (_key_cmp(lo_off, of) < 0 and _key_cmp(of, hi_off) < 0):
         return None
-    lo_key = base + rational_key_between(lo_off, of)
-    hi_key = base + rational_key_between(of, hi_off)
-    return ProjInterval(slope_from_key(lo_key % 2), slope_from_key(hi_key % 2))
+    lo_key = _key_add(rational_key_between(lo_off, of), base_n, base_r)
+    hi_key = _key_add(rational_key_between(of, hi_off), base_n, base_r)
+    return ProjInterval(slope_from_key(lo_key), slope_from_key(hi_key))
+
+
+def _traps_hold(trap_fwd, trap_bwd, opposite, m: tuple) -> bool:
+    """g(T+) <= T+, g(opposite) <= T+, g^-1(T-) <= T- and g^-1(opposite) <= T-
+    for the element g that acts as the integer matrix m."""
+    pairs = ((trap_fwd.ends, m), (trap_bwd.ends, _adjugate(m)))
+    return all(_arc_in(t, _arc_image(arc, g)) for t, g in pairs for arc in (t, opposite.ends))
 
 
 def _trap_pair(
@@ -630,36 +462,30 @@ def _trap_pair(
 
     The forward trap T+ satisfies g^N(T+) <= T+ and g^N(opposite) <= T+, the
     backward trap symmetrically for g^-N; both traps sit inside the domain,
-    so the inclusion for every power follows by induction.
+    so the inclusion for every power follows by induction. The powers
+    N = 1, 2, 4, ... are squares of the one before, as integer matrices.
     """
-    m = player.mat
     if player.kind == "hyperbolic":
         att, rep = player.fixed
-        candidates = [(_isolate(domain, att, [rep]), _isolate(domain, rep, [att]))]
+        candidates = [(_isolate(domain, att, rep), _isolate(domain, rep, att))]
     else:
         # parabolic: one-sided intervals at the (rational) fixed point; the
         # direction of motion decides which side traps which sign
         (f,) = player.fixed
         if not domain.contains_slope(f):
             return None
-        lo_side = ProjInterval(domain.lo, f)
-        hi_side = ProjInterval(f, domain.hi)
-        candidates = [(hi_side, lo_side), (lo_side, hi_side)]
-    power = 1
-    while power <= PINGPONG_POWER_CAP:
-        mp = m ** power
-        mq = mp.inverse()
+        sides = (ProjInterval(_slope(f), domain.hi), ProjInterval(domain.lo, _slope(f)))
+        candidates = [sides, sides[::-1]]
+    candidates = [pair for pair in candidates if None not in pair]
+    power, m = 1, player.mat.num
+    while candidates:
         for trap_fwd, trap_bwd in candidates:
-            if trap_fwd is None or trap_bwd is None:
-                continue
-            if (
-                trap_fwd.contains_interval(trap_fwd.image(mp))
-                and trap_fwd.contains_interval(opposite.image(mp))
-                and trap_bwd.contains_interval(trap_bwd.image(mq))
-                and trap_bwd.contains_interval(opposite.image(mq))
-            ):
+            if _traps_hold(trap_fwd, trap_bwd, opposite, m):
                 return power, trap_fwd, trap_bwd
-        power *= 2
+        if 2 * power > PINGPONG_POWER_CAP:
+            break
+        (a, b), (c, d) = m
+        power, m = 2 * power, ((a * a + b * c, b * (a + d)), (c * (a + d), d * d + b * c))
     return None
 
 
@@ -667,22 +493,20 @@ def _try_pair(x: _Player, y: _Player, pts: list):
     cuts = _block_cuts(pts)
     if cuts is None:
         return None
-    (i1, k1), (i2, k2) = cuts
+    (i1, k1, next1), (i2, k2, next2) = cuts
     # block A = pts[i1+1 .. i2]; block B = the rest (cyclically contiguous).
     # Each cut is shaved into two nearby rationals so the domains are
     # disjoint closed intervals with the blocks strictly inside.
     owner_a = pts[(i1 + 1) % len(pts)][1]
-    k1b = rational_key_between(k1, _unwrapped_key(pts, i1 + 1))
-    k2b = rational_key_between(k2, _unwrapped_key(pts, i2 + 1))
-    dom_a = ProjInterval(slope_from_key(k1b % 2), slope_from_key(k2 % 2))
-    dom_b = ProjInterval(slope_from_key(k2b % 2), slope_from_key(k1 % 2))
+    k1b = rational_key_between(k1, next1)
+    k2b = rational_key_between(k2, next2)
+    dom_a = ProjInterval(slope_from_key(k1b), slope_from_key(k2))
+    dom_b = ProjInterval(slope_from_key(k2b), slope_from_key(k1))
     domain_x, domain_y = (dom_a, dom_b) if owner_a == 0 else (dom_b, dom_a)
     if not domain_x.disjoint_from(domain_y):
         return None
     fx = _trap_pair(x, domain_x, domain_y)
-    if fx is None:
-        return None
-    fy = _trap_pair(y, domain_y, domain_x)
+    fy = None if fx is None else _trap_pair(y, domain_y, domain_x)
     if fy is None:
         return None
     nx, tx_f, tx_b = fx
@@ -749,31 +573,21 @@ def verify_free_pair(
     are hyperbolic or parabolic.
     """
     named = _named(gens, names)
-    mx = evaluate_word(named, cert.word_x)
-    my = evaluate_word(named, cert.word_y)
     x1, x2 = cert.domain_x, cert.domain_y
     if not x1.disjoint_from(x2):
         return False
-    for m, src, dst in (
-        (mx, x2, x1),
-        (mx.inverse(), x2, x1),
-        (my, x1, x2),
-        (my.inverse(), x1, x2),
+    for word, (tf, tb), dom, opp in (
+        (cert.word_x, cert.traps_x, x1, x2),
+        (cert.word_y, cert.traps_y, x2, x1),
     ):
-        if not dst.contains_interval(src.image(m)):
+        m = evaluate_word(named, word).num  # acts as the matrix does
+        if not all(_arc_in(dom.ends, _arc_image(opp.ends, g)) for g in (m, _adjugate(m))):
             return False
-    for m, (tf, tb), dom, opp in (
-        (mx, cert.traps_x, x1, x2),
-        (my, cert.traps_y, x2, x1),
-    ):
-        mi = m.inverse()
         if not (dom.contains_interval(tf) and dom.contains_interval(tb)):
             return False
-        if not (tf.contains_interval(tf.image(m)) and tf.contains_interval(opp.image(m))):
+        if not _traps_hold(tf, tb, opp, m):
             return False
-        if not (tb.contains_interval(tb.image(mi)) and tb.contains_interval(opp.image(mi))):
-            return False
-        if not _is_player(*m.rows[0], *m.rows[1]):
+        if not _is_player(*m[0], *m[1]):
             # conservative: this refuses every element without a real fixed
             # point or with eigenvalues of equal modulus, though such an
             # element need not have finite order ([[2, -1], [1, 2]] is

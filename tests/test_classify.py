@@ -7,7 +7,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from gbsn import holonomy, matgroups
+from gbsn import holonomy, linalg, matgroups
 from gbsn.cli import run
 from gbsn.classify import (
     classify,
@@ -18,7 +18,7 @@ from gbsn.classify import (
 )
 from gbsn.gog import Edge, GoGSpec
 from gbsn.holonomy import compute_holonomy, non_discreteness_witness, verify_nondiscreteness
-from gbsn.linalg import ZMat
+from gbsn.linalg import QMat, ZMat
 from gbsn.matgroups import TitsResult, verify_certificate
 
 from conftest import DATA
@@ -275,12 +275,12 @@ class TestCornulierValette:
         assert verify_certificate(gens, cert, sorted(hd.stable))
 
     def test_unimodular_triple_factors_few_discriminants(self, monkeypatch):
-        # players are classified only as far as the pair loop reaches, and
-        # the first pair tried already passes
+        # the ping-pong players keep their raw discriminants, so what is
+        # factored is only the eigendirection work outside the ping-pong
         calls = []
-        factor = matgroups.squarefree_decompose
+        factor = linalg.squarefree_decompose
         monkeypatch.setattr(
-            matgroups, "squarefree_decompose", lambda n: calls.append(n) or factor(n)
+            linalg, "squarefree_decompose", lambda n: calls.append(n) or factor(n)
         )
         spec = GoGSpec.make(
             2,
@@ -292,6 +292,21 @@ class TestCornulierValette:
         )
         assert classify(spec).haagerup is False
         assert len(calls) <= 10
+
+    def test_player_with_large_discriminant_within_budget(self):
+        # disc = 10^14 + 124 = 4 (25 * 10^12 + 31): factoring it by trial
+        # division took 0.28 s
+        with time_budget(0.05):
+            kind, (attracting, repelling) = matgroups._player_slopes(10**7, 1, 31, 0)
+        assert kind == "hyperbolic" and attracting[3] == repelling[3] == 10**14 + 124
+
+    def test_pingpong_with_large_discriminant_within_budget(self):
+        # the fixed slopes (-10^7 +- sqrt(10^14 + 124)) / 2 are about 3e-6
+        # and -10^7, so their separators need fine denominators
+        gens = [QMat([[10**7, 1], [31, 0]]), QMat([[2, 1], [1, 1]])]
+        with time_budget(0.05):
+            cert = matgroups.pingpong_certify(gens)
+        assert cert is not None and verify_certificate(gens, cert)
 
     def test_amenable_rank_three_decided_by_amenability(self):
         spec = GoGSpec.make(

@@ -1,3 +1,4 @@
+import decimal
 import math
 import random
 from fractions import Fraction as Q
@@ -7,6 +8,7 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from gbsn import linalg
 from gbsn.linalg import (
     ProjPoint,
     QMat,
@@ -421,3 +423,28 @@ def test_equal_matrices_by_different_routes_are_equal():
         assert m == routes[0] and hash(m) == hash(routes[0])
         assert (m.num, m.den) == (((1, 6), (0, -2)), 2)
         assert_canonical(m)
+
+
+@st.composite
+def root_sums(draw):
+    """(a, b, d, c, e) for a + b sqrt(d) + c sqrt(e): radicands with a
+    common squarefree part f, so the roots often cancel exactly."""
+    f = draw(st.integers(1, 30))
+    d, e = (f * draw(st.integers(0, 6)) ** 2 for _ in range(2))
+    small = st.integers(-50, 50)
+    a, b, c = draw(st.integers(-(10**6), 10**6) | small), draw(small), draw(small)
+    return a, b, d, c, e
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(root_sums())
+@example((0, 1, 8, -2, 2))  # sqrt 8 - 2 sqrt 2 = 0
+@example((-1, 3, 2, 1, 3))
+def test_root_sign_matches_high_precision(case):
+    a, b, d, c, e = case
+    with decimal.localcontext() as ctx:
+        ctx.prec = 80
+        value = decimal.Decimal(a) + b * decimal.Decimal(d).sqrt() + c * decimal.Decimal(e).sqrt()
+    expected = 0 if abs(value) < decimal.Decimal(10) ** -40 else (1 if value > 0 else -1)
+    assert linalg._root_sign(a, b, d, c, e) == expected
+    assert linalg._root_sign(Q(a, 7), Q(b, 7), d, Q(c, 7), e) == expected

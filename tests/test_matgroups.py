@@ -5,26 +5,29 @@ from fractions import Fraction as Q
 
 import pytest
 
-from gbsn import matgroups
+from gbsn import linalg, matgroups
 from gbsn.classify import classify
-from gbsn.linalg import ProjPoint, QMat, QuadraticNumber
-from gbsn.matgroups import (
+from gbsn.linalg import (
     INF,
+    ProjInterval,
+    ProjPoint,
+    QMat,
+    QuadraticNumber,
+    circle_key,
+    rational_key_between,
+    slope_from_key,
+    slopes_equal,
+)
+from gbsn.matgroups import (
     FreePairCertificate,
     InvariantLineCertificate,
     InvariantPairCertificate,
-    ProjInterval,
     ScalarCertificate,
-    apply_slope,
     cartan_hausdorff_samples,
-    circle_key,
     closure_describe,
     coarse_density,
     evaluate_word,
     pingpong_certify,
-    rational_key_between,
-    slope_from_key,
-    slopes_equal,
     verify_certificate,
     verify_free_pair,
     virtually_solvable,
@@ -43,7 +46,8 @@ class TestProjectiveCircle:
     def test_key_order_is_circle_order(self):
         slopes = [Q(0), Q(1), Q(5), INF, Q(-5), Q(-1), Q(-1, 2)]
         keys = [circle_key(s) for s in slopes]
-        assert keys == sorted(keys)
+        assert all(linalg._key_cmp(a, b) < 0 for a, b in zip(keys, keys[1:]))
+        assert [Q(p, r) for p, _, r, _ in keys] == [0, Q(1, 2), Q(5, 6), 1, Q(7, 6), Q(3, 2), Q(5, 3)]
 
     def test_key_roundtrip(self):
         for s in (Q(0), Q(7, 3), Q(-2, 5), INF, Q(100)):
@@ -78,36 +82,39 @@ class TestProjectiveCircle:
         assert iv.image(flip) == ProjInterval(Q(-2), Q(-1))
 
     def test_mobius_action(self):
-        assert apply_slope(P, Q(1)) == Q(1, 2)  # slope s -> s/(1+s)
-        assert apply_slope(P, INF) == Q(1)
-        assert apply_slope(P, Q(-1)) is INF
-        assert apply_slope(E, Q(0)) is INF and apply_slope(E, INF) == Q(0)
+        def image(m, s):  # the image of a slope, as a one-point arc
+            return ProjInterval(s, s).image(m).lo
+
+        assert image(P, Q(1)) == Q(1, 2)  # slope s -> s/(1+s)
+        assert image(P, INF) == Q(1)
+        assert image(P, Q(-1)) is INF
+        assert image(E, Q(0)) is INF and image(E, INF) == Q(0)
 
     def test_rational_between_quadratic(self):
-        sqrt2 = QuadraticNumber.make(0, 1, 2)
-        r = rational_key_between(circle_key(sqrt2 - 1), circle_key(sqrt2))
-        assert circle_key(sqrt2 - 1) < r < circle_key(sqrt2)
+        below, above = circle_key((1, -1, 1, 2)), circle_key((1, 0, 1, 2))  # sqrt 2 - 1, sqrt 2
+        r = rational_key_between(below, above)
+        assert r[1] == 0 and linalg._key_cmp(below, r) < 0 < linalg._key_cmp(above, r)
 
     def test_close_keys_take_few_exact_comparisons(self, monkeypatch):
         # keys 1e-7 apart need separators of denominator 4 * 16^6; a sweep
         # over every multiple of 1/denom at each coarser resolution would
         # make about 10^8 exact comparisons
         compared = 0
-        key_lt = matgroups._key_lt
+        key_cmp = linalg._key_cmp
 
         def counted(a, b):
             nonlocal compared
             compared += 1
             assert compared <= 200, "unbounded scan for a separator"
-            return key_lt(a, b)
+            return key_cmp(a, b)
 
-        monkeypatch.setattr(matgroups, "_key_lt", counted)
-        sqrt2 = QuadraticNumber.make(0, 1, 2)
-        for ka in (Q(1, 3), circle_key(sqrt2), circle_key(-sqrt2)):
-            kb = ka + Q(1, 10**7)
+        monkeypatch.setattr(linalg, "_key_cmp", counted)
+        # the keys of 1/2 (key 1/3), sqrt 2 and -sqrt 2
+        for ka in (circle_key(Q(1, 2)), circle_key((1, 0, 1, 2)), circle_key((-1, 0, 1, 2))):
+            kb = linalg._key_add(ka, 1, 10**7)
             compared = 0
             r = rational_key_between(ka, kb)
-            assert isinstance(r, Q) and ka < r < kb
+            assert r[1] == 0 and key_cmp(ka, r) < 0 < key_cmp(kb, r)
 
 
 class TestVirtuallySolvable:
@@ -183,19 +190,19 @@ class TestPingpong:
     def test_verification_factors_no_discriminant(self, monkeypatch):
         # the certified powers t^16 and (s t s)^16 have discriminants of
         # about 116 bits; classifying them as players needs only the signs
-        # of discriminant and trace, never the radicand
+        # of discriminant and trace, never the radicand, and neither the
+        # search nor the re-verification factors anything
         gens = [
             QMat([[Q(8, 3), Q(-2, 3)], [Q(4, 3), Q(5, 3)]]),
             QMat([[Q(-2, 3), Q(1, 3)], [Q(1, 18), Q(7, 18)]]),
             QMat([[-1, 1], [-1, 0]]),
         ]
-        cert = pingpong_certify(gens, names=["s", "t", "u"])
-        assert str(cert.word_x).startswith("t^16")
-
         def refuse(n):
             raise AssertionError(f"factored {n}")
 
-        monkeypatch.setattr(matgroups, "squarefree_decompose", refuse)
+        monkeypatch.setattr(linalg, "squarefree_decompose", refuse)
+        cert = pingpong_certify(gens, names=["s", "t", "u"])
+        assert str(cert.word_x).startswith("t^16")
         assert verify_free_pair(gens, cert, names=["s", "t", "u"])
 
     def test_certificate_re_verifies_and_is_honest(self):

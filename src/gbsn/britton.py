@@ -9,10 +9,12 @@ written
 
 with integer vectors g_i and stable letters t_i. The canonical form is
 Britton-reduced (no pinchable subword t^-1 x t with x in the alpha-image, or
-t x t^-1 with x in the omega-image) and, for i >= 1, g_i is the canonical
-Hermite residue modulo the image lattice attached to the sign of t_i; excess
-lattice parts are pushed to the left and absorbed by g0. Two words represent
-the same group element exactly when their canonical forms are equal.
+t x t^-1 with x in the omega-image), and each vector g_(i-1) before a letter
+t_i^e is the canonical Hermite residue modulo the lattice that passes right
+through t_i^e: the alpha-image for e = +1 and the omega-image for e = -1.
+Excess lattice parts are pushed right through the letter, and the last
+vector gk is free. Two words represent the same group element exactly when
+their canonical forms are equal.
 
 All normal-form arithmetic goes through one step, ``_FastOps.apply``, which
 right-multiplies a canonical form, held as a flat integer list, by one
@@ -49,6 +51,7 @@ from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import add
 from typing import Optional
 
 from .gog import GoGSpec, ensure_valid, vertex_letters
@@ -62,7 +65,10 @@ class UnsupportedSpecError(ValueError):
 
 @dataclass(frozen=True)
 class NormalForm:
-    """Canonical alternating form; structural equality decides the word problem."""
+    """Canonical alternating form; structural equality decides the word problem.
+
+    The last vector is free; every other one is a Hermite residue modulo
+    the alpha-image (before t) or the omega-image (before t^-1)."""
 
     head: tuple  # vector g0
     tail: tuple  # ((edge_name, sign, vector), ...)
@@ -87,17 +93,18 @@ class _FastOps:
     State layout: a canonical form g0 t1^e1 g1 ... tk^ek gk is the flat
     integer sequence (g0[0..n-1], then per entry: loop_index, sign,
     vec[0..n-1]), a list while it is being changed and a tuple as a
-    dictionary key. ``apply`` is the one normal-form step: it
-    right-multiplies such a list in place by a vertex step (kind 0: any
-    integer added to one coordinate of the last vector) or a stable step
-    (kind 1: t^{+-1}), and leaves it canonical. ``fold`` right-multiplies by
-    a whole word through ``apply``.
+    dictionary key. The last vector is free; every other one is a residue
+    modulo the lattice of the letter after it. ``apply`` is the one
+    normal-form step: it right-multiplies such a list in place by a vertex
+    step (kind 0: any integer added to one coordinate of the last vector) or
+    a stable step (kind 1: t^{+-1}), and leaves it canonical. ``fold``
+    right-multiplies by a whole word, one ``apply`` per stable letter.
 
-    ``tables[(loop_index, sign)]`` holds what an entry of that sign needs:
-    the pinch lattice (alpha-image for sign -1, omega-image for sign +1) as
-    a ZMat HNF and by columns, the push map x -> t^-sign x t^sign that moves
-    a lattice part left past the letter as a QMat, and the same map as an
-    integer matrix over a common denominator, so a step is integer work.
+    ``tables[(loop_index, sign)]`` holds what passes right through the letter
+    t^sign: its lattice (alpha-image for sign +1, omega-image for sign -1) as
+    a ZMat HNF and by columns, the push map x -> t^-sign x t^sign on that
+    lattice as a QMat, and the same map as an integer matrix over a common
+    denominator, so a step is integer work.
     """
 
     def __init__(self, spec: GoGSpec):
@@ -115,7 +122,7 @@ class _FastOps:
         for idx, name in enumerate(self.loop_names):
             e = edges[name]
             mat = e.omega.to_qmat() * e.alpha.to_qmat().inverse()  # x -> t^-1 x t
-            for sign, image, push in ((-1, e.alpha, mat), (1, e.omega, mat.inverse())):
+            for sign, image, push in ((1, e.alpha, mat), (-1, e.omega, mat.inverse())):
                 hnf = hermite_normal_form(image)
                 cols = tuple(tuple(hnf.rows[r][c] for r in range(n)) for c in range(n))
                 den = math.lcm(*(x.denominator for row in push.rows for x in row))
@@ -123,24 +130,25 @@ class _FastOps:
                 self.tables[(idx, sign)] = (cols, ints, den, hnf, push)
 
     def to_flat(self, nf: NormalForm) -> tuple:
+        """The flat state of ``nf``; ValueError when its shape does not fit."""
+        n = self.n
+        if len(nf.head) != n or any(
+            name not in self.loop_index or sign not in (1, -1) or len(vec) != n
+            for name, sign, vec in nf.tail
+        ):
+            raise ValueError(f"{nf!r} does not fit a rank-{n} spec with loops {self.loop_names}")
         flat = list(nf.head)
         for name, sign, vec in nf.tail:
-            flat.append(self.loop_index[name])
-            flat.append(sign)
-            flat.extend(vec)
+            flat += (self.loop_index[name], sign, *vec)
         return tuple(flat)
 
     def from_flat(self, state) -> NormalForm:
         n = self.n
-        head = tuple(state[:n])
-        tail = []
-        pos = n
-        while pos < len(state):
-            tail.append(
-                (self.loop_names[state[pos]], state[pos + 1], tuple(state[pos + 2 : pos + 2 + n]))
-            )
-            pos += n + 2
-        return NormalForm(head, tuple(tail))
+        tail = tuple(
+            (self.loop_names[state[pos]], state[pos + 1], tuple(state[pos + 2 : pos + 2 + n]))
+            for pos in range(n, len(state), n + 2)
+        )
+        return NormalForm(tuple(state[:n]), tail)
 
     def identity(self) -> tuple:
         return (0,) * self.n
@@ -159,59 +167,52 @@ class _FastOps:
     def apply(self, s: list, kind: int, index: int, step: int) -> None:
         """Right-multiply the canonical form ``s`` in place by one step.
 
-        Kind 1 appends t_index^step (step is +-1), or pinches it against the
-        last entry when that is the same letter with the opposite sign and a
-        zero vector (a canonical residue is zero exactly when it lies in the
-        pinch lattice). Kind 0 adds ``step`` to coordinate ``index`` of the
-        last vector, then cascades: each vector, from the last one leftwards,
-        is reduced to its residue and its lattice part is pushed into the
-        vector before it, until a vector needs no reduction. Every vector
-        but the last must be canonical on entry; the last may be anything,
-        so a caller may add to several of its coordinates and let one
-        cascade settle them all.
+        Kind 0 adds ``step`` to coordinate ``index`` of the last vector,
+        which is free. Kind 1 multiplies by t_index^step (step is +-1): the
+        last vector becomes its residue modulo the lattice of t^step, and
+        the lattice part x moves right through the letter as
+        t^-step x t^step. The letter pinches instead when the residue is
+        zero and the last entry is t_index^-step; the pushed part then joins
+        the vector before them, which becomes the free last one.
         """
         n = self.n
-        size = n + 2
-        pos = len(s) - size
-        if kind == 1:
-            if pos >= n and s[pos] == index and s[pos + 1] == -step and not any(s[pos + 2 :]):
-                del s[pos:]
-            else:
-                s += (index, step)
-                s += (0,) * n
+        last = len(s) - n
+        if kind == 0:
+            s[last + index] += step
             return
-        s[len(s) - n + index] += step
-        while pos >= n:
-            cols, push, den, _, _ = self.tables[(s[pos], s[pos + 1])]
-            vecpos = pos + 2
-            moved = False
-            lat = [0] * n
-            for i in range(n):
-                col = cols[i]
-                q = s[vecpos + i] // col[i]
-                if q:
-                    moved = True
-                    for r in range(i, n):
-                        delta = q * col[r]
-                        s[vecpos + r] -= delta
-                        lat[r] += delta
-            if not moved:
-                break
-            target = pos - n if pos >= n + size else 0
+        cols, push, den, _, _ = self.tables[(index, step)]
+        lat = [0] * n
+        moved = False
+        for i in range(n):
+            col = cols[i]
+            q = s[last + i] // col[i]
+            if q:
+                moved = True
+                for r in range(i, n):
+                    delta = q * col[r]
+                    s[last + r] -= delta
+                    lat[r] += delta
+        pos = last - 2
+        if pos >= n and s[pos] == index and s[pos + 1] == -step and not any(s[last:]):
+            del s[pos:]
+        else:
+            s += (index, step)
+            s += (0,) * n
+        if moved:
+            last = len(s) - n
             for j in range(n):
                 acc = 0
                 row = push[j]
                 for k in range(n):
                     acc += row[k] * lat[k]
-                s[target + j] += acc // den
-            pos -= size
+                s[last + j] += acc // den
 
     def fold(self, s: list, w: Word) -> None:
         """Right-multiply the canonical form ``s`` in place by the word ``w``.
 
-        Vertex letters commute, so a run of them is summed into a pending
-        vector and applied with one cascade before the next stable letter
-        and once at the end.
+        Vertex letters commute and only ever change the free last vector,
+        so a run of them is summed into a pending vector and added to it
+        before the next stable letter and once at the end.
         """
         n = self.n
         apply = self.apply
@@ -219,14 +220,8 @@ class _FastOps:
         pending = [0] * n
 
         def flush():
-            # the other coordinates go straight into the last vector; the
-            # step on the final one runs the cascade that settles them all
-            if any(pending):
-                last = len(s) - n
-                for i in range(n - 1):
-                    s[last + i] += pending[i]
-                apply(s, 0, n - 1, pending[n - 1])
-                pending[:] = [0] * n
+            s[-n:] = map(add, s[-n:], pending)
+            pending[:] = [0] * n
 
         for name, step in w.single_letters():
             i = vletters.get(name)
@@ -260,7 +255,11 @@ def is_identity(spec: GoGSpec, w: Word) -> bool:
 
 
 def nf_multiply(spec: GoGSpec, nf: NormalForm, w: Word) -> NormalForm:
-    """Right-multiply a canonical form by a word, staying canonical."""
+    """Right-multiply a canonical form by a word, staying canonical.
+
+    ``nf`` must come from ``britton_reduce`` or ``nf_multiply`` on ``spec``;
+    a form whose shape does not fit the spec raises ValueError.
+    """
     ops = _fast_ops(spec)
     s = list(ops.to_flat(nf))
     ops.fold(s, w)
@@ -349,7 +348,7 @@ class GeodesicOracle:
             self.depth = d
 
     def distance(self, target: NormalForm, max_radius: int) -> Optional[int]:
-        """Exact distance from the identity, or None when it exceeds max_radius."""
+        """Exact distance of the canonical ``target``, or None past max_radius."""
         flat_target = self.ops.to_flat(target)
         self._grow_forward(max_radius, flat_target)
         dist = self.dist
@@ -465,9 +464,9 @@ def _find_doubler(ops: _FastOps, vec: tuple):
     best = None
     for idx, name in enumerate(ops.loop_names):
         for sign in (1, -1):
-            # t^-sign vec t^sign is the push map of an entry of sign -sign,
-            # and it needs vec in that entry's pinch lattice
-            _, _, _, hnf, mat = ops.tables[(idx, -sign)]
+            # t^-sign vec t^sign is the push map through t^sign, and it
+            # needs vec in that letter's lattice
+            _, _, _, hnf, mat = ops.tables[(idx, sign)]
             image = mat.apply(vec)
             ratios = {image[i] / vec[i] for i in range(len(vec)) if vec[i] != 0}
             if len(ratios) != 1:

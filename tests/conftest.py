@@ -2,11 +2,12 @@ from functools import lru_cache
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 from gbsn import britton, gogfile
 from gbsn.britton import _fast_ops
-from gbsn.gog import vertex_letters
-from gbsn.linalg import QMat
+from gbsn.gog import Edge, GoGSpec, vertex_letters
+from gbsn.linalg import QMat, ZMat
 from gbsn.words import Word
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -15,6 +16,22 @@ DATA = Path(__file__).resolve().parent.parent / "data"
 def load_spec(name):
     doc = gogfile.parse((DATA / name).read_text())
     return doc.to_spec()
+
+
+@st.composite
+def one_vertex_specs(draw, max_rank, bound):
+    """One vertex of rank 1..max_rank, 1-3 loops, nonsingular inclusions
+    with entries |x| <= bound."""
+    n = draw(st.integers(1, max_rank))
+    matrices = st.lists(
+        st.lists(st.integers(-bound, bound), min_size=n, max_size=n), min_size=n, max_size=n
+    ).filter(lambda rows: ZMat(rows).det() != 0)
+    loops = draw(st.integers(1, 3))
+    edges = [
+        Edge(name, "X", "X", ZMat(draw(matrices)), ZMat(draw(matrices)))
+        for name in "stu"[:loops]
+    ]
+    return GoGSpec.make(n, ["X"], edges)
 
 
 def word_of_normal_form(spec, nf):

@@ -3,34 +3,18 @@ stages report on their own: checked on generated one-vertex specs of rank 1
 and 2 with one to three loops."""
 
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from gbsn.classify import classify, compression_report, cv_properties, whyte_classify
-from gbsn.gog import Edge, GoGSpec
 from gbsn.holonomy import compute_holonomy, verify_nondiscreteness
-from gbsn.linalg import ZMat
 from gbsn.matgroups import verify_certificate
+
+from conftest import one_vertex_specs
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=40)
 
 
-@st.composite
-def one_vertex_specs(draw):
-    """One vertex, 1-3 loops, nonsingular inclusions with entries |x| <= 5."""
-    n = draw(st.integers(1, 2))
-    matrices = st.lists(
-        st.lists(st.integers(-5, 5), min_size=n, max_size=n), min_size=n, max_size=n
-    ).filter(lambda rows: ZMat(rows).det() != 0)
-    loops = draw(st.integers(1, 3))
-    edges = [
-        Edge(name, "X", "X", ZMat(draw(matrices)), ZMat(draw(matrices)))
-        for name in "stu"[:loops]
-    ]
-    return GoGSpec.make(n, ["X"], edges)
-
-
 @PROPERTY
-@given(one_vertex_specs())
+@given(one_vertex_specs(max_rank=2, bound=5))
 def test_classify_agrees_with_its_stages(spec):
     report, w, c = classify(spec), whyte_classify(spec), cv_properties(spec)
     assert (report.ends, report.amenable, report.amenable_reason, report.whyte_case) == (

@@ -48,6 +48,11 @@ class TestBrittonReduce:
     def test_shear_relation(self, spec_a):
         assert britton_reduce(spec_a, parse_word("p^-1 b p")) == NormalForm((1, 1), ())
 
+    def test_lattice_part_moves_right(self, spec_a):
+        # a lies in h's alpha-image and passes through h as t^-1 a t = a^2;
+        # only the last vector is free
+        assert britton_reduce(spec_a, parse_word("a h")) == NormalForm((0, 0), (("h", 1, (2, 0)),))
+
     def test_refused_pinch(self, spec_a):
         nf = britton_reduce(spec_a, parse_word("h^-1 b h"))
         assert nf == NormalForm((0, 0), (("h", -1, (0, 1)), ("h", 1, (0, 0))))
@@ -73,6 +78,18 @@ class TestBrittonReduce:
         )
         with pytest.raises(UnsupportedSpecError):
             britton_reduce(spec, parse_word("t"))
+
+    @pytest.mark.parametrize("nf", [
+        NormalForm((1,), ()),
+        NormalForm((0, 0), (("h", 1, (0,)),)),
+        NormalForm((0, 0), (("z", 1, (0, 0)),)),
+        NormalForm((0, 0), (("h", 2, (0, 0)),)),
+    ])
+    def test_malformed_form_refused(self, spec_a, nf):
+        with pytest.raises(ValueError):
+            nf_multiply(spec_a, nf, parse_word("a"))
+        with pytest.raises(ValueError):
+            GeodesicOracle(spec_a).distance(nf, 4)
 
     def test_incremental_multiply_agrees(self, spec_b):
         rng = random.Random(13)
@@ -398,7 +415,7 @@ class TestOracleStore:
         naive = naive_ball(spec_a, 7)
         target = parse_word("a^16")
         real_apply = _FastOps.apply
-        left = [calls + 1]  # the reduction of a^16 takes one step
+        left = [calls]
 
         def apply(self, *args):
             left[0] -= 1

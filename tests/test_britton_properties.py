@@ -7,13 +7,13 @@ residues), not the kernel's own tables.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gbsn.britton import britton_reduce, nf_multiply
-from gbsn.gog import Edge, GoGSpec, vertex_letters
+from gbsn.britton import britton_reduce, is_identity, nf_multiply
+from gbsn.gog import Edge, GoGSpec, presentation, vertex_letters
 from gbsn.holonomy import compute_holonomy, word_image
 from gbsn.linalg import QMat, ZMat, hermite_normal_form, lattice_residue
 from gbsn.words import Word
 
-from conftest import load_spec, word_of_normal_form
+from conftest import load_spec, one_vertex_specs, word_of_normal_form
 
 RANK3 = GoGSpec.make(
     3,
@@ -29,17 +29,32 @@ SPECS["rank3"] = RANK3
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=60)
 
 
-@st.composite
-def spec_and_words(draw):
-    name = draw(st.sampled_from(sorted(SPECS)))
-    spec = SPECS[name]
+def words_over(spec, max_exp):
+    """Words of up to 8 syllables: vertex letters to |exponent| <= max_exp,
+    stable letters to |exponent| <= 2."""
     vertex = vertex_letters(spec)[spec.vertices[0]]
     stable = [e.name for e in spec.loop_edges()]
     letter = st.one_of(
-        st.tuples(st.sampled_from(vertex), st.integers(-(10**5), 10**5)),
+        st.tuples(st.sampled_from(vertex), st.integers(-max_exp, max_exp)),
         st.tuples(st.sampled_from(stable), st.integers(-2, 2)),
     )
-    word = st.lists(letter, max_size=8).map(Word)
+    return st.lists(letter, max_size=8).map(Word)
+
+
+@st.composite
+def spec_and_words(draw):
+    spec = SPECS[draw(st.sampled_from(sorted(SPECS)))]
+    word = words_over(spec, 10**5)
+    return spec, draw(word), draw(word)
+
+
+@st.composite
+def generated_spec_and_words(draw):
+    """A one-vertex spec of rank 1-3 with 1-3 loops and any nonsingular
+    inclusions, |x| <= 4: lower-triangular Hermite bases with off-diagonal
+    entries and negative determinants, which the data specs lack."""
+    spec = draw(one_vertex_specs(max_rank=3, bound=4))
+    word = words_over(spec, 50)
     return spec, draw(word), draw(word)
 
 
@@ -66,18 +81,24 @@ def affine_image(spec, w):
 
 
 def canonical_violations(spec, nf):
+    """Why ``nf`` is not canonical: each vector before a letter t^e must be
+    its residue modulo the lattice that passes right through t^e (the
+    alpha-image for e = +1, the omega-image for e = -1), and no zero vector
+    may sit between t^e and t^-e."""
     lattices = {}
     for e in spec.loop_edges():
-        lattices[(e.name, -1)] = hermite_normal_form(e.alpha)
-        lattices[(e.name, 1)] = hermite_normal_form(e.omega)
+        lattices[(e.name, 1)] = hermite_normal_form(e.alpha)
+        lattices[(e.name, -1)] = hermite_normal_form(e.omega)
     bad = []
+    before = nf.head
     for i, (name, sign, vec) in enumerate(nf.tail):
-        if lattice_residue(lattices[(name, sign)], vec)[0] != vec:
-            bad.append(f"entry {i}: {vec} is not a residue")
+        if lattice_residue(lattices[(name, sign)], before)[0] != before:
+            bad.append(f"entry {i}: {before} before it is not a residue")
         if i + 1 < len(nf.tail) and not any(vec):
             next_name, next_sign, _ = nf.tail[i + 1]
             if next_name == name and next_sign == -sign:
                 bad.append(f"entries {i}, {i + 1}: pinchable")
+        before = vec
     return bad
 
 
@@ -99,3 +120,27 @@ def test_normal_form_is_canonical_and_spells_the_word(case):
     respelled = word_of_normal_form(spec, nf)
     assert word_image(hd, respelled) == word_image(hd, w)
     assert affine_image(spec, respelled) == affine_image(spec, w)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(generated_spec_and_words())
+def test_kernel_on_generated_specs(case):
+    spec, u, v = case
+    hd = compute_holonomy(spec)
+    relators = presentation(spec).relators
+    w = u * v
+    nf = britton_reduce(spec, w)
+    assert canonical_violations(spec, nf) == []
+    assert nf_multiply(spec, britton_reduce(spec, u), v) == nf
+    respelled = word_of_normal_form(spec, nf)
+    assert word_image(hd, respelled) == word_image(hd, w)
+    assert affine_image(spec, respelled) == affine_image(spec, w)
+    # relators, and a product of their conjugates by u and v, are the
+    # identity; so the holonomy image of each is I
+    loop = Word()
+    for i, relator in enumerate(relators):
+        conj = (u, v)[i % 2]
+        loop = loop * conj * relator * conj.inverse()
+    for identity in (*relators, loop):
+        assert is_identity(spec, identity)
+        assert word_image(hd, identity) == QMat.identity(spec.rank)

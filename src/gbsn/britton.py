@@ -27,8 +27,9 @@ Geodesic lengths come from a meet-in-the-middle breadth-first search
 levels, and a backward search from the target for the rest. A query grows
 the ball only until a complete level holds its target, which is then at
 exactly that level's distance, and otherwise to depth ceil(r/2) for a query
-of radius r, and further only while the ball holds fewer than
-``FORWARD_BALL_STATES`` states.
+of radius r. Past that depth it builds a level only if the level cannot
+take the ball past ``FORWARD_BALL_STATES`` states, or if backward searches
+have already spent as much as the level costs (ski rental).
 
 ``geodesic_length`` and ``distortion_profile`` take their oracle from one
 process-wide store keyed by spec, so a query pays only for the levels no
@@ -266,9 +267,11 @@ def nf_multiply(spec: GoGSpec, nf: NormalForm, w: Word) -> NormalForm:
     return ops.from_flat(s)
 
 
-# Not a tuned value: it lets bs12's forward ball reach depth 8 (1,317
-# states), which the benchmark's tracer test asserts. The balanced split
-# would stop at ceil(r/2) always.
+# Bound on the forward ball past depth ceil(r/2), checked against the most
+# the next level can add. Not a tuned value: bs12's ball reaches depth 8
+# (1,317 states) within it, which the benchmark's tracer test asserts, and
+# specB's stops at depth 3 (579 states) for a radius-6 query. A level that
+# backward searches have paid for may pass it, up to ``KEPT_BALL_STATES``.
 FORWARD_BALL_STATES = 4096
 
 
@@ -286,12 +289,16 @@ class GeodesicOracle:
     stops as soon as a level holds the target: every state of a complete
     level k is at distance exactly k, and the target is in no earlier level,
     so k is its distance. Otherwise the ball grows to depth ceil(r/2), then
-    on towards min(r, ``forward_cap``) while it holds fewer than
-    ``FORWARD_BALL_STATES`` states. A small ball (bs12 has 1,317 states at
-    depth 8) then answers most queries alone; a large one (specA has 6,539
-    states at depth 5 and 570,069 at depth 8) stops early and leaves the
-    rest to a backward search from the target, which only goes as deep as
-    the answer needs. ``forward_cap`` bounds the ball whatever the radius.
+    on towards min(r, ``forward_cap``) by each level that pays
+    (``_next_level_pays``): one that cannot take the ball past
+    ``FORWARD_BALL_STATES``, or one that the backward searches since the
+    last level have paid for, having expanded (``spent``) as many states as
+    the level's frontier holds, and that the store would keep. A small ball
+    (bs12 has 1,317 states at depth 8) then answers most queries alone; a
+    large one (specB has 579 states at depth 3 and 23,177 at depth 5) stops
+    early and leaves the rest to backward searches from the targets, which
+    only go as deep as the answers need. ``forward_cap`` bounds the ball
+    whatever the radius.
 
     The backward search is exact. Let F be the forward depth and D > F the
     true distance of the target, which is not in the ball. A state at
@@ -317,17 +324,30 @@ class GeodesicOracle:
         self.dist: dict[tuple, int] = {identity: 0}
         self.frontier = [identity]
         self.depth = 0
+        self.spent = 0  # states expanded by backward searches since the last level
+
+    def _next_level_pays(self) -> bool:
+        """Whether to build the next level past ceil(r/2): it cannot pass
+        ``FORWARD_BALL_STATES``, or backward searches have paid for it and
+        it cannot pass ``KEPT_BALL_STATES``."""
+        # at depth >= 1 each frontier state reaches its BFS parent by one of
+        # the k steps, so the next level adds at most k - 1 states per
+        # frontier state; building it expands each frontier state once
+        bound = len(self.dist) + (len(self.steps) - 1) * len(self.frontier)
+        return bound <= FORWARD_BALL_STATES or (
+            self.spent >= len(self.frontier) and bound <= KEPT_BALL_STATES
+        )
 
     def _grow_forward(self, radius: int, target: tuple):
         """Add complete levels until one holds ``target``; failing that, to
         depth ceil(radius/2), then on towards min(radius, forward_cap) while
-        the ball is under the state budget."""
+        ``_next_level_pays``."""
         half = min(-(-radius // 2), self.forward_cap)
         top = min(radius, self.forward_cap)
         apply = self.ops.apply
         dist = self.dist
         while target not in dist and self.frontier and self.depth < top and (
-            self.depth < half or len(dist) < FORWARD_BALL_STATES
+            self.depth < half or self._next_level_pays()
         ):
             nxt = []
             d = self.depth + 1
@@ -346,6 +366,7 @@ class GeodesicOracle:
                 raise
             self.frontier = nxt
             self.depth = d
+            self.spent = 0
 
     def distance(self, target: NormalForm, max_radius: int) -> Optional[int]:
         """Exact distance of the canonical ``target``, or None past max_radius."""
@@ -361,6 +382,7 @@ class GeodesicOracle:
         seen = {flat_target}
         frontier = [flat_target]
         for level in range(1, max_radius - forward + 1):
+            self.spent += len(frontier)
             nxt = []
             for state in frontier:
                 for kind, index, step in self.steps:
@@ -377,9 +399,10 @@ class GeodesicOracle:
         return None
 
 
-# Bound on the forward-ball states the oracle store keeps, summed over specs:
-# room for all six balls of the perfbench geodesics workload (45,972 states,
-# 23,177 of them specB's), not for specA's depth-8 ball (570,069).
+# Bound on the forward-ball states the oracle store keeps, summed over specs,
+# and on a ball that backward searches pay for: room for all six balls of
+# the perfbench geodesics workload (13,976 states, 4,189 of them ascend2's),
+# not for specA's depth-8 ball (570,069).
 KEPT_BALL_STATES = 1 << 16
 
 _kept: OrderedDict = OrderedDict()  # spec -> GeodesicOracle, least recent first
@@ -413,9 +436,10 @@ def geodesic_length(spec: GoGSpec, w: Word, max_radius: int):
     query goes to the spec's oracle in the process-wide store, so it builds
     only the forward levels that no earlier query on the spec has built,
     and none past the first level that holds ``w``. The forward ball stays
-    within 8 levels and passes depth ceil(r/2) only while it has fewer than
-    ``FORWARD_BALL_STATES`` states; the store keeps it for later queries
-    while all kept balls together stay within ``KEPT_BALL_STATES`` states.
+    within 8 levels and passes depth ceil(r/2) only by levels that keep it
+    within ``FORWARD_BALL_STATES`` states, or that earlier backward searches
+    on the spec have paid for; the store keeps it for later queries while
+    all kept balls together stay within ``KEPT_BALL_STATES`` states.
     """
     target = britton_reduce(spec, w)
     if target.is_trivial():

@@ -5,7 +5,7 @@ from functools import lru_cache
 from fractions import Fraction as Q
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gbsn import britton
@@ -321,6 +321,24 @@ class TestGeodesicOracle:
             assert oracle.distance(target, radius) == (d if d is not None and d <= radius else None)
             assert_complete_levels(oracle, naive)
 
+    @given(geodesic_queries())
+    @example(("specB", 8, [(parse_word("a^8"), 6)]))
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    def test_fresh_ball_within_its_bound(self, case):
+        # one query on a fresh oracle has no credit, so past the forced
+        # depth min(ceil(r/2), cap) the ball stays within the budget
+        name, cap, queries = case
+        spec = NAIVE_SPECS[name]
+        naive = naive_ball(spec, NAIVE_RADIUS[name])
+        ops = _fast_ops(spec)
+        for word, radius in queries:
+            oracle = GeodesicOracle(spec, forward_cap=cap)
+            target = britton_reduce(spec, word)
+            d = naive.get(ops.to_flat(target))
+            assert oracle.distance(target, radius) == (d if d is not None and d <= radius else None)
+            forced = sum(map(len, naive_spheres(name)[:min(-(-radius // 2), cap) + 1]))
+            assert len(oracle.dist) <= max(forced, FORWARD_BALL_STATES)
+
     @pytest.mark.parametrize("calls", [3, 40, 700, 4000])
     def test_interrupted_level_is_undone(self, spec_a, calls):
         # an exception in the middle of a level leaves the complete levels
@@ -351,13 +369,44 @@ class TestGeodesicOracle:
                     assert GeodesicOracle(spec, forward_cap=cap).distance(target, d - 1) is None
                 assert GeodesicOracle(spec, forward_cap=cap).distance(target, d) == d
 
-    def test_large_ball_stops_at_budget(self, spec_a):
-        # ceil(8/2) = 4 levels, then one more while under the budget
+    def test_large_ball_stops_at_budget(self):
+        # ceil(r/2) levels; the next could take the ball past the budget,
+        # with up to k - 1 new states per frontier state, so it is not built
+        for name, word, radius, ball in (("specA", "a^16", 8, (4, 1433)),
+                                         ("specB", "a^8", 6, (3, 579))):
+            spec = NAIVE_SPECS[name]
+            oracle = GeodesicOracle(spec)
+            assert oracle.distance(britton_reduce(spec, parse_word(word)), radius) == radius
+            assert (oracle.depth, len(oracle.dist)) == ball
+            k = len(oracle.steps)
+            assert len(oracle.dist) + (k - 1) * len(oracle.frontier) > FORWARD_BALL_STATES
+            assert_complete_levels(oracle, naive_ball(spec, NAIVE_RADIUS[name]))
+
+    @pytest.mark.parametrize("kept", [3000, 6539, 20000, 1 << 16])
+    def test_backward_searches_pay_for_one_level(self, spec_a, monkeypatch, kept):
+        # specA's fifth level (6,539 states, bounded by 1,433 + 7 * 1,132)
+        # is past the budget, so the oracle builds it only once backward
+        # searches have expanded 1,132 states, the size of its frontier, and
+        # only if the store would keep it; the credit then starts again
+        monkeypatch.setattr(britton, "KEPT_BALL_STATES", kept)
+        naive = naive_ball(spec_a, 7)
         oracle = GeodesicOracle(spec_a)
-        assert oracle.distance(britton_reduce(spec_a, parse_word("a^16")), 8) == 8
-        assert (oracle.depth, len(oracle.dist)) == (5, 6539)
-        assert len(oracle.dist) >= FORWARD_BALL_STATES
-        assert_complete_levels(oracle, naive_ball(spec_a, 7))
+        grown = 0
+        for state in naive_spheres("specA")[7][:40]:
+            depth, paid = oracle.depth, oracle.spent >= len(oracle.frontier)
+            bound = len(oracle.dist) + 7 * len(oracle.frontier)
+            assert oracle.distance(oracle.ops.from_flat(state), 7) == 7
+            if depth < 4:
+                assert oracle.depth == 4
+            elif paid and bound <= kept:
+                assert oracle.depth == depth + 1
+                assert len(oracle.dist) <= kept
+                grown += 1
+            else:
+                assert oracle.depth == depth
+        assert (grown, oracle.depth) == ((1, 5) if kept >= 1433 + 7 * 1132 else (0, 4))
+        assert oracle.spent >= 1132 or grown  # credit was there, unspent
+        assert_complete_levels(oracle, naive)
 
     def test_small_ball_grows_to_cap(self, spec_bs12):
         oracle = GeodesicOracle(spec_bs12)
@@ -406,7 +455,7 @@ class TestOracleStore:
         assert geodesic_length(spec_ascend2, far, 8) == 7  # 2,161 states: bs12 goes
         assert list(britton._kept) == [spec_ascend2]
         assert len(britton._kept[spec_ascend2].dist) == 2161
-        assert geodesic_length(spec_a, a16, 8) == 8  # 6,539 states: not kept
+        assert geodesic_length(spec_a, a16, 10) == 8  # ceil(10/2): 6,539 states, not kept
         assert list(britton._kept) == [spec_ascend2]
         assert kept_states() == 2161
 

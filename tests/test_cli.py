@@ -31,7 +31,14 @@ GOLDEN_RUNS = [
             2 if spec == "bs12" else 0,
         ),
     )
-] + [("compare_specA_specB", ["compare", "data/specA.gog", "data/specB.gog"], 0)]
+] + [("compare_specA_specB", ["compare", "data/specA.gog", "data/specB.gog"], 0)] + [
+    # exact lengths up to 12 letters; specB is left out, since ceil(12/2)
+    # forces its 143,001-state ball
+    (f"distortion_{spec}",
+     ["distortion", f"data/{spec}.gog", "--element", element, "--max-power", top,
+      "--bfs-cap", "12"], 0)
+    for spec, element, top in (("bs12", "a", "64"), ("ascend2", "b", "64"), ("specA", "a", "16"))
+]
 
 
 def invoke(capsys, *argv):

@@ -17,6 +17,14 @@ The projective line over Q is also a circle of integer directions: the slope
 y/x or INF is (x, y) with y > 0, or y = 0 < x, circle order is the sign of a
 cross product, and a matrix acts through its integer numerator. The
 ping-pong of ``matgroups`` works on its arcs (``ProjInterval``).
+
+The Tits scans of ``matgroups`` test fixed points on integer numerators too,
+with no ``QuadraticNumber`` arithmetic: ``commutes``, ``common_eigenline``
+(the invariant-line scan, on the sign and the squareness of the pivot's
+discriminant; only an irrational line it returns is stated through
+``eigen_directions``) and ``maps_to`` (does g send p to q, each point
+written (x : a + b sqrt(d)) in integers). ``spectral_radius_gt_one`` is a
+sign test on trace, discriminant and determinant.
 """
 
 from __future__ import annotations
@@ -553,7 +561,7 @@ def eigen_directions(m: QMat) -> EigenData:
         root = QuadraticNumber.make(scale * (1 if rad == 1 else 0))
         rad = 0
     else:
-        root = QuadraticNumber.make(0, scale, rad)
+        root = QuadraticNumber._in_field(Q(0), scale, rad)  # rad is squarefree already
     eigs = [(QuadraticNumber.of(t) + root) / 2]
     if not root.is_zero():
         eigs.append((QuadraticNumber.of(t) - root) / 2)
@@ -574,17 +582,96 @@ def eigen_directions(m: QMat) -> EigenData:
 
 
 def spectral_radius_gt_one(m: QMat) -> bool:
-    """Exact test: does some eigenvalue of the 2x2 matrix m have |lambda| > 1?"""
+    """Exact test: does some eigenvalue of the 2x2 matrix m have |lambda| > 1?
+
+    On the numerator N = [[a, b], [c, d]] with T = a + d and
+    D = (a - d)^2 + 4bc, the eigenvalues are (T +- sqrt(D)) / (2 den). A
+    complex pair (D < 0) has |lambda|^2 = det N / den^2; a real pair, a
+    scalar matrix (D = 0) among them, has the larger modulus
+    (|T| + sqrt(D)) / (2 den), which exceeds 1 iff sqrt(D) > 2 den - |T|.
+    """
     if m.n != 2:
         raise ValueError("implemented for n = 2 only")
-    if m.is_scalar():
-        return abs(m.rows[0][0]) > 1
-    t, d = m.trace(), m.det()
-    if t * t - 4 * d < 0:
-        # complex pair: |lambda|^2 = det
-        return abs(d) > 1
-    one = QuadraticNumber.of(1)
-    return any(abs(lam) > one for lam in eigen_directions(m).eigenvalues)
+    (a, b), (c, d) = m.num
+    disc, gap = (a - d) ** 2 + 4 * b * c, 2 * m.den - abs(a + d)
+    if disc < 0:
+        return a * d - b * c > m.den**2
+    return gap < 0 or disc > gap * gap
+
+
+# --------------------------------------------------------------------------
+# fixed points tested on integer numerators
+
+
+def commutes(m: QMat, g: QMat) -> bool:
+    """Does g m = m g, for 2x2 m and g? With m = [[a, b], [c, d]] and
+    g = [[p, q], [r, s]] the commutator vanishes iff br = cq,
+    b (p - s) = q (a - d) and c (p - s) = r (a - d); each test is
+    homogeneous in m and in g, so it runs on the numerators."""
+    (a, b), (c, d) = m.num
+    (p, q), (r, s) = g.num
+    return b * r == c * q and b * (p - s) == q * (a - d) and c * (p - s) == r * (a - d)
+
+
+def common_eigenline(pivot: QMat, mats: Sequence[QMat]) -> ProjPoint | None:
+    """The first real eigendirection of the non-scalar 2x2 ``pivot``, in the
+    order of ``eigen_directions``, that every matrix of ``mats`` fixes; None
+    when there is none. Decided on N = pivot.num = [[a, b], [c, d]] and
+    D = (a - d)^2 + 4bc, with nothing factored:
+
+    - D < 0: both eigendirections are complex.
+    - D = s^2: with k = a + d + s, then a + d - s (twice the eigenvalues of
+      N), the eigendirection is the integer (2b, k - 2a), or (k - 2d, 2c)
+      when b = 0 and k = 2a, and g fixes the direction v iff g.num v x v = 0.
+    - D not a square: a rational g fixes an irrational eigendirection iff it
+      fixes its Galois conjugate, the other one, iff g commutes with the
+      pivot; ``eigen_directions`` then states the first point.
+    """
+    (a, b), (c, d) = pivot.num
+    disc = (a - d) ** 2 + 4 * b * c
+    if disc < 0:
+        return None
+    s = isqrt(disc)
+    if s * s != disc:
+        return eigen_directions(pivot).points[0] if all(commutes(pivot, g) for g in mats) else None
+    nums = [g.num for g in mats]
+    for k in (a + d + s, a + d - s):
+        x, y = (k - 2 * d, 2 * c) if b == 0 and k == 2 * a else (2 * b, k - 2 * a)
+        if all((g0 * x + g1 * y) * y == (g2 * x + g3 * y) * x for (g0, g1), (g2, g3) in nums):
+            return ProjPoint.make(x, y)
+    return None
+
+
+def _point_ints(p: ProjPoint) -> tuple:
+    """(x, a, b, d) with integers x, a, b and p = (x : a + b sqrt(d)): the
+    point (x : y) is (x x' : y x') for the conjugate x' of x, and x x' is
+    rational."""
+    x, y = p.x, p.y
+    if x.is_zero():
+        return 0, 1, 0, 0
+    d = x._common_d(y)  # two radicands raise, as in the arithmetic
+    parts = (x.a * x.a - x.b * x.b * d, x.a * y.a - x.b * y.b * d, x.a * y.b - x.b * y.a)
+    k = lcm(*(t.denominator for t in parts))
+    return (*(int(t * k) for t in parts), d)
+
+
+def maps_to(g: QMat, p: ProjPoint, q: ProjPoint) -> bool:
+    """Does the 2x2 matrix g map the point p to q (for q = p: does g fix p)?
+
+    With p = (x1 : a1 + b1 sqrt(d)) and q = (x2 : a2 + b2 sqrt(d)) in
+    integers, g.num p = (u + v sqrt(d) : w + z sqrt(d)), and its cross
+    product with q is (u a2 + v b2 d - w x2) + (u b2 + v a2 - z x2) sqrt(d).
+    Since d is not a square, it vanishes iff both parts do; d matters only
+    when both points are irrational. Irrational points over two radicands
+    lie in two different quadratic fields, so they never agree.
+    """
+    (g0, g1), (g2, g3) = g.num
+    x1, a1, b1, d = _point_ints(p)
+    x2, a2, b2, e = _point_ints(q)
+    if b1 and b2 and d != e:
+        return False
+    u, v, w, z = g0 * x1 + g1 * a1, g1 * b1, g2 * x1 + g3 * a1, g3 * b1
+    return u * a2 + v * b2 * d == w * x2 and u * b2 + v * a2 == z * x2
 
 
 # --------------------------------------------------------------------------

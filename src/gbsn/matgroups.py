@@ -9,11 +9,13 @@ eigendirections of short words, and every certificate re-verifies by exact
 arithmetic. The negative answer is certified by a ping-pong free pair acting
 on the projective line, coordinatized by the slope y/x in Q u {inf}.
 
-The scans themselves solve no eigenproblem: an invariant-pair candidate m is
-tested by commutation (g m = m g, or g m = adj(m) g), and a ping-pong player
-is read off the integer entries of a word-ball state, with its fixed slopes
-in closed form. ``eigen_directions`` runs once for the pivot of the
-invariant-line scan and once for an invariant-pair certificate it returns.
+The scans themselves solve no eigenproblem: the invariant-line scan tests the
+pivot's eigendirections on integer numerators (``linalg.common_eigenline``),
+an invariant-pair candidate m is tested by commutation (g m = m g, or
+g m = adj(m) g), and a ping-pong player is read off the integer entries of a
+word-ball state, with its fixed slopes in closed form. ``eigen_directions``
+runs only to state an irrational invariant line or an invariant pair that is
+returned, and certificates re-verify with ``linalg.maps_to``.
 
 The ping-pong is integer work on the circle of directions of ``linalg``,
 and irrational fixed slopes keep their raw discriminants. Floating point
@@ -34,7 +36,8 @@ from typing import Iterator, Optional, Sequence
 
 from .linalg import (
     ProjInterval, ProjPoint, QMat, _adjugate, _arc_image, _arc_in, _key_add, _key_cmp, _normal,
-    _slope, circle_key, eigen_directions, rational_key_between, slope_from_key, slopes_equal,
+    _slope, circle_key, common_eigenline, commutes, eigen_directions, maps_to,
+    rational_key_between, slope_from_key, slopes_equal,
 )
 from .words import Word
 
@@ -117,10 +120,6 @@ def _named(gens: Sequence[QMat], names: Optional[Sequence[str]]) -> dict:
     return dict(zip(names, gens))
 
 
-def _fixes(g: QMat, p: ProjPoint) -> bool:
-    return p.apply(g) == p
-
-
 def _candidate_pool(named: dict) -> list[tuple[Word, QMat]]:
     """Non-scalar elements among generators, inverses, and ordered length-2
     products.
@@ -164,9 +163,8 @@ def _preserves_eigenpair(m: QMat, mats: Sequence[QMat]) -> bool:
         return False
     for g in mats:
         (p, q), (r, s) = g.num
-        commutes = b * r == c * q and b * (p - s) == q * (a - d) and c * (p - s) == r * (a - d)
         swaps = p + s == 0 and p * (a - d) + q * c + r * b == 0
-        if not (commutes or swaps):
+        if not (swaps or commutes(m, g)):
             return False
     return True
 
@@ -189,14 +187,11 @@ def virtually_solvable(
     if mats[0].n != 2:
         return TitsResult(None, None, "undetermined (decision limited to n = 2)")
 
-    pivot = next(m for m in mats if not m.is_scalar())
-    for p in eigen_directions(pivot).points:
-        if p.x.d < 0 or p.y.d < 0:
-            # complex directions are fixed only together with their Galois
-            # conjugates; the invariant-pair scan below reports those
-            continue
-        if all(_fixes(g, p) for g in mats):
-            return TitsResult(True, InvariantLineCertificate(p), "common eigendirection")
+    # complex eigendirections are fixed only together with their Galois
+    # conjugates; the invariant-pair scan below reports those
+    line = common_eigenline(next(m for m in mats if not m.is_scalar()), mats)
+    if line is not None:
+        return TitsResult(True, InvariantLineCertificate(line), "common eigendirection")
 
     for _, m in _candidate_pool(named):
         if _preserves_eigenpair(m, mats):
@@ -604,11 +599,11 @@ def verify_certificate(
     if isinstance(cert, ScalarCertificate):
         return all(m.is_scalar() for m in mats)
     if isinstance(cert, InvariantLineCertificate):
-        return all(_fixes(g, cert.point) for g in mats)
+        return all(maps_to(g, cert.point, cert.point) for g in mats)
     if isinstance(cert, InvariantPairCertificate):
         p, q = cert.points
         return all(
-            (_fixes(g, p) and _fixes(g, q)) or (p.apply(g) == q and q.apply(g) == p)
+            (maps_to(g, p, p) and maps_to(g, q, q)) or (maps_to(g, p, q) and maps_to(g, q, p))
             for g in mats
         )
     if isinstance(cert, FreePairCertificate):

@@ -111,14 +111,37 @@ class TestWhyte:
         assert (report.whyte_case, report.haagerup) == ("2c", False)
 
     def test_three_loop_classify_solves_few_eigenproblems(self, spec_b, monkeypatch):
-        # the ping-pong players and the invariant-pair candidates are read off
-        # integer entries; eigendirections are computed only for the pivot of
-        # the invariant-line scan and for a certificate that is returned
+        # the invariant-line scan, the invariant-pair candidates, the
+        # ping-pong players and the spectral radius are read off integer
+        # entries; eigendirections are computed only to state an invariant
+        # line or pair that is returned, and specB ends in a free pair
         calls = []
-        solve = matgroups.eigen_directions
-        monkeypatch.setattr(matgroups, "eigen_directions", lambda m: calls.append(m) or solve(m))
+        for module, name in (
+            (matgroups, "eigen_directions"),
+            (linalg, "eigen_directions"),
+            (linalg, "squarefree_decompose"),
+        ):
+            fn = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *a, fn=fn: calls.append(fn) or fn(*a))
         assert classify(spec_b).haagerup is False
-        assert len(calls) <= 2
+        assert calls == []
+
+    def test_prime_pivot_discriminant_within_budget(self):
+        # the pivot h has the prime discriminant 10000025^2 + 4, so no
+        # invariant line; the spectral radius and the line scan factored it
+        # by trial division, which took 2.6 s
+        spec = GoGSpec.make(
+            2,
+            ["X"],
+            [
+                Edge("h", "X", "X", ZMat.identity(2), ZMat([[10000025, 1], [1, 0]])),
+                shear_loop("p", 1),
+            ],
+        )
+        with time_budget(1):
+            report = classify(spec)
+        assert report.haagerup is False
+        assert any(ev.label == "tits-certificate (free-pair)" for ev in report.evidence)
 
     @pytest.mark.parametrize(
         "edges",

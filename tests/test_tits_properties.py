@@ -5,7 +5,11 @@ replace, checked on generated matrices.
 that ``matgroups._player_slopes`` replaced: kind and fixed slopes from
 ``eigen_directions``, attracting before repelling. ``reference_preserves``
 is the eigenpoint fix-or-swap test that the commutation criterion of
-``matgroups._preserves_eigenpair`` replaced.
+``matgroups._preserves_eigenpair`` replaced. ``reference_line``,
+``ProjPoint.apply`` equality and ``reference_spectral`` are the
+eigen-based invariant-line scan, point test and spectral radius that the
+integer ``linalg.common_eigenline``, ``linalg.maps_to`` and
+``linalg.spectral_radius_gt_one`` replaced.
 """
 
 from fractions import Fraction as Q
@@ -15,7 +19,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gbsn import matgroups
-from gbsn.linalg import INF, QMat, QuadraticNumber, eigen_directions
+from gbsn import linalg
+from gbsn.linalg import (
+    INF, ProjPoint, QMat, QuadraticNumber, common_eigenline, eigen_directions, maps_to,
+    spectral_radius_gt_one,
+)
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=300)
 
@@ -245,3 +253,159 @@ def test_commutation_on_named_cases():
     for m, gens, expected in cases:
         assert reference_preserves(m, gens) is expected
         assert matgroups._preserves_eigenpair(m, gens) is expected
+
+
+# --------------------------------------------------------------------------
+# the invariant-line scan, the point test and the spectral radius
+
+
+def reference_line(pivot: QMat, gens):
+    """The first real eigendirection of the pivot that every generator
+    fixes, by ``ProjPoint.apply`` equality, or None."""
+    for p in eigen_directions(pivot).points:
+        if p.x.d >= 0 and p.y.d >= 0 and all(p.apply(g) == p for g in gens):
+            return p
+    return None
+
+
+def reference_spectral(m: QMat) -> bool:
+    if m.is_scalar():
+        return abs(m.rows[0][0]) > 1
+    t, d = m.trace(), m.det()
+    if t * t - 4 * d < 0:
+        return abs(d) > 1
+    one = QuadraticNumber.of(1)
+    return any(abs(lam) > one for lam in eigen_directions(m).eigenvalues)
+
+
+@st.composite
+def invertible_rational(draw):
+    m = draw(rational_matrices())
+    return m if m.det() != 0 else QMat.identity(2)
+
+
+def _scaled(m: QMat, k) -> QMat:
+    return QMat([[k * x for x in row] for row in m.rows])
+
+
+@st.composite
+def line_groups(draw):
+    """(pivot, gens) conjugated by one random rational matrix, each matrix
+    scaled by a random rational. The pivot is upper or lower triangular (a
+    rational eigenline on an axis, first or second in the point order) or
+    an integer matrix of any family (D < 0, D = 0, a square or a non-square
+    D); each further generator is a polynomial in the pivot, upper or lower
+    triangular, or random."""
+    shape = draw(st.sampled_from(["upper", "lower", "family"]))
+    x, y, z = draw(small), draw(small), draw(small)
+    if shape == "family":
+        core = draw(integer_matrices())
+    else:
+        core = QMat([[x, y], [0, z]] if shape == "upper" else [[x, 0], [y, z]])
+    (a, b), (c, d) = core.rows
+    gens = [core]
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["poly", "upper", "lower", "random"]))
+        u, v, w = draw(small), draw(small), draw(small)
+        gens.append(QMat({
+            "poly": [[u + v * a, v * b], [v * c, u + v * d]],
+            "upper": [[u, v], [0, w]],
+            "lower": [[u, 0], [v, w]],
+            "random": [[u, v], [w, draw(small)]],
+        }[kind]))
+    p = draw(invertible_rational())
+    p_inv = p.inverse()
+    gens = [_scaled(p * g * p_inv, draw(rationals.filter(bool))) for g in gens]
+    return gens[0], [g for g in gens if g.det() != 0]
+
+
+@PROPERTY
+@given(line_groups())
+def test_line_scan_matches_eigenpoint_reference(case):
+    pivot, gens = case
+    if pivot.det() == 0 or pivot.is_scalar():
+        return
+    assert common_eigenline(pivot, gens) == reference_line(pivot, gens)
+
+
+def test_line_scan_on_named_cases(monkeypatch):
+    shear, turn = QMat([[1, 1], [0, 1]]), QMat([[0, 1], [-1, 0]])
+    golden = QMat([[2, 1], [1, 1]])  # D = 5
+    cases = [
+        (QMat([[2, 0], [0, 1]]), [shear]),  # (1 : 0) is the first point
+        (QMat([[1, 0], [0, 2]]), [shear]),  # (1 : 0) is the second point
+        (QMat([[1, 0], [0, 2]]), [QMat([[1, 0], [1, 1]])]),  # (0 : 1) first
+        (shear, [QMat([[3, 5], [0, 2]])]),  # D = 0: one point
+        (QMat([[1, 0], [3, 1]]), [QMat([[2, 0], [7, 5]])]),  # b = 0, D = 0
+        (turn, [turn]),  # D < 0
+        (golden, [golden, QMat([[3, 2], [2, 1]])]),  # commutes: the first point
+        (golden, [golden, shear]),
+        (QMat([[Q(1, 2), Q(1, 3)], [0, Q(5, 4)]]), [shear]),
+    ]
+    for pivot, gens in cases:
+        assert common_eigenline(pivot, gens) == reference_line(pivot, gens)
+    # a rational line and a refused irrational one factor nothing: the
+    # prime D = 10000025^2 + 4 took seconds of trial division
+    monkeypatch.setattr(linalg, "squarefree_decompose", None)
+    monkeypatch.setattr(linalg, "eigen_directions", None)
+    big = QMat([[10000025, 1], [1, 0]])
+    assert common_eigenline(big, [big, shear]) is None
+    assert common_eigenline(QMat([[2, 0], [0, 1]]), [shear]) == ProjPoint.make(1, 0)
+
+
+@st.composite
+def point_pairs(draw):
+    """(g, p, q): points of one or two matrices' eigendirections (rational,
+    over Q(sqrt d) or complex) or rational points; g fixes or swaps the
+    eigendirections of the first matrix, or is random."""
+    m, gens = draw(eigenpair_groups())
+    own = list(eigen_directions(m).points) if m.det() != 0 and not m.is_scalar() else []
+    other = draw(integer_matrices())
+    pts = own + [ProjPoint.make(draw(rationals), draw(rationals.filter(bool))), ProjPoint.make(0, 1)]
+    if other.det() != 0 and not other.is_scalar():
+        pts += eigen_directions(other).points
+    g = draw(st.sampled_from(gens)) if gens else draw(invertible_rational())
+    p, q = (draw(st.sampled_from(own if own and draw(st.booleans()) else pts)) for _ in range(2))
+    return g, p, q, draw(rationals), draw(rationals.filter(bool))
+
+
+@PROPERTY
+@given(point_pairs())
+def test_maps_to_matches_projective_action(case):
+    g, p, q, a, b = case
+    assert maps_to(g, p, q) == (p.apply(g) == q)
+    assert maps_to(g, p, p) == (p.apply(g) == p)
+    # the same point with both coordinates times a + b sqrt(d) != 0 of its field
+    k = QuadraticNumber(Q(a), Q(b), p.y.d) if p.y.d else QuadraticNumber.of(b)
+    assert maps_to(g, ProjPoint(p.x * k, p.y * k), q) == maps_to(g, p, q)
+
+
+matrices = st.one_of(
+    integer_matrices(),
+    st.builds(_scaled, integer_matrices(), st.builds(Q, st.integers(1, 3), st.integers(1, 12))),
+    rational_matrices(),
+)
+
+
+@PROPERTY
+@given(matrices)
+def test_spectral_radius_matches_eigenvalues(m):
+    if m.det() == 0:
+        return
+    assert spectral_radius_gt_one(m) == reference_spectral(m)
+
+
+def test_spectral_radius_on_named_cases():
+    cases = [
+        QMat([[1, 1], [0, 1]]),  # D = 0, eigenvalue 1
+        QMat([[-1, 0], [0, -1]]),  # scalar -1
+        QMat([[Q(3, 2), 0], [0, Q(3, 2)]]),  # scalar 3/2
+        QMat([[0, 1], [-1, 0]]),  # complex, modulus 1
+        QMat([[Q(1, 2), 1], [-1, Q(1, 2)]]),  # complex, modulus^2 = 5/4
+        QMat([[2, 0], [0, Q(1, 2)]]),
+        QMat([[-2, 1], [1, -1]]),  # negative trace
+        QMat([[1, 2], [3, -1]]),  # trace 0, D = 28
+        QMat([[Q(1, 2), 0], [0, -1]]),  # largest modulus exactly 1
+    ]
+    for m in cases:
+        assert spectral_radius_gt_one(m) == reference_spectral(m)

@@ -274,6 +274,10 @@ def nf_multiply(spec: GoGSpec, nf: NormalForm, w: Word) -> NormalForm:
 # backward searches have paid for may pass it, up to ``KEPT_BALL_STATES``.
 FORWARD_BALL_STATES = 4096
 
+# Deepest level the forward ball grows to, whatever the radius; read when a
+# query grows the ball.
+FORWARD_CAP = 8
+
 
 class GeodesicOracle:
     """Exact word-metric distances by breadth-first search on canonical forms.
@@ -289,7 +293,7 @@ class GeodesicOracle:
     stops as soon as a level holds the target: every state of a complete
     level k is at distance exactly k, and the target is in no earlier level,
     so k is its distance. Otherwise the ball grows to depth ceil(r/2), then
-    on towards min(r, ``forward_cap``) by each level that pays
+    on towards min(r, ``FORWARD_CAP``) by each level that pays
     (``_next_level_pays``): one that cannot take the ball past
     ``FORWARD_BALL_STATES``, or one that the backward searches since the
     last level have paid for, having expanded (``spent``) as many states as
@@ -297,7 +301,7 @@ class GeodesicOracle:
     (bs12 has 1,317 states at depth 8) then answers most queries alone; a
     large one (specB has 579 states at depth 3 and 23,177 at depth 5) stops
     early and leaves the rest to backward searches from the targets, which
-    only go as deep as the answers need. ``forward_cap`` bounds the ball
+    only go as deep as the answers need. ``FORWARD_CAP`` bounds the ball
     whatever the radius.
 
     The backward search is exact. Let F be the forward depth and D > F the
@@ -315,10 +319,9 @@ class GeodesicOracle:
     earlier target, or grew deeper for one, serves every later query.
     """
 
-    def __init__(self, spec: GoGSpec, forward_cap: int = 8):
+    def __init__(self, spec: GoGSpec):
         self.ops = _fast_ops(spec)
         self.spec = spec
-        self.forward_cap = forward_cap
         self.steps = self.ops.generator_steps()
         identity = self.ops.identity()
         self.dist: dict[tuple, int] = {identity: 0}
@@ -340,10 +343,10 @@ class GeodesicOracle:
 
     def _grow_forward(self, radius: int, target: tuple):
         """Add complete levels until one holds ``target``; failing that, to
-        depth ceil(radius/2), then on towards min(radius, forward_cap) while
+        depth ceil(radius/2), then on towards min(radius, FORWARD_CAP) while
         ``_next_level_pays``."""
-        half = min(-(-radius // 2), self.forward_cap)
-        top = min(radius, self.forward_cap)
+        half = min(-(-radius // 2), FORWARD_CAP)
+        top = min(radius, FORWARD_CAP)
         apply = self.ops.apply
         dist = self.dist
         while target not in dist and self.frontier and self.depth < top and (

@@ -9,8 +9,8 @@ matrix products, so relators map to the identity by construction.
 Non-discreteness is shown by a certificate that re-verifies from the
 matrices alone, never by a bounded search: in rank >= 2 a pair (h, g) of
 stable letters or their inverses whose conjugates h^-k g h^k tend to I
-through pairwise distinct elements, read off from h's rational eigenbasis;
-in rank 1 a dense group of absolute values.
+through pairwise distinct elements, read off from h's rational eigenbasis
+(``linalg.eigenlines``); in rank 1 a dense group of absolute values.
 """
 
 from __future__ import annotations
@@ -20,8 +20,7 @@ from fractions import Fraction
 from math import isqrt
 
 from .gog import GoGSpec, ensure_valid, vertex_letters
-from .linalg import QMat
-from .matgroups import _multiplicative_group_shape
+from .linalg import QMat, _multiplicative_group_shape, eigenlines
 from .words import Word
 
 
@@ -108,16 +107,6 @@ class WitnessResult:
     searched_length: int = 0
 
 
-def _rational_sqrt(x: Fraction) -> Fraction | None:
-    """The nonnegative rational square root of x, or None if x has none."""
-    if x < 0:
-        return None
-    num, den = isqrt(x.numerator), isqrt(x.denominator)
-    if num * num != x.numerator or den * den != x.denominator:
-        return None
-    return Fraction(num, den)
-
-
 def _diagonal(m: QMat) -> tuple | None:
     """The diagonal entries of m when m is diagonal, else None."""
     n, rows = m.n, m.rows
@@ -130,23 +119,24 @@ def _rational_eigenbasis(h: QMat) -> tuple[QMat, tuple] | None:
     """(P, eigenvalues) with P^-1 h P = diag(eigenvalues), or None.
 
     Any diagonal h qualifies; in rank 2 so does any h with two distinct
-    rational eigenvalues, which holds exactly when its discriminant is the
-    square of a nonzero rational. Larger ranks take diagonal h only.
+    rational eigenvalues, which holds exactly when the discriminant D of its
+    numerator is a nonzero square. Its eigenvalues are then
+    (a + d +- sqrt(D)) / (2 den), and the columns of P are the integer
+    ``eigenlines`` over 2 den. Larger ranks take diagonal h only.
     """
     lams = _diagonal(h)
     if lams is not None:
         return QMat.identity(h.n), lams
     if h.n != 2:
         return None
-    t = h.trace()
-    root = _rational_sqrt(t * t - 4 * h.det())
-    if not root:
+    disc, lines = eigenlines(h.num)
+    if len(lines) != 2 or len(lines[0]) != 2:
         return None  # irrational, or a repeated eigenvalue of a non-diagonal h
-    lams = ((t + root) / 2, (t - root) / 2)
-    (a, b), (c, d) = h.rows
-    # a kernel vector of h - lam: (b, lam - a) when b != 0, else c != 0
-    vecs = [(b, lam - a) if b else (lam - d, c) for lam in lams]
-    return QMat([[vecs[0][0], vecs[1][0]], [vecs[0][1], vecs[1][1]]]), lams
+    (a, _), (_, d) = h.num
+    root, scale = isqrt(disc), 2 * h.den
+    (x1, y1), (x2, y2) = lines
+    lams = (Fraction(a + d + root, scale), Fraction(a + d - root, scale))
+    return QMat.from_ints(((x1, x2), (y1, y2)), scale), lams
 
 
 def _contracts(basis: QMat, lams: tuple, g: QMat) -> bool:

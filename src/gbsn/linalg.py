@@ -5,26 +5,24 @@ over one positive denominator, in lowest terms (the gcd of the denominator
 and all entries is 1), so products, powers, determinants (Bareiss) and
 inverses (fraction-free Gauss-Jordan) are integer work and equal matrices
 have equal representations; its ``Fraction`` rows are a view built on first
-read. Lattice maps are plain ``int`` matrices. Eigenvalues and
-eigendirections of 2x2 matrices live in a quadratic extension Q(sqrt(d)),
-and numbers of two different quadratic fields are ordered exactly by
-comparing squares.
+read. Lattice maps are plain ``int`` matrices.
 
 Matrices act on column vectors; the columns of an integer matrix generate the
 sublattice it defines.
+
+Every spectral question about a 2x2 matrix goes to one integer kernel,
+``eigenlines``: the discriminant D = (a - d)^2 + 4bc of the numerator and
+the eigendirections, over the unfactored D when it is not a square. The
+Tits scans (``common_eigenline``, ``commutes``, ``maps_to``), the spectral
+radius, the ping-pong players and the contraction eigenbases read it;
+``eigen_directions`` states a returned certificate over Q(sqrt(d)), d
+squarefree. A group of positive rationals is classified over a coprime base
+of their numerators and denominators, so nothing there is factored either.
 
 The projective line over Q is also a circle of integer directions: the slope
 y/x or INF is (x, y) with y > 0, or y = 0 < x, circle order is the sign of a
 cross product, and a matrix acts through its integer numerator. The
 ping-pong of ``matgroups`` works on its arcs (``ProjInterval``).
-
-The Tits scans of ``matgroups`` test fixed points on integer numerators too,
-with no ``QuadraticNumber`` arithmetic: ``commutes``, ``common_eigenline``
-(the invariant-line scan, on the sign and the squareness of the pivot's
-discriminant; only an irrational line it returns is stated through
-``eigen_directions``) and ``maps_to`` (does g send p to q, each point
-written (x : a + b sqrt(d)) in integers). ``spectral_radius_gt_one`` is a
-sign test on trace, discriminant and determinant.
 """
 
 from __future__ import annotations
@@ -32,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt, lcm, prod
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -341,6 +339,64 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
     return s, sign * d
 
 
+def _coprime_base(nums: Iterable[int]) -> list[int]:
+    """Pairwise coprime integers > 1 over which every number of ``nums``
+    (each >= 1) is a product of powers, by gcd splitting (Bach, Driscoll and
+    Shallit, J. Algorithms 1993): two numbers with a common factor g > 1 give
+    way to g and their quotients by g. The product of all the numbers held
+    drops at each split, so the splitting ends."""
+    base, todo = [], [n for n in nums if n > 1]
+    while todo:
+        x = todo.pop()
+        for i, b in enumerate(base):
+            g = gcd(x, b)
+            if g > 1:
+                del base[i]
+                todo += [t for t in (g, b // g, x // g) if t > 1]
+                break
+        else:
+            base.append(x)
+    return base
+
+
+def _valuation(n: int, b: int) -> int:
+    """The exponent of b in n, for b > 1."""
+    e = 0
+    while n % b == 0:
+        n, e = n // b, e + 1
+    return e
+
+
+def _multiplicative_group_shape(values: list[Q]) -> tuple[str, Q | None]:
+    """Classify the subgroup of the positive reals generated by positive
+    rationals: trivial, infinite cyclic (with its generator > 1), or dense.
+
+    A finitely generated subgroup of (R+, *) is discrete iff cyclic. Over a
+    coprime base of the numerators and denominators every value has one
+    exponent vector, and the group is cyclic iff each vector is an integer
+    multiple m of the first divided by its content; the base to that
+    primitive vector, raised to the gcd of the m, generates it.
+    """
+    values = [v for v in values if v != 1]
+    if not values:
+        return "trivial", None
+    base = _coprime_base(n for v in values for n in (v.numerator, v.denominator))
+    vectors = [
+        [_valuation(v.numerator, b) - _valuation(v.denominator, b) for b in base] for v in values
+    ]
+    content = gcd(*vectors[0])
+    primitive = [e // content for e in vectors[0]]
+    lead = next(i for i, e in enumerate(primitive) if e)
+    step = 0
+    for vec in vectors:
+        m = vec[lead] // primitive[lead]
+        if any(e != m * p for e, p in zip(vec, primitive)):
+            return "dense", None
+        step = gcd(step, m)
+    generator = prod(Q(b) ** (p * step) for b, p in zip(base, primitive))
+    return "cyclic", max(generator, 1 / generator)
+
+
 def _sgn(x) -> int:
     return (x > 0) - (x < 0)
 
@@ -593,7 +649,7 @@ def spectral_radius_gt_one(m: QMat) -> bool:
     if m.n != 2:
         raise ValueError("implemented for n = 2 only")
     (a, b), (c, d) = m.num
-    disc, gap = (a - d) ** 2 + 4 * b * c, 2 * m.den - abs(a + d)
+    disc, gap = eigenlines(m.num)[0], 2 * m.den - abs(a + d)
     if disc < 0:
         return a * d - b * c > m.den**2
     return gap < 0 or disc > gap * gap
@@ -613,30 +669,48 @@ def commutes(m: QMat, g: QMat) -> bool:
     return b * r == c * q and b * (p - s) == q * (a - d) and c * (p - s) == r * (a - d)
 
 
+def eigenlines(num: tuple) -> tuple[int, tuple]:
+    """(D, lines) for the integer 2x2 matrix num = [[a, b], [c, d]]: its
+    discriminant D = (a - d)^2 + 4bc and its eigendirections, the one for the
+    eigenvalue (a + d + sqrt(D)) / 2 first, with nothing factored.
+
+    For k = a + d +- sqrt(D), twice an eigenvalue, the kernel of 2 num - k
+    holds (2b, k - 2a) and (k - 2d, 2c); the line is the second when b = 0
+    and it is nonzero, else the first. A square D (by ``math.isqrt``) gives
+    integer lines (x, y); any other D, negative ones included, gives
+    (2b, d - a, +-1, D) for (2b, d - a +- sqrt(D)), and then b != 0. A
+    repeated eigenvalue (D = 0) has one line, and a scalar matrix none.
+    """
+    (a, b), (c, d) = num
+    disc = (a - d) * (a - d) + 4 * b * c
+    if b == c == 0 and a == d:
+        return disc, ()
+    if disc < 0 or (s := isqrt(disc)) * s != disc:
+        return disc, ((2 * b, d - a, 1, disc), (2 * b, d - a, -1, disc))
+    return disc, tuple(
+        (k - 2 * d, 2 * c) if b == 0 and (c or k != 2 * d) else (2 * b, k - 2 * a)
+        for k in ((a + d + s, a + d - s) if s else (a + d,))
+    )
+
+
 def common_eigenline(pivot: QMat, mats: Sequence[QMat]) -> ProjPoint | None:
     """The first real eigendirection of the non-scalar 2x2 ``pivot``, in the
-    order of ``eigen_directions``, that every matrix of ``mats`` fixes; None
-    when there is none. Decided on N = pivot.num = [[a, b], [c, d]] and
-    D = (a - d)^2 + 4bc, with nothing factored:
+    order of ``eigenlines``, that every matrix of ``mats`` fixes; None when
+    there is none. Nothing is factored:
 
     - D < 0: both eigendirections are complex.
-    - D = s^2: with k = a + d + s, then a + d - s (twice the eigenvalues of
-      N), the eigendirection is the integer (2b, k - 2a), or (k - 2d, 2c)
-      when b = 0 and k = 2a, and g fixes the direction v iff g.num v x v = 0.
+    - D a square: g fixes the integer line v iff g.num v x v = 0.
     - D not a square: a rational g fixes an irrational eigendirection iff it
       fixes its Galois conjugate, the other one, iff g commutes with the
       pivot; ``eigen_directions`` then states the first point.
     """
-    (a, b), (c, d) = pivot.num
-    disc = (a - d) ** 2 + 4 * b * c
+    disc, lines = eigenlines(pivot.num)
     if disc < 0:
         return None
-    s = isqrt(disc)
-    if s * s != disc:
+    if len(lines[0]) == 4:
         return eigen_directions(pivot).points[0] if all(commutes(pivot, g) for g in mats) else None
     nums = [g.num for g in mats]
-    for k in (a + d + s, a + d - s):
-        x, y = (k - 2 * d, 2 * c) if b == 0 and k == 2 * a else (2 * b, k - 2 * a)
+    for x, y in lines:
         if all((g0 * x + g1 * y) * y == (g2 * x + g3 * y) * x for (g0, g1), (g2, g3) in nums):
             return ProjPoint.make(x, y)
     return None

@@ -10,17 +10,18 @@ arithmetic. The negative answer is certified by a ping-pong free pair acting
 on the projective line, coordinatized by the slope y/x in Q u {inf}.
 
 The scans themselves solve no eigenproblem: the invariant-line scan tests the
-pivot's eigendirections on integer numerators (``linalg.common_eigenline``),
-an invariant-pair candidate m is tested by commutation (g m = m g, or
-g m = adj(m) g), and a ping-pong player is read off the integer entries of a
-word-ball state, with its fixed slopes in closed form. ``eigen_directions``
-runs only to state an irrational invariant line or an invariant pair that is
-returned, and certificates re-verify with ``linalg.maps_to``.
+pivot's integer eigenlines (``linalg.common_eigenline``), an invariant-pair
+candidate m is tested by commutation (g m = m g, or g m = adj(m) g), and a
+ping-pong player's kind and fixed slopes are the ``linalg.eigenlines`` of
+the integer entries of a word-ball state. ``eigen_directions`` runs only to
+state an irrational invariant line or an invariant pair that is returned,
+and certificates re-verify with ``linalg.maps_to``.
 
 The ping-pong is integer work on the circle of directions of ``linalg``,
-and irrational fixed slopes keep their raw discriminants. Floating point
-appears only in ``cartan_hausdorff_samples``, for the diagnostics of an
-undetermined comparison.
+and irrational fixed slopes keep their raw discriminants; the closure's
+value group is classified over a coprime base. Floating point appears only
+in ``cartan_hausdorff_samples``, for the diagnostics of an undetermined
+comparison.
 """
 
 from __future__ import annotations
@@ -35,9 +36,9 @@ from math import gcd, lcm
 from typing import Iterator, Optional, Sequence
 
 from .linalg import (
-    ProjInterval, ProjPoint, QMat, _adjugate, _arc_image, _arc_in, _key_add, _key_cmp, _normal,
-    _slope, circle_key, common_eigenline, commutes, eigen_directions, maps_to,
-    rational_key_between, slope_from_key, slopes_equal,
+    ProjInterval, ProjPoint, QMat, _adjugate, _arc_image, _arc_in, _key_add, _key_cmp,
+    _multiplicative_group_shape, _normal, _slope, circle_key, common_eigenline, commutes,
+    eigen_directions, eigenlines, maps_to, rational_key_between, slope_from_key, slopes_equal,
 )
 from .words import Word
 
@@ -159,7 +160,7 @@ def _preserves_eigenpair(m: QMat, mats: Sequence[QMat]) -> bool:
     tr(g m) = p (a - d) + q c + r b = 0.
     """
     (a, b), (c, d) = m.num  # every test is homogeneous in m and in g
-    if (a - d) ** 2 + 4 * b * c == 0:
+    if eigenlines(m.num)[0] == 0:
         return False
     for g in mats:
         (p, q), (r, s) = g.num
@@ -354,40 +355,23 @@ class _Player:
     fixed: tuple  # directions; hyperbolic: (attracting, repelling), parabolic: (f,)
 
 
-def _is_player(a, b, c, d) -> bool:
-    """Is [[a, b], [c, d]] neither scalar, nor elliptic, nor with
-    eigenvalues of equal modulus? Decided on the signs of disc and trace,
-    so no discriminant is factored."""
-    disc = (a - d) * (a - d) + 4 * b * c
-    return not (b == c == 0 and a == d) and disc >= 0 and not (disc > 0 and a + d == 0)
-
-
 def _player_slopes(a: int, b: int, c: int, d: int) -> Optional[tuple]:
     """Kind and fixed points of the integer matrix [[a, b], [c, d]] as a
-    ping-pong player, or None when it is scalar, elliptic or has eigenvalues
-    of equal modulus; a positive rescaling changes nothing.
+    ping-pong player, or None when it is scalar (no eigenlines), elliptic
+    (disc < 0) or has eigenvalues of equal modulus (disc > 0 = trace); a
+    positive rescaling changes nothing.
 
-    With disc = (a - d)^2 + 4bc and t = a + d the eigenvalues are
-    (t +- sqrt(disc)) / 2, and the '+' one has the larger modulus exactly
-    when t > 0 (their squares differ by t sqrt(disc)). The fixed points are
-    directions: (x, y) for a rational slope (a square disc is found by
-    ``math.isqrt``), else +-(2b, d - a, +-1, disc) with disc unfactored."""
-    if not _is_player(a, b, c, d):
+    With disc and the eigenlines of ``linalg.eigenlines`` and t = a + d,
+    the eigenvalues are (t +- sqrt(disc)) / 2, and the '+' one has the
+    larger modulus exactly when t > 0 (their squares differ by
+    t sqrt(disc)). The fixed points are the eigenlines as directions, with
+    an irrational one's disc unfactored."""
+    disc, lines = eigenlines(((a, b), (c, d)))
+    if not lines or disc < 0 or (disc > 0 and a + d == 0):
         return None
-    disc = (a - d) * (a - d) + 4 * b * c
-    if b == 0:  # eigenvalue a on the slope c/(a - d), eigenvalue d on INF
-        if disc == 0:
-            return "parabolic", ((0, 1),)
-        line_a = _normal(a - d, c)
-        plus, minus = (line_a, (0, 1)) if a > d else ((0, 1), line_a)
-    elif disc == 0:
-        return "parabolic", (_normal(2 * b, d - a),)
-    else:
-        root = math.isqrt(disc)
-        if root * root == disc:
-            plus, minus = _normal(2 * b, d - a + root), _normal(2 * b, d - a - root)
-        else:
-            plus, minus = _normal(2 * b, d - a, 1, disc), _normal(2 * b, d - a, -1, disc)
+    if disc == 0:
+        return "parabolic", (_normal(*lines[0]),)
+    plus, minus = (_normal(*line) for line in lines)
     return "hyperbolic", ((plus, minus) if a + d > 0 else (minus, plus))
 
 
@@ -582,7 +566,7 @@ def verify_free_pair(
             return False
         if not _traps_hold(tf, tb, opp, m):
             return False
-        if not _is_player(*m[0], *m[1]):
+        if _player_slopes(*m[0], *m[1]) is None:
             # conservative: this refuses every element without a real fixed
             # point or with eigenvalues of equal modulus, though such an
             # element need not have finite order ([[2, -1], [1, 2]] is
@@ -636,78 +620,6 @@ class ClosureDescription:
     window: int = 8
     orbit_sample: tuple = ()
     detail: str = ""
-
-
-def _prime_exponents(x: Q) -> dict:
-    out = {}
-    for value, sign in ((abs(x.numerator), 1), (x.denominator, -1)):
-        p = 2
-        while p * p <= value:
-            while value % p == 0:
-                out[p] = out.get(p, 0) + sign
-                value //= p
-            p += 1 if p == 2 else 2
-        if value > 1:
-            out[value] = out.get(value, 0) + sign
-    return {p: e for p, e in out.items() if e}
-
-
-def _multiplicative_group_shape(values: list[Q]) -> tuple[str, Optional[Q]]:
-    """Classify the subgroup of the positive reals generated by positive
-    rationals: trivial, infinite cyclic (with its generator > 1), or dense.
-
-    A finitely generated subgroup of (R+, *) is discrete iff cyclic; for
-    rationals this is decided exactly on prime exponent vectors.
-    """
-    vectors, primes = [], set()
-    for v in values:
-        if v == 1:
-            continue
-        exp = _prime_exponents(v)
-        primes.update(exp)
-        vectors.append(exp)
-    if not vectors:
-        return "trivial", None
-    primes = sorted(primes)
-    rows = [[vec.get(p, 0) for p in primes] for vec in vectors]
-    work = [row[:] for row in rows]
-    rank = 0
-    for c in range(len(primes)):
-        pivot = next((i for i in range(rank, len(work)) if work[i][c] != 0), None)
-        if pivot is None:
-            continue
-        work[rank], work[pivot] = work[pivot], work[rank]
-        for i in range(len(work)):
-            if i != rank and work[i][c] != 0:
-                a, b = work[i][c], work[rank][c]
-                g = gcd(a, b)
-                work[i] = [u * (b // g) - v * (a // g) for u, v in zip(work[i], work[rank])]
-        rank += 1
-    if rank >= 2:
-        return "dense", None
-    # rank 1: every exponent vector is an integer multiple of one primitive
-    primitive, mults = None, []
-    for row in rows:
-        content = 0
-        for xv in row:
-            content = gcd(content, abs(xv))
-        base = [xv // content for xv in row]
-        lead = next(i for i, xv in enumerate(base) if xv)
-        if base[lead] < 0:
-            base = [-xv for xv in base]
-        if primitive is None:
-            primitive = base
-        signed = row[lead] // primitive[lead]
-        mults.append(signed)
-    g = 0
-    for mval in mults:
-        g = gcd(g, abs(mval))
-    generator = Q(1)
-    for p, e in zip(primes, primitive):
-        generator *= Q(p) ** (e * g)
-    if generator < 1:
-        generator = 1 / generator
-    return "cyclic", generator
 
 
 def _additive_group_generator(values: list[Q]) -> Q:

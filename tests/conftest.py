@@ -1,3 +1,5 @@
+import signal
+from contextlib import contextmanager
 from functools import lru_cache
 from pathlib import Path
 
@@ -85,6 +87,22 @@ def reduced_words(named, radius):
                     nxt.append((w2, m * lm))
                     yield nxt[-1]
         level = nxt
+
+
+@contextmanager
+def time_budget(seconds):
+    """Raise TimeoutError in the block once ``seconds`` of wall time pass."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"over the {seconds} s budget")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture(autouse=True)

@@ -179,9 +179,10 @@ class TestGeodesics:
         [("spec_a", "abhp", 7), ("spec_b", "abhpe", 6), ("spec_bs12", "at", 10)],
         ids=["specA", "specB", "bs12"],
     )
-    def test_matches_naive_bfs(self, request, fixture, letters, radius):
+    def test_matches_naive_bfs(self, request, monkeypatch, fixture, letters, radius):
         # bidirectional meeting is exact: compare with a plain forward ball
         # grown by the same normal-form step
+        monkeypatch.setattr(britton, "FORWARD_CAP", 3)
         spec = request.getfixturevalue(fixture)
         ops = _fast_ops(spec)
         naive = naive_ball(spec, radius)
@@ -190,13 +191,14 @@ class TestGeodesics:
         for _ in range(40):
             w = random_word(rng, list(letters), max_len=radius + 2, max_exp=1)
             target = britton_reduce(spec, w)
-            oracle = GeodesicOracle(spec, forward_cap=3)
+            oracle = GeodesicOracle(spec)
             assert oracle.distance(target, radius) == naive.get(ops.to_flat(target))
 
-    def test_triangle_inequality(self, spec_a):
+    def test_triangle_inequality(self, spec_a, monkeypatch):
+        monkeypatch.setattr(britton, "FORWARD_CAP", 6)
         rng = random.Random(59)
         letters = ["a", "b", "h", "p"]
-        oracle = GeodesicOracle(spec_a, forward_cap=6)
+        oracle = GeodesicOracle(spec_a)
         for _ in range(40):
             u = random_word(rng, letters, max_len=4, max_exp=1)
             v = random_word(rng, letters, max_len=4, max_exp=1)
@@ -314,12 +316,14 @@ class TestGeodesicOracle:
         spec = NAIVE_SPECS[name]
         naive = naive_ball(spec, NAIVE_RADIUS[name])
         ops = _fast_ops(spec)
-        oracle = GeodesicOracle(spec, forward_cap=cap)
-        for word, radius in queries:
-            target = britton_reduce(spec, word)
-            d = naive.get(ops.to_flat(target))
-            assert oracle.distance(target, radius) == (d if d is not None and d <= radius else None)
-            assert_complete_levels(oracle, naive)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(britton, "FORWARD_CAP", cap)
+            oracle = GeodesicOracle(spec)
+            for word, radius in queries:
+                target = britton_reduce(spec, word)
+                d = naive.get(ops.to_flat(target))
+                assert oracle.distance(target, radius) == (d if d is not None and d <= radius else None)
+                assert_complete_levels(oracle, naive)
 
     @given(geodesic_queries())
     @example(("specB", 8, [(parse_word("a^8"), 6)]))
@@ -331,13 +335,15 @@ class TestGeodesicOracle:
         spec = NAIVE_SPECS[name]
         naive = naive_ball(spec, NAIVE_RADIUS[name])
         ops = _fast_ops(spec)
-        for word, radius in queries:
-            oracle = GeodesicOracle(spec, forward_cap=cap)
-            target = britton_reduce(spec, word)
-            d = naive.get(ops.to_flat(target))
-            assert oracle.distance(target, radius) == (d if d is not None and d <= radius else None)
-            forced = sum(map(len, naive_spheres(name)[:min(-(-radius // 2), cap) + 1]))
-            assert len(oracle.dist) <= max(forced, FORWARD_BALL_STATES)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(britton, "FORWARD_CAP", cap)
+            for word, radius in queries:
+                oracle = GeodesicOracle(spec)
+                target = britton_reduce(spec, word)
+                d = naive.get(ops.to_flat(target))
+                assert oracle.distance(target, radius) == (d if d is not None and d <= radius else None)
+                forced = sum(map(len, naive_spheres(name)[:min(-(-radius // 2), cap) + 1]))
+                assert len(oracle.dist) <= max(forced, FORWARD_BALL_STATES)
 
     @pytest.mark.parametrize("calls", [3, 40, 700, 4000])
     def test_interrupted_level_is_undone(self, spec_a, calls):
@@ -357,17 +363,18 @@ class TestGeodesicOracle:
         assert_complete_levels(oracle, naive)
 
     @pytest.mark.parametrize("name", sorted(NAIVE_RADIUS))
-    def test_every_distance_and_cap(self, name):
+    def test_every_distance_and_cap(self, name, monkeypatch):
         # the boundary radii D - 1 and D for a state of each sphere, with
         # forward depths from 2 up, so backward searches of up to 8 levels
         spec = NAIVE_SPECS[name]
         ops = _fast_ops(spec)
         for cap in range(2, 9):
+            monkeypatch.setattr(britton, "FORWARD_CAP", cap)
             for d, sphere in enumerate(naive_spheres(name)):
                 target = ops.from_flat(sphere[-1])
                 if d:
-                    assert GeodesicOracle(spec, forward_cap=cap).distance(target, d - 1) is None
-                assert GeodesicOracle(spec, forward_cap=cap).distance(target, d) == d
+                    assert GeodesicOracle(spec).distance(target, d - 1) is None
+                assert GeodesicOracle(spec).distance(target, d) == d
 
     def test_large_ball_stops_at_budget(self):
         # ceil(r/2) levels; the next could take the ball past the budget,

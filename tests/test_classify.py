@@ -1,7 +1,5 @@
 import importlib
 import json
-import signal
-from contextlib import contextmanager
 from dataclasses import replace
 from fractions import Fraction as Q
 
@@ -21,7 +19,7 @@ from gbsn.holonomy import compute_holonomy, non_discreteness_witness, verify_non
 from gbsn.linalg import QMat, ZMat
 from gbsn.matgroups import TitsResult, verify_certificate
 
-from conftest import DATA
+from conftest import DATA, time_budget
 
 TURN = Edge("e", "X", "X", ZMat.identity(2), ZMat([[0, 1], [-1, 0]]))
 
@@ -78,22 +76,6 @@ CYCLIC = GoGSpec.make(
 )
 
 
-@contextmanager
-def time_budget(seconds):
-    """Raise TimeoutError in the block once ``seconds`` of wall time pass."""
-
-    def expire(signum, frame):
-        raise TimeoutError(f"over the {seconds} s budget")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
-
-
 class TestWhyte:
     def test_two_loop_case_2c(self, spec_a):
         report = whyte_classify(spec_a)
@@ -142,6 +124,23 @@ class TestWhyte:
             report = classify(spec)
         assert report.haagerup is False
         assert any(ev.label == "tits-certificate (free-pair)" for ev in report.evidence)
+
+    def test_rank_one_value_group_near_1e14_within_budget(self):
+        # holonomy (N + 67)/(N + 31) and (N + 97)/(N + 67) for N = 10^14: a
+        # dense value group, decided by gcd splitting; factoring the values
+        # by trial division took 6 s
+        n = 10**14
+        spec = GoGSpec.make(
+            1,
+            ["X"],
+            [
+                Edge("s", "X", "X", ZMat([[n + 31]]), ZMat([[n + 67]])),
+                Edge("t", "X", "X", ZMat([[n + 67]]), ZMat([[n + 97]])),
+            ],
+        )
+        with time_budget(1):
+            report = classify(spec)
+        assert (report.whyte_case, report.haagerup) == ("2c", True)
 
     @pytest.mark.parametrize(
         "edges",

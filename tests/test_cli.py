@@ -39,6 +39,30 @@ GOLDEN_RUNS = [
       "--bfs-cap", "12"], 0)
     for spec, element, top in (("bs12", "a", "64"), ("ascend2", "b", "64"), ("specA", "a", "16"))
 ]
+# tests/specs/<name>.gog holds one shape of certificate each: an irrational
+# invariant line, a real and a complex invariant pair, contraction eigenbases
+# with b != 0 and b = 0, rank-1 value groups and compression value groups;
+# the exit codes are those of holonomy, classify and compression --p 3/2
+CERTIFICATE_SPECS = {
+    "irrational_line": (0, 0, 2),
+    "real_pair": (0, 2, 2),
+    "complex_pair": (0, 2, 2),
+    "basis_b_nonzero": (0, 0, 0),
+    "basis_b_zero": (0, 0, 2),
+    "rank1_dense": (0, 0, 2),
+    "rank1_cyclic": (0, 0, 2),
+    "compression_cyclic": (0, 2, 0),
+    "compression_dense": (0, 0, 2),
+}
+GOLDEN_RUNS += [
+    (f"{tag}_{spec}", [command, f"tests/specs/{spec}.gog", *extra], code)
+    for spec, codes in CERTIFICATE_SPECS.items()
+    for (tag, command, extra), code in zip(
+        (("holonomy", "holonomy", []), ("classify", "classify", []),
+         ("compression_3-2", "compression", ["--p", "3/2"])),
+        codes,
+    )
+]
 
 
 def invoke(capsys, *argv):

@@ -122,13 +122,11 @@ class _FastOps:
         self.tables = {}
         for idx, name in enumerate(self.loop_names):
             e = edges[name]
-            mat = e.omega.to_qmat() * e.alpha.to_qmat().inverse()  # x -> t^-1 x t
+            mat = e.comparison()  # x -> t^-1 x t
             for sign, image, push in ((1, e.alpha, mat), (-1, e.omega, mat.inverse())):
                 hnf = hermite_normal_form(image)
                 cols = tuple(tuple(hnf.rows[r][c] for r in range(n)) for c in range(n))
-                den = math.lcm(*(x.denominator for row in push.rows for x in row))
-                ints = tuple(tuple(int(x * den) for x in row) for row in push.rows)
-                self.tables[(idx, sign)] = (cols, ints, den, hnf, push)
+                self.tables[(idx, sign)] = (cols, push.num, push.den, hnf, push)
 
     def to_flat(self, nf: NormalForm) -> tuple:
         """The flat state of ``nf``; ValueError when its shape does not fit."""

@@ -17,7 +17,7 @@ import sys
 from fractions import Fraction
 
 from . import britton, gog, gogfile, holonomy
-from .classify import classify, compression_report, qi_compare
+from .classify import _tri, classify, compression_report, qi_compare
 from .linalg import INF, ProjInterval, ProjPoint, QMat, QuadraticNumber, ZMat
 from .words import Word, parse_word
 
@@ -67,10 +67,6 @@ def _load_spec(path: str) -> gog.GoGSpec:
     with open(path, "r", encoding="utf-8") as fh:
         doc = gogfile.parse(fh.read())
     return doc.to_spec()
-
-
-def _tri(value) -> str:
-    return {True: "yes", False: "no", None: "undetermined"}[value]
 
 
 def _cmd_validate(args) -> int:

@@ -6,6 +6,10 @@ into the source vertex group, ``omega`` into the target. The fundamental
 group has n commuting generators per vertex, one stable letter per edge
 outside the spanning tree (with t^-1 alpha(c) t = omega(c)), and spanning
 tree edges contribute identification relations instead.
+
+One breadth-first walk, ``walk``, serves every graph question: the default
+spanning tree, the two connectivity checks of ``validate`` and the transport
+of the holonomy along the tree.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ import string
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .linalg import ZMat, sublattice_index
+from .linalg import QMat, ZMat, sublattice_index
 from .words import Word
 
 
@@ -29,6 +33,11 @@ class Edge:
     def flipped(self) -> "Edge":
         """Same edge traversed backwards (swaps endpoints and inclusions)."""
         return Edge(self.name, self.dst, self.src, self.omega, self.alpha)
+
+    def comparison(self) -> QMat:
+        """omega alpha^-1: source coordinates to target coordinates on the
+        edge group's image; for a stable letter t, the map x -> t^-1 x t."""
+        return self.omega.to_qmat() * self.alpha.to_qmat().inverse()
 
 
 class InvalidSpecError(ValueError):
@@ -66,30 +75,42 @@ class GoGSpec:
         return min(self.vertices)
 
 
+def walk(start: str, edges) -> list[tuple[Edge, str, str]]:
+    """Breadth-first walk from ``start``: each edge that first reaches a
+    vertex, in order, as (edge, reached vertex, new vertex).
+
+    Edges at a vertex are taken by name, ties in input order; an endpoint
+    that names no declared vertex is reached like any other.
+    """
+    adjacency: dict[str, list[Edge]] = {}
+    for e in sorted(edges, key=lambda e: e.name):
+        adjacency.setdefault(e.src, []).append(e)
+        if e.dst != e.src:
+            adjacency.setdefault(e.dst, []).append(e)
+    steps = []
+    seen = {start}
+    queue = [start]
+    for v in queue:  # the queue grows while it is read
+        for e in adjacency.get(v, ()):
+            other = e.dst if e.src == v else e.src
+            if other not in seen:
+                seen.add(other)
+                queue.append(other)
+                steps.append((e, v, other))
+    return steps
+
+
 def _default_spanning_tree(vertices, edges) -> tuple[str, ...]:
     """Deterministic breadth-first tree from the lexicographically least vertex."""
     if not vertices:
         return ()
-    adjacency: dict[str, list[Edge]] = {v: [] for v in vertices}
-    for e in edges:
-        if e.src in adjacency:
-            adjacency[e.src].append(e)
-        if e.dst in adjacency and e.dst != e.src:
-            adjacency[e.dst].append(e)
-    seen = {min(vertices)}
-    tree = []
-    frontier = [min(vertices)]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for e in sorted(adjacency[v], key=lambda e: e.name):
-                other = e.dst if e.src == v else e.src
-                if other not in seen:
-                    seen.add(other)
-                    tree.append(e.name)
-                    nxt.append(other)
-        frontier = nxt
-    return tuple(tree)
+    return tuple(e.name for e, _, _ in walk(min(vertices), edges))
+
+
+def _spans(vertices, edges) -> bool:
+    """Does the walk from the first vertex reach exactly ``vertices``?"""
+    start = vertices[0]
+    return {start, *(new for _, _, new in walk(start, edges))} == set(vertices)
 
 
 def validate(spec: GoGSpec) -> list[str]:
@@ -114,21 +135,8 @@ def validate(spec: GoGSpec) -> list[str]:
                 problems.append(f"edge {e.name}: {label} has dimension {m.n}, expected {spec.rank}")
             elif m.det() == 0:
                 problems.append(f"edge {e.name}: edge inclusion not injective ({label})")
-    # connectivity
-    if spec.vertices:
-        seen = {spec.vertices[0]}
-        changed = True
-        while changed:
-            changed = False
-            for e in spec.edges:
-                if e.src in seen and e.dst not in seen:
-                    seen.add(e.dst)
-                    changed = True
-                if e.dst in seen and e.src not in seen:
-                    seen.add(e.src)
-                    changed = True
-        if seen != vertex_set:
-            problems.append("graph not connected")
+    if spec.vertices and not _spans(spec.vertices, spec.edges):
+        problems.append("graph not connected")
     # spanning tree: right edge count, touches every vertex, acyclic
     tree_names = set(spec.spanning_tree)
     if not tree_names <= set(names):
@@ -137,20 +145,8 @@ def validate(spec: GoGSpec) -> list[str]:
         tree = [e for e in spec.edges if e.name in tree_names]
         if len(tree) != len(spec.vertices) - 1:
             problems.append("spanning tree has wrong edge count")
-        else:
-            seen = {spec.vertices[0]}
-            changed = True
-            while changed:
-                changed = False
-                for e in tree:
-                    if e.src in seen and e.dst not in seen:
-                        seen.add(e.dst)
-                        changed = True
-                    if e.dst in seen and e.src not in seen:
-                        seen.add(e.src)
-                        changed = True
-            if seen != vertex_set:
-                problems.append("spanning tree does not span the graph")
+        elif not _spans(spec.vertices, tree):
+            problems.append("spanning tree does not span the graph")
     return problems
 
 

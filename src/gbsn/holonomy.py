@@ -2,8 +2,9 @@
 exact test that its image is not discrete.
 
 Every vertex letter maps to the identity; the stable letter of an edge with
-inclusions (alpha, omega) maps to omega * alpha^-1, transported to the base
-vertex through the spanning-tree identifications. Word images are plain
+inclusions (alpha, omega) maps to omega * alpha^-1 (``Edge.comparison``),
+transported to the base vertex through the spanning-tree identifications,
+which ``gog.walk`` visits outward from the base. Word images are plain
 matrix products, so relators map to the identity by construction.
 
 Non-discreteness is shown by a certificate that re-verifies from the
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
-from .gog import GoGSpec, ensure_valid, vertex_letters
+from .gog import GoGSpec, ensure_valid, vertex_letters, walk
 from .linalg import QMat, _multiplicative_group_shape, eigenlines
 from .words import Word
 
@@ -48,23 +49,13 @@ def compute_holonomy(spec: GoGSpec) -> HolonomyData:
     base = spec.base_vertex()
     # transport[v]: v-coordinates -> base-coordinates along the spanning tree
     transport: dict[str, QMat] = {base: QMat.identity(spec.rank)}
-    tree = list(spec.tree_edges())
-    while len(transport) < len(spec.vertices):
-        progressed = False
-        for e in tree:
-            comparison = e.omega.to_qmat() * e.alpha.to_qmat().inverse()
-            if e.src in transport and e.dst not in transport:
-                transport[e.dst] = transport[e.src] * comparison.inverse()
-                progressed = True
-            elif e.dst in transport and e.src not in transport:
-                transport[e.src] = transport[e.dst] * comparison
-                progressed = True
-        if not progressed:
-            raise AssertionError("spanning tree does not reach every vertex")
-    stable = {}
-    for e in spec.loop_edges():
-        m = e.omega.to_qmat() * e.alpha.to_qmat().inverse()
-        stable[e.name] = transport[e.dst] * m * transport[e.src].inverse()
+    for e, old, new in walk(base, spec.tree_edges()):
+        m = e.comparison()
+        transport[new] = transport[old] * (m.inverse() if new == e.dst else m)
+    stable = {
+        e.name: transport[e.dst] * e.comparison() * transport[e.src].inverse()
+        for e in spec.loop_edges()
+    }
     names = frozenset(n for group in vertex_letters(spec).values() for n in group)
     return HolonomyData(base, stable, names, spec.rank)
 

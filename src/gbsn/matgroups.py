@@ -617,8 +617,6 @@ class ClosureDescription:
     diag_generator: Optional[Q] = None
     unipotent_kind: str = ""
     unipotent_generator: Optional[Q] = None
-    window: int = 8
-    orbit_sample: tuple = ()
     detail: str = ""
 
 
@@ -640,10 +638,9 @@ def closure_describe(gens: Sequence[QMat], result: TitsResult) -> ClosureDescrip
     The density flag for the unipotent part is exact: with a nonzero
     off-diagonal value present, its orbit under conjugation by the diagonal
     parts has unbounded denominators iff some diagonal ratio has absolute
-    value != 1 (the reported orbit sample covers powers -8..8).
+    value != 1.
     """
     mats = list(gens)
-    window = 8  # the orbit sample covers the scaling powers -window..window
     if result.virtually_solvable is False:
         return ClosureDescription(
             status="nonamenable", detail="full or large -- see coarse density"
@@ -677,18 +674,12 @@ def closure_describe(gens: Sequence[QMat], result: TitsResult) -> ClosureDescrip
         a, b, d = t.rows[0][0], t.rows[0][1], t.rows[1][1]
         if a == d and b != 0:
             unip_values.append(b / a)
-    ratios = [abs(t.rows[0][0] / t.rows[1][1]) for t in tri]
-    scaling = next((r for r in ratios if r != 1), None)
     if not unip_values:
-        unip_kind, unip_gen, sample = "trivial", None, ()
-    elif scaling is not None:
-        x = unip_values[0]
+        unip_kind, unip_gen = "trivial", None
+    elif any(abs(t.rows[0][0]) != abs(t.rows[1][1]) for t in tri):
         unip_kind, unip_gen = "dense", None
-        sample = tuple(x * scaling ** k for k in range(-window, window + 1))
     else:
-        unip_kind = "discrete"
-        unip_gen = _additive_group_generator(unip_values)
-        sample = tuple(unip_values[: 2 * window + 1])
+        unip_kind, unip_gen = "discrete", _additive_group_generator(unip_values)
     return ClosureDescription(
         status="triangular",
         conjugator=conj,
@@ -696,8 +687,6 @@ def closure_describe(gens: Sequence[QMat], result: TitsResult) -> ClosureDescrip
         diag_generator=diag_gen,
         unipotent_kind=unip_kind,
         unipotent_generator=unip_gen,
-        window=window,
-        orbit_sample=sample,
         detail="closure = {diagonal value group} x {unipotent part} up to conjugation",
     )
 
@@ -711,14 +700,6 @@ class CoarseDensityReport:
     verdict: str  # 'coarsely-dense' | 'not-coarsely-dense' | 'undetermined'
     method: str
     detail: str = ""
-
-
-def _finite_closure_size(named: dict, cap: int = 400) -> Optional[int]:
-    """Order of the group, or None when it has more than ``cap`` elements."""
-    ball = WordBall(named)
-    for _ in ball.grow(cap, cap):  # a group of order <= cap has diameter < cap
-        pass
-    return len(ball) if len(ball) <= cap else None
 
 
 def _mu(state: tuple, denom: int) -> float:
@@ -761,11 +742,6 @@ def coarse_density(gens: Sequence[QMat], result: TitsResult) -> CoarseDensityRep
     """
     if not gens:
         return CoarseDensityReport("not-coarsely-dense", "trivial-group")
-    size = _finite_closure_size(_named(gens, None))
-    if size is not None:
-        return CoarseDensityReport(
-            "not-coarsely-dense", "finite-group", f"group is finite of order {size}"
-        )
     if result.virtually_solvable is True:
         desc = closure_describe(gens, result)
         if (

@@ -63,6 +63,12 @@ GOLDEN_RUNS += [
         codes,
     )
 ]
+# invalid specs, each with one kind of violation: an edge to an undeclared
+# vertex (and no tree line), a disconnected graph, a tree that does not span
+GOLDEN_RUNS += [
+    (f"validate_{spec}", ["validate", f"tests/specs/{spec}.gog"], 1)
+    for spec in ("undeclared_vertex", "disconnected", "tree_not_spanning")
+]
 
 
 def invoke(capsys, *argv):

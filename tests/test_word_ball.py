@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gbsn.linalg import QMat
-from gbsn.matgroups import WordBall, _finite_closure_size, evaluate_word
+from gbsn.matgroups import WordBall, evaluate_word
 
 from conftest import reduced_words
 
@@ -39,20 +39,6 @@ generator_sets = st.one_of(
 )
 
 
-def group_order(mats, cap=400):
-    """Order of <mats> by a breadth-first closure of QMat products, or None
-    past ``cap`` elements."""
-    gens = mats + [m.inverse() for m in mats]
-    elements = {QMat.identity(mats[0].n)}
-    frontier = set(elements)
-    while frontier:
-        frontier = {a * g for a in frontier for g in gens} - elements
-        elements |= frontier
-        if len(elements) > cap:
-            return None
-    return len(elements)
-
-
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(generator_sets)
 def test_matches_reduced_word_search(mats):
@@ -70,7 +56,6 @@ def test_matches_reduced_word_search(mats):
     if relation is not None:
         assert 0 < len(relation) <= 6
         assert evaluate_word(named, relation) == identity
-    assert _finite_closure_size(named) == group_order(list(mats))
 
 
 def test_cap_stops_growth():

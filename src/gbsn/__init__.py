@@ -54,7 +54,6 @@ from .linalg import (
     ProjPoint,
     QMat,
     QuadraticNumber,
-    ZMat,
     eigen_directions,
     hermite_normal_form,
     lattice_solve,

@@ -103,7 +103,7 @@ class _FastOps:
 
     ``tables[(loop_index, sign)]`` holds what passes right through the letter
     t^sign: its lattice (alpha-image for sign +1, omega-image for sign -1) as
-    a ZMat HNF and by columns, the push map x -> t^-sign x t^sign on that
+    an integer HNF and by columns, the push map x -> t^-sign x t^sign on that
     lattice as a QMat, and the same map as an integer matrix over a common
     denominator, so a step is integer work.
     """
@@ -114,7 +114,7 @@ class _FastOps:
             raise UnsupportedSpecError(
                 "normal forms are implemented for one-vertex graphs of groups"
             )
-        self.n = n = spec.rank
+        self.n = spec.rank
         self.vletters = {name: i for i, name in enumerate(vertex_letters(spec)[spec.vertices[0]])}
         edges = {e.name: e for e in spec.loop_edges()}
         self.loop_names = sorted(edges)
@@ -125,7 +125,7 @@ class _FastOps:
             mat = e.comparison()  # x -> t^-1 x t
             for sign, image, push in ((1, e.alpha, mat), (-1, e.omega, mat.inverse())):
                 hnf = hermite_normal_form(image)
-                cols = tuple(tuple(hnf.rows[r][c] for r in range(n)) for c in range(n))
+                cols = tuple(zip(*hnf.num))
                 self.tables[(idx, sign)] = (cols, push.num, push.den, hnf, push)
 
     def to_flat(self, nf: NormalForm) -> tuple:

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from . import britton, gog, gogfile, holonomy
 from .classify import _tri, classify, compression_report, qi_compare
-from .linalg import INF, ProjInterval, ProjPoint, QMat, QuadraticNumber, ZMat
+from .linalg import INF, ProjInterval, ProjPoint, QMat, QuadraticNumber
 from .words import Word, parse_word
 
 
@@ -35,8 +35,6 @@ def _jsonable(obj):
         return {"a": str(obj.a), "b": str(obj.b), "d": obj.d}
     if isinstance(obj, QMat):
         return [[str(x) for x in row] for row in obj.rows]
-    if isinstance(obj, ZMat):
-        return [list(row) for row in obj.rows]
     if isinstance(obj, Word):
         return str(obj)
     if isinstance(obj, ProjPoint):
@@ -70,9 +68,7 @@ def _load_spec(path: str) -> gog.GoGSpec:
 
 
 def _cmd_validate(args) -> int:
-    with open(args.file, "r", encoding="utf-8") as fh:
-        doc = gogfile.parse(fh.read())
-    problems = gog.validate(doc.to_spec())
+    problems = gog.validate(_load_spec(args.file))
     payload = {"command": "validate", "file": args.file, "ok": not problems, "violations": problems}
     lines = ["OK"] if not problems else [f"violation: {p}" for p in problems]
     _emit(payload, lines, args.format)

@@ -18,17 +18,21 @@ import string
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .linalg import QMat, ZMat, sublattice_index
+from .linalg import QMat, sublattice_index
 from .words import Word
 
 
 @dataclass(frozen=True)
 class Edge:
+    """An edge src -> dst; ``alpha`` and ``omega`` are its inclusions into
+    the source and target vertex groups, integer matrices (``QMat``s with
+    ``den == 1``) whose columns span the image of the edge group."""
+
     name: str
     src: str
     dst: str
-    alpha: ZMat
-    omega: ZMat
+    alpha: QMat
+    omega: QMat
 
     def flipped(self) -> "Edge":
         """Same edge traversed backwards (swaps endpoints and inclusions)."""
@@ -37,7 +41,7 @@ class Edge:
     def comparison(self) -> QMat:
         """omega alpha^-1: source coordinates to target coordinates on the
         edge group's image; for a stable letter t, the map x -> t^-1 x t."""
-        return self.omega.to_qmat() * self.alpha.to_qmat().inverse()
+        return self.omega * self.alpha.inverse()
 
 
 class InvalidSpecError(ValueError):
@@ -57,12 +61,6 @@ class GoGSpec:
         if spanning_tree is None:
             spanning_tree = _default_spanning_tree(vertices, edges)
         return GoGSpec(int(rank), tuple(vertices), edges, tuple(spanning_tree))
-
-    def edge(self, name: str) -> Edge:
-        for e in self.edges:
-            if e.name == name:
-                return e
-        raise KeyError(name)
 
     def tree_edges(self) -> tuple[Edge, ...]:
         return tuple(e for e in self.edges if e.name in self.spanning_tree)
@@ -133,9 +131,15 @@ def validate(spec: GoGSpec) -> list[str]:
         for label, m in (("alpha", e.alpha), ("omega", e.omega)):
             if m.n != spec.rank:
                 problems.append(f"edge {e.name}: {label} has dimension {m.n}, expected {spec.rank}")
+            elif any(len(row) != m.n for row in m.num):
+                problems.append(f"edge {e.name}: {label} is not square")
+            elif not m.is_integral():
+                problems.append(f"edge {e.name}: {label} is not an integer matrix")
             elif m.det() == 0:
                 problems.append(f"edge {e.name}: edge inclusion not injective ({label})")
-    if spec.vertices and not _spans(spec.vertices, spec.edges):
+    # an edge to an undeclared vertex is reported above, not as a cut
+    declared = [e for e in spec.edges if e.src in vertex_set and e.dst in vertex_set]
+    if spec.vertices and not _spans(spec.vertices, declared):
         problems.append("graph not connected")
     # spanning tree: right edge count, touches every vertex, acyclic
     tree_names = set(spec.spanning_tree)

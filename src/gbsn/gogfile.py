@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .gog import Edge, GoGSpec
-from .linalg import ZMat
+from .linalg import QMat
 
 
 class GoGParseError(ValueError):
@@ -42,7 +42,7 @@ class GoGDocument:
 
     def to_spec(self) -> GoGSpec:
         edges = [
-            Edge(name, src, dst, ZMat(alpha), ZMat(omega))
+            Edge(name, src, dst, QMat.from_ints(alpha, 1), QMat.from_ints(omega, 1))
             for name, src, dst, alpha, omega in self.edges
         ]
         return GoGSpec.make(self.rank, self.vertices, edges, self.tree)
@@ -92,33 +92,22 @@ class _LineScanner:
         return int(m.group(0))
 
     def matrix(self) -> tuple:
-        self.expect("[")
-        rows = []
-        while True:
-            self.skip_ws()
-            rows.append(self._row())
-            self.skip_ws()
-            if self.pos < len(self.text) and self.text[self.pos] == ",":
-                self.pos += 1
-                continue
-            break
-        self.expect("]")
+        rows = self._list(lambda: self._list(self.integer))
         if any(len(r) != len(rows) for r in rows):
             self.error("matrix must be square")
-        return tuple(rows)
+        return rows
 
-    def _row(self) -> tuple:
+    def _list(self, item) -> tuple:
+        """``[x, x, ...]``: one or more items read by ``item``."""
         self.expect("[")
-        entries = [self.integer()]
-        while True:
+        items = [item()]
+        self.skip_ws()
+        while self.text.startswith(",", self.pos):
+            self.pos += 1
+            items.append(item())
             self.skip_ws()
-            if self.pos < len(self.text) and self.text[self.pos] == ",":
-                self.pos += 1
-                entries.append(self.integer())
-            else:
-                break
         self.expect("]")
-        return tuple(entries)
+        return tuple(items)
 
 
 def parse(text: str) -> GoGDocument:

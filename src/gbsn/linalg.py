@@ -5,7 +5,7 @@ over one positive denominator, in lowest terms (the gcd of the denominator
 and all entries is 1), so products, powers, determinants (Bareiss) and
 inverses (fraction-free Gauss-Jordan) are integer work and equal matrices
 have equal representations; its ``Fraction`` rows are a view built on first
-read. Lattice maps are plain ``int`` matrices.
+read. A lattice map Z^n -> Z^n is a ``QMat`` with ``den == 1``.
 
 Matrices act on column vectors; the columns of an integer matrix generate the
 sublattice it defines.
@@ -180,9 +180,6 @@ class QMat:
         d = self.num[0][0]
         return all(x == d * (i == j) for i, row in enumerate(self.num) for j, x in enumerate(row))
 
-    def is_identity(self) -> bool:
-        return self.den == 1 and self.is_scalar() and self.num[0][0] == 1
-
     def is_integral(self) -> bool:
         return self.den == 1
 
@@ -190,80 +187,31 @@ class QMat:
         return Q(max(abs(x) for row in self.num for x in row), self.den)
 
 
-class ZMat:
-    """Immutable n x n integer matrix (a lattice map Z^n -> Z^n)."""
-
-    __slots__ = ("rows", "n")
-
-    def __init__(self, rows: Iterable[Iterable[int]]):
-        out = tuple(tuple(int(x) for x in row) for row in rows)
-        if len(out) == 0 or any(len(row) != len(out) for row in out):
-            raise ValueError("matrix must be square and nonempty")
-        object.__setattr__(self, "rows", out)
-        object.__setattr__(self, "n", len(out))
-
-    def __setattr__(self, *a):
-        raise AttributeError("ZMat is immutable")
-
-    @staticmethod
-    def identity(n: int) -> "ZMat":
-        return ZMat([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    def __eq__(self, other):
-        return isinstance(other, ZMat) and self.rows == other.rows
-
-    def __hash__(self):
-        return hash(self.rows)
-
-    def __repr__(self):
-        body = ", ".join("[" + ", ".join(str(x) for x in row) + "]" for row in self.rows)
-        return f"ZMat([{body}])"
-
-    def __mul__(self, other: "ZMat") -> "ZMat":
-        if self.n != other.n:
-            raise ValueError("dimension mismatch")
-        n = self.n
-        return ZMat(
-            [
-                [sum(self.rows[i][k] * other.rows[k][j] for k in range(n)) for j in range(n)]
-                for i in range(n)
-            ]
-        )
-
-    def apply(self, vec: Sequence[int]) -> tuple[int, ...]:
-        if len(vec) != self.n:
-            raise ValueError("dimension mismatch")
-        return tuple(sum(row[j] * vec[j] for j in range(self.n)) for row in self.rows)
-
-    def to_qmat(self) -> QMat:
-        return QMat.from_ints(self.rows, 1)
-
-    def det(self) -> int:
-        return _bareiss(self.rows)
-
-
-def sublattice_index(m: ZMat) -> int:
-    """Index of the sublattice m(Z^n) in Z^n, i.e. |det m|.
+def sublattice_index(m: QMat) -> int:
+    """Index of the sublattice m(Z^n) in Z^n, i.e. |det m|, for an integer
+    matrix m.
 
     Raises SingularMatrixError for singular m (the inclusion would not be
     injective).
     """
-    d = m.det()
+    d = _bareiss(m.num)
     if d == 0:
         raise SingularMatrixError("edge inclusion not injective")
     return abs(d)
 
 
-def lattice_solve(m: ZMat, x: Sequence[int]) -> tuple[int, ...] | None:
-    """Solve m*y = x over Z. Returns y, or None when x is not in m(Z^n)."""
-    y = m.to_qmat().inverse().apply(x)
+def lattice_solve(m: QMat, x: Sequence[int]) -> tuple[int, ...] | None:
+    """Solve m*y = x over Z for an integer matrix m. Returns y, or None when
+    x is not in m(Z^n)."""
+    y = m.inverse().apply(x)
     if all(c.denominator == 1 for c in y):
         return tuple(int(c) for c in y)
     return None
 
 
-def hermite_normal_form(m: ZMat) -> ZMat:
-    """Column-style Hermite normal form H of m (same column lattice).
+def hermite_normal_form(m: QMat) -> QMat:
+    """Column-style Hermite normal form H of an integer matrix m (same
+    column lattice).
 
     H is lower triangular with positive diagonal, and entries left of each
     diagonal pivot reduced into [0, pivot). Obtained from m by unimodular
@@ -272,7 +220,7 @@ def hermite_normal_form(m: ZMat) -> ZMat:
     if m.det() == 0:
         raise SingularMatrixError("lattice has no full-rank basis")
     n = m.n
-    cols = [list(col) for col in zip(*m.rows)]  # work column-wise
+    cols = [list(col) for col in zip(*m.num)]  # work column-wise
 
     for i in range(n):
         # gcd sweep on row i across columns i..n-1
@@ -295,10 +243,10 @@ def hermite_normal_form(m: ZMat) -> ZMat:
             q = cols[k][i] // cols[i][i]
             if q:
                 cols[k] = [a - q * b for a, b in zip(cols[k], cols[i])]
-    return ZMat(list(zip(*cols)))
+    return QMat.from_ints(tuple(zip(*cols)), 1)
 
 
-def lattice_residue(hnf: ZMat, vec: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def lattice_residue(hnf: QMat, vec: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Split vec = residue + lattice part w.r.t. a column-HNF basis.
 
     The residue is the canonical representative of vec modulo the column
@@ -306,15 +254,15 @@ def lattice_residue(hnf: ZMat, vec: Sequence[int]) -> tuple[tuple[int, ...], tup
     top-down. Returns (residue, lattice_part); vec is in the lattice iff the
     residue is zero.
     """
-    n = hnf.n
+    n, rows = hnf.n, hnf.num
     v = list(vec)
     lattice = [0] * n
     for i in range(n):
-        q = v[i] // hnf.rows[i][i]
+        q = v[i] // rows[i][i]
         if q:
             for r in range(n):
-                v[r] -= q * hnf.rows[r][i]
-                lattice[r] += q * hnf.rows[r][i]
+                v[r] -= q * rows[r][i]
+                lattice[r] += q * rows[r][i]
     return tuple(v), tuple(lattice)
 
 

@@ -32,7 +32,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from typing import Iterator, Optional, Sequence
 
 from .linalg import (
@@ -604,31 +604,17 @@ class ClosureDescription:
     """Shape of the closure of a triangularizable-over-Q matrix group.
 
     status: 'triangular', 'not available', or 'nonamenable'. In the
-    triangular case the group is conjugated (by ``conjugator``) into upper
-    triangular form; ``diag_kind`` flags the multiplicative group generated
-    by the absolute top-left entries as trivial / cyclic (with generator) /
-    dense, and ``unipotent_kind`` flags the additive closure of the
-    off-diagonal orbit as trivial / discrete (with generator) / dense.
+    triangular case the group is conjugated into upper triangular form;
+    ``diag_kind`` flags the multiplicative group generated by the absolute
+    top-left entries as trivial / cyclic (with generator) / dense, and
+    ``unipotent_kind`` flags the additive closure of the off-diagonal orbit
+    as trivial / discrete / dense.
     """
 
     status: str
-    conjugator: Optional[QMat] = None
     diag_kind: str = ""
     diag_generator: Optional[Q] = None
     unipotent_kind: str = ""
-    unipotent_generator: Optional[Q] = None
-    detail: str = ""
-
-
-def _additive_group_generator(values: list[Q]) -> Q:
-    """gcd of a finite set of rationals (generator of the group they span)."""
-    l = 1
-    for v in values:
-        l = lcm(l, v.denominator)
-    g = 0
-    for v in values:
-        g = gcd(g, int(v * l))
-    return Q(g, l)
 
 
 def closure_describe(gens: Sequence[QMat], result: TitsResult) -> ClosureDescription:
@@ -642,15 +628,12 @@ def closure_describe(gens: Sequence[QMat], result: TitsResult) -> ClosureDescrip
     """
     mats = list(gens)
     if result.virtually_solvable is False:
-        return ClosureDescription(
-            status="nonamenable", detail="full or large -- see coarse density"
-        )
+        return ClosureDescription(status="nonamenable")
     if result.virtually_solvable is None:
-        return ClosureDescription(status="not available", detail=result.detail)
+        return ClosureDescription(status="not available")
     cert = result.certificate
     if isinstance(cert, ScalarCertificate):
-        conj = QMat.identity(mats[0].n if mats else 2)
-        tri = list(mats)
+        tri = mats
     elif isinstance(cert, InvariantLineCertificate) and cert.point.is_rational():
         p = cert.point
         px, py = p.x.a, p.y.a
@@ -658,10 +641,7 @@ def closure_describe(gens: Sequence[QMat], result: TitsResult) -> ClosureDescrip
         conj_inv = conj.inverse()
         tri = [conj_inv * g * conj for g in mats]
     else:
-        return ClosureDescription(
-            status="not available",
-            detail="no rational invariant line (not triangularizable over Q)",
-        )
+        return ClosureDescription(status="not available")  # not triangularizable over Q
     for t in tri:
         assert t.rows[1][0] == 0, "conjugation did not triangularize"
     diag_kind, diag_gen = _multiplicative_group_shape([abs(t.rows[0][0]) for t in tri])
@@ -669,26 +649,13 @@ def closure_describe(gens: Sequence[QMat], result: TitsResult) -> ClosureDescrip
     pool = list(tri)
     pool += [a * b for a in tri for b in tri]
     pool += [a * b * a.inverse() * b.inverse() for a in tri for b in tri]
-    unip_values = []
-    for t in pool:
-        a, b, d = t.rows[0][0], t.rows[0][1], t.rows[1][1]
-        if a == d and b != 0:
-            unip_values.append(b / a)
-    if not unip_values:
-        unip_kind, unip_gen = "trivial", None
+    if not any(t.rows[0][0] == t.rows[1][1] and t.rows[0][1] != 0 for t in pool):
+        unip_kind = "trivial"
     elif any(abs(t.rows[0][0]) != abs(t.rows[1][1]) for t in tri):
-        unip_kind, unip_gen = "dense", None
+        unip_kind = "dense"
     else:
-        unip_kind, unip_gen = "discrete", _additive_group_generator(unip_values)
-    return ClosureDescription(
-        status="triangular",
-        conjugator=conj,
-        diag_kind=diag_kind,
-        diag_generator=diag_gen,
-        unipotent_kind=unip_kind,
-        unipotent_generator=unip_gen,
-        detail="closure = {diagonal value group} x {unipotent part} up to conjugation",
-    )
+        unip_kind = "discrete"
+    return ClosureDescription("triangular", diag_kind, diag_gen, unip_kind)
 
 
 # --------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from gbsn import britton, gogfile
 from gbsn.britton import _fast_ops
 from gbsn.gog import Edge, GoGSpec, vertex_letters
-from gbsn.linalg import QMat, ZMat
+from gbsn.linalg import QMat
 from gbsn.words import Word
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -27,10 +27,10 @@ def one_vertex_specs(draw, max_rank, bound):
     n = draw(st.integers(1, max_rank))
     matrices = st.lists(
         st.lists(st.integers(-bound, bound), min_size=n, max_size=n), min_size=n, max_size=n
-    ).filter(lambda rows: ZMat(rows).det() != 0)
+    ).filter(lambda rows: QMat(rows).det() != 0)
     loops = draw(st.integers(1, 3))
     edges = [
-        Edge(name, "X", "X", ZMat(draw(matrices)), ZMat(draw(matrices)))
+        Edge(name, "X", "X", QMat(draw(matrices)), QMat(draw(matrices)))
         for name in "stu"[:loops]
     ]
     return GoGSpec.make(n, ["X"], edges)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from gbsn.classify import classify
 from gbsn.gog import Edge, GoGSpec
-from gbsn.linalg import ZMat
+from gbsn.linalg import QMat
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=60)
 
@@ -23,10 +23,10 @@ def ascending_specs(draw):
     entries = st.integers(-3, 3)
     other = draw(
         st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n).filter(
-            lambda rows: ZMat(rows).det() != 0
+            lambda rows: QMat(rows).det() != 0
         )
     )
-    ends = (ZMat(unimodular), ZMat(other))
+    ends = (QMat(unimodular), QMat(other))
     if draw(st.booleans()):
         ends = ends[::-1]
     return GoGSpec.make(n, ["X"], [Edge("t", "X", "X", *ends)])

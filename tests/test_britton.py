@@ -24,7 +24,7 @@ from gbsn.britton import (
 )
 from gbsn.gog import Edge, GoGSpec, presentation, vertex_letters
 from gbsn.holonomy import compute_holonomy, word_image
-from gbsn.linalg import QMat, ZMat
+from gbsn.linalg import QMat
 from gbsn.words import Word, parse_word
 
 from conftest import load_spec, naive_ball, word_of_normal_form
@@ -72,8 +72,8 @@ class TestBrittonReduce:
             1,
             ["X", "Y"],
             [
-                Edge("f", "X", "Y", ZMat([[2]]), ZMat([[3]])),
-                Edge("t", "X", "X", ZMat([[1]]), ZMat([[2]])),
+                Edge("f", "X", "Y", QMat([[2]]), QMat([[3]])),
+                Edge("t", "X", "X", QMat([[1]]), QMat([[2]])),
             ],
         )
         with pytest.raises(UnsupportedSpecError):
@@ -555,7 +555,7 @@ class TestDistortion:
         spec = GoGSpec.make(
             2,
             ["X"],
-            [Edge("e", "X", "X", ZMat.identity(2), ZMat([[0, 1], [-1, 0]]))],
+            [Edge("e", "X", "X", QMat.identity(2), QMat([[0, 1], [-1, 0]]))],
         )
         prof = distortion_profile(spec, parse_word("a"), [8], bfs_cap=0)
         assert prof.doubling_letter is None

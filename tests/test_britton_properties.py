@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from gbsn.britton import britton_reduce, is_identity, nf_multiply
 from gbsn.gog import Edge, GoGSpec, presentation, vertex_letters
 from gbsn.holonomy import compute_holonomy, word_image
-from gbsn.linalg import QMat, ZMat, hermite_normal_form, lattice_residue
+from gbsn.linalg import QMat, hermite_normal_form, lattice_residue
 from gbsn.words import Word
 
 from conftest import load_spec, one_vertex_specs, word_of_normal_form
@@ -19,8 +19,8 @@ RANK3 = GoGSpec.make(
     3,
     ["X"],
     [
-        Edge("t", "X", "X", ZMat([[2, 0, 0], [0, 1, 0], [0, 0, 1]]), ZMat([[1, 0, 0], [1, 3, 0], [0, 0, 1]])),
-        Edge("u", "X", "X", ZMat.identity(3), ZMat([[1, 1, 0], [0, 1, 1], [0, 0, 2]])),
+        Edge("t", "X", "X", QMat([[2, 0, 0], [0, 1, 0], [0, 0, 1]]), QMat([[1, 0, 0], [1, 3, 0], [0, 0, 1]])),
+        Edge("u", "X", "X", QMat.identity(3), QMat([[1, 1, 0], [0, 1, 1], [0, 0, 2]])),
     ],
 )
 SPECS = {name: load_spec(f"{name}.gog") for name in ("specA", "specB", "bs12", "ascend2")}
@@ -67,7 +67,7 @@ def affine_image(spec, w):
     letters = vertex_letters(spec)[spec.vertices[0]]
     linear = {}
     for e in spec.loop_edges():
-        m = (e.omega.to_qmat() * e.alpha.to_qmat().inverse()).inverse()
+        m = (e.omega * e.alpha.inverse()).inverse()
         linear[e.name] = QMat([list(row) + [0] for row in m.rows] + [[0] * n + [1]])
     image = QMat.identity(n + 1)
     for name, exp in w:

@@ -16,21 +16,21 @@ from gbsn.classify import (
 )
 from gbsn.gog import Edge, GoGSpec
 from gbsn.holonomy import compute_holonomy, non_discreteness_witness, verify_nondiscreteness
-from gbsn.linalg import QMat, ZMat
+from gbsn.linalg import QMat
 from gbsn.matgroups import TitsResult, verify_certificate
 
 from conftest import DATA, time_budget
 
-TURN = Edge("e", "X", "X", ZMat.identity(2), ZMat([[0, 1], [-1, 0]]))
+TURN = Edge("e", "X", "X", QMat.identity(2), QMat([[0, 1], [-1, 0]]))
 
 
 def diag_loop(name, m):
     """A loop with holonomy diag(m, 1/m)."""
-    return Edge(name, "X", "X", ZMat([[1, 0], [0, m]]), ZMat([[m, 0], [0, 1]]))
+    return Edge(name, "X", "X", QMat([[1, 0], [0, m]]), QMat([[m, 0], [0, 1]]))
 
 
 def shear_loop(name, k):
-    return Edge(name, "X", "X", ZMat.identity(2), ZMat([[1, k], [0, 1]]))
+    return Edge(name, "X", "X", QMat.identity(2), QMat([[1, k], [0, 1]]))
 
 
 def near_one(k):
@@ -39,8 +39,8 @@ def near_one(k):
         1,
         ["X"],
         [
-            Edge("s", "X", "X", ZMat([[k]]), ZMat([[k + 1]])),
-            Edge("u", "X", "X", ZMat([[k - 1]]), ZMat([[k]])),
+            Edge("s", "X", "X", QMat([[k]]), QMat([[k + 1]])),
+            Edge("u", "X", "X", QMat([[k - 1]]), QMat([[k]])),
         ],
     )
 
@@ -50,7 +50,7 @@ DET_TWO = GoGSpec.make(
     2,
     ["X"],
     [
-        Edge("h", "X", "X", ZMat([[1, 0], [0, 2]]), ZMat([[4, 0], [0, 1]])),
+        Edge("h", "X", "X", QMat([[1, 0], [0, 2]]), QMat([[4, 0], [0, 1]])),
         shear_loop("p", 1),
         TURN,
     ],
@@ -70,8 +70,8 @@ CYCLIC = GoGSpec.make(
     2,
     ["X"],
     [
-        Edge("s", "X", "X", ZMat([[1001, 0], [0, 1002]]), ZMat([[1002, 0], [0, 1001]])),
-        Edge("u", "X", "X", ZMat([[1001**2, 0], [0, 1002**2]]), ZMat([[1002**2, 0], [0, 1001**2]])),
+        Edge("s", "X", "X", QMat([[1001, 0], [0, 1002]]), QMat([[1002, 0], [0, 1001]])),
+        Edge("u", "X", "X", QMat([[1001**2, 0], [0, 1002**2]]), QMat([[1002**2, 0], [0, 1001**2]])),
     ],
 )
 
@@ -116,7 +116,7 @@ class TestWhyte:
             2,
             ["X"],
             [
-                Edge("h", "X", "X", ZMat.identity(2), ZMat([[10000025, 1], [1, 0]])),
+                Edge("h", "X", "X", QMat.identity(2), QMat([[10000025, 1], [1, 0]])),
                 shear_loop("p", 1),
             ],
         )
@@ -134,8 +134,8 @@ class TestWhyte:
             1,
             ["X"],
             [
-                Edge("s", "X", "X", ZMat([[n + 31]]), ZMat([[n + 67]])),
-                Edge("t", "X", "X", ZMat([[n + 67]]), ZMat([[n + 97]])),
+                Edge("s", "X", "X", QMat([[n + 31]]), QMat([[n + 67]])),
+                Edge("t", "X", "X", QMat([[n + 67]]), QMat([[n + 97]])),
             ],
         )
         with time_budget(1):
@@ -188,8 +188,8 @@ class TestWhyte:
             2,
             ["X"],
             [
-                Edge("p", "X", "X", ZMat.identity(2), ZMat([[1, 1], [0, 1]])),
-                Edge("q", "X", "X", ZMat.identity(2), ZMat([[1, 0], [2, 1]])),
+                Edge("p", "X", "X", QMat.identity(2), QMat([[1, 1], [0, 1]])),
+                Edge("q", "X", "X", QMat.identity(2), QMat([[1, 0], [2, 1]])),
             ],
         )
         report = whyte_classify(spec)
@@ -200,13 +200,13 @@ class TestWhyte:
         # two loops with the same integral matrix: holonomy kills p q^-1, so
         # the semidirect-product form over a free subgroup of GL_2(Z) is not
         # established and the subclass stays undetermined
-        w = ZMat([[1, 1], [0, 1]])
+        w = QMat([[1, 1], [0, 1]])
         spec = GoGSpec.make(
             2,
             ["X"],
             [
-                Edge("p", "X", "X", ZMat.identity(2), w),
-                Edge("q", "X", "X", ZMat.identity(2), w),
+                Edge("p", "X", "X", QMat.identity(2), w),
+                Edge("q", "X", "X", QMat.identity(2), w),
             ],
         )
         report = whyte_classify(spec)
@@ -217,7 +217,7 @@ class TestWhyte:
 
     def test_two_ended_out_of_scope(self):
         spec = GoGSpec.make(
-            1, ["X"], [Edge("t", "X", "X", ZMat([[1]]), ZMat([[1]]))]
+            1, ["X"], [Edge("t", "X", "X", QMat([[1]]), QMat([[1]]))]
         )
         report = whyte_classify(spec)
         assert report.whyte_case == "out-of-scope(ends)"
@@ -225,14 +225,14 @@ class TestWhyte:
 
     def test_non_ascending_single_loop_nonamenable(self):
         spec = GoGSpec.make(
-            1, ["X"], [Edge("t", "X", "X", ZMat([[2]]), ZMat([[3]]))]
+            1, ["X"], [Edge("t", "X", "X", QMat([[2]]), QMat([[3]]))]
         )
         report = whyte_classify(spec)
         assert report.amenable is False
 
     def test_rank_zero_out_of_scope(self):
         spec = GoGSpec.make(
-            1, ["X", "Y"], [Edge("f", "X", "Y", ZMat([[2]]), ZMat([[3]]))]
+            1, ["X", "Y"], [Edge("f", "X", "Y", QMat([[2]]), QMat([[3]]))]
         )
         assert whyte_classify(spec).whyte_case == "out-of-scope(ends)"
 
@@ -262,8 +262,8 @@ class TestCornulierValette:
             2,
             ["X"],
             [
-                Edge("s", "X", "X", ZMat.identity(2), ZMat([[2, 1], [1, 1]])),
-                Edge("u", "X", "X", ZMat.identity(2), ZMat([[3, 2], [1, 1]])),
+                Edge("s", "X", "X", QMat.identity(2), QMat([[2, 1], [1, 1]])),
+                Edge("u", "X", "X", QMat.identity(2), QMat([[3, 2], [1, 1]])),
             ],
         )
         report = cv_properties(spec)
@@ -281,9 +281,9 @@ class TestCornulierValette:
             2,
             ["X"],
             [
-                Edge("h", "X", "X", ZMat([[1, 0], [0, 1000]]), ZMat([[1000, 0], [0, 1]])),
-                Edge("p", "X", "X", ZMat.identity(2), ZMat([[1, 1], [0, 1]])),
-                Edge("e", "X", "X", ZMat.identity(2), ZMat([[0, 1], [-1, 0]])),
+                Edge("h", "X", "X", QMat([[1, 0], [0, 1000]]), QMat([[1000, 0], [0, 1]])),
+                Edge("p", "X", "X", QMat.identity(2), QMat([[1, 1], [0, 1]])),
+                Edge("e", "X", "X", QMat.identity(2), QMat([[0, 1], [-1, 0]])),
             ],
         )
         with time_budget(10):
@@ -308,7 +308,7 @@ class TestCornulierValette:
             2,
             ["X"],
             [
-                Edge(name, "X", "X", ZMat.identity(2), ZMat([[x, x - 1], [1, 1]]))
+                Edge(name, "X", "X", QMat.identity(2), QMat([[x, x - 1], [1, 1]]))
                 for name, x in zip("stu", (999, 1000, 1001))
             ],
         )
@@ -334,7 +334,7 @@ class TestCornulierValette:
         spec = GoGSpec.make(
             3,
             ["X"],
-            [Edge("t", "X", "X", ZMat.identity(3), ZMat([[1, 1, 0], [0, 1, 0], [0, 0, 2]]))],
+            [Edge("t", "X", "X", QMat.identity(3), QMat([[1, 1, 0], [0, 1, 0], [0, 0, 2]]))],
         )
         assert cv_properties(spec).haagerup is None  # no holonomy decision in rank 3
         report = classify(spec)
@@ -369,8 +369,8 @@ class TestCornulierValette:
                     "t",
                     "X",
                     "X",
-                    ZMat.identity(3),
-                    ZMat([[1, 1, 0], [0, 1, 0], [0, 0, 2]]),
+                    QMat.identity(3),
+                    QMat([[1, 1, 0], [0, 1, 0], [0, 0, 2]]),
                 )
             ],
         )
@@ -380,7 +380,7 @@ class TestCornulierValette:
 
 
 def rank_one_loop(alpha, omega):
-    return GoGSpec.make(1, ["X"], [Edge("t", "X", "X", ZMat([[alpha]]), ZMat([[omega]]))])
+    return GoGSpec.make(1, ["X"], [Edge("t", "X", "X", QMat([[alpha]]), QMat([[omega]]))])
 
 
 def bs_file(tmp_path, omega):
@@ -422,9 +422,9 @@ class TestRankOneWhyte:
 
     def test_rule_is_for_rank_one_only(self):
         # rank 2, holonomy 2I on both loops: |det| = 4 but no certificate
-        two = ZMat([[2, 0], [0, 2]])
+        two = QMat([[2, 0], [0, 2]])
         spec = GoGSpec.make(
-            2, ["X"], [Edge(n, "X", "X", ZMat.identity(2), two) for n in ("s", "u")]
+            2, ["X"], [Edge(n, "X", "X", QMat.identity(2), two) for n in ("s", "u")]
         )
         report = classify(spec)
         assert (report.whyte_case, report.amenable) == ("undetermined", False)
@@ -513,7 +513,7 @@ class TestCompare:
         other = GoGSpec.make(
             2,
             ["X"],
-            [Edge("t", "X", "X", ZMat.identity(2), ZMat([[2, 0], [0, 2]]))],
+            [Edge("t", "X", "X", QMat.identity(2), QMat([[2, 0], [0, 2]]))],
         )
         assert qi_compare(spec_ascend2, other).verdict == "undetermined"
 

@@ -1,5 +1,8 @@
+from fractions import Fraction
+
 import pytest
 
+from gbsn.classify import classify
 from gbsn.gog import (
     Edge,
     GoGSpec,
@@ -10,11 +13,12 @@ from gbsn.gog import (
     validate,
     vertex_letters,
 )
-from gbsn.linalg import ZMat
+from gbsn.gogfile import GoGDocument
+from gbsn.linalg import QMat
 
 
 def make_loop_spec(rank, loops):
-    edges = [Edge(name, "X", "X", ZMat(a), ZMat(o)) for name, a, o in loops]
+    edges = [Edge(name, "X", "X", QMat(a), QMat(o)) for name, a, o in loops]
     return GoGSpec.make(rank, ["X"], edges)
 
 
@@ -30,7 +34,7 @@ class TestValidate:
         spec = GoGSpec.make(
             1,
             ["X", "Y"],
-            [Edge("t", "X", "X", ZMat([[1]]), ZMat([[2]]))],
+            [Edge("t", "X", "X", QMat([[1]]), QMat([[2]]))],
             spanning_tree=(),
         )
         problems = validate(spec)
@@ -46,11 +50,27 @@ class TestValidate:
         )
         assert any("not unique" in p for p in validate(spec))
 
+    def test_non_integral_inclusion_reported(self):
+        half = Edge("t", "X", "X", QMat([[Fraction(1, 2)]]), QMat([[2]]))
+        spec = GoGSpec.make(1, ["X"], [half])
+        assert validate(spec) == ["edge t: alpha is not an integer matrix"]
+        with pytest.raises(InvalidSpecError, match="alpha is not an integer matrix"):
+            classify(spec)
+
+    def test_non_square_rows_reported(self):
+        doc = GoGDocument(1, ("X",), (("t", "X", "X", ((1, 2),), ((1,),)),))
+        assert validate(doc.to_spec()) == ["edge t: alpha is not square"]
+
+    def test_undeclared_endpoint_is_not_a_cut(self):
+        # X is the only declared vertex, and the walk from it reaches it
+        spec = GoGSpec.make(1, ["X"], [Edge("t", "X", "Y", QMat([[1]]), QMat([[2]]))])
+        assert validate(spec) == ["edge t: unknown endpoint"]
+
     def test_bad_spanning_tree(self):
         spec = GoGSpec.make(
             1,
             ["X"],
-            [Edge("t", "X", "X", ZMat([[1]]), ZMat([[2]]))],
+            [Edge("t", "X", "X", QMat([[1]]), QMat([[2]]))],
             spanning_tree=("t",),
         )
         assert any("spanning tree" in p for p in validate(spec))
@@ -107,8 +127,8 @@ class TestPresentation:
             1,
             ["X", "Y"],
             [
-                Edge("f", "X", "Y", ZMat([[2]]), ZMat([[1]])),
-                Edge("t", "X", "X", ZMat([[1]]), ZMat([[3]])),
+                Edge("f", "X", "Y", QMat([[2]]), QMat([[1]])),
+                Edge("t", "X", "X", QMat([[1]]), QMat([[3]])),
             ],
         )
         assert spec.spanning_tree == ("f",)
@@ -146,18 +166,18 @@ class TestBassSerre:
         spec = GoGSpec.make(
             1,
             ["X", "Y"],
-            [Edge("f", "X", "Y", ZMat([[2]]), ZMat([[1]]))],
+            [Edge("f", "X", "Y", QMat([[2]]), QMat([[1]]))],
         )
         assert bass_serre_degrees(spec).ends == "bounded"
 
     def test_proper_amalgam_trees(self):
         # indices (2,2): the tree is 2-regular, a line; (2,3): branching
         line = GoGSpec.make(
-            1, ["X", "Y"], [Edge("f", "X", "Y", ZMat([[2]]), ZMat([[2]]))]
+            1, ["X", "Y"], [Edge("f", "X", "Y", QMat([[2]]), QMat([[2]]))]
         )
         assert bass_serre_degrees(line).ends == "two-ended (line)"
         branching = GoGSpec.make(
-            1, ["X", "Y"], [Edge("f", "X", "Y", ZMat([[2]]), ZMat([[3]]))]
+            1, ["X", "Y"], [Edge("f", "X", "Y", QMat([[2]]), QMat([[3]]))]
         )
         assert bass_serre_degrees(branching).ends == "infinitely-many-ends"
 
@@ -168,8 +188,8 @@ class TestBassSerre:
             1,
             ["X", "Y", "Z"],
             [
-                Edge("f", "X", "Y", ZMat([[2]]), ZMat([[1]])),
-                Edge("g", "Y", "Z", ZMat([[1]]), ZMat([[2]])),
+                Edge("f", "X", "Y", QMat([[2]]), QMat([[1]])),
+                Edge("g", "Y", "Z", QMat([[1]]), QMat([[2]])),
             ],
         )
         assert bass_serre_degrees(spec).ends == "two-ended (line)"
@@ -193,14 +213,14 @@ class TestUnderlyingRank:
         spec = GoGSpec.make(
             1,
             ["X", "Y"],
-            [Edge("f", "X", "Y", ZMat([[1]]), ZMat([[1]]))],
+            [Edge("f", "X", "Y", QMat([[1]]), QMat([[1]]))],
         )
         assert underlying_rank(spec) == 0
 
     def test_independent_of_spanning_tree(self):
         edges = [
-            Edge("f", "X", "Y", ZMat([[1]]), ZMat([[1]])),
-            Edge("g", "X", "Y", ZMat([[1]]), ZMat([[2]])),
+            Edge("f", "X", "Y", QMat([[1]]), QMat([[1]])),
+            Edge("g", "X", "Y", QMat([[1]]), QMat([[2]])),
         ]
         s1 = GoGSpec.make(1, ["X", "Y"], edges, spanning_tree=("f",))
         s2 = GoGSpec.make(1, ["X", "Y"], edges, spanning_tree=("g",))

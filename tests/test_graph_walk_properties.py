@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from gbsn.gog import Edge, GoGSpec, _default_spanning_tree, validate
 from gbsn.holonomy import compute_holonomy
-from gbsn.linalg import QMat, ZMat
+from gbsn.linalg import QMat
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=200)
 
@@ -85,7 +85,9 @@ def reference_validate(spec):
                 problems.append(f"edge {e.name}: {label} has dimension {m.n}, expected {spec.rank}")
             elif m.det() == 0:
                 problems.append(f"edge {e.name}: edge inclusion not injective ({label})")
-    if spec.vertices and fixpoint_reach(spec.vertices[0], spec.edges) != vertex_set:
+    # an edge to an undeclared vertex is reported above, not as a cut
+    declared = [e for e in spec.edges if {e.src, e.dst} <= vertex_set]
+    if spec.vertices and fixpoint_reach(spec.vertices[0], declared) != vertex_set:
         problems.append("graph not connected")
     tree_names = set(spec.spanning_tree)
     if not tree_names <= set(names):
@@ -106,14 +108,14 @@ def reference_holonomy(spec):
     transport = {base: QMat.identity(spec.rank)}
     while len(transport) < len(spec.vertices):
         for e in spec.tree_edges():
-            comparison = e.omega.to_qmat() * e.alpha.to_qmat().inverse()
+            comparison = e.omega * e.alpha.inverse()
             if e.src in transport and e.dst not in transport:
                 transport[e.dst] = transport[e.src] * comparison.inverse()
             elif e.dst in transport and e.src not in transport:
                 transport[e.src] = transport[e.dst] * comparison
     return {
         e.name: transport[e.dst]
-        * (e.omega.to_qmat() * e.alpha.to_qmat().inverse())
+        * (e.omega * e.alpha.inverse())
         * transport[e.src].inverse()
         for e in spec.loop_edges()
     }
@@ -137,7 +139,7 @@ def graphs(draw):
         names.append(names[0])
     matrices = st.lists(
         st.lists(st.integers(-2, 2), min_size=rank, max_size=rank), min_size=rank, max_size=rank
-    ).filter(lambda rows: ZMat(rows).det() != 0)
+    ).filter(lambda rows: QMat(rows).det() != 0)
     endpoints = st.sampled_from(vertices)
     joined = not draw(RARELY)
     edges = []
@@ -150,10 +152,10 @@ def graphs(draw):
             src, dst = draw(endpoints), draw(endpoints)
         if draw(RARELY):
             dst = "Q"  # never declared
-        edges.append(Edge(name, src, dst, ZMat(draw(matrices)), ZMat(draw(matrices))))
+        edges.append(Edge(name, src, dst, QMat(draw(matrices)), QMat(draw(matrices))))
     if edges and draw(RARELY):
         e = edges[0]
-        edges[0] = Edge(e.name, e.src, e.dst, ZMat([[0] * rank] * rank), e.omega)
+        edges[0] = Edge(e.name, e.src, e.dst, QMat([[0] * rank] * rank), e.omega)
     kind = draw(st.sampled_from(("default", "joined", "shifted", "any", "unknown name")))
     if kind == "default":
         return rank, vertices, edges, None
@@ -202,6 +204,13 @@ def test_edge_order_changes_nothing(args, rnd):
     assert second.spanning_tree == first.spanning_tree
     if not problems:
         assert compute_holonomy(second).stable == compute_holonomy(first).stable
+
+
+def test_undeclared_endpoint_and_cut_both_reported():
+    edge = Edge("t", "X", "Q", QMat([[1]]), QMat([[2]]))
+    spec = GoGSpec.make(1, ["X", "Y"], [edge])
+    expected = ["edge t: unknown endpoint", "graph not connected"]
+    assert validate(spec) == reference_validate(spec) == expected
 
 
 def test_generated_graphs_reach_every_branch():

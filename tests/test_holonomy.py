@@ -13,7 +13,7 @@ from gbsn.holonomy import (
     verify_nondiscreteness,
     word_image,
 )
-from gbsn.linalg import QMat, ZMat
+from gbsn.linalg import QMat
 from gbsn.words import Word, parse_word
 
 H = QMat([[2, 0], [0, Q(1, 2)]])
@@ -52,8 +52,8 @@ class TestComputeHolonomy:
             1,
             ["X", "Y"],
             [
-                Edge("f", "X", "Y", ZMat([[2]]), ZMat([[1]])),
-                Edge("t", "Y", "Y", ZMat([[1]]), ZMat([[3]])),
+                Edge("f", "X", "Y", QMat([[2]]), QMat([[1]])),
+                Edge("t", "Y", "Y", QMat([[1]]), QMat([[3]])),
             ],
         )
         hd = compute_holonomy(spec)
@@ -182,8 +182,8 @@ class TestNonDiscretenessWitness:
             2,
             ["X"],
             [
-                Edge("p", "X", "X", ZMat.identity(2), ZMat([[1, 1], [0, 1]])),
-                Edge("e", "X", "X", ZMat.identity(2), ZMat([[0, 1], [-1, 0]])),
+                Edge("p", "X", "X", QMat.identity(2), QMat([[1, 1], [0, 1]])),
+                Edge("e", "X", "X", QMat.identity(2), QMat([[0, 1], [-1, 0]])),
             ],
         )
         res = non_discreteness_witness(compute_holonomy(spec))
@@ -193,7 +193,7 @@ class TestNonDiscretenessWitness:
         spec = GoGSpec.make(
             2,
             ["X"],
-            [Edge("h", "X", "X", ZMat([[1, 0], [0, 2]]), ZMat([[2, 0], [0, 1]]))],
+            [Edge("h", "X", "X", QMat([[1, 0], [0, 2]]), QMat([[2, 0], [0, 1]]))],
         )
         res = non_discreteness_witness(compute_holonomy(spec))
         assert res.kind == "none found"

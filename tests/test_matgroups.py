@@ -300,7 +300,6 @@ class TestClosure:
         desc = closure_describe([P], virtually_solvable([P]))
         assert desc.diag_kind == "trivial"
         assert desc.unipotent_kind == "discrete"
-        assert desc.unipotent_generator == 1
 
     def test_nonamenable(self):
         desc = closure_describe([H, P, E], virtually_solvable([H, P, E]))

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from gbsn.classify import whyte_classify
 from gbsn.gog import Edge, GoGSpec
 from gbsn.holonomy import compute_holonomy, verify_nondiscreteness, word_image
-from gbsn.linalg import QMat, ZMat
+from gbsn.linalg import QMat
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=60)
 
@@ -31,8 +31,8 @@ def diag_shear_specs(draw):
     b = draw(st.integers(-4, 4).filter(lambda b: b != 0 and 1 + a * b != 0))
     c, c_inv = [[1 + a * b, a], [b, 1]], [[1, -a], [-b, 1 + a * b]]
     edges = [
-        Edge("h", "X", "X", ZMat(_mul(c, [[1, 0], [0, m]])), ZMat(_mul(c, [[m, 0], [0, 1]]))),
-        Edge("p", "X", "X", ZMat.identity(2), ZMat(_mul(_mul(c, [[1, k], [0, 1]]), c_inv))),
+        Edge("h", "X", "X", QMat(_mul(c, [[1, 0], [0, m]])), QMat(_mul(c, [[m, 0], [0, 1]]))),
+        Edge("p", "X", "X", QMat.identity(2), QMat(_mul(_mul(c, [[1, k], [0, 1]]), c_inv))),
     ]
     return GoGSpec.make(2, ["X"], edges)
 
@@ -43,8 +43,8 @@ def rank_one_pair(k):
         1,
         ["X"],
         [
-            Edge("s", "X", "X", ZMat([[k]]), ZMat([[k + 1]])),
-            Edge("u", "X", "X", ZMat([[k - 1]]), ZMat([[k]])),
+            Edge("s", "X", "X", QMat([[k]]), QMat([[k + 1]])),
+            Edge("u", "X", "X", QMat([[k - 1]]), QMat([[k]])),
         ],
     )
 

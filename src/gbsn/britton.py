@@ -319,7 +319,6 @@ class GeodesicOracle:
 
     def __init__(self, spec: GoGSpec):
         self.ops = _fast_ops(spec)
-        self.spec = spec
         self.steps = self.ops.generator_steps()
         identity = self.ops.identity()
         self.dist: dict[tuple, int] = {identity: 0}

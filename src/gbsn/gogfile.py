@@ -147,6 +147,8 @@ def parse(text: str) -> GoGDocument:
             omega = sc.matrix()
             edges.append((name, src, dst, alpha, omega))
         elif keyword == "tree":
+            if tree is not None:
+                sc.error("duplicate tree declaration")
             names = []
             while not sc.at_end():
                 names.append(sc.name())

@@ -458,9 +458,6 @@ class QuadraticNumber:
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0
 
-    def conjugate(self) -> "QuadraticNumber":
-        return QuadraticNumber(self.a, -self.b, self.d)
-
     def sign(self) -> int:
         """Sign of the real value (requires d >= 0)."""
         if self.d < 0:

@@ -4,18 +4,19 @@ Virtual solvability is decided constructively: a subgroup of GL_2(Q) is
 virtually solvable exactly when it fixes a point of the projective line over
 a quadratic extension or permutes a two-point set (for rational 2x2 matrices
 the exceptional finite projective groups A4, S4, A5 cannot occur, since -1 is
-not a sum of two rational squares). Candidate points come from
-eigendirections of short words, and every certificate re-verifies by exact
-arithmetic. The negative answer is certified by a ping-pong free pair acting
-on the projective line, coordinatized by the slope y/x in Q u {inf}.
+not a sum of two rational squares). Candidate points are the eigenlines of a
+generator, then the eigendirections of the radius-2 word ball; certificates
+re-verify by exact arithmetic. The negative answer is a ping-pong free pair
+acting on the projective line, coordinatized by the slope y/x in Q u {inf}.
 
 The scans themselves solve no eigenproblem: the invariant-line scan tests the
 pivot's integer eigenlines (``linalg.common_eigenline``), an invariant-pair
 candidate m is tested by commutation (g m = m g, or g m = adj(m) g), and a
 ping-pong player's kind and fixed slopes are the ``linalg.eigenlines`` of
-the integer entries of a word-ball state. ``eigen_directions`` runs only to
-state an irrational invariant line or an invariant pair that is returned,
-and certificates re-verify with ``linalg.maps_to``.
+the integer entries of a word-ball state; every short-word scan reads a
+``WordBall``. ``eigen_directions`` runs only to state a returned irrational
+invariant line or invariant pair, and certificates re-verify with
+``linalg.maps_to``. The closure shape is read off the generators.
 
 The ping-pong is integer work on the circle of directions of ``linalg``,
 and irrational fixed slopes keep their raw discriminants; the closure's
@@ -121,36 +122,9 @@ def _named(gens: Sequence[QMat], names: Optional[Sequence[str]]) -> dict:
     return dict(zip(names, gens))
 
 
-def _candidate_pool(named: dict) -> list[tuple[Word, QMat]]:
-    """Non-scalar elements among generators, inverses, and ordered length-2
-    products.
-
-    This pool is complete for invariant-pair candidates: if the group
-    preserves a pair {p, q}, the index-<=2 subgroup fixing p and q pointwise
-    is generated, up to conjugation and scalars, by the non-swapping
-    generators and pairwise products of swapping ones; and if all of those
-    are scalar, every non-scalar element of the group has eigendirections
-    exactly {p, q}. A candidate m with distinct eigenvalues is tested by
-    commutation (``_preserves_eigenpair``), so the scan needs m's
-    eigendirections only for the first m that passes.
-    """
-    singles = [(Word([(n, 1)]), m) for n, m in named.items()]
-    singles += [(Word([(n, -1)]), m.inverse()) for n, m in named.items()]
-    items = list(singles)
-    for w1, m1 in singles:
-        for w2, m2 in singles:
-            items.append((w1 * w2, m1 * m2))
-    pool, seen = [], set()
-    for w, m in items:
-        if m.det() == 0 or m.is_scalar() or m in seen:
-            continue
-        seen.add(m)
-        pool.append((w, m))
-    return pool
-
-
 def _preserves_eigenpair(m: QMat, mats: Sequence[QMat]) -> bool:
     """Does every g in ``mats`` fix or swap the two eigendirections of m?
+    False for every m with D = 0, scalars too, so the scan needs no filter.
 
     For m with distinct eigenvalues (tr^2 != 4 det), real or complex, g fixes
     both eigendirections exactly when g m = m g, and swaps them exactly when
@@ -194,7 +168,15 @@ def virtually_solvable(
     if line is not None:
         return TitsResult(True, InvariantLineCertificate(line), "common eigendirection")
 
-    for _, m in _candidate_pool(named):
+    # The radius-2 ball holds each element of length <= 2 once (w w^-1 = I
+    # aside): a passing one if the group preserves a pair {p, q}. The
+    # subgroup H fixing p and q has index <= 2, and its non-scalar elements
+    # have eigendirections {p, q}. For a generator s swapping them, H is
+    # generated by the generators g fixing them, the s g s^-1, and the s t and
+    # t s^-1 for swapping generators t. If all g, s t, t s^-1 are scalar, so
+    # is H, and s (trace 0) passes.
+    ball = WordBall(named)
+    for m in map(ball.matrix, ball.grow(2)):
         if _preserves_eigenpair(m, mats):
             return TitsResult(
                 True,
@@ -266,6 +248,9 @@ class WordBall:
     Shortlex-least spellings are prefix-closed (Epstein et al., Word
     Processing in Groups, 1992), so elements are found in the shortlex order
     of their least spellings and ``word`` returns that spelling.
+
+    Read by the invariant-pair scan (radius 2), the ping-pong players, the
+    Cartan samples and the stable-letter relation of ``classify`` (case 2a).
     """
 
     def __init__(self, named: dict):
@@ -604,11 +589,11 @@ class ClosureDescription:
     """Shape of the closure of a triangularizable-over-Q matrix group.
 
     status: 'triangular', 'not available', or 'nonamenable'. In the
-    triangular case the group is conjugated into upper triangular form;
-    ``diag_kind`` flags the multiplicative group generated by the absolute
-    top-left entries as trivial / cyclic (with generator) / dense, and
-    ``unipotent_kind`` flags the additive closure of the off-diagonal orbit
-    as trivial / discrete / dense.
+    triangular case every generator g fixes a rational line, on which it
+    acts by its eigenvalue lambda(g); ``diag_kind`` flags the multiplicative
+    group generated by the |lambda(g)| as trivial / cyclic (with generator)
+    / dense, and ``unipotent_kind`` flags the additive closure of the
+    unipotent part as trivial / discrete / dense.
     """
 
     status: str
@@ -621,10 +606,16 @@ def closure_describe(gens: Sequence[QMat], result: TitsResult) -> ClosureDescrip
     """Describe the closure of <gens> in GL_2(R) when it is triangularizable,
     given the Tits decision ``result`` on <gens>.
 
-    The density flag for the unipotent part is exact: with a nonzero
-    off-diagonal value present, its orbit under conjugation by the diagonal
-    parts has unbounded denominators iff some diagonal ratio has absolute
-    value != 1.
+    Over a basis whose first vector spans the rational invariant line
+    (x : y), (1 : 0) under a scalar certificate, g is upper triangular with
+    diagonal (lambda(g), det g / lambda(g)), lambda(g) its eigenvalue on the
+    line. The unipotent part is trivial iff all generators commute and none
+    is non-scalar with D = 0: a commutator of triangular matrices is
+    unipotent, and not I iff the two do not commute; in an abelian group,
+    an element commuting with a non-scalar unipotent (times a scalar) has
+    equal eigenvalues, so products add nothing. Otherwise the orbit of the
+    off-diagonal values under the diagonal parts has unbounded denominators
+    (dense) iff some lambda(g)^2 != |det g|.
     """
     mats = list(gens)
     if result.virtually_solvable is False:
@@ -633,25 +624,20 @@ def closure_describe(gens: Sequence[QMat], result: TitsResult) -> ClosureDescrip
         return ClosureDescription(status="not available")
     cert = result.certificate
     if isinstance(cert, ScalarCertificate):
-        tri = mats
+        x, y = Q(1), Q(0)
     elif isinstance(cert, InvariantLineCertificate) and cert.point.is_rational():
-        p = cert.point
-        px, py = p.x.a, p.y.a
-        conj = QMat([[px, 0], [py, 1]]) if px != 0 else QMat([[0, 1], [1, 0]])
-        conj_inv = conj.inverse()
-        tri = [conj_inv * g * conj for g in mats]
+        x, y = cert.point.x.a, cert.point.y.a
     else:
         return ClosureDescription(status="not available")  # not triangularizable over Q
-    for t in tri:
-        assert t.rows[1][0] == 0, "conjugation did not triangularize"
-    diag_kind, diag_gen = _multiplicative_group_shape([abs(t.rows[0][0]) for t in tri])
-    # off-diagonal data from short words, conjugated by the diagonal ratios
-    pool = list(tri)
-    pool += [a * b for a in tri for b in tri]
-    pool += [a * b * a.inverse() * b.inverse() for a in tri for b in tri]
-    if not any(t.rows[0][0] == t.rows[1][1] and t.rows[0][1] != 0 for t in pool):
+    i, coord = (0, x) if x else (1, y)  # g (x, y) = lambda(g) (x, y)
+    lams = [(g.num[i][0] * x + g.num[i][1] * y) / (g.den * coord) for g in mats]
+    diag_kind, diag_gen = _multiplicative_group_shape([abs(lam) for lam in lams])
+    moving = [g for g in mats if not g.is_scalar()]  # scalars pass both tests, at any n
+    if all(commutes(a, b) for a, b in itertools.combinations(moving, 2)) and not any(
+        eigenlines(g.num)[0] == 0 for g in moving
+    ):
         unip_kind = "trivial"
-    elif any(abs(t.rows[0][0]) != abs(t.rows[1][1]) for t in tri):
+    elif any(lam * lam != abs(g.det()) for lam, g in zip(lams, mats)):
         unip_kind = "dense"
     else:
         unip_kind = "discrete"

@@ -61,9 +61,6 @@ class Word:
     def inverse(self) -> "Word":
         return Word((n, -e) for n, e in reversed(self.letters))
 
-    def generators(self) -> set[str]:
-        return {n for n, _ in self.letters}
-
     def single_letters(self) -> Iterator[Letter]:
         """Yield the word letter by letter with exponents +-1."""
         for name, exp in self.letters:

@@ -63,6 +63,10 @@ class TestParse:
         with pytest.raises(GoGParseError, match="duplicate rank"):
             parse("rank 1\nrank 2\n")
 
+    def test_duplicate_tree(self):
+        with pytest.raises(GoGParseError, match="duplicate tree"):
+            parse("rank 1\nvertex X\nedge f: X -> X alpha [[1]] omega [[2]]\ntree\ntree f\n")
+
     def test_non_square_matrix(self):
         with pytest.raises(GoGParseError, match="square"):
             parse("rank 2\nvertex X\nedge h: X -> X alpha [[1,0]] omega [[1,0],[0,1]]\n")

@@ -212,6 +212,13 @@ class _FastOps:
         Vertex letters commute and only ever change the free last vector,
         so a run of them is summed into a pending vector and added to it
         before the next stable letter and once at the end.
+
+        The word is read single letter by single letter, through the C-level
+        stream of ``Word.single_letters``, so the cost is linear in each
+        exponent. Adding a whole vertex run as one step (ROADMAP item
+        2) waits on the benchmark tracer: it counts letters by wrapping
+        ``Word.single_letters``, and ``test_tracer_restores_gbsn`` in
+        ``perfbench/tests`` pins that count above zero.
         """
         n = self.n
         apply = self.apply

@@ -1,14 +1,16 @@
 """Words over a group presentation alphabet.
 
 A word is a sequence of letters, each a generator name with a nonzero integer
-exponent. Construction always free-reduces: adjacent letters with the same
-name are merged and zero exponents dropped, so ``Word`` equality is equality
-of freely reduced spellings (not equality in any quotient group).
+exponent; an exponent that is not integral is refused with ValueError.
+Construction always free-reduces: adjacent letters with the same name are
+merged and zero exponents dropped, so ``Word`` equality is equality of freely
+reduced spellings (not equality in any quotient group).
 """
 
 from __future__ import annotations
 
 import re
+from itertools import chain, repeat
 from typing import Iterable, Iterator
 
 Letter = tuple[str, int]
@@ -19,8 +21,10 @@ class Word:
 
     def __init__(self, letters: Iterable[Letter] = ()):
         merged: list[list] = []
-        for name, exp in letters:
-            exp = int(exp)
+        for name, value in letters:
+            exp = int(value)
+            if exp != value:
+                raise ValueError(f"exponent {value!r} of {name!r} is not an integer")
             if exp == 0:
                 continue
             if merged and merged[-1][0] == name:
@@ -62,11 +66,15 @@ class Word:
         return Word((n, -e) for n, e in reversed(self.letters))
 
     def single_letters(self) -> Iterator[Letter]:
-        """Yield the word letter by letter with exponents +-1."""
-        for name, exp in self.letters:
-            step = 1 if exp > 0 else -1
-            for _ in range(abs(exp)):
-                yield name, step
+        """A lazy iterator over the word letter by letter, with exponents +-1.
+
+        It is a chain of ``itertools.repeat`` runs, one per letter of the
+        spelling, so the letters come at C speed and a huge exponent costs
+        nothing until it is read.
+        """
+        return chain.from_iterable(
+            repeat((name, 1 if exp > 0 else -1), abs(exp)) for name, exp in self.letters
+        )
 
     def __repr__(self):
         return f"Word({str(self)!r})"

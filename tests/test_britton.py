@@ -27,7 +27,7 @@ from gbsn.holonomy import compute_holonomy, word_image
 from gbsn.linalg import QMat
 from gbsn.words import Word, parse_word
 
-from conftest import load_spec, naive_ball, word_of_normal_form
+from conftest import load_spec, naive_ball, time_budget, word_of_normal_form
 
 # radius of the naive ball each spec's geodesic answers are checked against
 NAIVE_RADIUS = {"bs12": 10, "ascend2": 10, "specB": 6, "specA": 7}
@@ -145,6 +145,14 @@ class TestIsIdentity:
             w2 = random_word(rng, letters, max_len=6)
             same_form = britton_reduce(spec_a, w1) == britton_reduce(spec_a, w2)
             assert same_form == is_identity(spec_a, w1 * w2.inverse())
+
+    def test_long_vertex_runs_within_budget(self, spec_bs12):
+        # t^-1 a t = a^2; the fold reads each vertex run letter by letter,
+        # so this guards a cost linear in N
+        n = 10**6
+        with time_budget(2):
+            assert is_identity(spec_bs12, parse_word(f"t^-1 a^{n} t a^-{2 * n}"))
+            assert is_identity(spec_bs12, parse_word(f"t a^{2 * n} t^-1 a^-{n}"))
 
     def test_identity_implies_trivial_holonomy_image(self, spec_a):
         rng = random.Random(43)

@@ -52,7 +52,7 @@ from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import lru_cache
-from operator import add
+from operator import add, mul
 from typing import Optional
 
 from .gog import GoGSpec, ensure_valid, vertex_letters
@@ -101,11 +101,11 @@ class _FastOps:
     a stable step (kind 1: t^{+-1}), and leaves it canonical. ``fold``
     right-multiplies by a whole word, one ``apply`` per stable letter.
 
-    ``tables[(loop_index, sign)]`` holds what passes right through the letter
-    t^sign: its lattice (alpha-image for sign +1, omega-image for sign -1) as
-    an integer HNF and by columns, the push map x -> t^-sign x t^sign on that
-    lattice as a QMat, and the same map as an integer matrix over a common
-    denominator, so a step is integer work.
+    ``tables[(loop_index, sign)]`` is ``(cols, push_num, den, hnf)`` for the
+    letter t^sign: ``hnf`` is the integer HNF of the lattice that passes right
+    through it (alpha-image for sign +1, omega-image for sign -1), ``cols``
+    its columns, and the integer rows ``push_num`` over ``den`` > 0 are the
+    push map x -> t^-sign x t^sign on that lattice, so a step is integer work.
     """
 
     def __init__(self, spec: GoGSpec):
@@ -126,7 +126,7 @@ class _FastOps:
             for sign, image, push in ((1, e.alpha, mat), (-1, e.omega, mat.inverse())):
                 hnf = hermite_normal_form(image)
                 cols = tuple(zip(*hnf.num))
-                self.tables[(idx, sign)] = (cols, push.num, push.den, hnf, push)
+                self.tables[(idx, sign)] = (cols, push.num, push.den, hnf)
 
     def to_flat(self, nf: NormalForm) -> tuple:
         """The flat state of ``nf``; ValueError when its shape does not fit."""
@@ -179,7 +179,7 @@ class _FastOps:
         if kind == 0:
             s[last + index] += step
             return
-        cols, push, den, _, _ = self.tables[(index, step)]
+        cols, push, den, _ = self.tables[(index, step)]
         lat = [0] * n
         moved = False
         for i in range(n):
@@ -493,24 +493,19 @@ def _vertex_vector(ops: _FastOps, element: Word) -> tuple:
 def _find_doubler(ops: _FastOps, vec: tuple):
     """Stable letter whose conjugation scales ``vec`` by an integer >= 2."""
     best = None
+    first = next(i for i, c in enumerate(vec) if c)
     for idx, name in enumerate(ops.loop_names):
         for sign in (1, -1):
             # t^-sign vec t^sign is the push map through t^sign, and it
             # needs vec in that letter's lattice
-            _, _, _, hnf, mat = ops.tables[(idx, sign)]
-            image = mat.apply(vec)
-            ratios = {image[i] / vec[i] for i in range(len(vec)) if vec[i] != 0}
-            if len(ratios) != 1:
-                continue
-            lam = ratios.pop()
-            if lam.denominator != 1 or lam < 2:
-                continue
-            if any(image[i] != 0 for i in range(len(vec)) if vec[i] == 0):
+            _, push, den, hnf = ops.tables[(idx, sign)]
+            image = [sum(map(mul, row, vec)) for row in push]
+            lam, rem = divmod(image[first], den * vec[first])
+            if rem or lam < 2 or any(y != lam * den * c for y, c in zip(image, vec)):
                 continue
             residue, _ = lattice_residue(hnf, vec)
             if any(residue):
                 continue
-            lam = int(lam)
             if best is None or lam > best[2]:
                 best = (name, sign, lam)
     return best
@@ -524,12 +519,13 @@ def distortion_profile(
 ) -> DistortionProfile:
     """Word-length growth of powers m*v of a vertex-group element.
 
-    Upper bounds come from greedy base-lambda rewriting through a stable
-    letter that scales v by an integer lambda >= 2 (cost 2 per digit), when
-    one exists; exact lengths from BFS whenever the upper bound is within
-    ``bfs_cap``. Ratios use the exact length when available, else the upper
-    bound; the reported max ratio over the window estimates the limsup of
-    |mv| / log m. The analytic lower bound is attached via
+    Upper bounds are the lengths of the greedy base-lambda spelling through
+    a stable letter that scales v by an integer lambda >= 2 (cost 2 per
+    digit), or of the direct spelling when there is none; they are counted,
+    and no word is built. Exact lengths come from BFS whenever the upper
+    bound is within ``bfs_cap``. Ratios use the exact length when available,
+    else the upper bound; the reported max ratio over the window estimates
+    the limsup of |mv| / log m. The analytic lower bound is attached via
     ``analytic_lower_bound`` and is not BFS-verified.
 
     All exact lengths come from the spec's oracle in the store that
@@ -543,54 +539,44 @@ def distortion_profile(
     if not any(vec):
         raise ValueError("element must be a nonzero vertex-group element")
     doubler = _find_doubler(ops, vec)
-    memo: dict[int, Word] = {}
+    weight = sum(map(abs, vec))
+    memo: dict[int, int] = {}
 
-    def direct(m: int) -> Word:
-        return Word((name, m * vec[i]) for name, i in ops.vletters.items())
-
-    def spell(m: int) -> Word:
-        """Cheapest known spelling of m*v: direct, or recurse through the
-        scaling letter with a balanced last digit."""
-        if m < 0:
-            return spell(-m).inverse()
+    # cost(m), m >= 1, is the length of the cheapest known spelling of m*v:
+    # direct, or t^-s (spelling of q*v) t^s (r*v) through the scaling letter
+    # t^s, for (q, r) = divmod(m, lambda) or the balanced (q + 1, r - lambda).
+    # Spellings start with t^-s or a vertex letter and end with t^s or one,
+    # so the pieces never cancel and their lengths add.
+    def cost(m: int) -> int:
         if m in memo:
             return memo[m]
-        best = direct(m)
+        best = m * weight
         if doubler is not None and m >= doubler[2]:
-            name, sign, lam = doubler
-            q0, r0 = divmod(m, lam)
-            branches = [(q0, r0)]
-            if r0 > 0 and q0 + 1 < m:
-                branches.append((q0 + 1, r0 - lam))
-            for q, r in branches:
-                cand = Word([(name, -sign)]) * spell(q) * Word([(name, sign)]) * direct(r)
-                if len(cand) < len(best):
-                    best = cand
+            lam = doubler[2]
+            q, r = divmod(m, lam)
+            best = min(best, 2 + cost(q) + r * weight)
+            if r > 0 and q + 1 < m:
+                best = min(best, 2 + cost(q + 1) + (lam - r) * weight)
         memo[m] = best
         return best
 
     growth = 2.0
-    for _, _, _, _, mat in ops.tables.values():
-        growth = max(growth, float(mat.max_abs_entry()))
+    for _, push, den, _ in ops.tables.values():
+        growth = max(growth, max(abs(x) for row in push for x in row) / den)
 
     entries = []
-    ratios = []
     with _kept_oracle(spec) as oracle:
         for m in powers:
             m = int(m)
             if m < 1:
                 raise ValueError("powers must be positive")
-            word = spell(m)
-            ub = len(word)
+            ub = cost(m)
             exact = None
             if ub <= bfs_cap:
                 target = NormalForm(tuple(m * c for c in vec), ())
                 exact = oracle.distance(target, ub)
             length = exact if exact is not None else ub
-            ratio = length / math.log(m) if m >= 2 else None
-            if ratio is not None:
-                ratios.append(ratio)
-            entries.append(ProfileEntry(m, ub, exact, ratio))
+            entries.append(ProfileEntry(m, ub, exact, length / math.log(m) if m >= 2 else None))
     note = (
         "upper bounds by greedy base-%d rewriting through %s"
         % (doubler[2], doubler[0])
@@ -600,7 +586,7 @@ def distortion_profile(
     return DistortionProfile(
         element,
         tuple(entries),
-        max(ratios) if ratios else None,
+        max((e.ratio_to_log for e in entries if e.ratio_to_log is not None), default=None),
         doubler[0] if doubler else None,
         doubler[2] if doubler else None,
         growth,

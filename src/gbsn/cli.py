@@ -260,9 +260,6 @@ def run(argv=None) -> int:
         return 1 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (gogfile.GoGParseError, gog.InvalidSpecError, britton.UnsupportedSpecError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

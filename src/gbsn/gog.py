@@ -221,12 +221,12 @@ def presentation(spec: GoGSpec) -> Presentation:
                 rhs = Word([(ls[j], 1), (ls[i], 1)])
                 relations.append((lhs, rhs))
                 relators.append(lhs * rhs.inverse())
-    basis = [tuple(1 if i == j else 0 for j in range(spec.rank)) for i in range(spec.rank)]
     for e in spec.edges:
         src_letters, dst_letters = letters[e.src], letters[e.dst]
-        for c in basis:
-            a_word = vector_word(src_letters, e.alpha.apply(c))
-            o_word = vector_word(dst_letters, e.omega.apply(c))
+        # the inclusions are integral: column c of num is the image of e_c
+        for a_col, o_col in zip(zip(*e.alpha.num), zip(*e.omega.num)):
+            a_word = vector_word(src_letters, a_col)
+            o_word = vector_word(dst_letters, o_col)
             if e.name in spec.spanning_tree:
                 relations.append((a_word, o_word))
                 relators.append(a_word * o_word.inverse())

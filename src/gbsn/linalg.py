@@ -183,9 +183,6 @@ class QMat:
     def is_integral(self) -> bool:
         return self.den == 1
 
-    def max_abs_entry(self) -> Q:
-        return Q(max(abs(x) for row in self.num for x in row), self.den)
-
 
 def sublattice_index(m: QMat) -> int:
     """Index of the sublattice m(Z^n) in Z^n, i.e. |det m|, for an integer
@@ -224,7 +221,6 @@ def hermite_normal_form(m: QMat) -> QMat:
 
     for i in range(n):
         # gcd sweep on row i across columns i..n-1
-        j = i
         while True:
             nonzero = [k for k in range(i, n) if cols[k][i] != 0]
             if len(nonzero) == 1:

@@ -1,0 +1,126 @@
+"""Byte-identity sweep of the CLI: every report of a fixed set of runs.
+
+A refactor that must leave the output alone is checked by running this
+script in both checkouts and comparing the two outputs byte for byte:
+
+    python tests/cli_sweep.py > after.txt
+    (in the other checkout, with this file copied to tests/)
+    python tests/cli_sweep.py > before.txt
+    cmp before.txt after.txt
+
+Each run calls ``gbsn.cli.run`` in-process, with the ``gbsn`` of the checkout
+the script sits in, and prints its arguments, exit code, stdout and stderr.
+The specs are ``data/*.gog``, ``tests/specs/*.gog`` and every distinct spec
+that ``perfbench.specgen.generate`` builds for the three workloads at seeds
+1-3 (imported only). They are copied into a temporary directory and named
+by relative paths, so no report depends on where the checkout lies.
+
+The runs, per spec: validate, presentation, holonomy, classify and
+compression (``--p 3/2`` and ``3``), each in JSON and in text; compare on
+every ordered pair of distinct parsed specs of the same rank, in JSON; and,
+on one-vertex specs, distortion in JSON with ``--max-power 200`` and
+``--bfs-cap`` 0, 6 and 10, for each vertex letter, the products x y^-1 of up
+to three pairs of letters, and the cube of the first letter. That is about
+5,600 runs over 184 specs, and takes under three minutes on a 2-core x86 VM.
+"""
+
+from __future__ import annotations
+
+import io
+import os
+import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from itertools import combinations
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
+
+from gbsn import gogfile  # noqa: E402
+from gbsn.cli import run  # noqa: E402
+from gbsn.gog import vertex_letters  # noqa: E402
+from perfbench.specgen import WORKLOADS, generate  # noqa: E402
+
+SEEDS = (1, 2, 3)
+SPEC_COMMANDS = (
+    ["validate"],
+    ["presentation"],
+    ["holonomy"],
+    ["classify"],
+    ["compression", "--p", "3/2"],
+    ["compression", "--p", "3"],
+)
+BFS_CAPS = ("0", "6", "10")
+
+
+def spec_texts() -> dict:
+    """{relative path: text}, one path per distinct text, in a fixed order."""
+    texts = {}
+    for folder, target in ((ROOT / "data", "data"), (ROOT / "tests" / "specs", "specs")):
+        for path in sorted(folder.glob("*.gog")):
+            texts[f"{target}/{path.name}"] = path.read_text()
+    for workload in WORKLOADS:
+        for seed in SEEDS:
+            specs, _ = generate(workload, seed)
+            for spec in specs:
+                texts[f"gen/{workload}-{seed}-{spec.name}.gog"] = spec.text()
+    seen, distinct = set(), {}
+    for path, text in texts.items():
+        if text not in seen:
+            seen.add(text)
+            distinct[path] = text
+    return distinct
+
+
+def elements(letters: tuple) -> list:
+    pairs = [f"{x} {y}^-1" for x, y in combinations(letters, 2)][:3]
+    return [*letters, *pairs, f"{letters[0]}^3"]
+
+
+def runs(texts: dict):
+    parsed = {}
+    for path, text in texts.items():
+        try:
+            parsed[path] = gogfile.parse(text).to_spec()
+        except ValueError:
+            pass
+    for path in texts:
+        for command in SPEC_COMMANDS:
+            for fmt in ("json", "text"):
+                yield [command[0], path, *command[1:], "--format", fmt]
+    for first, second in ((a, b) for a in parsed for b in parsed if a != b):
+        if parsed[first].rank == parsed[second].rank:
+            yield ["compare", first, second, "--format", "json"]
+    for path, spec in parsed.items():
+        if len(spec.vertices) != 1:
+            continue
+        for element in elements(vertex_letters(spec)[spec.vertices[0]]):
+            for cap in BFS_CAPS:
+                yield ["distortion", path, "--element", element, "--max-power", "200",
+                       "--bfs-cap", cap, "--format", "json"]
+
+
+def main() -> None:
+    texts = spec_texts()
+    out = sys.stdout
+    with tempfile.TemporaryDirectory() as tmp:
+        for path, text in texts.items():
+            target = Path(tmp, path)
+            target.parent.mkdir(parents=True, exist_ok=True)
+            target.write_text(text)
+        cwd = os.getcwd()
+        os.chdir(tmp)
+        try:
+            for argv in runs(texts):
+                stdout, stderr = io.StringIO(), io.StringIO()
+                with redirect_stdout(stdout), redirect_stderr(stderr):
+                    code = run(argv)
+                out.write(f"$ gbsn {' '.join(argv)}\nexit {code}\n")
+                out.write(f"--- stdout\n{stdout.getvalue()}--- stderr\n{stderr.getvalue()}")
+        finally:
+            os.chdir(cwd)
+
+
+if __name__ == "__main__":
+    main()

@@ -38,6 +38,10 @@ GOLDEN_RUNS = [
      ["distortion", f"data/{spec}.gog", "--element", element, "--max-power", top,
       "--bfs-cap", "12"], 0)
     for spec, element, top in (("bs12", "a", "64"), ("ascend2", "b", "64"), ("specA", "a", "16"))
+] + [
+    # no stable letter scales (1, 1) in ascend2, so only direct spellings
+    ("distortion_ascend2_ab",
+     ["distortion", "data/ascend2.gog", "--element", "a b", "--max-power", "32", "--bfs-cap", "8"], 0)
 ]
 # tests/specs/<name>.gog holds one shape of certificate each: an irrational
 # invariant line, a real and a complex invariant pair, a rational invariant

@@ -1,0 +1,153 @@
+"""The distortion window's upper bounds and scaling letter, checked against
+the forms they had when spellings were built as words.
+
+``reference_window`` keeps the earlier ``distortion_profile`` spelling as a
+``Word`` per power, measured by ``len``, with the scaling letter found on
+``QMat.apply`` (Fractions) and the analytic constant read off the push maps'
+``Fraction`` entries. ``distortion_profile`` counts the same lengths and
+tests the same scaling on integer rows.
+"""
+
+import math
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gbsn.britton import _fast_ops, distortion_profile
+from gbsn.gog import Edge, GoGSpec, vertex_letters
+from gbsn.linalg import QMat, hermite_normal_form, lattice_residue
+from gbsn.words import Word
+
+PROPERTY = settings(derandomize=True, deadline=None, max_examples=150)
+POWERS = range(1, 301)
+NONZERO = st.integers(-6, 6).filter(bool)
+
+
+def reference_find_doubler(ops, spec, vec):
+    """Stable letter whose conjugation scales ``vec`` by an integer >= 2,
+    tested on the push maps as ``QMat``s."""
+    edges = {e.name: e for e in spec.loop_edges()}
+    best = None
+    for name in ops.loop_names:
+        e = edges[name]
+        mat = e.comparison()
+        for sign, image_lattice, push in ((1, e.alpha, mat), (-1, e.omega, mat.inverse())):
+            image = push.apply(vec)
+            ratios = {image[i] / vec[i] for i in range(len(vec)) if vec[i] != 0}
+            if len(ratios) != 1:
+                continue
+            lam = ratios.pop()
+            if lam.denominator != 1 or lam < 2:
+                continue
+            if any(image[i] != 0 for i in range(len(vec)) if vec[i] == 0):
+                continue
+            residue, _ = lattice_residue(hermite_normal_form(image_lattice), vec)
+            if any(residue):
+                continue
+            lam = int(lam)
+            if best is None or lam > best[2]:
+                best = (name, sign, lam)
+    return best
+
+
+def reference_window(spec, vec, powers):
+    """(upper bounds, doubler, analytic constant, max ratio) with every
+    spelling built as a ``Word``; the ratios are those of a window with
+    no exact lengths."""
+    ops = _fast_ops(spec)
+    doubler = reference_find_doubler(ops, spec, vec)
+    memo = {}
+
+    def direct(m):
+        return Word((name, m * vec[i]) for name, i in ops.vletters.items())
+
+    def spell(m):
+        if m in memo:
+            return memo[m]
+        best = direct(m)
+        if doubler is not None and m >= doubler[2]:
+            name, sign, lam = doubler
+            q0, r0 = divmod(m, lam)
+            branches = [(q0, r0)]
+            if r0 > 0 and q0 + 1 < m:
+                branches.append((q0 + 1, r0 - lam))
+            for q, r in branches:
+                cand = Word([(name, -sign)]) * spell(q) * Word([(name, sign)]) * direct(r)
+                if len(cand) < len(best):
+                    best = cand
+        memo[m] = best
+        return best
+
+    growth = 2.0
+    for e in spec.loop_edges():
+        for push in (e.comparison(), e.comparison().inverse()):
+            growth = max(growth, float(max(abs(x) for row in push.rows for x in row)))
+    bounds = [len(spell(m)) for m in powers]
+    ratios = [ub / math.log(m) for ub, m in zip(bounds, powers) if m >= 2]
+    return bounds, doubler, growth, max(ratios) if ratios else None
+
+
+def loop(name, alpha, omega):
+    return Edge(name, "X", "X", QMat(alpha), QMat(omega))
+
+
+@st.composite
+def rank1(draw):
+    return GoGSpec.make(1, ["X"], [loop("t", [[draw(NONZERO)]], [[draw(NONZERO)]])])
+
+
+@st.composite
+def rank2_diagonal(draw):
+    alpha = [[draw(NONZERO), 0], [0, draw(NONZERO)]]
+    omega = [[draw(NONZERO), 0], [0, draw(NONZERO)]]
+    return GoGSpec.make(2, ["X"], [loop("t", alpha, omega)])
+
+
+@st.composite
+def rank2_shear(draw):
+    p, q = draw(NONZERO), draw(NONZERO)
+    alpha = [[p, 0], [0, p]]
+    omega = [[q, draw(st.integers(-3, 3))], [0, q]]
+    return GoGSpec.make(2, ["X"], [loop("t", alpha, omega)])
+
+
+@st.composite
+def z_times_bs1n(draw):
+    n = draw(st.integers(-5, 5).filter(lambda n: n not in (-1, 0, 1)))
+    return GoGSpec.make(2, ["X"], [loop("t", [[1, 0], [0, 1]], [[1, 0], [0, n]])])
+
+
+@st.composite
+def two_loops(draw):
+    rank = draw(st.integers(1, 2))
+    edges = []
+    for name in "tu":
+        alpha = [[draw(NONZERO) if i == j else 0 for j in range(rank)] for i in range(rank)]
+        omega = [[draw(NONZERO) if i == j else 0 for j in range(rank)] for i in range(rank)]
+        edges.append(loop(name, alpha, omega))
+    return GoGSpec.make(rank, ["X"], edges)
+
+
+@st.composite
+def spec_and_vector(draw):
+    spec = draw(st.one_of(rank1(), rank2_diagonal(), rank2_shear(), z_times_bs1n(), two_loops()))
+    vec = draw(
+        st.lists(st.integers(-4, 4), min_size=spec.rank, max_size=spec.rank).filter(any)
+    )
+    return spec, tuple(vec)
+
+
+@PROPERTY
+@given(spec_and_vector())
+def test_window_matches_spelled_words(case):
+    spec, vec = case
+    names = vertex_letters(spec)[spec.vertices[0]]
+    element = Word((names[i], c) for i, c in enumerate(vec))
+    profile = distortion_profile(spec, element, POWERS, bfs_cap=0)
+    bounds, doubler, growth, max_ratio = reference_window(spec, vec, POWERS)
+    assert [e.upper_bound for e in profile.entries] == bounds
+    assert all(e.exact_length is None for e in profile.entries)
+    assert profile.doubling_letter == (doubler[0] if doubler else None)
+    assert profile.doubling_factor == (doubler[2] if doubler else None)
+    assert profile.analytic_constant == growth
+    assert profile.max_ratio == max_ratio

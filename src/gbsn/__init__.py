@@ -56,7 +56,6 @@ from .linalg import (
     QuadraticNumber,
     eigen_directions,
     hermite_normal_form,
-    lattice_solve,
     sublattice_index,
 )
 from .matgroups import (

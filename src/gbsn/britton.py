@@ -216,7 +216,7 @@ class _FastOps:
         The word is read single letter by single letter, through the C-level
         stream of ``Word.single_letters``, so the cost is linear in each
         exponent. Adding a whole vertex run as one step (ROADMAP item
-        2) waits on the benchmark tracer: it counts letters by wrapping
+        8) waits on the benchmark tracer: it counts letters by wrapping
         ``Word.single_letters``, and ``test_tracer_restores_gbsn`` in
         ``perfbench/tests`` pins that count above zero.
         """

@@ -14,10 +14,12 @@ Every spectral question about a 2x2 matrix goes to one integer kernel,
 ``eigenlines``: the discriminant D = (a - d)^2 + 4bc of the numerator and
 the eigendirections, over the unfactored D when it is not a square. The
 Tits scans (``common_eigenline``, ``commutes``, ``maps_to``), the spectral
-radius, the ping-pong players and the contraction eigenbases read it;
-``eigen_directions`` states a returned certificate over Q(sqrt(d)), d
-squarefree. A group of positive rationals is classified over a coprime base
-of their numerators and denominators, so nothing there is factored either.
+radius, the ping-pong players and the contraction eigenbases read it.
+``eigen_directions`` has no algorithm of its own: it states the lines of
+``eigenlines`` as the points a report prints, over Q(sqrt(d)) with d the
+squarefree part of D. No code here does arithmetic in a quadratic field. A
+group of positive rationals is classified over a coprime base of their
+numerators and denominators, so nothing there is factored either.
 
 The projective line over Q is also a circle of integer directions: the slope
 y/x or INF is (x, y) with y > 0, or y = 0 < x, circle order is the sign of a
@@ -141,20 +143,8 @@ class QMat:
             k >>= 1
         return result
 
-    def apply(self, vec: Sequence) -> tuple[Q, ...]:
-        """Matrix times column vector."""
-        if len(vec) != self.n:
-            raise ValueError("dimension mismatch")
-        vec = [Q(v) for v in vec]
-        scale = lcm(*(v.denominator for v in vec))
-        ints = [v.numerator * (scale // v.denominator) for v in vec]
-        return tuple(Q(sum(map(mul, row, ints)), self.den * scale) for row in self.num)
-
     def det(self) -> Q:
         return Q(_bareiss(self.num), self.den**self.n)
-
-    def trace(self) -> Q:
-        return Q(sum(self.num[i][i] for i in range(self.n)), self.den)
 
     def inverse(self) -> "QMat":
         """Fraction-free Gauss-Jordan on [num | I]: each step divides exactly
@@ -195,15 +185,6 @@ def sublattice_index(m: QMat) -> int:
     if d == 0:
         raise SingularMatrixError("edge inclusion not injective")
     return abs(d)
-
-
-def lattice_solve(m: QMat, x: Sequence[int]) -> tuple[int, ...] | None:
-    """Solve m*y = x over Z for an integer matrix m. Returns y, or None when
-    x is not in m(Z^n)."""
-    y = m.inverse().apply(x)
-    if all(c.denominator == 1 for c in y):
-        return tuple(int(c) for c in y)
-    return None
 
 
 def hermite_normal_form(m: QMat) -> QMat:
@@ -365,125 +346,20 @@ def _root_sign(a, b, d: int, c=0, e: int = 0) -> int:
 
 @dataclass(frozen=True)
 class QuadraticNumber:
-    """Exact element a + b*sqrt(d) of a quadratic extension of Q.
+    """The number a + b*sqrt(d), as a certificate states it.
 
-    d is squarefree (possibly negative); b == 0 forces d == 0 so that equal
-    values have equal representations. Arithmetic mixes freely with rationals
-    but two irrational operands must share the same radicand.
-
-    ``make`` normalizes any radicand it is given, which factors it; the
-    arithmetic builds its results with ``_in_field`` instead, since the
-    operands' radicand is already squarefree.
+    Stated form: a and b are rational, and either b == d == 0 (a rational
+    number) or b != 0 and d is squarefree and not 1 (negative for a complex
+    number). Equal numbers therefore have equal fields. The record does no
+    arithmetic; ``maps_to`` tests points on their integer parts.
     """
 
     a: Q
     b: Q
     d: int
 
-    @staticmethod
-    def make(a, b=0, d=0) -> "QuadraticNumber":
-        a, b = Q(a), Q(b)
-        if b == 0 or d == 0:
-            return QuadraticNumber(a, Q(0), 0)
-        s, d0 = squarefree_decompose(d)
-        if d0 == 1:
-            return QuadraticNumber(a + b * s, Q(0), 0)
-        return QuadraticNumber(a, b * s, d0)
-
-    @staticmethod
-    def _in_field(a: Q, b: Q, d: int) -> "QuadraticNumber":
-        """a + b*sqrt(d) for a radicand d that is already squarefree (or 0)."""
-        if b == 0 or d == 0:
-            return QuadraticNumber(a, Q(0), 0)
-        return QuadraticNumber(a, b, d)
-
-    @staticmethod
-    def of(x) -> "QuadraticNumber":
-        if isinstance(x, QuadraticNumber):
-            return x
-        return QuadraticNumber.make(Q(x))
-
     def is_rational(self) -> bool:
         return self.b == 0
-
-    def _common_d(self, other: "QuadraticNumber") -> int:
-        if self.b == 0:
-            return other.d
-        if other.b == 0:
-            return self.d
-        if self.d != other.d:
-            raise ValueError("incompatible quadratic extensions")
-        return self.d
-
-    def __add__(self, other):
-        other = QuadraticNumber.of(other)
-        d = self._common_d(other)
-        return QuadraticNumber._in_field(self.a + other.a, self.b + other.b, d)
-
-    def __neg__(self):
-        return QuadraticNumber(-self.a, -self.b, self.d)
-
-    def __sub__(self, other):
-        return self + (-QuadraticNumber.of(other))
-
-    def __mul__(self, other):
-        other = QuadraticNumber.of(other)
-        d = self._common_d(other)
-        a = self.a * other.a + self.b * other.b * d
-        b = self.a * other.b + self.b * other.a
-        return QuadraticNumber._in_field(a, b, d)
-
-    __radd__ = __add__
-    __rmul__ = __mul__
-
-    def __rsub__(self, other):
-        return QuadraticNumber.of(other) - self
-
-    def inverse(self) -> "QuadraticNumber":
-        norm = self.a * self.a - self.b * self.b * self.d
-        if norm == 0:
-            raise ZeroDivisionError("zero quadratic number")
-        return QuadraticNumber._in_field(self.a / norm, -self.b / norm, self.d)
-
-    def __truediv__(self, other):
-        return self * QuadraticNumber.of(other).inverse()
-
-    def __rtruediv__(self, other):
-        return QuadraticNumber.of(other) * self.inverse()
-
-    def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
-
-    def sign(self) -> int:
-        """Sign of the real value (requires d >= 0)."""
-        if self.d < 0:
-            raise ValueError("sign undefined for complex quadratic numbers")
-        return _root_sign(self.a, self.b, self.d)
-
-    def _compare(self, other) -> int:
-        """Sign of self - other, exact also across radicands d1 != d2.
-
-        Only the order crosses fields; arithmetic across them still raises.
-        """
-        other = QuadraticNumber.of(other)
-        if min(self.d, other.d) < 0 and (self.b, self.d) != (other.b, other.d):
-            raise ValueError("sign undefined for complex quadratic numbers")
-        return _root_sign(self.a - other.a, self.b, self.d, -other.b, other.d)
-
-    def __lt__(self, other):
-        return self._compare(other) < 0
-
-    def __le__(self, other):
-        return self._compare(other) <= 0
-
-    def __gt__(self, other):
-        return self._compare(other) > 0
-
-    def __ge__(self, other):
-        return self._compare(other) >= 0
-
-    def __abs__(self):
-        return -self if self.sign() < 0 else self
 
     def __repr__(self):
         if self.b == 0:
@@ -493,29 +369,16 @@ class QuadraticNumber:
 
 @dataclass(frozen=True)
 class ProjPoint:
-    """Point (x : y) of the projective line over a quadratic extension.
+    """The point (x : y) of the projective line over Q(sqrt(d)), as a
+    certificate states it.
 
-    Canonical representative: the leading nonzero coordinate is 1, so
-    structural equality is projective equality.
+    Stated form: (0 : 1), or (1 : y) with y in stated form, so that equal
+    points have equal fields. ``maps_to`` also accepts any other scale
+    (x : y) with x != 0 or y != 0 over one radicand.
     """
 
     x: QuadraticNumber
     y: QuadraticNumber
-
-    @staticmethod
-    def make(x, y) -> "ProjPoint":
-        x, y = QuadraticNumber.of(x), QuadraticNumber.of(y)
-        if x.is_zero() and y.is_zero():
-            raise ValueError("(0 : 0) is not a projective point")
-        if not x.is_zero():
-            return ProjPoint(QuadraticNumber.of(1), y / x)
-        return ProjPoint(QuadraticNumber.of(0), QuadraticNumber.of(1))
-
-    def apply(self, m: QMat) -> "ProjPoint":
-        if m.n != 2:
-            raise ValueError("projective action implemented for n = 2 only")
-        (a, b), (c, d) = m.rows
-        return ProjPoint.make(self.x * a + self.y * b, self.x * c + self.y * d)
 
     def is_rational(self) -> bool:
         return self.x.is_rational() and self.y.is_rational()
@@ -529,53 +392,46 @@ class EigenData:
     """Fixed points of a 2x2 rational matrix on the projective line.
 
     ``scalar`` marks scalar matrices (every point is fixed, ``points`` empty).
-    Otherwise ``points`` holds the 1 or 2 eigendirections over Q(sqrt(d)),
-    where d is the squarefree part of the characteristic discriminant, and
-    ``eigenvalues`` the matching eigenvalues.
+    Otherwise ``points`` holds the 1 or 2 eigendirections in stated form, over
+    Q(sqrt(radicand)) with the radicand the squarefree part of the
+    characteristic discriminant, or 0 when the points are rational.
     """
 
     scalar: bool
     points: tuple[ProjPoint, ...]
-    eigenvalues: tuple[QuadraticNumber, ...]
     radicand: int
 
 
+def _rational(a) -> QuadraticNumber:
+    return QuadraticNumber(Q(a), Q(0), 0)
+
+
+def _stated(line: tuple) -> ProjPoint:
+    """The point of an ``eigenlines`` line in stated form: (0 : 1) for
+    x = 0, (1 : y/x) for a rational line (x, y), and (1 : y/x + (q s / x)
+    sqrt(d)) for an irrational line (x, y, q, D), the point
+    (x : y + q sqrt(D)), where D = s^2 d with d squarefree."""
+    x, y = line[:2]
+    if x == 0:
+        return ProjPoint(_rational(0), _rational(1))
+    if len(line) == 2:
+        return ProjPoint(_rational(1), _rational(Q(y, x)))
+    s, d = squarefree_decompose(line[3])
+    return ProjPoint(_rational(1), QuadraticNumber(Q(y, x), Q(line[2] * s, x), d))
+
+
 def eigen_directions(m: QMat) -> EigenData:
-    """All fixed points of an invertible 2x2 rational matrix on P^1."""
+    """All fixed points of an invertible 2x2 rational matrix on P^1: the
+    lines of ``eigenlines``, in its order, in stated form."""
     if m.n != 2:
         raise ValueError("eigendirections implemented for n = 2 only")
     if m.det() == 0:
         raise SingularMatrixError("matrix is singular")
-    if m.is_scalar():
-        return EigenData(True, (), (), 0)
-    t, d = m.trace(), m.det()
-    disc = t * t - 4 * d
-    # lambda = (t +- sqrt(disc)) / 2, exact over Q(sqrt(radicand))
-    num, den = disc.numerator, disc.denominator
-    s, rad = squarefree_decompose(num * den)
-    scale = Q(s, den)  # sqrt(disc) = scale * sqrt(rad)
-    if rad in (0, 1):
-        root = QuadraticNumber.make(scale * (1 if rad == 1 else 0))
-        rad = 0
-    else:
-        root = QuadraticNumber._in_field(Q(0), scale, rad)  # rad is squarefree already
-    eigs = [(QuadraticNumber.of(t) + root) / 2]
-    if not root.is_zero():
-        eigs.append((QuadraticNumber.of(t) - root) / 2)
-    (a, b), (c, dd) = m.rows
-    points, values = [], []
-    for lam in eigs:
-        # eigenvector of [[a,b],[c,dd]] for eigenvalue lam
-        if not (QuadraticNumber.of(b).is_zero() and (lam - a).is_zero()):
-            p = ProjPoint.make(QuadraticNumber.of(b), lam - a)
-        elif not (QuadraticNumber.of(c).is_zero() and (lam - dd).is_zero()):
-            p = ProjPoint.make(lam - dd, QuadraticNumber.of(c))
-        else:  # both rows degenerate: matrix is lam * I, excluded above
-            raise AssertionError("unreachable: scalar matrix")
-        if p not in points:
-            points.append(p)
-            values.append(lam)
-    return EigenData(False, tuple(points), tuple(values), rad)
+    lines = eigenlines(m.num)[1]
+    if not lines:
+        return EigenData(True, (), 0)
+    points = tuple(map(_stated, lines))
+    return EigenData(False, points, points[0].y.d)
 
 
 def spectral_radius_gt_one(m: QMat) -> bool:
@@ -653,18 +509,20 @@ def common_eigenline(pivot: QMat, mats: Sequence[QMat]) -> ProjPoint | None:
     nums = [g.num for g in mats]
     for x, y in lines:
         if all((g0 * x + g1 * y) * y == (g2 * x + g3 * y) * x for (g0, g1), (g2, g3) in nums):
-            return ProjPoint.make(x, y)
+            return _stated((x, y))
     return None
 
 
 def _point_ints(p: ProjPoint) -> tuple:
-    """(x, a, b, d) with integers x, a, b and p = (x : a + b sqrt(d)): the
-    point (x : y) is (x x' : y x') for the conjugate x' of x, and x x' is
-    rational."""
+    """(x, a, b, d) with integers x, a, b and p = (x : a + b sqrt(d)), for a
+    point at any scale: (x : y) is (x x' : y x') for the conjugate x' of x,
+    and x x' is rational. Coordinates over two radicands raise ValueError."""
     x, y = p.x, p.y
-    if x.is_zero():
+    if x.a == x.b == 0:
         return 0, 1, 0, 0
-    d = x._common_d(y)  # two radicands raise, as in the arithmetic
+    if x.b and y.b and x.d != y.d:
+        raise ValueError("incompatible quadratic extensions")
+    d = x.d if x.b else y.d
     parts = (x.a * x.a - x.b * x.b * d, x.a * y.a - x.b * y.b * d, x.a * y.b - x.b * y.a)
     k = lcm(*(t.denominator for t in parts))
     return (*(int(t * k) for t in parts), d)

@@ -15,7 +15,8 @@ candidate m is tested by commutation (g m = m g, or g m = adj(m) g), and a
 ping-pong player's kind and fixed slopes are the ``linalg.eigenlines`` of
 the integer entries of a word-ball state; every short-word scan reads a
 ``WordBall``. ``eigen_directions`` runs only to state a returned irrational
-invariant line or invariant pair, and certificates re-verify with
+invariant line or invariant pair, and it only states the lines of
+``linalg.eigenlines`` in the printed form; certificates re-verify with
 ``linalg.maps_to``. The closure shape is read off the generators.
 
 The ping-pong is integer work on the circle of directions of ``linalg``,

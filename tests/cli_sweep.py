@@ -20,8 +20,12 @@ compression (``--p 3/2`` and ``3``), each in JSON and in text; compare on
 every ordered pair of distinct parsed specs of the same rank, in JSON; and,
 on one-vertex specs, distortion in JSON with ``--max-power 200`` and
 ``--bfs-cap`` 0, 6 and 10, for each vertex letter, the products x y^-1 of up
-to three pairs of letters, and the cube of the first letter. That is about
-5,600 runs over 184 specs, and takes under three minutes on a 2-core x86 VM.
+to three pairs of letters, and the cube of the first letter. Then holonomy,
+classify and compression ``--p 3/2`` in JSON on each spec of
+``certificate_family``, 40 one-loop specs whose irrational certificates are
+stated over a radicand with a square factor or with a denominator. That is
+about 6,000 runs over 226 specs, and takes under three minutes on a 2-core
+x86 VM.
 """
 
 from __future__ import annotations
@@ -31,7 +35,8 @@ import os
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
-from itertools import combinations
+from itertools import combinations, product
+from math import gcd, isqrt
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -52,6 +57,7 @@ SPEC_COMMANDS = (
     ["compression", "--p", "3"],
 )
 BFS_CAPS = ("0", "6", "10")
+FAMILY_COMMANDS = (["holonomy"], ["classify"], ["compression", "--p", "3/2"])
 
 
 def spec_texts() -> dict:
@@ -71,6 +77,35 @@ def spec_texts() -> dict:
             seen.add(text)
             distinct[path] = text
     return distinct
+
+
+def certificate_family(size: int = 40) -> dict:
+    """{relative path: text} for the first ``size`` one-loop rank-2 specs,
+    in lexicographic order of (omega, alpha), with alpha I or diag(2, 1) and
+    omega entries in -2..2, det omega != 0, whose holonomy omega alpha^-1
+    would state an irrational point through a square factor or a
+    denominator: the discriminant D of its integer numerator is not a
+    square, and D has a square factor > 1 or the holonomy is not integral.
+    Selected by integer arithmetic alone."""
+    family = {}
+    for (a, b, c, d), k in product(product(range(-2, 3), repeat=4), (1, 2)):
+        if a * d == b * c:
+            continue
+        # omega diag(1/k, 1) = [[a, k b], [c, k d]] / k, in lowest terms
+        g = gcd(k, a, c)
+        n, den = ((a // g, k * b // g), (c // g, k * d // g)), k // g
+        disc = (n[0][0] - n[1][1]) ** 2 + 4 * n[0][1] * n[1][0]
+        if disc >= 0 and isqrt(disc) ** 2 == disc:
+            continue
+        if den == 1 and not any(disc % (f * f) == 0 for f in range(2, isqrt(abs(disc)) + 1)):
+            continue
+        family[f"family/cert-{len(family):02d}.gog"] = (
+            f"rank 2\nvertex X\nedge t: X -> X alpha [[{k},0],[0,1]] "
+            f"omega [[{a},{b}],[{c},{d}]]\n"
+        )
+        if len(family) == size:
+            break
+    return family
 
 
 def elements(letters: tuple) -> list:
@@ -101,18 +136,24 @@ def runs(texts: dict):
                        "--bfs-cap", cap, "--format", "json"]
 
 
+def family_runs(family: dict):
+    for path in family:
+        for command in FAMILY_COMMANDS:
+            yield [command[0], path, *command[1:], "--format", "json"]
+
+
 def main() -> None:
-    texts = spec_texts()
+    texts, family = spec_texts(), certificate_family()
     out = sys.stdout
     with tempfile.TemporaryDirectory() as tmp:
-        for path, text in texts.items():
+        for path, text in {**texts, **family}.items():
             target = Path(tmp, path)
             target.parent.mkdir(parents=True, exist_ok=True)
             target.write_text(text)
         cwd = os.getcwd()
         os.chdir(tmp)
         try:
-            for argv in runs(texts):
+            for argv in (*runs(texts), *family_runs(family)):
                 stdout, stderr = io.StringIO(), io.StringIO()
                 with redirect_stdout(stdout), redirect_stderr(stderr):
                     code = run(argv)

@@ -1,9 +1,10 @@
 """The integer circle order of the ping-pong agrees with the exact chart it
 replaced, checked on generated slopes and matrices.
 
-``ref_key`` is that chart: the circle key over ``Fraction`` and
-``QuadraticNumber`` (nonnegative slopes s to s / (1 + s), INF to 1,
-negative slopes to 1 + 1 / (1 - s)), ordered by exact comparisons.
+``ref_key`` is that chart: the circle key over ``Fraction`` and the
+``QuadraticNumber`` of ``quadratic_reference`` (nonnegative slopes s to
+s / (1 + s), INF to 1, negative slopes to 1 + 1 / (1 - s)), ordered by
+exact comparisons.
 ``ref_contains``, ``ref_contains_interval`` and ``ref_image`` are the arc
 tests and the Moebius action written on it.
 """
@@ -18,12 +19,12 @@ from gbsn.linalg import (
     INF,
     ProjInterval,
     QMat,
-    QuadraticNumber,
     circle_key,
     direction,
     rational_key_between,
     slopes_equal,
 )
+from quadratic_reference import QuadraticNumber
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=300)
 

@@ -45,7 +45,8 @@ GOLDEN_RUNS = [
 ]
 # tests/specs/<name>.gog holds one shape of certificate each: an irrational
 # invariant line, a real and a complex invariant pair, a rational invariant
-# pair first found at word length 2, contraction eigenbases with b != 0 and
+# pair first found at word length 2, an irrational line and pair whose
+# discriminants have a square factor, contraction eigenbases with b != 0 and
 # b = 0, rank-1 value groups and compression value groups; the exit codes are
 # those of holonomy, classify and compression --p 3/2
 CERTIFICATE_SPECS = {
@@ -53,6 +54,8 @@ CERTIFICATE_SPECS = {
     "real_pair": (0, 2, 2),
     "complex_pair": (0, 2, 2),
     "swap_pair": (0, 2, 2),
+    "square_radicand_line": (0, 2, 2),
+    "square_radicand_pair": (0, 2, 2),
     "basis_b_nonzero": (0, 0, 0),
     "basis_b_zero": (0, 0, 2),
     "rank1_dense": (0, 0, 2),

@@ -3,9 +3,10 @@ the forms they had when spellings were built as words.
 
 ``reference_window`` keeps the earlier ``distortion_profile`` spelling as a
 ``Word`` per power, measured by ``len``, with the scaling letter found on
-``QMat.apply`` (Fractions) and the analytic constant read off the push maps'
-``Fraction`` entries. ``distortion_profile`` counts the same lengths and
-tests the same scaling on integer rows.
+``QMat.apply`` (Fractions; now ``quadratic_reference.qmat_apply``) and the
+analytic constant read off the push maps' ``Fraction`` entries.
+``distortion_profile`` counts the same lengths and tests the same scaling
+on integer rows.
 """
 
 import math
@@ -17,6 +18,7 @@ from gbsn.britton import _fast_ops, distortion_profile
 from gbsn.gog import Edge, GoGSpec, vertex_letters
 from gbsn.linalg import QMat, hermite_normal_form, lattice_residue
 from gbsn.words import Word
+from quadratic_reference import qmat_apply
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=150)
 POWERS = range(1, 301)
@@ -32,7 +34,7 @@ def reference_find_doubler(ops, spec, vec):
         e = edges[name]
         mat = e.comparison()
         for sign, image_lattice, push in ((1, e.alpha, mat), (-1, e.omega, mat.inverse())):
-            image = push.apply(vec)
+            image = qmat_apply(push, vec)
             ratios = {image[i] / vec[i] for i in range(len(vec)) if vec[i] != 0}
             if len(ratios) != 1:
                 continue

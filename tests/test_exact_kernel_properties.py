@@ -6,21 +6,24 @@ division and Gaussian elimination on prime exponent vectors that
 ``linalg._multiplicative_group_shape`` replaced. ``reference_eigenbasis`` is
 the eigenbasis from the ``Fraction`` trace and determinant, with columns
 (b, lambda - a), or (lambda - d, c) when b = 0, that ``holonomy.
-_rational_eigenbasis`` replaced. ``eigen_directions`` states the
-eigendirections that ``linalg.eigenlines`` returns as integer lines.
+_rational_eigenbasis`` replaced. The eigendirection algorithm of
+``quadratic_reference``, by trace, determinant and quadratic-field
+arithmetic, is the reference for the integer lines of ``linalg.eigenlines``
+and for the points that ``linalg.eigen_directions`` states from them.
 """
 
 from fractions import Fraction as Q
 from math import gcd, isqrt
 
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import quadratic_reference as ref
 from gbsn.holonomy import _rational_eigenbasis
 from gbsn.linalg import (
-    ProjPoint, QMat, QuadraticNumber, _coprime_base, _multiplicative_group_shape, eigen_directions,
-    eigenlines,
+    QMat, _coprime_base, _multiplicative_group_shape, eigen_directions, eigenlines,
 )
+from quadratic_reference import ProjPoint, QuadraticNumber, qmat_trace
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=300)
 
@@ -94,7 +97,7 @@ def reference_group_shape(values):
 def reference_eigenbasis(h: QMat):
     """(P, eigenvalues) of a non-diagonal 2x2 h with two distinct rational
     eigenvalues, else None."""
-    t, det = h.trace(), h.det()
+    t, det = qmat_trace(h), h.det()
     disc = t * t - 4 * det
     if disc <= 0:
         return None
@@ -190,10 +193,46 @@ def test_eigenlines_are_the_eigen_directions(entries4):
         return
     disc, lines = eigenlines(m.num)
     assert disc == (a + d) ** 2 - 4 * (a * d - b * c)
-    expected = eigen_directions(m)
+    expected = ref.eigen_directions(m)
     if expected.scalar:
         assert lines == ()
         return
     assert [_point(line) for line in lines] == list(expected.points)
     for line in lines:
         assert _point(line).apply(m) == _point(line)
+
+
+fractions = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+
+
+@st.composite
+def stated_matrices(draw):
+    """Invertible 2x2 rational matrices [[a, b], [c, d]], den > 1 among
+    them, each discriminant shape forced in turn: free draws, scalars, a
+    zero discriminant, a negative one, and k^2 r with a square factor
+    k^2 > 1 (r = 1 gives rational lines, r = -1 complex ones)."""
+    kind = draw(st.sampled_from(["any", "scalar", "zero", "negative", "square factor"]))
+    a, b, c, d = (draw(fractions) for _ in range(4))
+    if kind == "scalar":
+        b, c, d = 0, 0, a
+    elif kind != "any":
+        b = b or 1
+        radicands = st.sampled_from([1, 2, 3, 6, 7, -1, -2, -3])
+        disc = {
+            "zero": 0,
+            "negative": -Q(draw(st.integers(1, 60)), draw(st.integers(1, 6))),
+            "square factor": draw(st.integers(2, 6)) ** 2 * draw(radicands),
+        }[kind]
+        c = (disc - (a - d) ** 2) / (4 * b)
+    assume(a * d != b * c)
+    return QMat([[a, b], [c, d]])
+
+
+@PROPERTY
+@given(stated_matrices())
+@example(QMat([[2, 1], [Q(1, 2), 2]]))  # D = 8 over den 2: (1 : +-(1/2) sqrt 2)
+@example(QMat([[3, 2], [1, 1]]))  # D = 12: (1 : -1/2 +- (1/2) sqrt 3)
+def test_eigen_directions_state_the_reference(m):
+    got, expected = eigen_directions(m), ref.eigen_directions(m)
+    assert (got.scalar, got.radicand) == (expected.scalar, expected.radicand)
+    assert got.points == tuple(map(ref.stated, expected.points))

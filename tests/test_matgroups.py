@@ -10,9 +10,7 @@ from gbsn.classify import classify
 from gbsn.linalg import (
     INF,
     ProjInterval,
-    ProjPoint,
     QMat,
-    QuadraticNumber,
     circle_key,
     rational_key_between,
     slope_from_key,
@@ -33,6 +31,7 @@ from gbsn.matgroups import (
     virtually_solvable,
 )
 from gbsn.words import Word
+from quadratic_reference import QuadraticNumber, point
 
 H = QMat([[2, 0], [0, Q(1, 2)]])
 P = QMat([[1, 1], [0, 1]])
@@ -122,7 +121,7 @@ class TestVirtuallySolvable:
         result = virtually_solvable([H, P], names=["h", "p"])
         assert result.virtually_solvable is True
         assert isinstance(result.certificate, InvariantLineCertificate)
-        assert result.certificate.point == ProjPoint.make(1, 0)
+        assert result.certificate.point == point(1, 0)
         assert verify_certificate([H, P], result.certificate)
 
     def test_full_triple_is_not(self):
@@ -137,10 +136,7 @@ class TestVirtuallySolvable:
         cert = result.certificate
         assert isinstance(cert, InvariantPairCertificate)
         i = QuadraticNumber.make(0, 1, -1)
-        assert set(cert.points) == {
-            ProjPoint.make(QuadraticNumber.of(1), i),
-            ProjPoint.make(QuadraticNumber.of(1), -i),
-        }
+        assert set(cert.points) == {point(1, i), point(1, -i)}
         assert verify_certificate([E], cert)
 
     def test_swapping_pair_needs_product_candidates(self):
@@ -151,6 +147,32 @@ class TestVirtuallySolvable:
         assert result.virtually_solvable is True
         assert isinstance(result.certificate, InvariantPairCertificate)
         assert verify_certificate([E, D], result.certificate)
+
+    def test_forged_line_and_pair_certificates_are_refused(self):
+        def hand_built(x, a, b=0, d=0):
+            """The point (x : a + b sqrt(d)) as given, not normalised."""
+            return linalg.ProjPoint(
+                linalg.QuadraticNumber(Q(x), Q(0), 0), linalg.QuadraticNumber(Q(a), Q(b), d)
+            )
+
+        # H fixes (0 : 1) and P moves it to (1 : 1)
+        assert not verify_certificate([H, P], InvariantLineCertificate(hand_built(0, 1)))
+        # the loops of tests/specs/real_pair.gog: s swaps the eigenlines
+        # (1 : -1/2 +- (1/2) sqrt 5) of m
+        gens = [QMat([[2, 1], [1, 1]]), QMat([[1, -2], [1, -1]])]
+        cert = virtually_solvable(gens).certificate
+        p, q = cert.points
+        assert p == hand_built(1, Q(-1, 2), Q(1, 2), 5)
+        assert q == hand_built(1, Q(-1, 2), Q(-1, 2), 5)
+        assert verify_certificate(gens, cert)
+        over_three = (hand_built(1, Q(-1, 2), Q(1, 2), 3), hand_built(1, Q(-1, 2), Q(-1, 2), 3))
+        assert not verify_certificate(gens, InvariantPairCertificate(over_three))
+        not_conjugate = (p, hand_built(1, Q(1, 2), Q(-1, 2), 5))
+        assert not verify_certificate(gens, InvariantPairCertificate(not_conjugate))
+        # both generators fix (1 : 2); the point is given at scale (2 : 4)
+        line = [QMat([[3, 1], [2, 4]]), QMat([[1, 1], [-2, 4]])]
+        assert verify_certificate(line, InvariantLineCertificate(hand_built(2, 4)))
+        assert not verify_certificate(line, InvariantLineCertificate(hand_built(1, 4)))
 
     def test_scalars(self):
         result = virtually_solvable([QMat([[3, 0], [0, 3]])])

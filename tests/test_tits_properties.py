@@ -1,6 +1,8 @@
 """The integer Tits scans agree with the eigenvector computations they
 replace, checked on generated matrices.
 
+Every reference computes with the eigendirection algorithm and the
+quadratic-field arithmetic of ``quadratic_reference``.
 ``reference_player`` is the eigen-based ping-pong player classification
 that ``matgroups._player_slopes`` replaced: kind and fixed slopes from
 ``eigen_directions``, attracting before repelling. ``reference_preserves``
@@ -20,9 +22,9 @@ from hypothesis import strategies as st
 
 from gbsn import matgroups
 from gbsn import linalg
-from gbsn.linalg import (
-    INF, ProjPoint, QMat, QuadraticNumber, common_eigenline, eigen_directions, maps_to,
-    spectral_radius_gt_one,
+from gbsn.linalg import INF, QMat, common_eigenline, maps_to, spectral_radius_gt_one
+from quadratic_reference import (
+    ProjPoint, QuadraticNumber, eigen_directions, point, qmat_trace, stated,
 )
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=300)
@@ -39,7 +41,7 @@ def reference_player(m: QMat):
     """(kind, fixed slopes) of m as a ping-pong player, or None."""
     if m.is_scalar() or m.det() == 0:
         return None
-    t, d = m.trace(), m.det()
+    t, d = qmat_trace(m), m.det()
     disc = t * t - 4 * d
     if disc < 0:
         return None
@@ -261,17 +263,17 @@ def test_commutation_on_named_cases():
 
 def reference_line(pivot: QMat, gens):
     """The first real eigendirection of the pivot that every generator
-    fixes, by ``ProjPoint.apply`` equality, or None."""
+    fixes, by ``ProjPoint.apply`` equality, in stated form, or None."""
     for p in eigen_directions(pivot).points:
         if p.x.d >= 0 and p.y.d >= 0 and all(p.apply(g) == p for g in gens):
-            return p
+            return stated(p)
     return None
 
 
 def reference_spectral(m: QMat) -> bool:
     if m.is_scalar():
         return abs(m.rows[0][0]) > 1
-    t, d = m.trace(), m.det()
+    t, d = qmat_trace(m), m.det()
     if t * t - 4 * d < 0:
         return abs(d) > 1
     one = QuadraticNumber.of(1)
@@ -350,7 +352,7 @@ def test_line_scan_on_named_cases(monkeypatch):
     monkeypatch.setattr(linalg, "eigen_directions", None)
     big = QMat([[10000025, 1], [1, 0]])
     assert common_eigenline(big, [big, shear]) is None
-    assert common_eigenline(QMat([[2, 0], [0, 1]]), [shear]) == ProjPoint.make(1, 0)
+    assert common_eigenline(QMat([[2, 0], [0, 1]]), [shear]) == point(1, 0)
 
 
 @st.composite
@@ -373,11 +375,11 @@ def point_pairs(draw):
 @given(point_pairs())
 def test_maps_to_matches_projective_action(case):
     g, p, q, a, b = case
-    assert maps_to(g, p, q) == (p.apply(g) == q)
-    assert maps_to(g, p, p) == (p.apply(g) == p)
+    assert maps_to(g, stated(p), stated(q)) == (p.apply(g) == q)
+    assert maps_to(g, stated(p), stated(p)) == (p.apply(g) == p)
     # the same point with both coordinates times a + b sqrt(d) != 0 of its field
     k = QuadraticNumber(Q(a), Q(b), p.y.d) if p.y.d else QuadraticNumber.of(b)
-    assert maps_to(g, ProjPoint(p.x * k, p.y * k), q) == maps_to(g, p, q)
+    assert maps_to(g, stated(ProjPoint(p.x * k, p.y * k)), stated(q)) == (p.apply(g) == q)
 
 
 matrices = st.one_of(

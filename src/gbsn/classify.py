@@ -91,8 +91,9 @@ class AnalyticProperties:
 
 class Analysis:
     """The stages of one spec, each computed at most once: the holonomy
-    (which validates the spec) on construction, and the Tits decision on
-    the holonomy image, certificate re-verified, on first use of ``tits``."""
+    (which validates the spec) on construction, and, on first use, the Tits
+    decision on the holonomy image (``tits``) and its non-discreteness
+    witness (``witness``), each certificate re-verified."""
 
     def __init__(self, spec: GoGSpec):
         self.spec = spec
@@ -113,6 +114,15 @@ class Analysis:
         if cert is not None and not verify_certificate(self.gens, cert, self.names):
             raise AssertionError("certificate failed re-verification")
         return result
+
+    @cached_property
+    def witness(self) -> WitnessResult:
+        witness = non_discreteness_witness(self.holonomy)
+        if witness.kind in ("contraction", "dense") and not verify_nondiscreteness(
+            self.holonomy, witness
+        ):
+            raise AssertionError("non-discreteness certificate failed re-verification")
+        return witness
 
 
 def _tri(value: Optional[bool]) -> str:
@@ -219,7 +229,6 @@ def _whyte(analysis: Analysis) -> ClassificationReport:
             Evidence("whyte-case", "2b: virtually ascending HNN extensions are the amenable ones")
         )
     elif amenable is False:
-        hd = analysis.holonomy
         unimodular = all(
             sublattice_index(e.alpha) == 1 and sublattice_index(e.omega) == 1
             for e in spec.edges
@@ -250,10 +259,8 @@ def _whyte(analysis: Analysis) -> ClassificationReport:
                     )
                 )
         else:
-            witness = non_discreteness_witness(hd)
+            witness = analysis.witness
             if witness.kind in ("contraction", "dense"):
-                if not verify_nondiscreteness(hd, witness):
-                    raise AssertionError("non-discreteness certificate failed re-verification")
                 whyte = "2c"
                 evidence.append(
                     Evidence("non-discreteness-certificate", _certificate_detail(witness), witness)
@@ -263,7 +270,7 @@ def _whyte(analysis: Analysis) -> ClassificationReport:
                 )
             elif spec.rank == 1 and (moved := analysis.moved_letters()):
                 whyte = "2c"
-                name, value = moved[0], hd.stable[moved[0]].rows[0][0]
+                name, value = moved[0], analysis.holonomy.stable[moved[0]].rows[0][0]
                 evidence.append(
                     Evidence(
                         "modular-image",
@@ -354,10 +361,10 @@ class QIVerdict:
     evidence: tuple = ()
 
 
-def _rank2_density(report: ClassificationReport, analysis: Analysis) -> CoarseDensityReport:
+def _rank2_density(analysis: Analysis) -> CoarseDensityReport:
     """Coarse density in SL_2(R) of a rank-2 (2c) holonomy image; a
-    nonsolvable one is decided from its free pair and its report's
-    contraction pair (``qi_compare``). Both paths need |det| = 1 on every
+    nonsolvable one is decided from its free pair and the contraction pair
+    of its ``witness`` (``qi_compare``). Both paths need |det| = 1 on every
     generator: determinants 2^k keep an image at infinite Hausdorff distance
     from SL_2(R)."""
     moved = analysis.moved_letters()
@@ -366,10 +373,7 @@ def _rank2_density(report: ClassificationReport, analysis: Analysis) -> CoarseDe
         return CoarseDensityReport("undetermined", "no-certificate", detail)
     if analysis.tits.virtually_solvable is not False:
         return coarse_density(analysis.gens, analysis.tits)
-    pair = analysis.tits.certificate
-    witness = next(
-        ev.payload for ev in report.evidence if ev.label == "non-discreteness-certificate"
-    )
+    pair, witness = analysis.tits.certificate, analysis.witness
     return CoarseDensityReport(
         "coarsely-dense",
         "exact-sl2-closure",
@@ -434,7 +438,7 @@ def qi_compare(a: GoGSpec, b: GoGSpec) -> QIVerdict:
             return QIVerdict("quasi-isometric", tuple(reasons), evidence=certs)
         evidence = ()
         if a.rank == 2:
-            cda, cdb = _rank2_density(ra, aa), _rank2_density(rb, ab)
+            cda, cdb = _rank2_density(aa), _rank2_density(ab)
             if cda.verdict == cdb.verdict == "coarsely-dense":
                 reasons.append(
                     "both holonomy images are coarsely dense in SL_2(R), hence "

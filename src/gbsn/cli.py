@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from . import britton, gog, gogfile, holonomy
 from .classify import _tri, classify, compression_report, qi_compare
-from .linalg import INF, ProjInterval, ProjPoint, QMat, QuadraticNumber
+from .linalg import ProjInterval, ProjPoint, QMat, QuadraticNumber, slope_text
 from .words import Word, parse_word
 
 
@@ -29,8 +29,6 @@ def _jsonable(obj):
         return obj
     if isinstance(obj, Fraction):
         return str(obj)
-    if obj is INF:
-        return "inf"
     if isinstance(obj, QuadraticNumber):
         return {"a": str(obj.a), "b": str(obj.b), "d": obj.d}
     if isinstance(obj, QMat):
@@ -40,7 +38,7 @@ def _jsonable(obj):
     if isinstance(obj, ProjPoint):
         return {"x": _jsonable(obj.x), "y": _jsonable(obj.y)}
     if isinstance(obj, ProjInterval):
-        return {"lo": _jsonable(obj.lo), "hi": _jsonable(obj.hi)}
+        return {"lo": slope_text(obj.lo), "hi": slope_text(obj.hi)}
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         out = {"type": type(obj).__name__}
         for f in dataclasses.fields(obj):

@@ -21,17 +21,21 @@ squarefree part of D. No code here does arithmetic in a quadratic field. A
 group of positive rationals is classified over a coprime base of their
 numerators and denominators, so nothing there is factored either.
 
-The projective line over Q is also a circle of integer directions: the slope
-y/x or INF is (x, y) with y > 0, or y = 0 < x, circle order is the sign of a
-cross product, and a matrix acts through its integer numerator. The
-ping-pong of ``matgroups`` works on its arcs (``ProjInterval``).
+The real projective line is also a circle of directions. A rational point
+is an integer direction (x, y) in lowest terms with y > 0, or y = 0 < x; an
+irrational one is (x, y, q, D) for (x, y + q sqrt(D)), turned the same way,
+with D unfactored. Circle order is the sign of a cross product, and a
+matrix acts through its integer numerator. The ping-pong of ``matgroups``
+works on arcs with rational ends (``ProjInterval``), whose ends it picks
+with ``between`` and ``ProjInterval.isolate``; the chart of keys in [0, 2)
+that those two read stays inside this module. A slope y/x is only printed
+(``slope_text``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import gcd, isqrt, lcm, prod
 from operator import mul
 from typing import Iterable, Sequence
@@ -551,40 +555,6 @@ def maps_to(g: QMat, p: ProjPoint, q: ProjPoint) -> bool:
 # the projective line as a circle of integer directions
 
 
-class _Infinity:
-    """The slope of the vertical direction (0 : 1)."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "inf"
-
-
-INF = _Infinity()
-
-
-def direction(s) -> tuple:
-    """The integer direction of a slope (a Fraction, an int or INF): (x, y)
-    for the slope y/x, normalised to y > 0, or y = 0 < x. A direction, (x, y)
-    or (x, y, q, d) for (x, y + q sqrt(d)), is returned as it is."""
-    if isinstance(s, tuple):
-        return s
-    if s is INF:
-        return (0, 1)
-    n, m = s.numerator, s.denominator
-    return (m, n) if n >= 0 else (-m, -n)
-
-
-def _slope(p: tuple):
-    """The slope of a rational direction: a Fraction, or INF."""
-    return INF if p[0] == 0 else Q(p[1], p[0])
-
-
 def _normal(x: int, y: int, q: int = 0, d: int = 0) -> tuple:
     """The direction (x, y + q sqrt(d)), for d not a square, turned to
     y + q sqrt(d) > 0, or to y = 0 < x."""
@@ -595,7 +565,9 @@ def _normal(x: int, y: int, q: int = 0, d: int = 0) -> tuple:
 
 def _cross(p: tuple, r: tuple) -> int:
     """Sign of the cross product p x r of two directions: 1 when p comes
-    before r in circle order, 0 when they are the same point."""
+    before r in circle order, 0 when they are the same point. Exact across
+    radicands: y1 + q1 sqrt(d1) and y2 + q2 sqrt(d2) agree in rational parts
+    and roots."""
     if len(p) == 2 == len(r):
         return _sgn(p[0] * r[1] - p[1] * r[0])
     x1, y1, q1, d1 = p if len(p) == 4 else (*p, 0, 0)
@@ -603,28 +575,36 @@ def _cross(p: tuple, r: tuple) -> int:
     return _root_sign(x1 * y2 - y1 * x2, x1 * q2, d2, -x2 * q1, d1)
 
 
-def slopes_equal(s, t) -> bool:
-    """Are two slopes or directions the same point? Exact across radicands:
-    y1 + q1 sqrt(d1) and y2 + q2 sqrt(d2) agree in rational parts and roots."""
-    return _cross(direction(s), direction(t)) == 0
+def slope_text(p: tuple) -> str:
+    """The slope y/x of a rational direction as a report prints it: "inf"
+    for (0, 1), else the fraction."""
+    return "inf" if p[0] == 0 else str(Q(p[1], p[0]))
 
 
-def circle_key(s) -> tuple:
+def adjugate(m: tuple) -> tuple:
+    """adj(m) = det(m) m^-1 acts on directions as m^-1, with its orientation."""
+    (a, b), (c, d) = m
+    return ((d, -b), (-c, a))
+
+
+def circle_key(v: tuple) -> tuple:
     """Order-preserving chart of the projective circle onto [0, 2): (x, y) has
-    the key 1 - x / (|x| + y), so slopes s >= 0 go to s / (1 + s), INF to 1 and
-    negative slopes to (1, 2). A key (p, q, r, d) is (p + q sqrt(d)) / r with
-    r > 0 and d not a square; q = d = 0 for a rational direction."""
-    p = direction(s)
-    x, y, q, d = p if len(p) == 4 else (*p, 0, 0)
+    the key 1 - x / (|x| + y), so slopes s >= 0 go to s / (1 + s), (0, 1) to 1
+    and negative slopes to (1, 2). A key (p, q, r, d) is (p + q sqrt(d)) / r
+    with r > 0 and d not a square; q = d = 0 for a rational direction."""
+    x, y, q, d = v if len(v) == 4 else (*v, 0, 0)
     e = abs(x) + y
     n = e * e - q * q * d  # (e + q sqrt(d)) (e - q sqrt(d)), not 0
     return (n - x * e, x * q, n, d) if n > 0 else (x * e - n, -x * q, -n, d)
 
 
-def slope_from_key(k: tuple):
-    """The slope at a rational key, taken mod 2 (inverse of circle_key)."""
+def _key_direction(k: tuple) -> tuple:
+    """The rational direction at a rational key, taken mod 2 (inverse of
+    circle_key), in lowest terms."""
     n, r = k[0] % (2 * k[2]), k[2]
-    return _slope((r - n, n) if n <= r else (r - n, 2 * r - n))
+    x, y = (r - n, n) if n <= r else (r - n, 2 * r - n)
+    g = gcd(x, y)
+    return x // g, y // g
 
 
 def _key_add(k: tuple, n: int, r: int) -> tuple:
@@ -671,63 +651,93 @@ def rational_key_between(ka: tuple, kb: tuple) -> tuple:
         denom *= 16
 
 
-def _arc_in(outer: tuple, inner: tuple) -> bool:
-    """Does the arc ``outer`` contain the arc ``inner`` (rational ends)? From
-    outer's lo come inner's lo, inner's hi and outer's hi, in order: p is no
-    later than r if only r wraps past outer's lo, or if both or neither do
-    and p x r >= 0."""
-    (lx, ly), (hx, hy) = outer
-    (ax, ay), (bx, by) = inner
-    wa, wb, wh = lx * ay < ly * ax, lx * by < ly * bx, lx * hy < ly * hx
-    return (ax * by >= ay * bx if wa == wb else wb) and (bx * hy >= by * hx if wb == wh else wh)
-
-
-def _arc_image(arc: tuple, m: tuple) -> tuple:
-    """Image of an arc with rational ends under the integer 2x2 matrix m;
-    a negative determinant reverses the orientation."""
-    (a, b), (c, d) = m
-    (x1, y1), (x2, y2) = arc
-    p = _normal(a * x1 + b * y1, c * x1 + d * y1)
-    r = _normal(a * x2 + b * y2, c * x2 + d * y2)
-    return (p, r) if a * d > b * c else (r, p)
-
-
-def _adjugate(m: tuple) -> tuple:
-    """adj(m) = det(m) m^-1 acts on directions as m^-1, with its orientation."""
-    (a, b), (c, d) = m
-    return ((d, -b), (-c, a))
+def between(p: tuple, r: tuple) -> tuple:
+    """A rational direction strictly inside the counterclockwise arc from the
+    direction p to the direction r != p: ``rational_key_between`` on their
+    keys, r's raised by 2 when it does not come after p's."""
+    kp, kr = circle_key(p), circle_key(r)
+    if _key_cmp(kp, kr) >= 0:
+        kr = _key_add(kr, 2, 1)
+    return _key_direction(rational_key_between(kp, kr))
 
 
 @dataclass(frozen=True)
 class ProjInterval:
     """Closed arc [lo, hi] of the projective circle, counterclockwise.
 
-    Counterclockwise means increasing circle_key with wraparound:
-    0 -> 1 -> INF -> -1 -> 0. Endpoints are rational slopes or INF, as
-    printed; containment is decided on their integer directions ``ends``.
+    The ends are rational directions (x, y): integers in lowest terms with
+    y > 0, or y = 0 < x. Construction puts any nonzero integer pair in that
+    form, so (-2, -4) is the end (1, 2), and raises ValueError for (0, 0) or
+    a coordinate that is not an int. Counterclockwise is increasing
+    ``circle_key`` with wraparound, (1, 0) -> (1, 1) -> (0, 1) -> (-1, 1) ->
+    (1, 0); it is the order of the slopes 0 -> 1 -> inf -> -1 -> 0 that
+    ``__str__`` and the reports print.
     """
 
-    lo: object
-    hi: object
+    lo: tuple
+    hi: tuple
 
-    @cached_property
-    def ends(self) -> tuple:
-        return direction(self.lo), direction(self.hi)
+    def __post_init__(self):
+        for name in ("lo", "hi"):
+            p = getattr(self, name)
+            if not (isinstance(p, tuple) and len(p) == 2 and all(isinstance(t, int) for t in p)
+                    and any(p)):
+                raise ValueError(f"interval end {p!r} is not a nonzero integer direction (x, y)")
+            g = gcd(*p)
+            object.__setattr__(self, name, _normal(p[0] // g, p[1] // g))
 
-    def contains_slope(self, s) -> bool:
-        (lo, hi), p = self.ends, direction(s)
+    def contains(self, p: tuple) -> bool:
+        """Does the arc contain the direction p, rational (x, y) or
+        irrational (x, y, q, d), in the form ``_normal`` gives?"""
+        lo, hi = self.lo, self.hi
         if _cross(lo, hi) >= 0:
             return _cross(lo, p) >= 0 and _cross(p, hi) >= 0
         return _cross(lo, p) >= 0 or _cross(p, hi) >= 0
 
     def contains_interval(self, other: "ProjInterval") -> bool:
-        return _arc_in(self.ends, other.ends)
+        """From lo come other's lo, other's hi and hi, in order: p is no
+        later than r if only r wraps past lo, or if both or neither do and
+        p x r >= 0."""
+        (lx, ly), (hx, hy) = self.lo, self.hi
+        (ax, ay), (bx, by) = other.lo, other.hi
+        wa, wb, wh = lx * ay < ly * ax, lx * by < ly * bx, lx * hy < ly * hx
+        return (ax * by >= ay * bx if wa == wb else wb) and (bx * hy >= by * hx if wb == wh else wh)
 
     def disjoint_from(self, other: "ProjInterval") -> bool:
-        return not any(a.contains_slope(p) for a, b in ((self, other), (other, self)) for p in b.ends)
+        return not any(
+            a.contains(p) for a, b in ((self, other), (other, self)) for p in (b.lo, b.hi)
+        )
 
-    def image(self, m: QMat) -> "ProjInterval":
-        return ProjInterval(*map(_slope, _arc_image(self.ends, m.num)))
+    def image(self, num: tuple) -> "ProjInterval":
+        """Image under the integer 2x2 matrix num, which acts on directions
+        as num / den does; a negative determinant reverses the orientation."""
+        (a, b), (c, d) = num
+        (x1, y1), (x2, y2) = self.lo, self.hi
+        p, r = (a * x1 + b * y1, c * x1 + d * y1), (a * x2 + b * y2, c * x2 + d * y2)
+        return ProjInterval(p, r) if a * d > b * c else ProjInterval(r, p)
+
+    def isolate(self, target: tuple, avoid: tuple) -> "ProjInterval | None":
+        """Sub-arc with rational ends whose interior contains the direction
+        ``target`` and which excludes the direction ``avoid``, or None.
+        Offsets are keys counted from the key of lo."""
+        if not self.contains(target):
+            return None
+        base_n, _, base_r, _ = circle_key(self.lo)
+
+        def offset(p):
+            k = _key_add(circle_key(p), -base_n, base_r)
+            return k if _key_cmp(k, (0, 0, 1, 0)) >= 0 else _key_add(k, 2, 1)
+
+        of = offset(target)
+        lo_off, hi_off = (0, 0, 1, 0), offset(self.hi)
+        if self.contains(avoid):  # then 0 <= offset(avoid) <= hi_off
+            oa = offset(avoid)
+            lo_off, hi_off = (oa, hi_off) if _key_cmp(oa, of) < 0 else (lo_off, oa)
+        if not (_key_cmp(lo_off, of) < 0 and _key_cmp(of, hi_off) < 0):
+            return None
+        lo_key = _key_add(rational_key_between(lo_off, of), base_n, base_r)
+        hi_key = _key_add(rational_key_between(of, hi_off), base_n, base_r)
+        return ProjInterval(_key_direction(lo_key), _key_direction(hi_key))
 
     def __str__(self):
-        return f"[{self.lo}, {self.hi}]"
+        return f"[{slope_text(self.lo)}, {slope_text(self.hi)}]"

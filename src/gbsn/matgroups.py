@@ -7,20 +7,25 @@ the exceptional finite projective groups A4, S4, A5 cannot occur, since -1 is
 not a sum of two rational squares). Candidate points are the eigenlines of a
 generator, then the eigendirections of the radius-2 word ball; certificates
 re-verify by exact arithmetic. The negative answer is a ping-pong free pair
-acting on the projective line, coordinatized by the slope y/x in Q u {inf}.
+acting on the projective line, whose points are the integer directions of
+``linalg``.
 
 The scans themselves solve no eigenproblem: the invariant-line scan tests the
 pivot's integer eigenlines (``linalg.common_eigenline``), an invariant-pair
 candidate m is tested by commutation (g m = m g, or g m = adj(m) g), and a
-ping-pong player's kind and fixed slopes are the ``linalg.eigenlines`` of
+ping-pong player's kind and fixed points are the ``linalg.eigenlines`` of
 the integer entries of a word-ball state; every short-word scan reads a
 ``WordBall``. ``eigen_directions`` runs only to state a returned irrational
 invariant line or invariant pair, and it only states the lines of
 ``linalg.eigenlines`` in the printed form; certificates re-verify with
 ``linalg.maps_to``. The closure shape is read off the generators.
 
-The ping-pong is integer work on the circle of directions of ``linalg``,
-and irrational fixed slopes keep their raw discriminants; the closure's
+The ping-pong is integer work on the circle of directions of ``linalg``:
+fixed points are sorted by the sign of a cross product, irrational ones keep
+their raw discriminants, domains are cut at the rational directions of
+``linalg.between``, traps come from ``ProjInterval.isolate``, and every
+inclusion is ``ProjInterval.contains_interval`` of an image under an integer
+numerator. No slope is formed until a report prints one. The closure's
 value group is classified over a coprime base. Floating point appears only
 in ``cartan_hausdorff_samples``, for the diagnostics of an undetermined
 comparison.
@@ -38,9 +43,8 @@ from math import lcm
 from typing import Iterator, Optional, Sequence
 
 from .linalg import (
-    ProjInterval, ProjPoint, QMat, _adjugate, _arc_image, _arc_in, _key_add, _key_cmp,
-    _multiplicative_group_shape, _normal, _slope, circle_key, common_eigenline, commutes,
-    eigen_directions, eigenlines, maps_to, rational_key_between, slope_from_key, slopes_equal,
+    ProjInterval, ProjPoint, QMat, _cross, _multiplicative_group_shape, _normal, adjugate,
+    between, common_eigenline, commutes, eigen_directions, eigenlines, maps_to,
 )
 from .words import Word
 
@@ -80,7 +84,8 @@ class FreePairCertificate:
     """Ping-pong witness that <x, y> is free of rank 2.
 
     The four headline inclusions x^{+-1}(domain_y) <= domain_x and
-    y^{+-1}(domain_x) <= domain_y re-verify by exact endpoint arithmetic.
+    y^{+-1}(domain_x) <= domain_y re-verify by integer arithmetic on the
+    ends, which are rational directions (``linalg.ProjInterval``).
     The trap intervals prove the inclusions for *all* nonzero powers: each
     trap T satisfies g(T) <= T and g(opposite domain) <= T, with T inside the
     player's own domain, so g^k(opposite domain) <= T by induction on k.
@@ -362,62 +367,33 @@ def _player_slopes(a: int, b: int, c: int, d: int) -> Optional[tuple]:
 
 
 def _fixed_slopes_disjoint(a: _Player, b: _Player) -> bool:
-    return not any(slopes_equal(s, t) for s in a.fixed for t in b.fixed)
+    return not any(_cross(s, t) == 0 for s in a.fixed for t in b.fixed)
 
 
-def _sorted_fixed_points(x: _Player, y: _Player) -> Optional[list]:
-    """Fixed points of both players as (key, owner) in circle order, or None
-    when the blocks interleave (then no two disjoint arcs contain them)."""
-    # keys never tie: the players' fixed slopes are disjoint
-    pts = sorted(
-        ((circle_key(s), owner) for owner, pl in enumerate((x, y)) for s in pl.fixed),
-        key=functools.cmp_to_key(lambda a, b: _key_cmp(a[0], b[0])),
+def _sorted_fixed_points(x: _Player, y: _Player) -> list:
+    """Fixed points of both players as (direction, owner) in circle order."""
+    # points never tie: the players' fixed points are disjoint
+    return sorted(
+        ((p, owner) for owner, pl in enumerate((x, y)) for p in pl.fixed),
+        key=functools.cmp_to_key(lambda a, b: -_cross(a[0], b[0])),
     )
-    changes = sum(pts[i][1] != pts[i - 1][1] for i in range(len(pts)))
-    return pts if changes <= 2 else None
 
 
-def _block_cuts(pts: list) -> Optional[tuple]:
-    """(i, separator, next key) at the two owner changes after pts[i]: the
-    separator lies between pts[i] and the next key, unwrapped by 2 past the end."""
-    following = [k for k, _ in pts[1:]] + [_key_add(pts[0][0], 2, 1)]
-    cuts = [
-        (i, rational_key_between(pts[i][0], nxt), nxt)
-        for i, nxt in enumerate(following)
-        if pts[i][1] != pts[(i + 1) % len(pts)][1]
-    ]
-    return tuple(cuts) if len(cuts) == 2 else None
-
-
-def _isolate(domain: ProjInterval, target: tuple, avoid: tuple) -> Optional[ProjInterval]:
-    """Rational-endpoint sub-interval of ``domain`` whose interior contains
-    the direction ``target`` and which excludes the direction ``avoid``.
-    Offsets are keys counted from the key of domain.lo."""
-    if not domain.contains_slope(target):
-        return None
-    base_n, _, base_r, _ = circle_key(domain.lo)
-
-    def offset(s):
-        k = _key_add(circle_key(s), -base_n, base_r)
-        return k if _key_cmp(k, (0, 0, 1, 0)) >= 0 else _key_add(k, 2, 1)
-
-    of = offset(target)
-    lo_off, hi_off = (0, 0, 1, 0), offset(domain.hi)
-    if domain.contains_slope(avoid):  # then 0 <= offset(avoid) <= hi_off
-        oa = offset(avoid)
-        lo_off, hi_off = (oa, hi_off) if _key_cmp(oa, of) < 0 else (lo_off, oa)
-    if not (_key_cmp(lo_off, of) < 0 and _key_cmp(of, hi_off) < 0):
-        return None
-    lo_key = _key_add(rational_key_between(lo_off, of), base_n, base_r)
-    hi_key = _key_add(rational_key_between(of, hi_off), base_n, base_r)
-    return ProjInterval(slope_from_key(lo_key), slope_from_key(hi_key))
+def _block_cuts(pts: list) -> Optional[list]:
+    """(separator, next point, its owner) at each owner change of the circle,
+    the separator strictly between a point and the next one; None unless
+    there are two (else the blocks interleave, and no two disjoint arcs
+    contain them)."""
+    ring = zip(pts, pts[1:] + pts[:1])
+    cuts = [(between(p, r), r, b) for (p, a), (r, b) in ring if a != b]
+    return cuts if len(cuts) == 2 else None
 
 
 def _traps_hold(trap_fwd, trap_bwd, opposite, m: tuple) -> bool:
     """g(T+) <= T+, g(opposite) <= T+, g^-1(T-) <= T- and g^-1(opposite) <= T-
     for the element g that acts as the integer matrix m."""
-    pairs = ((trap_fwd.ends, m), (trap_bwd.ends, _adjugate(m)))
-    return all(_arc_in(t, _arc_image(arc, g)) for t, g in pairs for arc in (t, opposite.ends))
+    pairs = ((trap_fwd, m), (trap_bwd, adjugate(m)))
+    return all(t.contains_interval(arc.image(g)) for t, g in pairs for arc in (t, opposite))
 
 
 def _trap_pair(
@@ -432,14 +408,14 @@ def _trap_pair(
     """
     if player.kind == "hyperbolic":
         att, rep = player.fixed
-        candidates = [(_isolate(domain, att, rep), _isolate(domain, rep, att))]
+        candidates = [(domain.isolate(att, rep), domain.isolate(rep, att))]
     else:
         # parabolic: one-sided intervals at the (rational) fixed point; the
         # direction of motion decides which side traps which sign
         (f,) = player.fixed
-        if not domain.contains_slope(f):
+        if not domain.contains(f):
             return None
-        sides = (ProjInterval(_slope(f), domain.hi), ProjInterval(domain.lo, _slope(f)))
+        sides = (ProjInterval(f, domain.hi), ProjInterval(domain.lo, f))
         candidates = [sides, sides[::-1]]
     candidates = [pair for pair in candidates if None not in pair]
     power, m = 1, player.mat.num
@@ -458,15 +434,13 @@ def _try_pair(x: _Player, y: _Player, pts: list):
     cuts = _block_cuts(pts)
     if cuts is None:
         return None
-    (i1, k1, next1), (i2, k2, next2) = cuts
-    # block A = pts[i1+1 .. i2]; block B = the rest (cyclically contiguous).
-    # Each cut is shaved into two nearby rationals so the domains are
-    # disjoint closed intervals with the blocks strictly inside.
-    owner_a = pts[(i1 + 1) % len(pts)][1]
-    k1b = rational_key_between(k1, next1)
-    k2b = rational_key_between(k2, next2)
-    dom_a = ProjInterval(slope_from_key(k1b), slope_from_key(k2))
-    dom_b = ProjInterval(slope_from_key(k2b), slope_from_key(k1))
+    (c1, next1, owner_a), (c2, next2, _) = cuts
+    # block A runs from next1 to the point before c2; block B is the rest
+    # (cyclically contiguous). Each cut is shaved into two nearby rationals
+    # so the domains are disjoint closed intervals with the blocks strictly
+    # inside.
+    dom_a = ProjInterval(between(c1, next1), c2)
+    dom_b = ProjInterval(between(c2, next2), c1)
     domain_x, domain_y = (dom_a, dom_b) if owner_a == 0 else (dom_b, dom_a)
     if not domain_x.disjoint_from(domain_y):
         return None
@@ -517,8 +491,7 @@ def pingpong_certify(
         while reach(j):
             x, y = players[i], players[j]
             if i != j and _fixed_slopes_disjoint(x, y):
-                pts = _sorted_fixed_points(x, y)
-                cert = None if pts is None else _try_pair(x, y, pts)
+                cert = _try_pair(x, y, _sorted_fixed_points(x, y))
                 if cert is not None:
                     return cert
             j += 1
@@ -546,7 +519,7 @@ def verify_free_pair(
         (cert.word_y, cert.traps_y, x2, x1),
     ):
         m = evaluate_word(named, word).num  # acts as the matrix does
-        if not all(_arc_in(dom.ends, _arc_image(opp.ends, g)) for g in (m, _adjugate(m))):
+        if not all(dom.contains_interval(opp.image(g)) for g in (m, adjugate(m))):
             return False
         if not (dom.contains_interval(tf) and dom.contains_interval(tb)):
             return False

@@ -23,9 +23,11 @@ on one-vertex specs, distortion in JSON with ``--max-power 200`` and
 to three pairs of letters, and the cube of the first letter. Then holonomy,
 classify and compression ``--p 3/2`` in JSON on each spec of
 ``certificate_family``, 40 one-loop specs whose irrational certificates are
-stated over a radicand with a square factor or with a denominator. That is
-about 6,000 runs over 226 specs, and takes under three minutes on a 2-core
-x86 VM.
+stated over a radicand with a square factor or with a denominator; and
+classify and compression ``--p 3/2`` in JSON on each spec of
+``free_pair_family``, 40 one-vertex specs with two or three loops built to
+carry a ping-pong free pair. That is 6,041 runs over 266 specs, and takes
+under three minutes on a 2-core x86 VM.
 """
 
 from __future__ import annotations
@@ -58,6 +60,13 @@ SPEC_COMMANDS = (
 )
 BFS_CAPS = ("0", "6", "10")
 FAMILY_COMMANDS = (["holonomy"], ["classify"], ["compression", "--p", "3/2"])
+FREE_PAIR_COMMANDS = (["classify"], ["compression", "--p", "3/2"])
+IDENTITY = ((1, 0), (0, 1))
+DOUBLING = ((2, 0), (0, 1))
+HYPERBOLIC = (
+    ((2, 1), (1, 1)), ((1, 1), (1, 2)), ((3, 1), (2, 1)),
+    ((1, 2), (1, 3)), ((2, 3), (1, 2)), ((3, 2), (1, 1)),
+)
 
 
 def spec_texts() -> dict:
@@ -108,6 +117,37 @@ def certificate_family(size: int = 40) -> dict:
     return family
 
 
+def _loops_spec(loops) -> str:
+    """A one-vertex rank-2 spec with one loop per (alpha, omega)."""
+    def mat(m):
+        return "[" + ",".join(f"[{a},{b}]" for a, b in m) + "]"
+
+    edges = "".join(
+        f"edge t{i}: X -> X alpha {mat(alpha)} omega {mat(omega)}\n"
+        for i, (alpha, omega) in enumerate(loops)
+    )
+    return f"rank 2\nvertex X\n{edges}"
+
+
+def free_pair_family() -> dict:
+    """{relative path: text} for 40 one-vertex rank-2 specs built to carry a
+    ping-pong free pair, fixed by construction: the Sanov-type shears
+    [[1, k], [0, 1]] and [[1, 0], [l, 1]] for k, l in 2..4 (9 specs); the 15
+    pairs and 4 triples of the unimodular hyperbolic loops ``HYPERBOLIC``;
+    4 pairs with a loop of det -1; and 8 pairs with a loop of alpha
+    diag(2, 1), whose holonomy has denominator 2."""
+    shear = {k: (((1, k), (0, 1)), ((1, 0), (k, 1))) for k in (2, 3, 4)}
+    sets = [(shear[k][0], shear[l][1]) for k in (2, 3, 4) for l in (2, 3, 4)]
+    sets += combinations(HYPERBOLIC, 2)
+    sets += list(combinations(HYPERBOLIC, 3))[::5]
+    flips = (((1, 1), (1, 0)), ((0, 1), (1, 1)), ((2, 1), (1, 0)), ((1, 2), (0, -1)))
+    loops = [[(IDENTITY, omega) for omega in s] for s in sets]
+    loops += [[(IDENTITY, f), (IDENTITY, h)] for f, h in zip(flips, HYPERBOLIC)]
+    loops += [[(DOUBLING, h), (IDENTITY, shear[2][i % 2])] for i, h in enumerate(HYPERBOLIC[:4])]
+    loops += [[(DOUBLING, h), (DOUBLING, g)] for h, g in combinations(HYPERBOLIC[:4], 2)][:4]
+    return {f"freepair/fp-{i:02d}.gog": _loops_spec(spec) for i, spec in enumerate(loops)}
+
+
 def elements(letters: tuple) -> list:
     pairs = [f"{x} {y}^-1" for x, y in combinations(letters, 2)][:3]
     return [*letters, *pairs, f"{letters[0]}^3"]
@@ -136,24 +176,25 @@ def runs(texts: dict):
                        "--bfs-cap", cap, "--format", "json"]
 
 
-def family_runs(family: dict):
+def family_runs(family: dict, commands: tuple):
     for path in family:
-        for command in FAMILY_COMMANDS:
+        for command in commands:
             yield [command[0], path, *command[1:], "--format", "json"]
 
 
 def main() -> None:
-    texts, family = spec_texts(), certificate_family()
+    texts, family, pairs = spec_texts(), certificate_family(), free_pair_family()
     out = sys.stdout
     with tempfile.TemporaryDirectory() as tmp:
-        for path, text in {**texts, **family}.items():
+        for path, text in {**texts, **family, **pairs}.items():
             target = Path(tmp, path)
             target.parent.mkdir(parents=True, exist_ok=True)
             target.write_text(text)
         cwd = os.getcwd()
         os.chdir(tmp)
         try:
-            for argv in (*runs(texts), *family_runs(family)):
+            for argv in (*runs(texts), *family_runs(family, FAMILY_COMMANDS),
+                         *family_runs(pairs, FREE_PAIR_COMMANDS)):
                 stdout, stderr = io.StringIO(), io.StringIO()
                 with redirect_stdout(stdout), redirect_stderr(stderr):
                     code = run(argv)

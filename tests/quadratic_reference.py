@@ -8,7 +8,9 @@ field arithmetic, and an exact order across radicands. ``ProjPoint`` has
 by field arithmetic). ``eigen_directions`` is the trace-and-determinant
 algorithm, with its eigenvalues. ``lattice_solve``, ``qmat_apply`` and
 ``qmat_trace`` are the solver and the ``QMat`` methods that only tests
-called.
+called. ``INF``, ``direction`` and ``slope`` are the slope chart that the
+ends of ``linalg.ProjInterval`` were once written in: the tests draw
+intervals by their slopes and hand ``ProjInterval`` the directions.
 
 Dataclass equality never holds across classes, so a reference value is
 turned into the records of ``gbsn.linalg`` by ``stated`` before it is
@@ -27,6 +29,31 @@ from gbsn import linalg
 from gbsn.linalg import QMat, SingularMatrixError, _root_sign, squarefree_decompose
 
 Q = Fraction
+
+
+class Infinity:
+    """The slope of the vertical direction (0, 1)."""
+
+    def __repr__(self):
+        return "inf"
+
+
+INF = Infinity()
+
+
+def direction(s) -> tuple:
+    """The integer direction of a slope (a Fraction, an int or INF): (x, y)
+    for the slope y/x in lowest terms, turned to y > 0, or y = 0 < x."""
+    if s is INF:
+        return (0, 1)
+    s = Q(s)
+    n, m = s.numerator, s.denominator
+    return (m, n) if n >= 0 else (-m, -n)
+
+
+def slope(p: tuple):
+    """The slope of a rational direction at any scale: a Fraction, or INF."""
+    return INF if p[0] == 0 else Q(p[1], p[0])
 
 
 def qmat_apply(m: QMat, vec: Sequence) -> tuple[Q, ...]:

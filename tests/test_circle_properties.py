@@ -6,7 +6,8 @@ replaced, checked on generated slopes and matrices.
 s / (1 + s), INF to 1, negative slopes to 1 + 1 / (1 - s)), ordered by
 exact comparisons.
 ``ref_contains``, ``ref_contains_interval`` and ``ref_image`` are the arc
-tests and the Moebius action written on it.
+tests and the Moebius action written on it. Intervals are drawn by the
+slopes of their ends and built from the directions of those slopes.
 """
 
 from fractions import Fraction as Q
@@ -15,16 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gbsn import linalg, matgroups
-from gbsn.linalg import (
-    INF,
-    ProjInterval,
-    QMat,
-    circle_key,
-    direction,
-    rational_key_between,
-    slopes_equal,
-)
-from quadratic_reference import QuadraticNumber
+from gbsn.linalg import ProjInterval, QMat, between, circle_key, rational_key_between
+from quadratic_reference import INF, QuadraticNumber, direction, slope
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=300)
 
@@ -114,7 +107,6 @@ def test_order_and_keys_match_the_chart(p, r):
     expected = ref_order(p, r)
     assert linalg._cross(p, r) == expected
     assert linalg._key_cmp(circle_key(r), circle_key(p)) == expected
-    assert slopes_equal(p, r) == (expected == 0)
 
 
 @PROPERTY
@@ -130,6 +122,15 @@ def test_separator_lies_strictly_between(p, r):
 
 
 @PROPERTY
+@given(points, points)
+def test_between_lies_inside_the_counterclockwise_arc(p, r):
+    if ref_order(p, r) == 0:
+        return
+    kp, kb, kr = (ref_key(ref_value(t)) for t in (p, between(p, r), r))
+    assert kp < kb < kr if kp < kr else (kb > kp or kb < kr)
+
+
+@PROPERTY
 @given(points, st.integers(-7, 7), st.sampled_from([1, 4, 1024, 4 * 16**6]))
 def test_key_floor_matches_the_chart(p, shift, n):
     key = linalg._key_add(circle_key(p), shift, 3)
@@ -141,13 +142,14 @@ def test_key_floor_matches_the_chart(p, shift, n):
 @PROPERTY
 @given(rational_slopes, rational_slopes, points)
 def test_contains_slope_matches_the_chart(lo, hi, p):
-    assert ProjInterval(lo, hi).contains_slope(p) == ref_contains(lo, hi, ref_value(p))
+    assert ProjInterval(direction(lo), direction(hi)).contains(p) == ref_contains(lo, hi, ref_value(p))
 
 
 @PROPERTY
 @given(rational_slopes, rational_slopes, rational_slopes, rational_slopes)
 def test_containment_and_disjointness_match_the_chart(a, b, c, d):
-    outer, inner = ProjInterval(a, b), ProjInterval(c, d)
+    outer = ProjInterval(direction(a), direction(b))
+    inner = ProjInterval(direction(c), direction(d))
     assert outer.contains_interval(inner) == ref_contains_interval((a, b), (c, d))
     disjoint = not (
         ref_contains(a, b, c) or ref_contains(a, b, d) or ref_contains(c, d, a) or ref_contains(c, d, b)
@@ -158,16 +160,16 @@ def test_containment_and_disjointness_match_the_chart(a, b, c, d):
 @PROPERTY
 @given(rational_slopes, rational_slopes, invertible)
 def test_image_matches_the_moebius_action(lo, hi, m):
-    image = ProjInterval(lo, hi).image(m)
-    assert (image.lo, image.hi) == ref_image(m, lo, hi)
+    image = ProjInterval(direction(lo), direction(hi)).image(m.num)
+    assert (slope(image.lo), slope(image.hi)) == ref_image(m, lo, hi)
 
 
 def test_raw_discriminants_name_one_point():
     root8, twice_root2 = (1, 0, 1, 8), (1, 0, 2, 2)  # sqrt 8 and 2 sqrt 2
-    assert slopes_equal(root8, twice_root2)
+    assert linalg._cross(root8, twice_root2) == 0
     assert linalg._key_cmp(circle_key(root8), circle_key(twice_root2)) == 0
-    assert not slopes_equal(root8, (1, 0, 3, 2))
-    assert not slopes_equal(root8, (-1, 0, 1, 8))  # -sqrt 8, turned to y > 0
-    arc = ProjInterval(Q(2), Q(3))
-    assert arc.contains_slope(root8) and arc.contains_slope(twice_root2)
-    assert not ProjInterval(Q(3), INF).contains_slope(root8)
+    assert linalg._cross(root8, (1, 0, 3, 2)) != 0
+    assert linalg._cross(root8, (-1, 0, 1, 8)) != 0  # -sqrt 8, turned to y > 0
+    arc = ProjInterval(direction(Q(2)), direction(Q(3)))
+    assert arc.contains(root8) and arc.contains(twice_root2)
+    assert not ProjInterval(direction(Q(3)), direction(INF)).contains(root8)

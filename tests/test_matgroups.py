@@ -1,21 +1,13 @@
 import importlib
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction as Q
 
 import pytest
 
 from gbsn import linalg, matgroups
-from gbsn.classify import classify
-from gbsn.linalg import (
-    INF,
-    ProjInterval,
-    QMat,
-    circle_key,
-    rational_key_between,
-    slope_from_key,
-    slopes_equal,
-)
+from gbsn.linalg import ProjInterval, QMat, between, circle_key, rational_key_between
 from gbsn.matgroups import (
     FreePairCertificate,
     InvariantLineCertificate,
@@ -31,7 +23,7 @@ from gbsn.matgroups import (
     virtually_solvable,
 )
 from gbsn.words import Word
-from quadratic_reference import QuadraticNumber, point
+from quadratic_reference import INF, QuadraticNumber, direction, point, slope
 
 H = QMat([[2, 0], [0, Q(1, 2)]])
 P = QMat([[1, 1], [0, 1]])
@@ -41,48 +33,61 @@ E = QMat([[0, 1], [-1, 0]])
 classify_module = importlib.import_module("gbsn.classify")
 
 
+def arc(lo, hi) -> ProjInterval:
+    """The arc between two slopes."""
+    return ProjInterval(direction(lo), direction(hi))
+
+
 class TestProjectiveCircle:
     def test_key_order_is_circle_order(self):
         slopes = [Q(0), Q(1), Q(5), INF, Q(-5), Q(-1), Q(-1, 2)]
-        keys = [circle_key(s) for s in slopes]
+        keys = [circle_key(direction(s)) for s in slopes]
         assert all(linalg._key_cmp(a, b) < 0 for a, b in zip(keys, keys[1:]))
         assert [Q(p, r) for p, _, r, _ in keys] == [0, Q(1, 2), Q(5, 6), 1, Q(7, 6), Q(3, 2), Q(5, 3)]
 
     def test_key_roundtrip(self):
         for s in (Q(0), Q(7, 3), Q(-2, 5), INF, Q(100)):
-            assert slopes_equal(slope_from_key(circle_key(s)), s)
+            p = direction(s)
+            assert linalg._key_direction(circle_key(p)) == p
+            assert linalg._key_direction(linalg._key_add(circle_key(p), 2, 1)) == p
+
+    def test_between_wraps_past_the_end_of_the_chart(self):
+        # from slope -1 counterclockwise to slope 1 runs through slope 0
+        assert between(direction(Q(-1)), direction(Q(1))) == (1, 0)
+        assert between(direction(Q(1)), direction(Q(-1))) == (0, 1)
+        assert arc(Q(-1, 2), Q(1, 2)).contains(between(direction(Q(-1, 2)), direction(Q(1, 2))))
 
     def test_interval_membership_with_wraparound(self):
-        big = ProjInterval(Q(2), Q(-2))  # |slope| >= 2, through INF
-        assert big.contains_slope(INF)
-        assert big.contains_slope(Q(3)) and big.contains_slope(Q(-3))
-        assert not big.contains_slope(Q(0)) and not big.contains_slope(Q(1))
+        big = arc(Q(2), Q(-2))  # |slope| >= 2, through INF
+        assert big.contains(direction(INF))
+        assert big.contains(direction(Q(3))) and big.contains(direction(Q(-3)))
+        assert not big.contains(direction(Q(0))) and not big.contains(direction(Q(1)))
 
     def test_interval_containment(self):
-        outer = ProjInterval(Q(-1), Q(1))
-        assert outer.contains_interval(ProjInterval(Q(0), Q(1, 2)))
-        assert outer.contains_interval(ProjInterval(Q(-1, 2), Q(1, 2)))
-        assert not outer.contains_interval(ProjInterval(Q(1, 2), Q(-1, 2)))  # wraps via INF
-        assert not outer.contains_interval(ProjInterval(Q(0), Q(2)))
+        outer = arc(Q(-1), Q(1))
+        assert outer.contains_interval(arc(Q(0), Q(1, 2)))
+        assert outer.contains_interval(arc(Q(-1, 2), Q(1, 2)))
+        assert not outer.contains_interval(arc(Q(1, 2), Q(-1, 2)))  # wraps via INF
+        assert not outer.contains_interval(arc(Q(0), Q(2)))
 
     def test_disjointness(self):
-        a = ProjInterval(Q(-1, 2), Q(1, 2))
-        b = ProjInterval(Q(2), Q(-2))
+        a = arc(Q(-1, 2), Q(1, 2))
+        b = arc(Q(2), Q(-2))
         assert a.disjoint_from(b) and b.disjoint_from(a)
-        c = ProjInterval(Q(0), Q(3))
+        c = arc(Q(0), Q(3))
         assert not a.disjoint_from(c)
 
     def test_image_orientation(self):
         # H has positive determinant: endpoints map in order
-        iv = ProjInterval(Q(1), Q(2))
-        img = iv.image(H)
-        assert img == ProjInterval(Q(1, 4), Q(1, 2))
+        iv = arc(Q(1), Q(2))
+        img = iv.image(H.num)
+        assert img == arc(Q(1, 4), Q(1, 2))
         flip = QMat([[1, 0], [0, -1]])  # determinant -1 reverses orientation
-        assert iv.image(flip) == ProjInterval(Q(-2), Q(-1))
+        assert iv.image(flip.num) == arc(Q(-2), Q(-1))
 
     def test_mobius_action(self):
         def image(m, s):  # the image of a slope, as a one-point arc
-            return ProjInterval(s, s).image(m).lo
+            return slope(arc(s, s).image(m.num).lo)
 
         assert image(P, Q(1)) == Q(1, 2)  # slope s -> s/(1+s)
         assert image(P, INF) == Q(1)
@@ -109,7 +114,7 @@ class TestProjectiveCircle:
 
         monkeypatch.setattr(linalg, "_key_cmp", counted)
         # the keys of 1/2 (key 1/3), sqrt 2 and -sqrt 2
-        for ka in (circle_key(Q(1, 2)), circle_key((1, 0, 1, 2)), circle_key((-1, 0, 1, 2))):
+        for ka in (circle_key((2, 1)), circle_key((1, 0, 1, 2)), circle_key((-1, 0, 1, 2))):
             kb = linalg._key_add(ka, 1, 10**7)
             compared = 0
             r = rational_key_between(ka, kb)
@@ -298,6 +303,46 @@ class TestPingpong:
         assert eager is not None
         assert pingpong_certify(gens) == eager
 
+    def test_hand_built_ends_at_any_scale_verify(self):
+        # a certificate may be built by hand: an end is any nonzero integer
+        # pair on the line of its direction, and names the same arc
+        gens, names = [H, P, E], ["h", "p", "e"]
+        cert = pingpong_certify(gens, names)
+        rng = random.Random(1403)
+
+        def rescaled(c):
+            def arc(iv):
+                ends = [(k * p[0], k * p[1]) for p in (iv.lo, iv.hi)
+                        for k in [rng.choice((-3, -1, 1, 2, 7))]]
+                return ProjInterval(*ends)
+
+            return replace(c, domain_x=arc(c.domain_x), domain_y=arc(c.domain_y),
+                           traps_x=tuple(map(arc, c.traps_x)), traps_y=tuple(map(arc, c.traps_y)))
+
+        def complement(iv):
+            return ProjInterval(iv.hi, iv.lo)
+
+        invalid = [
+            replace(cert, domain_x=cert.domain_y, domain_y=cert.domain_x),
+            replace(cert, domain_x=complement(cert.domain_x), domain_y=complement(cert.domain_y)),
+            replace(cert, word_x=cert.word_y, word_y=cert.word_x),
+            replace(cert, traps_x=cert.traps_x[::-1], traps_y=cert.traps_y[::-1]),
+        ]
+        for _ in range(32):
+            copy = rescaled(cert)
+            assert copy == cert and verify_free_pair(gens, copy, names)
+            assert not any(verify_free_pair(gens, rescaled(bad), names) for bad in invalid)
+
+    @pytest.mark.parametrize(
+        "end", [(0, 0), (1.0, 2), (Q(1, 2), 1), Q(1, 2), 2, (1, 2, 3)],
+        ids=["zero", "float", "fraction-coordinate", "fraction", "int", "triple"],
+    )
+    def test_an_end_that_is_no_integer_direction_is_refused(self, end):
+        with pytest.raises(ValueError):
+            ProjInterval(end, (1, 0))
+        with pytest.raises(ValueError):
+            ProjInterval((1, 0), end)
+
     def test_sanov_pair(self):
         a = QMat([[1, 2], [0, 1]])
         b = QMat([[1, 0], [2, 1]])
@@ -345,7 +390,7 @@ class TestCoarseDensity:
         # contraction pair of specB's classification prove it exactly
         report = coarse_density([H, P, E], virtually_solvable([H, P, E]))
         assert (report.verdict, report.method) == ("undetermined", "no-certificate")
-        exact = classify_module._rank2_density(classify(spec_b), classify_module.Analysis(spec_b))
+        exact = classify_module._rank2_density(classify_module.Analysis(spec_b))
         assert (exact.verdict, exact.method) == ("coarsely-dense", "exact-sl2-closure")
         assert "free pair" in exact.detail and "contraction pair (h, p)" in exact.detail
 

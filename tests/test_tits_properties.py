@@ -22,9 +22,9 @@ from hypothesis import strategies as st
 
 from gbsn import matgroups
 from gbsn import linalg
-from gbsn.linalg import INF, QMat, common_eigenline, maps_to, spectral_radius_gt_one
+from gbsn.linalg import QMat, common_eigenline, maps_to, spectral_radius_gt_one
 from quadratic_reference import (
-    ProjPoint, QuadraticNumber, eigen_directions, point, qmat_trace, stated,
+    INF, ProjPoint, QuadraticNumber, eigen_directions, point, qmat_trace, stated,
 )
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=300)

@@ -26,8 +26,10 @@ classify and compression ``--p 3/2`` in JSON on each spec of
 stated over a radicand with a square factor or with a denominator; and
 classify and compression ``--p 3/2`` in JSON on each spec of
 ``free_pair_family``, 40 one-vertex specs with two or three loops built to
-carry a ping-pong free pair. That is 6,041 runs over 266 specs, and takes
-under three minutes on a 2-core x86 VM.
+carry a ping-pong free pair, and on each spec of ``outside_rank2_family``,
+10 specs of rank 1 and 3 and trees of groups, which reach the rank-n word
+ball and the collapse of a tree of groups. That is 6,196 runs over 186 spec
+files, and takes under three minutes on a 2-core x86 VM.
 """
 
 from __future__ import annotations
@@ -148,6 +150,56 @@ def free_pair_family() -> dict:
     return {f"freepair/fp-{i:02d}.gog": _loops_spec(spec) for i, spec in enumerate(loops)}
 
 
+def _spec(rank: int, vertices: str, edges) -> str:
+    """A spec of the given rank with one edge line per (name, src, dst,
+    alpha, omega); a rank-1 matrix is its entry, a rank-3 one its rows."""
+    def mat(m):
+        return f"[[{m}]]" if rank == 1 else "[" + ",".join(
+            "[" + ",".join(map(str, row)) + "]" for row in m) + "]"
+
+    lines = [f"rank {rank}", *(f"vertex {v}" for v in vertices.split())]
+    lines += [f"edge {name}: {src} -> {dst} alpha {mat(a)} omega {mat(o)}"
+              for name, src, dst, a, o in edges]
+    return "\n".join(lines) + "\n"
+
+
+def outside_rank2_family() -> dict:
+    """{relative path: text} for 10 specs off the rank-2 paths: the relation
+    specs ``tests/specs/rank1_relation.gog`` and ``rank3_relation.gog``;
+    three rank-1 and three rank-3 one-vertex specs with several loops,
+    whose 2a relation search grows a word ball of rank 1 or 3 (the last
+    rank-3 spec has a holonomy with denominator 2, so it is no 2a candidate
+    and its non-discreteness witness grows the rank-3 ball instead); and
+    two rank-1 trees of groups, one that collapses to a point and one that
+    does not."""
+    i3 = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    e12, e23 = ((1, 1, 0), (0, 1, 0), (0, 0, 1)), ((1, 0, 0), (0, 1, 1), (0, 0, 1))
+    cat = ((2, 1, 0), (1, 1, 0), (0, 0, 1))
+    perm = ((0, 0, 1), (1, 0, 0), (0, 1, 0))
+    flip = ((-1, 0, 0), (0, 1, 0), (0, 0, 1))
+    double = ((2, 0, 0), (0, 1, 0), (0, 0, 1))
+    family = {
+        f"outside/{name}.gog": (ROOT / "tests" / "specs" / f"{name}.gog").read_text()
+        for name in ("rank1_relation", "rank3_relation")
+    }
+    loops = [
+        (1, [(1, -1), (1, -1), (1, 1)]),
+        (1, [(-1, 1), (1, 1)]),
+        (1, [(-1, -1), (1, -1), (-1, 1)]),
+        (3, [(i3, e12), (i3, e23)]),
+        (3, [(i3, cat), (i3, perm), (i3, flip)]),
+        (3, [(double, i3), (i3, e12), (i3, perm)]),
+    ]
+    for k, (rank, ends) in enumerate(loops):
+        edges = [(f"t{j}", "X", "X", a, o) for j, (a, o) in enumerate(ends)]
+        family[f"outside/loops-{k}.gog"] = _spec(rank, "X", edges)
+    family["outside/tree-point.gog"] = _spec(
+        1, "X Y Z", [("e", "X", "Y", 1, 2), ("f", "Y", "Z", 1, 3)])
+    family["outside/tree-infinite.gog"] = _spec(
+        1, "X Y Z", [("e", "X", "Y", 2, 3), ("f", "Y", "Z", 2, 1)])
+    return family
+
+
 def elements(letters: tuple) -> list:
     pairs = [f"{x} {y}^-1" for x, y in combinations(letters, 2)][:3]
     return [*letters, *pairs, f"{letters[0]}^3"]
@@ -184,9 +236,10 @@ def family_runs(family: dict, commands: tuple):
 
 def main() -> None:
     texts, family, pairs = spec_texts(), certificate_family(), free_pair_family()
+    outside = outside_rank2_family()
     out = sys.stdout
     with tempfile.TemporaryDirectory() as tmp:
-        for path, text in {**texts, **family, **pairs}.items():
+        for path, text in {**texts, **family, **pairs, **outside}.items():
             target = Path(tmp, path)
             target.parent.mkdir(parents=True, exist_ok=True)
             target.write_text(text)
@@ -194,7 +247,8 @@ def main() -> None:
         os.chdir(tmp)
         try:
             for argv in (*runs(texts), *family_runs(family, FAMILY_COMMANDS),
-                         *family_runs(pairs, FREE_PAIR_COMMANDS)):
+                         *family_runs(pairs, FREE_PAIR_COMMANDS),
+                         *family_runs(outside, FREE_PAIR_COMMANDS)):
                 stdout, stderr = io.StringIO(), io.StringIO()
                 with redirect_stdout(stdout), redirect_stderr(stderr):
                     code = run(argv)

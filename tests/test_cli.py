@@ -47,8 +47,9 @@ GOLDEN_RUNS = [
 # invariant line, a real and a complex invariant pair, a rational invariant
 # pair first found at word length 2, an irrational line and pair whose
 # discriminants have a square factor, contraction eigenbases with b != 0 and
-# b = 0, rank-1 value groups and compression value groups; the exit codes are
-# those of holonomy, classify and compression --p 3/2
+# b = 0, rank-1 value groups and compression value groups, and stable-letter
+# relations of rank 1 and 3; the exit codes are those of holonomy, classify
+# and compression --p 3/2
 CERTIFICATE_SPECS = {
     "irrational_line": (0, 0, 2),
     "real_pair": (0, 2, 2),
@@ -62,6 +63,8 @@ CERTIFICATE_SPECS = {
     "rank1_cyclic": (0, 0, 2),
     "compression_cyclic": (0, 2, 0),
     "compression_dense": (0, 0, 2),
+    "rank1_relation": (0, 2, 2),
+    "rank3_relation": (0, 2, 2),
 }
 GOLDEN_RUNS += [
     (f"{tag}_{spec}", [command, f"tests/specs/{spec}.gog", *extra], code)

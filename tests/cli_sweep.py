@@ -193,10 +193,11 @@ def outside_rank2_family() -> dict:
     for k, (rank, ends) in enumerate(loops):
         edges = [(f"t{j}", "X", "X", a, o) for j, (a, o) in enumerate(ends)]
         family[f"outside/loops-{k}.gog"] = _spec(rank, "X", edges)
+    # each collapse absorbs a vertex that the other edge ends at
     family["outside/tree-point.gog"] = _spec(
-        1, "X Y Z", [("e", "X", "Y", 1, 2), ("f", "Y", "Z", 1, 3)])
+        1, "X Y Z", [("e", "X", "Y", 1, 2), ("f", "X", "Z", 1, 1)])
     family["outside/tree-infinite.gog"] = _spec(
-        1, "X Y Z", [("e", "X", "Y", 2, 3), ("f", "Y", "Z", 2, 1)])
+        1, "X Y Z", [("e", "X", "Y", 2, 3), ("f", "Z", "Y", 2, 1)])
     return family
 
 

@@ -98,8 +98,8 @@ class Analysis:
     def __init__(self, spec: GoGSpec):
         self.spec = spec
         self.holonomy = compute_holonomy(spec)
-        self.names = sorted(self.holonomy.stable)
-        self.gens = list(self.holonomy.image_generators())
+        self.names = list(self.holonomy.stable)
+        self.gens = list(self.holonomy.stable.values())
 
     def moved_letters(self) -> list:
         """The stable letters whose holonomy has |det| != 1."""
@@ -236,7 +236,7 @@ def _whyte(analysis: Analysis) -> ClassificationReport:
         if unimodular:
             # a reduced relation of length <= 6 exists exactly when two
             # distinct reduced words of length <= 3 have the same image
-            ball = WordBall(dict(zip(analysis.names, analysis.gens)))
+            ball = WordBall(analysis.holonomy.stable)
             for _ in ball.grow(3):
                 pass
             relation = ball.relation()

@@ -94,11 +94,11 @@ def _cmd_holonomy(args) -> int:
         "command": "holonomy",
         "base_vertex": hd.base_vertex,
         "vertex_letters": sorted(hd.vertex_letter_names),
-        "stable": {name: _jsonable(m) for name, m in sorted(hd.stable.items())},
+        "stable": {name: _jsonable(m) for name, m in hd.stable.items()},
     }
     lines = [f"base vertex: {hd.base_vertex}"]
     lines.append("vertex letters map to the identity")
-    for name, m in sorted(hd.stable.items()):
+    for name, m in hd.stable.items():
         rows = "; ".join(", ".join(str(x) for x in row) for row in m.rows)
         lines.append(f"hol({name}) = [{rows}]")
     _emit(payload, lines, args.format)

@@ -9,9 +9,10 @@ matrix products, so relators map to the identity by construction.
 
 Non-discreteness is shown by a certificate that re-verifies from the
 matrices alone, never by a bounded search: in rank >= 2 a pair (h, g) of
-stable letters or their inverses whose conjugates h^-k g h^k tend to I
-through pairwise distinct elements, read off from h's rational eigenbasis
-(``linalg.eigenlines``); in rank 1 a dense group of absolute values.
+states of the radius-1 ``matgroups.WordBall`` (stable letters and their
+inverses) whose conjugates h^-k g h^k tend to I through pairwise distinct
+elements, read off from h's rational eigenbasis (``linalg.eigenlines``); in
+rank 1 a dense group of absolute values.
 """
 
 from __future__ import annotations
@@ -22,29 +23,21 @@ from math import isqrt
 
 from .gog import GoGSpec, ensure_valid, vertex_letters, walk
 from .linalg import QMat, _multiplicative_group_shape, eigenlines
+from .matgroups import WordBall
 from .words import Word
 
 
 @dataclass(frozen=True)
 class HolonomyData:
     base_vertex: str
-    stable: dict  # stable letter name -> QMat
+    stable: dict  # stable letter name -> QMat, in name order
     vertex_letter_names: frozenset
     rank: int
 
-    def image_generators(self) -> tuple[QMat, ...]:
-        return tuple(self.stable[name] for name in sorted(self.stable))
-
-    def letter_image(self, name: str, exp: int = 1) -> QMat:
-        if name in self.stable:
-            return self.stable[name] ** exp
-        if name in self.vertex_letter_names:
-            return QMat.identity(self.rank)
-        raise KeyError(f"unknown letter {name!r}")
-
 
 def compute_holonomy(spec: GoGSpec) -> HolonomyData:
-    """Holonomy matrices of the stable letters, based at the least vertex."""
+    """Holonomy matrices of the stable letters in name order, based at the
+    least vertex."""
     ensure_valid(spec)
     base = spec.base_vertex()
     # transport[v]: v-coordinates -> base-coordinates along the spanning tree
@@ -54,17 +47,21 @@ def compute_holonomy(spec: GoGSpec) -> HolonomyData:
         transport[new] = transport[old] * (m.inverse() if new == e.dst else m)
     stable = {
         e.name: transport[e.dst] * e.comparison() * transport[e.src].inverse()
-        for e in spec.loop_edges()
+        for e in sorted(spec.loop_edges(), key=lambda e: e.name)
     }
     names = frozenset(n for group in vertex_letters(spec).values() for n in group)
     return HolonomyData(base, stable, names, spec.rank)
 
 
 def word_image(hd: HolonomyData, w: Word) -> QMat:
-    """Product of the per-letter matrices; vertex letters contribute identity."""
+    """Product of the per-letter matrices; vertex letters contribute identity,
+    and any other letter raises KeyError."""
     result = QMat.identity(hd.rank)
     for name, exp in w:
-        result = result * hd.letter_image(name, exp)
+        if name in hd.stable:
+            result = result * hd.stable[name] ** exp
+        elif name not in hd.vertex_letter_names:
+            raise KeyError(f"unknown letter {name!r}")
     return result
 
 
@@ -148,7 +145,7 @@ def _dense_absolute_values(hd: HolonomyData) -> bool:
     dense subgroup of the positive reals?"""
     if hd.rank != 1:
         return False
-    values = [abs(m.rows[0][0]) for m in hd.image_generators()]
+    values = [abs(m.rows[0][0]) for m in hd.stable.values()]
     return _multiplicative_group_shape(values)[0] == "dense"
 
 
@@ -156,19 +153,19 @@ def non_discreteness_witness(hd: HolonomyData) -> WitnessResult:
     """An exact certificate that the holonomy image is not discrete.
 
     In rank 1 the certificate is a dense group of absolute values. In rank
-    >= 2 it is a contraction pair (h, g) among the stable letters and their
-    inverses, tried in a fixed order (names ascending, exponent +1 before
-    -1, h in the outer loop), so the result is deterministic.
+    >= 2 it is a contraction pair (h, g) among the states of the radius-1
+    word ball of the stable letters, tried in the ball's order (names
+    ascending, exponent +1 before -1, h in the outer loop), so the result is
+    deterministic. The ball holds each image once and not I: a repeated
+    image passes only where its first spelling passed before it, and I
+    neither contracts nor has eigenvalues of distinct moduli.
     """
     if all(m.is_integral() and abs(m.det()) == 1 for m in hd.stable.values()):
         return WitnessResult("discrete (integral)")
     if hd.rank == 1:
         return WitnessResult("dense" if _dense_absolute_values(hd) else "none found")
-    letters = [
-        (Word([(name, sign)]), hd.letter_image(name, sign))
-        for name in sorted(hd.stable)
-        for sign in (1, -1)
-    ]
+    ball = WordBall(hd.stable)
+    letters = [(ball.word(state), ball.matrix(state)) for state in ball.grow(1)]
     for h_word, h in letters:
         eigen = _rational_eigenbasis(h)
         if eigen is None:

@@ -39,7 +39,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd
 from typing import Iterator, Optional, Sequence
 
 from .linalg import (
@@ -204,71 +204,55 @@ def virtually_solvable(
 # word balls
 
 
-def _scaled(m: QMat, denom: int) -> tuple:
-    """Represent m as (entries..., e) with m = entries / denom^e, e minimal:
-    the least e with m.den dividing denom^e, since m is in lowest terms."""
-    e, scale = 0, 1
-    while scale % m.den:
-        e, scale = e + 1, scale * denom
-    return (*(x * (scale // m.den) for row in m.num for x in row), e)
+def _flat(m: QMat) -> tuple:
+    return (*(x for row in m.num for x in row), m.den)
 
 
-def _scaled_mul(a: tuple, b: tuple, n: int, denom: int) -> tuple:
+def _scaled_mul(a: tuple, b: tuple, n: int) -> tuple:
     if n == 2:
-        a0, a1, a2, a3, ae = a
-        b0, b1, b2, b3, be = b
+        a0, a1, a2, a3, ad = a
+        b0, b1, b2, b3, bd = b
         o0 = a0 * b0 + a1 * b2
         o1 = a0 * b1 + a1 * b3
         o2 = a2 * b0 + a3 * b2
         o3 = a2 * b1 + a3 * b3
-        e = ae + be
-        if denom > 1:
-            while e > 0 and o0 % denom == 0 and o1 % denom == 0 and o2 % denom == 0 and o3 % denom == 0:
-                o0 //= denom
-                o1 //= denom
-                o2 //= denom
-                o3 //= denom
-                e -= 1
-        return (o0, o1, o2, o3, e)
-    e = a[-1] + b[-1]
-    out = []
-    for i in range(n):
-        for j in range(n):
-            out.append(sum(a[i * n + k] * b[k * n + j] for k in range(n)))
-    if denom > 1:
-        while e > 0 and all(x % denom == 0 for x in out):
-            out = [x // denom for x in out]
-            e -= 1
-    return (*out, e)
+        den = ad * bd
+        if den > 1 and (g := gcd(den, o0, o1, o2, o3)) > 1:
+            return (o0 // g, o1 // g, o2 // g, o3 // g, den // g)
+        return (o0, o1, o2, o3, den)
+    out = [sum(a[i * n + k] * b[k * n + j] for k in range(n)) for i in range(n) for j in range(n)]
+    den = a[-1] * b[-1]
+    if den > 1 and (g := gcd(den, *out)) > 1:
+        return (*(x // g for x in out), den // g)
+    return (*out, den)
 
 
 class WordBall:
     """The ball of a matrix group in its word metric, grown breadth-first.
 
-    A state is a group element scaled to integers, (entries..., e) for
-    entries / denom^e with e minimal, where denom clears every denominator
-    of the generators and their inverses; equal matrices give equal states.
-    Each element is stored once, with the (parent state, letter) that first
-    reached it, and nothing else: words and matrices are rebuilt on demand.
-    Letters are tried in the order of ``named``, exponent +1 before -1.
-    Shortlex-least spellings are prefix-closed (Epstein et al., Word
-    Processing in Groups, 1992), so elements are found in the shortlex order
-    of their least spellings and ``word`` returns that spelling.
+    A state is a group element in ``QMat``'s form, flattened: the entries
+    of its integer numerator row by row, then its denominator, in lowest
+    terms, so equal matrices give equal states. Each element is stored
+    once, with the (parent state, letter) that first reached it, and
+    nothing else: words and matrices are rebuilt on demand. Letters are
+    tried in the order of ``named``, exponent +1 before -1. Shortlex-least
+    spellings are prefix-closed (Epstein et al., Word Processing in Groups,
+    1992), so elements are found in the shortlex order of their least
+    spellings and ``word`` returns that spelling.
 
     Read by the invariant-pair scan (radius 2), the ping-pong players, the
-    Cartan samples and the stable-letter relation of ``classify`` (case 2a).
+    Cartan samples, the stable-letter relation of ``classify`` (case 2a)
+    and the non-discreteness witness of ``holonomy`` (radius 1).
     """
 
     def __init__(self, named: dict):
-        mats = list(named.values())
-        self.n = mats[0].n
-        self.denom = lcm(*(mm.den for m in mats for mm in (m, m.inverse())))
+        self.n = next(iter(named.values())).n
         self.steps = [
-            ((name, sign), _scaled(m if sign == 1 else m.inverse(), self.denom))
+            ((name, sign), _flat(m if sign == 1 else m.inverse()))
             for name, m in named.items()
             for sign in (1, -1)
         ]
-        self.identity = _scaled(QMat.identity(self.n), self.denom)
+        self.identity = _flat(QMat.identity(self.n))
         self.parent: dict[tuple, tuple] = {self.identity: ()}
         # first (state, letter, child) whose child was already stored, the
         # step back along the state's own parent link excepted
@@ -281,13 +265,13 @@ class WordBall:
         """Yield each new state in discovery order, level by level, out to
         word length ``radius``; stop after the state that takes the count of
         stored states past ``cap``. A ball is grown by one call."""
-        n, denom, parent, steps = self.n, self.denom, self.parent, self.steps
+        n, parent, steps = self.n, self.parent, self.steps
         frontier = [self.identity]
         for _ in range(radius):
             nxt = []
             for state in frontier:
                 for letter, mat in steps:
-                    child = _scaled_mul(state, mat, n, denom)
+                    child = _scaled_mul(state, mat, n)
                     if child in parent:
                         if self._collision is None:
                             link = parent[state]
@@ -310,8 +294,7 @@ class WordBall:
 
     def matrix(self, state: tuple) -> QMat:
         n = self.n
-        num = tuple(state[i : i + n] for i in range(0, n * n, n))
-        return QMat.from_ints(num, self.denom ** state[-1])
+        return QMat.from_ints(tuple(state[i : i + n] for i in range(0, n * n, n)), state[-1])
 
     def relation(self) -> Optional[Word]:
         """A nontrivial freely reduced word with image I, of length at most
@@ -341,7 +324,7 @@ PINGPONG_WORD_LEN = 3  # players are the elements of the word ball of this radiu
 @dataclass(frozen=True)
 class _Player:
     word: Word
-    mat: QMat
+    num: tuple  # ((a, b), (c, d)): the element's integer numerator
     kind: str  # 'hyperbolic' | 'parabolic'
     fixed: tuple  # directions; hyperbolic: (attracting, repelling), parabolic: (f,)
 
@@ -418,7 +401,7 @@ def _trap_pair(
         sides = (ProjInterval(f, domain.hi), ProjInterval(domain.lo, f))
         candidates = [sides, sides[::-1]]
     candidates = [pair for pair in candidates if None not in pair]
-    power, m = 1, player.mat.num
+    power, m = 1, player.num
     while candidates:
         for trap_fwd, trap_bwd in candidates:
             if _traps_hold(trap_fwd, trap_bwd, opposite, m):
@@ -464,8 +447,8 @@ def pingpong_certify(
     fixed-point sets are disjoint and unlinked on the circle; powers are
     escalated until the exact trap inclusions hold. The search order is
     deterministic, so the returned certificate is reproducible. A ball
-    state (a, b, c, d, e) is the matrix [[a, b], [c, d]] / denom^e, so the
-    players are read off its integer entries, and only as far as the pair
+    state (a, b, c, d, den) is the matrix [[a, b], [c, d]] / den, so the
+    players are read off its integer numerator, and only as far as the pair
     loop reaches: the first pair that passes ends the scan of the ball.
     """
     named = _named(gens, names)
@@ -473,7 +456,7 @@ def pingpong_certify(
         return None
     ball = WordBall(named)
     pending = (
-        _Player(ball.word(state), ball.matrix(state), *slopes)
+        _Player(ball.word(state), (state[:2], state[2:4]), *slopes)
         for state in ball.grow(PINGPONG_WORD_LEN)
         for slopes in [_player_slopes(*state[:4])]
         if slopes is not None
@@ -629,13 +612,13 @@ class CoarseDensityReport:
     detail: str = ""
 
 
-def _mu(state: tuple, denom: int) -> float:
-    """Normalized Cartan coordinate of the 2x2 ball state (a, b, c, d, e),
-    the matrix m = [[a, b], [c, d]] / denom^e: half the log ratio of its
+def _mu(state: tuple) -> float:
+    """Normalized Cartan coordinate of the 2x2 ball state (a, b, c, d, den),
+    the matrix m = [[a, b], [c, d]] / den: half the log ratio of its
     singular values, from the trace and determinant of m^T m (each a
     correctly rounded quotient of integers)."""
-    a, b, c, d, e = state
-    scale = denom ** (2 * e)
+    a, b, c, d, den = state
+    scale = den * den
     t = (a * a + b * b + c * c + d * d) / scale
     det = (a * d - b * c) ** 2 / (scale * scale)
     disc = max(t * t - 4 * det, 0.0)
@@ -649,7 +632,7 @@ def _ball_mu_values(named: dict, radius: int, cap: int = 200000) -> list[float]:
         pass
     if len(ball) > cap:
         raise RuntimeError("sampling ball too large")
-    return sorted(_mu(state, ball.denom) for state in ball.parent)
+    return sorted(map(_mu, ball.parent))
 
 
 def coarse_density(gens: Sequence[QMat], result: TitsResult) -> CoarseDensityReport:

@@ -284,7 +284,7 @@ class TestPingpong:
         # then try the pairs (i, j) in order
         ball = matgroups.WordBall(matgroups._named(gens, None))
         players = [
-            matgroups._Player(ball.word(state), ball.matrix(state), *found)
+            matgroups._Player(ball.word(state), ball.matrix(state).num, *found)
             for state in ball.grow(matgroups.PINGPONG_WORD_LEN)
             for found in [matgroups._player_slopes(*state[:4])]
             if found is not None

@@ -33,6 +33,11 @@ SETS = (
     (R6, QMat([[0, 1], [1, 0]])),  # dihedral of order 12
     (QMat([[2]]), QMat([[Q(1, 3)]])),
     (QMat([[0, 0, 1], [1, 0, 0], [0, 1, 0]]), QMat([[2, 0, 0], [0, 1, 0], [0, 0, 1]])),
+    (QMat([[0, 0, 1], [1, 0, 0], [0, 1, 0]]), QMat([[Q(1, 2), 0, 0], [0, 1, 0], [0, 0, 2]])),
+    (
+        QMat([[1, Q(1, 2), 0], [0, 1, 0], [0, 0, 1]]),
+        QMat([[1, 0, 0], [Q(1, 3), 1, 0], [0, 0, 3]]),
+    ),
 )
 generator_sets = st.one_of(
     st.sampled_from(SETS), st.lists(st.sampled_from(POOL), min_size=1, max_size=2)
@@ -51,6 +56,10 @@ def test_matches_reduced_word_search(mats):
     for w, m in reduced_words(named, 3):
         first.setdefault(m, w)
     assert [(ball.word(s), ball.matrix(s)) for s in states] == [(w, m) for m, w in first.items()]
+    # a state is the matrix in QMat's lowest terms, flattened
+    for s in states:
+        m = ball.matrix(s)
+        assert s == (*(x for row in m.num for x in row), m.den)
     relation = ball.relation()
     assert (relation is not None) == any(w and m == identity for w, m in reduced_words(named, 6))
     if relation is not None:

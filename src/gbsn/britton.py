@@ -29,7 +29,10 @@ the ball only until a complete level holds its target, which is then at
 exactly that level's distance, and otherwise to depth ceil(r/2) for a query
 of radius r. Past that depth it builds a level only if the level cannot
 take the ball past ``FORWARD_BALL_STATES`` states, or if backward searches
-have already spent as much as the level costs (ski rental).
+have already spent as much as the level costs (ski rental). The last
+backward level only tests its states against the ball. ``distortion_profile``
+searches each power only below its spelled upper bound, which the spelling
+itself attains.
 
 ``geodesic_length`` and ``distortion_profile`` take their oracle from one
 process-wide store keyed by spec, so a query pays only for the levels no
@@ -322,6 +325,9 @@ class GeodesicOracle:
     the level; if nothing meets by level r - F, then D > r. The argument
     holds for any forward depth F, so a ball that stopped early for an
     earlier target, or grew deeper for one, serves every later query.
+    No level reads the children of the last level, r - F, so that level
+    only tests them against the ball and keeps none; its frontier still
+    counts in ``spent``.
     """
 
     def __init__(self, spec: GoGSpec):
@@ -384,11 +390,12 @@ class GeodesicOracle:
         if d is not None:
             return d if d <= max_radius else None
         forward = self.depth
+        last = max_radius - forward
         # backward search; a state at level l is at distance l from the target
         apply = self.ops.apply
         seen = {flat_target}
         frontier = [flat_target]
-        for level in range(1, max_radius - forward + 1):
+        for level in range(1, last + 1):
             self.spent += len(frontier)
             nxt = []
             for state in frontier:
@@ -396,12 +403,12 @@ class GeodesicOracle:
                     c = list(state)
                     apply(c, kind, index, step)
                     child = tuple(c)
-                    if child in seen:
-                        continue
                     if child in dist:
                         return forward + level
-                    seen.add(child)
-                    nxt.append(child)
+                    # no level reads the last level's children
+                    if level < last and child not in seen:
+                        seen.add(child)
+                        nxt.append(child)
             frontier = nxt
         return None
 
@@ -522,11 +529,14 @@ def distortion_profile(
     Upper bounds are the lengths of the greedy base-lambda spelling through
     a stable letter that scales v by an integer lambda >= 2 (cost 2 per
     digit), or of the direct spelling when there is none; they are counted,
-    and no word is built. Exact lengths come from BFS whenever the upper
-    bound is within ``bfs_cap``. Ratios use the exact length when available,
-    else the upper bound; the reported max ratio over the window estimates
-    the limsup of |mv| / log m. The analytic lower bound is attached via
-    ``analytic_lower_bound`` and is not BFS-verified.
+    and no word is built. A power whose upper bound ub is within ``bfs_cap``
+    gets an exact length: the oracle searches only to radius ub - 1, and if
+    the power is not within it, the counted spelling, a word of length ub
+    for m*v, certifies that its length is exactly ub. Ratios use the exact
+    length when available, else the upper bound; the reported max ratio
+    over the window estimates the limsup of |mv| / log m. The analytic
+    lower bound is attached via ``analytic_lower_bound`` and is not
+    BFS-verified.
 
     All exact lengths come from the spec's oracle in the store that
     ``geodesic_length`` uses, held for the whole window, so each power's
@@ -574,7 +584,9 @@ def distortion_profile(
             exact = None
             if ub <= bfs_cap:
                 target = NormalForm(tuple(m * c for c in vec), ())
-                exact = oracle.distance(target, ub)
+                exact = oracle.distance(target, ub - 1)
+                if exact is None:
+                    exact = ub
             length = exact if exact is not None else ub
             entries.append(ProfileEntry(m, ub, exact, length / math.log(m) if m >= 2 else None))
     note = (

@@ -384,6 +384,22 @@ class TestGeodesicOracle:
                     assert GeodesicOracle(spec).distance(target, d - 1) is None
                 assert GeodesicOracle(spec).distance(target, d) == d
 
+    def test_target_at_the_last_backward_level(self, monkeypatch):
+        # with a forward ball of depth 2, a radius-r query searches r - 2
+        # backward levels; the last one only tests its children against
+        # the ball, yet finds a target that meets the ball there, and one
+        # level further is past the radius
+        monkeypatch.setattr(britton, "FORWARD_CAP", 2)
+        spec = NAIVE_SPECS["bs12"]
+        target = _fast_ops(spec).from_flat(naive_spheres("bs12")[7][0])
+        for radius, answer in ((7, 7), (6, None), (3, None)):
+            oracle = GeodesicOracle(spec)
+            assert oracle.distance(target, radius) == answer
+            assert oracle.depth == 2
+        # the one backward level of the radius-3 query is its last, and its
+        # frontier, the target alone, still counts towards the next level
+        assert oracle.spent == 1
+
     def test_large_ball_stops_at_budget(self):
         # ceil(r/2) levels; the next could take the ball past the budget,
         # with up to k - 1 new states per frontier state, so it is not built

@@ -32,12 +32,14 @@ GOLDEN_RUNS = [
         ),
     )
 ] + [("compare_specA_specB", ["compare", "data/specA.gog", "data/specB.gog"], 0)] + [
-    # exact lengths up to 12 letters; specB is left out, since ceil(12/2)
-    # forces its 143,001-state ball
+    # exact lengths up to 12 letters, and up to 10 on specB: there a power
+    # with upper bound 12 searches to radius 11, which forces the
+    # 143,001-state ball of depth ceil(11/2) = 6
     (f"distortion_{spec}",
      ["distortion", f"data/{spec}.gog", "--element", element, "--max-power", top,
-      "--bfs-cap", "12"], 0)
-    for spec, element, top in (("bs12", "a", "64"), ("ascend2", "b", "64"), ("specA", "a", "16"))
+      "--bfs-cap", cap], 0)
+    for spec, element, top, cap in (("bs12", "a", "64", "12"), ("ascend2", "b", "64", "12"),
+                                    ("specA", "a", "16", "12"), ("specB", "a", "64", "10"))
 ] + [
     # no stable letter scales (1, 1) in ascend2, so only direct spellings
     ("distortion_ascend2_ab",

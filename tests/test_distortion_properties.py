@@ -6,7 +6,9 @@ the forms they had when spellings were built as words.
 ``QMat.apply`` (Fractions; now ``quadratic_reference.qmat_apply``) and the
 analytic constant read off the push maps' ``Fraction`` entries.
 ``distortion_profile`` counts the same lengths and tests the same scaling
-on integer rows.
+on integer rows. Each spelled word reduces to its power m*v, which is what
+lets a window search only below the upper bound; the exact lengths that
+search gives are checked against a plain breadth-first ball.
 """
 
 import math
@@ -14,10 +16,11 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gbsn.britton import _fast_ops, distortion_profile
+from gbsn.britton import NormalForm, _fast_ops, britton_reduce, distortion_profile
 from gbsn.gog import Edge, GoGSpec, vertex_letters
 from gbsn.linalg import QMat, hermite_normal_form, lattice_residue
 from gbsn.words import Word
+from conftest import naive_ball
 from quadratic_reference import qmat_apply
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=150)
@@ -53,9 +56,9 @@ def reference_find_doubler(ops, spec, vec):
 
 
 def reference_window(spec, vec, powers):
-    """(upper bounds, doubler, analytic constant, max ratio) with every
-    spelling built as a ``Word``; the ratios are those of a window with
-    no exact lengths."""
+    """(spellings, doubler, analytic constant, max ratio) with every
+    spelling built as a ``Word``, one per power; the ratios are those of a
+    window with no exact lengths."""
     ops = _fast_ops(spec)
     doubler = reference_find_doubler(ops, spec, vec)
     memo = {}
@@ -84,9 +87,9 @@ def reference_window(spec, vec, powers):
     for e in spec.loop_edges():
         for push in (e.comparison(), e.comparison().inverse()):
             growth = max(growth, float(max(abs(x) for row in push.rows for x in row)))
-    bounds = [len(spell(m)) for m in powers]
-    ratios = [ub / math.log(m) for ub, m in zip(bounds, powers) if m >= 2]
-    return bounds, doubler, growth, max(ratios) if ratios else None
+    words = [spell(m) for m in powers]
+    ratios = [len(w) / math.log(m) for w, m in zip(words, powers) if m >= 2]
+    return words, doubler, growth, max(ratios) if ratios else None
 
 
 def loop(name, alpha, omega):
@@ -146,10 +149,49 @@ def test_window_matches_spelled_words(case):
     names = vertex_letters(spec)[spec.vertices[0]]
     element = Word((names[i], c) for i, c in enumerate(vec))
     profile = distortion_profile(spec, element, POWERS, bfs_cap=0)
-    bounds, doubler, growth, max_ratio = reference_window(spec, vec, POWERS)
-    assert [e.upper_bound for e in profile.entries] == bounds
+    words, doubler, growth, max_ratio = reference_window(spec, vec, POWERS)
+    assert [e.upper_bound for e in profile.entries] == [len(w) for w in words]
+    # the premise of the exact lengths: each counted spelling is a word for
+    # m*v, so no search past its length is needed
+    for m, w in zip(POWERS, words):
+        assert britton_reduce(spec, w) == NormalForm(tuple(m * c for c in vec), ())
     assert all(e.exact_length is None for e in profile.entries)
     assert profile.doubling_letter == (doubler[0] if doubler else None)
     assert profile.doubling_factor == (doubler[2] if doubler else None)
     assert profile.analytic_constant == growth
     assert profile.max_ratio == max_ratio
+
+
+# largest bfs_cap of the exactness property, and the radius of its naive ball
+EXACT_CAP = 7
+
+
+@st.composite
+def small_windows(draw):
+    """A rank-1 BS(p, q) or a Z x BS(1, n), a vertex vector and a bfs_cap
+    from 4 up, so that most windows have exact lengths, some of them below
+    the upper bound."""
+    spec = draw(st.one_of(rank1(), z_times_bs1n()))
+    vec = draw(
+        st.lists(st.integers(-6, 6), min_size=spec.rank, max_size=spec.rank).filter(any)
+    )
+    return spec, tuple(vec), draw(st.integers(4, EXACT_CAP))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(small_windows())
+def test_exact_lengths_match_the_naive_ball(case):
+    # the search goes to ub - 1 and the spelling certifies ub, so every
+    # exact length is the distance in a plain breadth-first ball
+    spec, vec, cap = case
+    ops = _fast_ops(spec)
+    ball = naive_ball(spec, EXACT_CAP)
+    names = vertex_letters(spec)[spec.vertices[0]]
+    element = Word((names[i], c) for i, c in enumerate(vec))
+    profile = distortion_profile(spec, element, range(1, 17), bfs_cap=cap)
+    for e in profile.entries:
+        if e.upper_bound > cap:
+            assert e.exact_length is None
+        else:
+            target = NormalForm(tuple(e.power * c for c in vec), ())
+            assert e.exact_length == ball[ops.to_flat(target)]

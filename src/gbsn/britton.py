@@ -555,13 +555,14 @@ def distortion_profile(
     # cost(m), m >= 1, is the length of the cheapest known spelling of m*v:
     # direct, or t^-s (spelling of q*v) t^s (r*v) through the scaling letter
     # t^s, for (q, r) = divmod(m, lambda) or the balanced (q + 1, r - lambda).
+    # Below lambda only the balanced t^-s v t^s ((m - lambda)*v) can win.
     # Spellings start with t^-s or a vertex letter and end with t^s or one,
     # so the pieces never cancel and their lengths add.
     def cost(m: int) -> int:
         if m in memo:
             return memo[m]
         best = m * weight
-        if doubler is not None and m >= doubler[2]:
+        if doubler is not None and m >= 2:
             lam = doubler[2]
             q, r = divmod(m, lam)
             best = min(best, 2 + cost(q) + r * weight)

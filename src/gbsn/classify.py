@@ -1,13 +1,15 @@
 """Top-level verdicts: quasi-isometry subclass, analytic properties,
 pairwise comparison, and equivariant Lp-compression exponents.
 
-Every verdict reads one ``Analysis`` per spec: the holonomy (computed once,
-which also validates the spec) and, on first use, the Tits decision on the
-holonomy image, re-verified before it is read. ``classify`` and
-``qi_compare`` build one ``Analysis`` per spec, ``compression_report`` one
-for a valid rank-2 spec only, and share it across their stages;
-``whyte_classify`` and ``cv_properties`` each read a fresh one. Nothing is
-kept between calls.
+Every verdict reads one ``Analysis`` per spec per process: the holonomy
+(computed once, which also validates the spec) and, on first use, the Tits
+decision on the holonomy image, re-verified before it is read.
+``analysis(spec)`` builds it on a spec's first use and hands the same
+object to every later call of ``whyte_classify``, ``cv_properties``,
+``classify``, ``qi_compare`` and ``compression_report`` (a valid rank-2
+spec only), and to the CLI's ``holonomy`` command. Like
+``britton._fast_ops``, the cache grows with the number of distinct specs
+a process reads.
 
 The quasi-isometry trichotomy for groups whose tree has infinitely many
 ends: (2a) semidirect products Z^n x| F with F a free subgroup of GL_n(Z) --
@@ -32,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Optional
 
 from .gog import GoGSpec, bass_serre_degrees, ensure_valid, underlying_rank
@@ -93,13 +95,19 @@ class Analysis:
     """The stages of one spec, each computed at most once: the holonomy
     (which validates the spec) on construction, and, on first use, the Tits
     decision on the holonomy image (``tits``) and its non-discreteness
-    witness (``witness``), each certificate re-verified."""
+    witness (``witness``), each certificate re-verified.
+
+    There is one ``Analysis`` per spec per process, from ``analysis``,
+    whose cache grows with the number of distinct specs, like
+    ``britton._fast_ops``. It is shared between calls, so its stages are
+    tuples and records that no caller changes (the holonomy's ``stable``
+    dict included)."""
 
     def __init__(self, spec: GoGSpec):
         self.spec = spec
         self.holonomy = compute_holonomy(spec)
-        self.names = list(self.holonomy.stable)
-        self.gens = list(self.holonomy.stable.values())
+        self.names = tuple(self.holonomy.stable)
+        self.gens = tuple(self.holonomy.stable.values())
 
     def moved_letters(self) -> list:
         """The stable letters whose holonomy has |det| != 1."""
@@ -123,6 +131,14 @@ class Analysis:
         ):
             raise AssertionError("non-discreteness certificate failed re-verification")
         return witness
+
+
+@lru_cache(maxsize=None)
+def analysis(spec: GoGSpec) -> Analysis:
+    """The process-wide ``Analysis`` of ``spec`` (its spanning tree is part
+    of the key). An invalid spec raises on every call: ``lru_cache`` keeps
+    no exception."""
+    return Analysis(spec)
 
 
 def _tri(value: Optional[bool]) -> str:
@@ -152,7 +168,7 @@ def whyte_classify(spec: GoGSpec) -> ClassificationReport:
     quasi-isometric to BS(2,3). A stable letter with |hol| != 1 excludes the
     first, non-amenability the second, so such a group is (2c).
     """
-    return _whyte(Analysis(spec))
+    return _whyte(analysis(spec))
 
 
 def cv_properties(spec: GoGSpec) -> AnalyticProperties:
@@ -162,11 +178,11 @@ def cv_properties(spec: GoGSpec) -> AnalyticProperties:
     rank 2 only is amenability of its closure (SO(3) is compact and has dense
     free subgroups); the certificate re-verifies exactly before it is reported.
     """
-    return _cv(Analysis(spec))
+    return _cv(analysis(spec))
 
 
-def _whyte(analysis: Analysis) -> ClassificationReport:
-    spec = analysis.spec
+def _whyte(stages: Analysis) -> ClassificationReport:
+    spec = stages.spec
     local = bass_serre_degrees(spec)
     evidence = [
         Evidence(
@@ -236,7 +252,7 @@ def _whyte(analysis: Analysis) -> ClassificationReport:
         if unimodular:
             # a reduced relation of length <= 6 exists exactly when two
             # distinct reduced words of length <= 3 have the same image
-            ball = WordBall(analysis.holonomy.stable)
+            ball = WordBall(stages.holonomy.stable)
             for _ in ball.grow(3):
                 pass
             relation = ball.relation()
@@ -259,7 +275,7 @@ def _whyte(analysis: Analysis) -> ClassificationReport:
                     )
                 )
         else:
-            witness = analysis.witness
+            witness = stages.witness
             if witness.kind in ("contraction", "dense"):
                 whyte = "2c"
                 evidence.append(
@@ -268,9 +284,9 @@ def _whyte(analysis: Analysis) -> ClassificationReport:
                 evidence.append(
                     Evidence("whyte-case", "2c: nonamenable with non-discrete holonomy image")
                 )
-            elif spec.rank == 1 and (moved := analysis.moved_letters()):
+            elif spec.rank == 1 and (moved := stages.moved_letters()):
                 whyte = "2c"
-                name, value = moved[0], analysis.holonomy.stable[moved[0]].rows[0][0]
+                name, value = moved[0], stages.holonomy.stable[moved[0]].rows[0][0]
                 evidence.append(
                     Evidence(
                         "modular-image",
@@ -309,8 +325,8 @@ def _whyte(analysis: Analysis) -> ClassificationReport:
     return ClassificationReport(local.ends, amenable, reason, whyte, evidence=tuple(evidence))
 
 
-def _cv(analysis: Analysis) -> AnalyticProperties:
-    result = analysis.tits
+def _cv(stages: Analysis) -> AnalyticProperties:
+    result = stages.tits
     if result.certificate is not None:
         evidence = Evidence(
             f"tits-certificate ({result.certificate.kind()})",
@@ -331,11 +347,11 @@ def classify(spec: GoGSpec) -> ClassificationReport:
     Lambda_cb = 1, so amenability decides all three where the holonomy
     decision is undetermined.
     """
-    return _classify(Analysis(spec))
+    return _classify(analysis(spec))
 
 
-def _classify(analysis: Analysis) -> ClassificationReport:
-    w, c = _whyte(analysis), _cv(analysis)
+def _classify(stages: Analysis) -> ClassificationReport:
+    w, c = _whyte(stages), _cv(stages)
     if w.amenable is True and c.haagerup is not True:
         if c.haagerup is False:
             raise AssertionError("an amenable group was reported without the Haagerup property")
@@ -361,19 +377,19 @@ class QIVerdict:
     evidence: tuple = ()
 
 
-def _rank2_density(analysis: Analysis) -> CoarseDensityReport:
+def _rank2_density(stages: Analysis) -> CoarseDensityReport:
     """Coarse density in SL_2(R) of a rank-2 (2c) holonomy image; a
     nonsolvable one is decided from its free pair and the contraction pair
     of its ``witness`` (``qi_compare``). Both paths need |det| = 1 on every
     generator: determinants 2^k keep an image at infinite Hausdorff distance
     from SL_2(R)."""
-    moved = analysis.moved_letters()
+    moved = stages.moved_letters()
     if moved:
         detail = f"|det| != 1 on {', '.join(moved)}, outside the SL_2(R)-closure argument"
         return CoarseDensityReport("undetermined", "no-certificate", detail)
-    if analysis.tits.virtually_solvable is not False:
-        return coarse_density(analysis.gens, analysis.tits)
-    pair, witness = analysis.tits.certificate, analysis.witness
+    if stages.tits.virtually_solvable is not False:
+        return coarse_density(stages.gens, stages.tits)
+    pair, witness = stages.tits.certificate, stages.witness
     return CoarseDensityReport(
         "coarsely-dense",
         "exact-sl2-closure",
@@ -411,7 +427,7 @@ def qi_compare(a: GoGSpec, b: GoGSpec) -> QIVerdict:
     Every other (2c) pair is 'undetermined', with sampled Cartan distances
     as diagnostics only.
     """
-    aa, ab = Analysis(a), Analysis(b)
+    aa, ab = analysis(a), analysis(b)
     if a.rank != b.rank:
         raise ValueError("dimension mismatch: specs have different ranks")
     ra, rb = _classify(aa), _classify(ab)
@@ -486,8 +502,8 @@ def compression_report(spec: GoGSpec, p) -> CompressionReport:
         return CompressionReport(
             p, "undetermined", None, (), "compression decision implemented for rank 2"
         )
-    analysis = Analysis(spec)
-    haagerup = analysis.tits.virtually_solvable
+    stages = analysis(spec)
+    haagerup = stages.tits.virtually_solvable
     if haagerup is False:
         if p <= 2:
             return CompressionReport(
@@ -508,9 +524,9 @@ def compression_report(spec: GoGSpec, p) -> CompressionReport:
     if haagerup is None:
         return CompressionReport(p, "undetermined", None, (), "holonomy decision undetermined")
 
-    desc = closure_describe(analysis.gens, analysis.tits)
+    desc = closure_describe(stages.gens, stages.tits)
     cocompact = desc.status == "triangular" and desc.diag_kind == "cyclic"
-    distortion = any(spectral_radius_gt_one(g) for g in analysis.gens)
+    distortion = any(spectral_radius_gt_one(g) for g in stages.gens)
     checklist = (
         ("amenable-closure", "yes"),
         (

@@ -16,8 +16,8 @@ import json
 import sys
 from fractions import Fraction
 
-from . import britton, gog, gogfile, holonomy
-from .classify import _tri, classify, compression_report, qi_compare
+from . import britton, gog, gogfile
+from .classify import _tri, analysis, classify, compression_report, qi_compare
 from .linalg import ProjInterval, ProjPoint, QMat, QuadraticNumber, slope_text
 from .words import Word, parse_word
 
@@ -60,9 +60,20 @@ def _emit(payload: dict, lines: list[str], fmt: str) -> None:
 
 
 def _load_spec(path: str) -> gog.GoGSpec:
+    """The spec in the file at ``path``. The file is read on every call;
+    each distinct text is parsed once per process (``_spec_of``), and each
+    spec gets one ``Analysis`` per process (``classify.analysis``). So an
+    unchanged file is not parsed or analysed again, and an edited one is.
+    Both caches grow with the number of distinct spec texts a process
+    reads."""
     with open(path, "r", encoding="utf-8") as fh:
-        doc = gogfile.parse(fh.read())
-    return doc.to_spec()
+        return _spec_of(fh.read())
+
+
+@functools.lru_cache(maxsize=None)
+def _spec_of(text: str) -> gog.GoGSpec:
+    # a parse error is raised again on every call: lru_cache keeps no exception
+    return gogfile.parse(text).to_spec()
 
 
 def _cmd_validate(args) -> int:
@@ -88,8 +99,7 @@ def _cmd_presentation(args) -> int:
 
 
 def _cmd_holonomy(args) -> int:
-    spec = _load_spec(args.file)
-    hd = holonomy.compute_holonomy(spec)
+    hd = analysis(_load_spec(args.file)).holonomy
     payload = {
         "command": "holonomy",
         "base_vertex": hd.base_vertex,

@@ -6,8 +6,9 @@ from pathlib import Path
 import pytest
 from hypothesis import strategies as st
 
-from gbsn import britton, gogfile
+from gbsn import britton, cli, gogfile
 from gbsn.britton import _fast_ops
+from gbsn.classify import analysis
 from gbsn.gog import Edge, GoGSpec, vertex_letters
 from gbsn.linalg import QMat
 from gbsn.words import Word
@@ -112,6 +113,15 @@ def empty_oracle_store():
     britton._kept.clear()
     yield
     britton._kept.clear()
+
+
+@pytest.fixture(autouse=True)
+def fresh_analyses():
+    """Each test starts with no kept analyses or parsed spec texts, so a test
+    that replaces a stage sees it run, and no count depends on the tests
+    before it."""
+    analysis.cache_clear()
+    cli._spec_of.cache_clear()
 
 
 @pytest.fixture(scope="session")

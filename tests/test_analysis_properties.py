@@ -1,10 +1,21 @@
 """``classify`` reads one analysis per spec and reports what the two single
-stages report on their own: checked on generated one-vertex specs of rank 1
+stages report on their own, and the analysis kept for the process gives the
+reports a fresh one gives: checked on generated one-vertex specs of rank 1
 and 2 with one to three loops."""
 
 from hypothesis import given, settings
 
-from gbsn.classify import classify, compression_report, cv_properties, whyte_classify
+from gbsn.classify import (
+    Analysis,
+    _classify,
+    _cv,
+    _whyte,
+    analysis,
+    classify,
+    compression_report,
+    cv_properties,
+    whyte_classify,
+)
 from gbsn.holonomy import compute_holonomy, verify_nondiscreteness
 from gbsn.matgroups import verify_certificate
 
@@ -46,3 +57,13 @@ def test_classify_agrees_with_its_stages(spec):
     for p in (1, 2):
         zero = compression_report(spec, p).alpha_kind == "zero"
         assert zero == (c.haagerup is False)
+
+
+@PROPERTY
+@given(one_vertex_specs(max_rank=2, bound=5))
+def test_kept_analysis_reports_as_a_fresh_one(spec):
+    kept = [classify(spec), whyte_classify(spec), cv_properties(spec)]
+    again = [classify(spec), whyte_classify(spec), cv_properties(spec)]
+    assert analysis(spec) is analysis(spec)
+    fresh = Analysis(spec)
+    assert kept == again == [_classify(fresh), _whyte(fresh), _cv(fresh)]

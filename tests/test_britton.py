@@ -585,6 +585,20 @@ class TestDistortion:
         assert prof.doubling_letter is None
         assert prof.entries[0].upper_bound == 8
 
+    @pytest.mark.parametrize("rank", [1, 2])
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_spelled_bound_is_exact_on_bs1n(self, rank, n):
+        # BS(1,n) and Z x BS(1,n): below the scaling factor n, m*v is also
+        # spelled t^-1 v t ((m - n)*v), and with that spelling every bound
+        # within the cap is the length itself
+        omega = [[n]] if rank == 1 else [[1, 0], [0, n]]
+        spec = GoGSpec.make(rank, ["X"], [Edge("t", "X", "X", QMat.identity(rank), QMat(omega))])
+        element = parse_word("a" if rank == 1 else "b")
+        prof = distortion_profile(spec, element, range(1, 65), bfs_cap=9)
+        exact = [e for e in prof.entries if e.exact_length is not None]
+        assert len(exact) >= 9
+        assert all(e.exact_length == e.upper_bound for e in exact)
+
     def test_zero_element_rejected(self, spec_a):
         with pytest.raises(ValueError):
             distortion_profile(spec_a, Word(), [2])

@@ -472,6 +472,17 @@ class TestOneAnalysisPerSpec:
         assert compression_report(spec_a, 2).alpha_kind == "value"
         assert counts == {"holonomy": 1, "tits": 1}
 
+    def test_once_per_spec_across_commands(self, spec_a, spec_b, counts):
+        # the analyses are kept for the process, not for one command
+        for spec in (spec_a, spec_b):
+            assert classify(spec).decided()
+            compression_report(spec, 3)
+        assert qi_compare(spec_a, spec_b).verdict == "quasi-isometric"
+        assert qi_compare(spec_b, spec_a).verdict == "quasi-isometric"
+        assert whyte_classify(spec_a).whyte_case == "2c"
+        assert cv_properties(spec_b).haagerup is False
+        assert counts == {"holonomy": 2, "tits": 2}
+
 
 class TestReportInvariants:
     def test_haagerup_equals_weak_amenability(self, spec_a, spec_b, spec_bs12, spec_ascend2):

@@ -43,7 +43,11 @@ GOLDEN_RUNS = [
 ] + [
     # no stable letter scales (1, 1) in ascend2, so only direct spellings
     ("distortion_ascend2_ab",
-     ["distortion", "data/ascend2.gog", "--element", "a b", "--max-power", "32", "--bfs-cap", "8"], 0)
+     ["distortion", "data/ascend2.gog", "--element", "a b", "--max-power", "32", "--bfs-cap", "8"], 0),
+    # scaling factor 8: powers m < 8 are spelled h^-1 a h a^(m - 8) too
+    ("distortion_compression_cyclic",
+     ["distortion", "tests/specs/compression_cyclic.gog", "--element", "a", "--max-power", "64",
+      "--bfs-cap", "8"], 0),
 ]
 # tests/specs/<name>.gog holds one shape of certificate each: an irrational
 # invariant line, a real and a complex invariant pair, a rational invariant
@@ -204,6 +208,20 @@ class TestReports:
         )
         assert code == 0
         assert "max ratio over the window" in out
+
+    def test_edited_file_is_read_again(self, capsys, tmp_path):
+        # the parse and the analysis are kept per spec text, and the file is
+        # read on every call, so an edit between two runs is seen
+        spec = tmp_path / "edited.gog"
+        spec.write_text(Path(ASCEND2).read_text())
+        code, out, _ = invoke(capsys, "classify", str(spec), "--format", "json")
+        assert (code, json.loads(out)["whyte_case"]) == (0, "2b")
+        spec.write_text(Path(SPEC_B).read_text())
+        code, out, _ = invoke(capsys, "classify", str(spec), "--format", "json")
+        assert (code, json.loads(out)["whyte_case"], json.loads(out)["haagerup"]) == (0, "2c", "no")
+        spec.write_text("rank 2\nvertex X\nedge t: X -> X alpha [[1,0]] omega [[1]]\n")
+        code, out, err = invoke(capsys, "classify", str(spec))
+        assert (code, out) == (1, "") and err.startswith("error: line 3")
 
 
 class TestJson:

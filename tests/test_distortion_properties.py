@@ -70,7 +70,7 @@ def reference_window(spec, vec, powers):
         if m in memo:
             return memo[m]
         best = direct(m)
-        if doubler is not None and m >= doubler[2]:
+        if doubler is not None and m >= 2:
             name, sign, lam = doubler
             q0, r0 = divmod(m, lam)
             branches = [(q0, r0)]

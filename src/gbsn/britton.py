@@ -55,7 +55,8 @@ from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import lru_cache
-from operator import add, mul
+from itertools import groupby
+from operator import countOf, mul
 from typing import Optional
 
 from .gog import GoGSpec, ensure_valid, vertex_letters
@@ -212,37 +213,31 @@ class _FastOps:
     def fold(self, s: list, w: Word) -> None:
         """Right-multiply the canonical form ``s`` in place by the word ``w``.
 
-        Vertex letters commute and only ever change the free last vector,
-        so a run of them is summed into a pending vector and added to it
-        before the next stable letter and once at the end.
-
-        The word is read single letter by single letter, through the C-level
-        stream of ``Word.single_letters``, so the cost is linear in each
-        exponent. Adding a whole vertex run as one step (ROADMAP item
-        8) waits on the benchmark tracer: it counts letters by wrapping
-        ``Word.single_letters``, and ``test_tracer_restores_gbsn`` in
-        ``perfbench/tests`` pins that count above zero.
+        The C-level stream of ``Word.single_letters`` is grouped into
+        maximal runs of one single letter. Vertex letters commute and only
+        ever change the free last vector, so a vertex run is counted and
+        added to it as one step; a stable run takes one ``apply`` per letter.
+        The Python work is per run and the C work per letter, so the cost is
+        still linear in each exponent. Reading each run as one integer step
+        from ``w.letters`` (ROADMAP item 12) waits on the benchmark tracer:
+        it counts letters by wrapping ``Word.single_letters``, and
+        ``test_tracer_restores_gbsn`` in ``perfbench/tests`` pins that count
+        above zero.
         """
         n = self.n
         apply = self.apply
         vletters, loop_index = self.vletters, self.loop_index
-        pending = [0] * n
-
-        def flush():
-            s[-n:] = map(add, s[-n:], pending)
-            pending[:] = [0] * n
-
-        for name, step in w.single_letters():
+        for letter, run in groupby(w.single_letters()):
+            name, step = letter
             i = vletters.get(name)
             if i is not None:
-                pending[i] += step
+                s[i - n] += step * countOf(run, letter)
                 continue
             idx = loop_index.get(name)
             if idx is None:
                 raise KeyError(f"unknown letter {name!r}")
-            flush()
-            apply(s, 1, idx, step)
-        flush()
+            for _ in run:
+                apply(s, 1, idx, step)
 
 
 @lru_cache(maxsize=None)

@@ -70,7 +70,8 @@ class Word:
 
         It is a chain of ``itertools.repeat`` runs, one per letter of the
         spelling, so the letters come at C speed and a huge exponent costs
-        nothing until it is read.
+        nothing until it is read. Its consumer, ``britton._FastOps.fold``,
+        groups the stream back into runs and counts each run in C.
         """
         return chain.from_iterable(
             repeat((name, 1 if exp > 0 else -1), abs(exp)) for name, exp in self.letters

@@ -1,6 +1,7 @@
 import random
 import sys
 import threading
+import tracemalloc
 from functools import lru_cache
 from fractions import Fraction as Q
 
@@ -66,6 +67,18 @@ class TestBrittonReduce:
     def test_unknown_letter(self, spec_a):
         with pytest.raises(KeyError):
             britton_reduce(spec_a, Word([("z", 1)]))
+
+    @pytest.mark.parametrize("letters", [[("a", 5), ("z", 1)], [("h", 1), ("z", -2)]])
+    def test_unknown_letter_after_a_run(self, spec_a, letters):
+        with pytest.raises(KeyError):
+            britton_reduce(spec_a, Word(letters))
+
+    def test_empty_word(self, spec_a):
+        identity = NormalForm((0, 0), ())
+        assert britton_reduce(spec_a, Word()) == identity
+        assert is_identity(spec_a, Word())
+        nf = britton_reduce(spec_a, parse_word("h^-1 b h"))
+        assert nf_multiply(spec_a, nf, Word()) == nf
 
     def test_multi_vertex_unsupported(self):
         spec = GoGSpec.make(
@@ -146,13 +159,34 @@ class TestIsIdentity:
             same_form = britton_reduce(spec_a, w1) == britton_reduce(spec_a, w2)
             assert same_form == is_identity(spec_a, w1 * w2.inverse())
 
+    @pytest.mark.parametrize("n", [1, 10**5])
+    def test_stable_run_between_long_vertex_runs(self, spec_bs12, n):
+        # t^-3 a^n t^3 = a^(8n): a stable run of length 3 next to vertex runs
+        assert is_identity(spec_bs12, parse_word(f"t^-3 a^{n} t^3 a^-{8 * n}"))
+        assert not is_identity(spec_bs12, parse_word(f"t^-3 a^{n} t^3 a^-{8 * n - 1}"))
+        assert not is_identity(spec_bs12, parse_word(f"t^-2 a^{n} t^3 a^-{8 * n}"))
+
     def test_long_vertex_runs_within_budget(self, spec_bs12):
-        # t^-1 a t = a^2; the fold reads each vertex run letter by letter,
-        # so this guards a cost linear in N
+        # t^-1 a t = a^2; the fold still walks every letter of a vertex run
+        # (at C speed), so this guards a cost linear in N
         n = 10**6
         with time_budget(2):
             assert is_identity(spec_bs12, parse_word(f"t^-1 a^{n} t a^-{2 * n}"))
             assert is_identity(spec_bs12, parse_word(f"t a^{2 * n} t^-1 a^-{n}"))
+
+    def test_long_vertex_runs_within_memory(self, spec_bs12):
+        # the fold counts a run as it streams by; a fold that kept a run's
+        # letters would need about 8 MB here
+        n = 10**6
+        w = parse_word(f"t^-1 a^{n} t a^-{2 * n}")
+        is_identity(spec_bs12, parse_word("t"))  # builds the spec's tables
+        tracemalloc.start()
+        try:
+            assert is_identity(spec_bs12, w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
 
     def test_identity_implies_trivial_holonomy_image(self, spec_a):
         rng = random.Random(43)

@@ -7,7 +7,7 @@ residues), not the kernel's own tables.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gbsn.britton import britton_reduce, is_identity, nf_multiply
+from gbsn.britton import _fast_ops, britton_reduce, is_identity, nf_multiply
 from gbsn.gog import Edge, GoGSpec, presentation, vertex_letters
 from gbsn.holonomy import compute_holonomy, word_image
 from gbsn.linalg import QMat, hermite_normal_form, lattice_residue
@@ -29,14 +29,14 @@ SPECS["rank3"] = RANK3
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=60)
 
 
-def words_over(spec, max_exp):
+def words_over(spec, max_exp, max_stable_exp=2):
     """Words of up to 8 syllables: vertex letters to |exponent| <= max_exp,
-    stable letters to |exponent| <= 2."""
+    stable letters to |exponent| <= max_stable_exp."""
     vertex = vertex_letters(spec)[spec.vertices[0]]
     stable = [e.name for e in spec.loop_edges()]
     letter = st.one_of(
         st.tuples(st.sampled_from(vertex), st.integers(-max_exp, max_exp)),
-        st.tuples(st.sampled_from(stable), st.integers(-2, 2)),
+        st.tuples(st.sampled_from(stable), st.integers(-max_stable_exp, max_stable_exp)),
     )
     return st.lists(letter, max_size=8).map(Word)
 
@@ -56,6 +56,35 @@ def generated_spec_and_words(draw):
     spec = draw(one_vertex_specs(max_rank=3, bound=4))
     word = words_over(spec, 50)
     return spec, draw(word), draw(word)
+
+
+@st.composite
+def short_run_words(draw):
+    """A data spec or a generated one (rank 1-3, 1-3 loops) and two words
+    with vertex exponents to 50 and stable exponents to 3, so that a
+    letter-at-a-time fold of them stays cheap."""
+    if draw(st.booleans()):
+        spec = SPECS[draw(st.sampled_from(sorted(SPECS)))]
+    else:
+        spec = draw(one_vertex_specs(max_rank=3, bound=4))
+    word = words_over(spec, 50, max_stable_exp=3)
+    return spec, draw(word), draw(word)
+
+
+def letter_at_a_time(spec, start, w):
+    """``start`` right-multiplied by ``w`` with one ``_FastOps.apply`` per
+    single letter: kind 0 with step +-1 for a vertex letter, kind 1 for a
+    stable letter. The reference for the fold, which reads runs."""
+    ops = _fast_ops(spec)
+    s = list(ops.to_flat(start))
+    for name, exp in w:
+        if name in ops.vletters:
+            kind, index = 0, ops.vletters[name]
+        else:
+            kind, index = 1, ops.loop_index[name]
+        for _ in range(abs(exp)):
+            ops.apply(s, kind, index, 1 if exp > 0 else -1)
+    return ops.from_flat(s)
 
 
 def affine_image(spec, w):
@@ -107,6 +136,17 @@ def canonical_violations(spec, nf):
 def test_incremental_multiply_matches_whole_word(case):
     spec, u, v = case
     assert nf_multiply(spec, britton_reduce(spec, u), v) == britton_reduce(spec, u * v)
+
+
+@PROPERTY
+@given(short_run_words())
+def test_run_fold_matches_letter_at_a_time(case):
+    spec, u, v = case
+    ops = _fast_ops(spec)
+    identity = ops.from_flat(ops.identity())
+    assert britton_reduce(spec, v) == letter_at_a_time(spec, identity, v)
+    start = letter_at_a_time(spec, identity, u)
+    assert nf_multiply(spec, start, v) == letter_at_a_time(spec, start, v)
 
 
 @PROPERTY

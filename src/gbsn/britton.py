@@ -30,9 +30,10 @@ exactly that level's distance, and otherwise to depth ceil(r/2) for a query
 of radius r. Past that depth it builds a level only if the level cannot
 take the ball past ``FORWARD_BALL_STATES`` states, or if backward searches
 have already spent as much as the level costs (ski rental). The last
-backward level only tests its states against the ball. ``distortion_profile``
-searches each power only below its spelled upper bound, which the spelling
-itself attains.
+backward level only tests its states against the ball. Both searches expand
+a state by every generator step but the one back to its BFS parent.
+``distortion_profile`` searches each power only below its spelled upper
+bound, which the spelling itself attains.
 
 ``geodesic_length`` and ``distortion_profile`` take their oracle from one
 process-wide store keyed by spec, so a query pays only for the levels no
@@ -105,11 +106,16 @@ class _FastOps:
     a stable step (kind 1: t^{+-1}), and leaves it canonical. ``fold``
     right-multiplies by a whole word, one ``apply`` per stable letter.
 
-    ``tables[(loop_index, sign)]`` is ``(cols, push_num, den, hnf)`` for the
-    letter t^sign: ``hnf`` is the integer HNF of the lattice that passes right
-    through it (alpha-image for sign +1, omega-image for sign -1), ``cols``
-    its columns, and the integer rows ``push_num`` over ``den`` > 0 are the
-    push map x -> t^-sign x t^sign on that lattice, so a step is integer work.
+    ``tables[(loop_index, sign)]`` is ``(cols, moves, push_num, den, hnf)``
+    for the letter t^sign: ``hnf`` is the integer HNF H of the lattice that
+    passes right through it (alpha-image for sign +1, omega-image for sign
+    -1), ``cols`` its columns, and the integer rows ``push_num`` over
+    ``den`` > 0 are the push map x -> t^-sign x t^sign on that lattice.
+    ``moves`` holds the columns of push·H, the push map in the lattice's
+    own coordinates; it is integral (for sign +1, H = alpha U with U
+    unimodular and push·H = omega U; for sign -1 it is alpha U), so a step
+    pushes a lattice part H q through the letter as moves·q, integer work
+    with no division.
     """
 
     def __init__(self, spec: GoGSpec):
@@ -130,7 +136,15 @@ class _FastOps:
             for sign, image, push in ((1, e.alpha, mat), (-1, e.omega, mat.inverse())):
                 hnf = hermite_normal_form(image)
                 cols = tuple(zip(*hnf.num))
-                self.tables[(idx, sign)] = (cols, push.num, push.den, hnf)
+                moves = []
+                for col in cols:
+                    move = []
+                    for row in push.num:
+                        entry, rem = divmod(sum(map(mul, row, col)), push.den)
+                        assert rem == 0, "push map not integral on its lattice"
+                        move.append(entry)
+                    moves.append(tuple(move))
+                self.tables[(idx, sign)] = (cols, tuple(moves), push.num, push.den, hnf)
 
     def to_flat(self, nf: NormalForm) -> tuple:
         """The flat state of ``nf``; ValueError when its shape does not fit."""
@@ -173,42 +187,36 @@ class _FastOps:
         Kind 0 adds ``step`` to coordinate ``index`` of the last vector,
         which is free. Kind 1 multiplies by t_index^step (step is +-1): the
         last vector becomes its residue modulo the lattice of t^step, and
-        the lattice part x moves right through the letter as
-        t^-step x t^step. The letter pinches instead when the residue is
-        zero and the last entry is t_index^-step; the pushed part then joins
-        the vector before them, which becomes the free last one.
+        the lattice part H q moves right through the letter as
+        t^-step (H q) t^step = moves·q. The letter pinches instead when the
+        residue is zero and the last entry is t_index^-step; the pushed part
+        then joins the vector before them, which becomes the free last one.
         """
         n = self.n
         last = len(s) - n
         if kind == 0:
             s[last + index] += step
             return
-        cols, push, den, _ = self.tables[(index, step)]
-        lat = [0] * n
-        moved = False
+        cols, moves, _, _, _ = self.tables[(index, step)]
+        pushed = []
         for i in range(n):
             col = cols[i]
             q = s[last + i] // col[i]
             if q:
-                moved = True
                 for r in range(i, n):
-                    delta = q * col[r]
-                    s[last + r] -= delta
-                    lat[r] += delta
+                    s[last + r] -= q * col[r]
+                pushed.append((q, moves[i]))
         pos = last - 2
         if pos >= n and s[pos] == index and s[pos + 1] == -step and not any(s[last:]):
             del s[pos:]
         else:
             s += (index, step)
             s += (0,) * n
-        if moved:
+        if pushed:
             last = len(s) - n
-            for j in range(n):
-                acc = 0
-                row = push[j]
-                for k in range(n):
-                    acc += row[k] * lat[k]
-                s[last + j] += acc // den
+            for q, move in pushed:
+                for j in range(n):
+                    s[last + j] += q * move[j]
 
     def fold(self, s: list, w: Word) -> None:
         """Right-multiply the canonical form ``s`` in place by the word ``w``.
@@ -288,9 +296,15 @@ class GeodesicOracle:
     The generating set is every vertex letter and every stable letter with
     exponent +-1. ``dist`` maps each state of the forward ball around the
     identity to its distance; the ball only ever holds complete levels, up to
-    ``depth``, and ``frontier`` is the sphere at that depth. It is grown
-    lazily and kept for later queries to the same oracle; a level that an
-    exception interrupts is taken out again.
+    ``depth``, and ``frontier`` is the sphere at that depth, a dict from each
+    of its states to the index (in ``steps``) of the step that leads back to
+    its BFS parent, -1 for the identity. It is grown lazily and kept for
+    later queries to the same oracle; a level that an exception interrupts
+    is taken out again.
+
+    Both searches expand a state by every step but that one: its child
+    there is the parent, which is already in the ball (forward) or in the
+    states seen (backward), so skipping it changes no level.
 
     A query of radius r grows the ball one complete level at a time and
     stops as soon as a level holds the target: every state of a complete
@@ -328,9 +342,13 @@ class GeodesicOracle:
     def __init__(self, spec: GoGSpec):
         self.ops = _fast_ops(spec)
         self.steps = self.ops.generator_steps()
+        # back[g]: index of the step that undoes step g
+        self.back = [
+            self.steps.index((kind, index, -step)) for kind, index, step in self.steps
+        ]
         identity = self.ops.identity()
         self.dist: dict[tuple, int] = {identity: 0}
-        self.frontier = [identity]
+        self.frontier: dict[tuple, int] = {identity: -1}
         self.depth = 0
         self.spent = 0  # states expanded by backward searches since the last level
 
@@ -338,9 +356,9 @@ class GeodesicOracle:
         """Whether to build the next level past ceil(r/2): it cannot pass
         ``FORWARD_BALL_STATES``, or backward searches have paid for it and
         it cannot pass ``KEPT_BALL_STATES``."""
-        # at depth >= 1 each frontier state reaches its BFS parent by one of
-        # the k steps, so the next level adds at most k - 1 states per
-        # frontier state; building it expands each frontier state once
+        # at depth >= 1 building the next level expands each frontier state
+        # by the k - 1 steps that do not lead back to its BFS parent, so
+        # the bound adds exactly the expansions the level makes
         bound = len(self.dist) + (len(self.steps) - 1) * len(self.frontier)
         return bound <= FORWARD_BALL_STATES or (
             self.spent >= len(self.frontier) and bound <= KEPT_BALL_STATES
@@ -353,21 +371,25 @@ class GeodesicOracle:
         half = min(-(-radius // 2), FORWARD_CAP)
         top = min(radius, FORWARD_CAP)
         apply = self.ops.apply
+        steps = list(enumerate(self.steps))
+        back = self.back
         dist = self.dist
         while target not in dist and self.frontier and self.depth < top and (
             self.depth < half or self._next_level_pays()
         ):
-            nxt = []
+            nxt = {}
             d = self.depth + 1
             try:
-                for state in self.frontier:
-                    for kind, index, step in self.steps:
+                for state, skip in self.frontier.items():
+                    for g, (kind, index, step) in steps:
+                        if g == skip:
+                            continue
                         c = list(state)
                         apply(c, kind, index, step)
                         child = tuple(c)
                         if child not in dist:
                             dist[child] = d
-                            nxt.append(child)
+                            nxt[child] = back[g]
             except BaseException:
                 for child in [s for s, k in dist.items() if k == d]:
                     del dist[child]
@@ -388,13 +410,17 @@ class GeodesicOracle:
         last = max_radius - forward
         # backward search; a state at level l is at distance l from the target
         apply = self.ops.apply
+        steps = list(enumerate(self.steps))
+        back = self.back
         seen = {flat_target}
-        frontier = [flat_target]
+        frontier = {flat_target: -1}
         for level in range(1, last + 1):
             self.spent += len(frontier)
-            nxt = []
-            for state in frontier:
-                for kind, index, step in self.steps:
+            nxt = {}
+            for state, skip in frontier.items():
+                for g, (kind, index, step) in steps:
+                    if g == skip:
+                        continue
                     c = list(state)
                     apply(c, kind, index, step)
                     child = tuple(c)
@@ -403,7 +429,7 @@ class GeodesicOracle:
                     # no level reads the last level's children
                     if level < last and child not in seen:
                         seen.add(child)
-                        nxt.append(child)
+                        nxt[child] = back[g]
             frontier = nxt
         return None
 
@@ -493,22 +519,23 @@ def _vertex_vector(ops: _FastOps, element: Word) -> tuple:
 
 
 def _find_doubler(ops: _FastOps, vec: tuple):
-    """Stable letter whose conjugation scales ``vec`` by an integer >= 2."""
+    """Stable letter whose conjugation scales ``vec`` by an integer lambda
+    with |lambda| >= 2: the largest |lambda|, and lambda > 0 on a tie."""
     best = None
     first = next(i for i, c in enumerate(vec) if c)
     for idx, name in enumerate(ops.loop_names):
         for sign in (1, -1):
             # t^-sign vec t^sign is the push map through t^sign, and it
             # needs vec in that letter's lattice
-            _, push, den, hnf = ops.tables[(idx, sign)]
+            _, _, push, den, hnf = ops.tables[(idx, sign)]
             image = [sum(map(mul, row, vec)) for row in push]
             lam, rem = divmod(image[first], den * vec[first])
-            if rem or lam < 2 or any(y != lam * den * c for y, c in zip(image, vec)):
+            if rem or abs(lam) < 2 or any(y != lam * den * c for y, c in zip(image, vec)):
                 continue
             residue, _ = lattice_residue(hnf, vec)
             if any(residue):
                 continue
-            if best is None or lam > best[2]:
+            if best is None or (abs(lam), lam) > (abs(best[2]), best[2]):
                 best = (name, sign, lam)
     return best
 
@@ -522,12 +549,12 @@ def distortion_profile(
     """Word-length growth of powers m*v of a vertex-group element.
 
     Upper bounds are the lengths of the greedy base-lambda spelling through
-    a stable letter that scales v by an integer lambda >= 2 (cost 2 per
-    digit), or of the direct spelling when there is none; they are counted,
-    and no word is built. A power whose upper bound ub is within ``bfs_cap``
-    gets an exact length: the oracle searches only to radius ub - 1, and if
-    the power is not within it, the counted spelling, a word of length ub
-    for m*v, certifies that its length is exactly ub. Ratios use the exact
+    a stable letter that scales v by an integer lambda, |lambda| >= 2 (cost
+    2 per digit), or of the direct spelling when there is none; they are
+    counted, and no word is built. A power whose upper bound ub is within
+    ``bfs_cap`` gets an exact length: the oracle searches only to radius
+    ub - 1, and if the power is not within it, the counted spelling, a word
+    of length ub for m*v, certifies that its length is exactly ub. Ratios use the exact
     length when available, else the upper bound; the reported max ratio
     over the window estimates the limsup of |mv| / log m. The analytic
     lower bound is attached via ``analytic_lower_bound`` and is not
@@ -547,27 +574,27 @@ def distortion_profile(
     weight = sum(map(abs, vec))
     memo: dict[int, int] = {}
 
-    # cost(m), m >= 1, is the length of the cheapest known spelling of m*v:
+    # cost(m), m >= 0, is the length of the cheapest known spelling of m*v:
     # direct, or t^-s (spelling of q*v) t^s (r*v) through the scaling letter
-    # t^s, for (q, r) = divmod(m, lambda) or the balanced (q + 1, r - lambda).
-    # Below lambda only the balanced t^-s v t^s ((m - lambda)*v) can win.
-    # Spellings start with t^-s or a vertex letter and end with t^s or one,
-    # so the pieces never cancel and their lengths add.
+    # t^s, m = q*lambda + r, for q the floor or the ceiling of m / lambda,
+    # so |q| < m for m >= 2. A spelling of q*v for q < 0 is the inverse of
+    # one of -q*v, so cost(q) = cost(|q|). Below |lambda| only the branch
+    # with |q| = 1, t^-s (+-v) t^s (r*v), can win.
+    # Spellings and their inverses start with t^-s or a vertex letter and
+    # end with t^s or one, so the pieces never cancel and their lengths add.
     def cost(m: int) -> int:
         if m in memo:
             return memo[m]
         best = m * weight
         if doubler is not None and m >= 2:
             lam = doubler[2]
-            q, r = divmod(m, lam)
-            best = min(best, 2 + cost(q) + r * weight)
-            if r > 0 and q + 1 < m:
-                best = min(best, 2 + cost(q + 1) + (lam - r) * weight)
+            for q in {m // lam, -(-m // lam)}:
+                best = min(best, 2 + cost(abs(q)) + abs(m - q * lam) * weight)
         memo[m] = best
         return best
 
     growth = 2.0
-    for _, push, den, _ in ops.tables.values():
+    for _, _, push, den, _ in ops.tables.values():
         growth = max(growth, max(abs(x) for row in push for x in row) / den)
 
     entries = []
@@ -586,8 +613,8 @@ def distortion_profile(
             length = exact if exact is not None else ub
             entries.append(ProfileEntry(m, ub, exact, length / math.log(m) if m >= 2 else None))
     note = (
-        "upper bounds by greedy base-%d rewriting through %s"
-        % (doubler[2], doubler[0])
+        "upper bounds by greedy base-%s rewriting through %s"
+        % (doubler[2] if doubler[2] > 0 else f"({doubler[2]})", doubler[0])
         if doubler
         else "no scaling letter found; trivial spellings only"
     )

@@ -20,20 +20,25 @@ class Word:
     __slots__ = ("letters",)
 
     def __init__(self, letters: Iterable[Letter] = ()):
-        merged: list[list] = []
+        merged: list[Letter] = []
+        last = None  # name of merged[-1], None when merged is empty
         for name, value in letters:
             exp = int(value)
             if exp != value:
                 raise ValueError(f"exponent {value!r} of {name!r} is not an integer")
             if exp == 0:
                 continue
-            if merged and merged[-1][0] == name:
-                merged[-1][1] += exp
-                if merged[-1][1] == 0:
+            if name == last:
+                exp += merged[-1][1]
+                if exp:
+                    merged[-1] = (name, exp)
+                else:
                     merged.pop()
+                    last = merged[-1][0] if merged else None
             else:
-                merged.append([name, exp])
-        object.__setattr__(self, "letters", tuple((n, e) for n, e in merged))
+                merged.append((name, exp))
+                last = name
+        object.__setattr__(self, "letters", tuple(merged))
 
     def __setattr__(self, *a):
         raise AttributeError("Word is immutable")
@@ -74,7 +79,7 @@ class Word:
         groups the stream back into runs and counts each run in C.
         """
         return chain.from_iterable(
-            repeat((name, 1 if exp > 0 else -1), abs(exp)) for name, exp in self.letters
+            [repeat((name, 1 if exp > 0 else -1), abs(exp)) for name, exp in self.letters]
         )
 
     def __repr__(self):

@@ -1,19 +1,24 @@
 """Properties of the one normal-form step, checked on generated words.
 
 The checks of canonicity use ``linalg`` directly (Hermite bases and
-residues), not the kernel's own tables.
+residues), not the kernel's own tables. The stable step is checked against
+its earlier form, which pushed the lattice part as a vector through the
+rational push map; the geodesic search, which skips the step back to each
+state's BFS parent, against a plain breadth-first ball that skips nothing.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gbsn.britton import _fast_ops, britton_reduce, is_identity, nf_multiply
+from gbsn import britton
+from gbsn.britton import GeodesicOracle, _fast_ops, britton_reduce, is_identity, nf_multiply
 from gbsn.gog import Edge, GoGSpec, presentation, vertex_letters
 from gbsn.holonomy import compute_holonomy, word_image
 from gbsn.linalg import QMat, hermite_normal_form, lattice_residue
 from gbsn.words import Word
 
-from conftest import load_spec, one_vertex_specs, word_of_normal_form
+from conftest import load_spec, naive_ball, one_vertex_specs, word_of_normal_form
 
 RANK3 = GoGSpec.make(
     3,
@@ -87,6 +92,32 @@ def letter_at_a_time(spec, start, w):
     return ops.from_flat(s)
 
 
+def reference_stable_step(ops, s, index, step):
+    """``s`` right-multiplied in place by t_index^step (step +-1) as the
+    stable step did it before the integer move maps: the lattice part is
+    accumulated as a vector ``lat``, pushed through the integer rows
+    ``push_num`` and divided by ``den``."""
+    n = ops.n
+    last = len(s) - n
+    cols, _, push, den, _ = ops.tables[(index, step)]
+    lat = [0] * n
+    for i in range(n):
+        q = s[last + i] // cols[i][i]
+        for r in range(i, n):
+            s[last + r] -= q * cols[i][r]
+            lat[r] += q * cols[i][r]
+    pos = last - 2
+    if pos >= n and s[pos] == index and s[pos + 1] == -step and not any(s[last:]):
+        del s[pos:]
+    else:
+        s += (index, step, *[0] * n)
+    last = len(s) - n
+    for j in range(n):
+        pushed, rem = divmod(sum(push[j][k] * lat[k] for k in range(n)), den)
+        assert rem == 0
+        s[last + j] += pushed
+
+
 def affine_image(spec, w):
     """Image of ``w`` in the affine group of Q^n: a vertex letter translates,
     t acts by M^-1 where t^-1 x t = M x. A homomorphism on every spec, so
@@ -147,6 +178,63 @@ def test_run_fold_matches_letter_at_a_time(case):
     assert britton_reduce(spec, v) == letter_at_a_time(spec, identity, v)
     start = letter_at_a_time(spec, identity, u)
     assert nf_multiply(spec, start, v) == letter_at_a_time(spec, start, v)
+
+
+@PROPERTY
+@given(generated_spec_and_words())
+def test_stable_step_matches_the_push_map(case):
+    # every stable step from the canonical forms of u, u v and v: the
+    # integer move map gives what pushing the lattice part through the
+    # rational push map gave
+    spec, u, v = case
+    ops = _fast_ops(spec)
+    for w in (u, u * v, v):
+        state = ops.to_flat(britton_reduce(spec, w))
+        for index in range(len(ops.loop_names)):
+            for step in (1, -1):
+                got, want = list(state), list(state)
+                ops.apply(got, 1, index, step)
+                reference_stable_step(ops, want, index, step)
+                assert got == want
+
+
+# radius of the plain ball the geodesic search is checked against on
+# generated specs, which have up to 12 generator steps
+BALL_RADIUS = 4
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(one_vertex_specs(max_rank=3, bound=4))
+def test_geodesic_search_matches_the_plain_ball(spec):
+    # the plain ball expands every state by every step; the oracle skips
+    # the step back to each state's BFS parent, forwards and backwards
+    naive = naive_ball.__wrapped__(spec, BALL_RADIUS)
+    spheres = [[] for _ in range(BALL_RADIUS + 1)]
+    for state, d in naive.items():
+        spheres[d].append(state)
+    ops = _fast_ops(spec)
+    oracle = GeodesicOracle(spec)
+    with pytest.MonkeyPatch.context() as mp:
+        for d in range(1, BALL_RADIUS + 1):
+            # a radius-2d query with cap d grows the ball to depth d exactly
+            mp.setattr(britton, "FORWARD_CAP", d)
+            oracle._grow_forward(2 * d, None)
+            assert oracle.depth == d
+            assert oracle.dist == {s: k for s, k in naive.items() if k <= d}
+            assert sorted(oracle.frontier) == sorted(spheres[d])
+            for state, back in oracle.frontier.items():
+                parent = list(state)
+                ops.apply(parent, *oracle.steps[back])
+                assert naive[tuple(parent)] == d - 1
+        # backward searches from forward depths 1 and 2, at the boundary
+        # radii D - 1 and D
+        for cap in (1, 2):
+            mp.setattr(britton, "FORWARD_CAP", cap)
+            for d, sphere in enumerate(spheres[1:], start=1):
+                for state in (sphere[0], sphere[-1]):
+                    target = ops.from_flat(state)
+                    assert GeodesicOracle(spec).distance(target, d - 1) is None
+                    assert GeodesicOracle(spec).distance(target, d) == d
 
 
 @PROPERTY

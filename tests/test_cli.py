@@ -48,6 +48,10 @@ GOLDEN_RUNS = [
     ("distortion_compression_cyclic",
      ["distortion", "tests/specs/compression_cyclic.gog", "--element", "a", "--max-power", "64",
       "--bfs-cap", "8"], 0),
+    # scaling factor -2: base -2 spellings, exact length 6 at m = 8
+    ("distortion_bs1_minus2",
+     ["distortion", "tests/specs/bs1_minus2.gog", "--element", "a", "--max-power", "64",
+      "--bfs-cap", "10"], 0),
 ]
 # tests/specs/<name>.gog holds one shape of certificate each: an irrational
 # invariant line, a real and a complex invariant pair, a rational invariant

@@ -29,8 +29,9 @@ NONZERO = st.integers(-6, 6).filter(bool)
 
 
 def reference_find_doubler(ops, spec, vec):
-    """Stable letter whose conjugation scales ``vec`` by an integer >= 2,
-    tested on the push maps as ``QMat``s."""
+    """Stable letter whose conjugation scales ``vec`` by an integer lambda
+    with |lambda| >= 2, tested on the push maps as ``QMat``s: the largest
+    |lambda|, and lambda > 0 on a tie."""
     edges = {e.name: e for e in spec.loop_edges()}
     best = None
     for name in ops.loop_names:
@@ -42,7 +43,7 @@ def reference_find_doubler(ops, spec, vec):
             if len(ratios) != 1:
                 continue
             lam = ratios.pop()
-            if lam.denominator != 1 or lam < 2:
+            if lam.denominator != 1 or abs(lam) < 2:
                 continue
             if any(image[i] != 0 for i in range(len(vec)) if vec[i] == 0):
                 continue
@@ -50,7 +51,7 @@ def reference_find_doubler(ops, spec, vec):
             if any(residue):
                 continue
             lam = int(lam)
-            if best is None or lam > best[2]:
+            if best is None or abs(lam) > abs(best[2]) or lam == -best[2] > 0:
                 best = (name, sign, lam)
     return best
 
@@ -67,6 +68,8 @@ def reference_window(spec, vec, powers):
         return Word((name, m * vec[i]) for name, i in ops.vletters.items())
 
     def spell(m):
+        if m < 0:
+            return spell(-m).inverse()
         if m in memo:
             return memo[m]
         best = direct(m)
@@ -74,9 +77,10 @@ def reference_window(spec, vec, powers):
             name, sign, lam = doubler
             q0, r0 = divmod(m, lam)
             branches = [(q0, r0)]
-            if r0 > 0 and q0 + 1 < m:
+            if r0:
                 branches.append((q0 + 1, r0 - lam))
             for q, r in branches:
+                assert abs(q) < m
                 cand = Word([(name, -sign)]) * spell(q) * Word([(name, sign)]) * direct(r)
                 if len(cand) < len(best):
                     best = cand

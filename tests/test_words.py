@@ -18,6 +18,48 @@ def reference_single_letters(w):
             yield name, step
 
 
+def reference_merge(letters):
+    """``Word.letters`` as construction built it with a list of [name,
+    exponent] lists, re-tupled at the end."""
+    merged = []
+    for name, value in letters:
+        exp = int(value)
+        if exp != value:
+            raise ValueError(f"exponent {value!r} of {name!r} is not an integer")
+        if exp == 0:
+            continue
+        if merged and merged[-1][0] == name:
+            merged[-1][1] += exp
+            if merged[-1][1] == 0:
+                merged.pop()
+        else:
+            merged.append([name, exp])
+    return tuple((n, e) for n, e in merged)
+
+
+EXPONENTS = st.one_of(
+    st.integers(-3, 3),
+    st.sampled_from([Fraction(3, 2), 0.5, -2.0, Fraction(4, 2)]),
+)
+
+
+@given(st.lists(st.tuples(st.sampled_from("ab"), EXPONENTS), max_size=12))
+@example([("a", 1), ("b", 1), ("b", -1), ("a", -1)])
+@example([("a", 2), ("b", 0), ("a", -2), ("b", 3)])
+@example([("a", 1), ("a", Fraction(1, 2))])
+def test_merge_matches_the_reference(letters):
+    # cascading cancellation, zero exponents and refused exponents, over
+    # two names so that merges and cancellations are frequent
+    try:
+        want = reference_merge(letters)
+    except ValueError as err:
+        with pytest.raises(ValueError, match="not an integer") as got:
+            Word(letters)
+        assert str(got.value) == str(err)
+        return
+    assert Word(letters).letters == want
+
+
 def test_free_reduction_merges_adjacent_letters():
     # the b-pair cancels and the two a-blocks merge across it
     w = Word([("a", 1), ("a", 2), ("b", -1), ("b", 1), ("a", 3)])

@@ -60,7 +60,7 @@ from itertools import groupby
 from operator import countOf, mul
 from typing import Optional
 
-from .gog import GoGSpec, ensure_valid, vertex_letters
+from .gog import GoGSpec, vertex_letters
 from .linalg import hermite_normal_form, lattice_residue
 from .words import Word
 
@@ -119,7 +119,6 @@ class _FastOps:
     """
 
     def __init__(self, spec: GoGSpec):
-        ensure_valid(spec)
         if len(spec.vertices) != 1:
             raise UnsupportedSpecError(
                 "normal forms are implemented for one-vertex graphs of groups"

@@ -1,13 +1,13 @@
 """Top-level verdicts: quasi-isometry subclass, analytic properties,
 pairwise comparison, and equivariant Lp-compression exponents.
 
-Every verdict reads one ``Analysis`` per spec per process: the holonomy
-(computed once, which also validates the spec) and, on first use, the Tits
-decision on the holonomy image, re-verified before it is read.
+Every verdict reads one ``Analysis`` per spec per process: the holonomy,
+computed once, and, on first use, the Tits decision on the holonomy image,
+re-verified before it is read. The spec was validated when it was built.
 ``analysis(spec)`` builds it on a spec's first use and hands the same
 object to every later call of ``whyte_classify``, ``cv_properties``,
-``classify``, ``qi_compare`` and ``compression_report`` (a valid rank-2
-spec only), and to the CLI's ``holonomy`` command. Like
+``classify``, ``qi_compare`` and ``compression_report`` (a rank-2 spec
+only), and to the CLI's ``holonomy`` command. Like
 ``britton._fast_ops``, the cache grows with the number of distinct specs
 a process reads.
 
@@ -37,7 +37,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Optional
 
-from .gog import GoGSpec, bass_serre_degrees, ensure_valid, underlying_rank
+from .gog import GoGSpec, bass_serre_degrees, underlying_rank
 from .holonomy import (
     WitnessResult,
     compute_holonomy,
@@ -92,10 +92,10 @@ class AnalyticProperties:
 
 
 class Analysis:
-    """The stages of one spec, each computed at most once: the holonomy
-    (which validates the spec) on construction, and, on first use, the Tits
-    decision on the holonomy image (``tits``) and its non-discreteness
-    witness (``witness``), each certificate re-verified.
+    """The stages of one spec, each computed at most once: the holonomy on
+    construction, and, on first use, the Tits decision on the holonomy image
+    (``tits``) and its non-discreteness witness (``witness``), each
+    certificate re-verified.
 
     There is one ``Analysis`` per spec per process, from ``analysis``,
     whose cache grows with the number of distinct specs, like
@@ -135,9 +135,7 @@ class Analysis:
 
 @lru_cache(maxsize=None)
 def analysis(spec: GoGSpec) -> Analysis:
-    """The process-wide ``Analysis`` of ``spec`` (its spanning tree is part
-    of the key). An invalid spec raises on every call: ``lru_cache`` keeps
-    no exception."""
+    """The process-wide ``Analysis`` of ``spec``, keyed by the spec and its tree."""
     return Analysis(spec)
 
 
@@ -498,7 +496,6 @@ def compression_report(spec: GoGSpec, p) -> CompressionReport:
     if p < 1:
         raise ValueError("p must be >= 1")
     if spec.rank != 2:
-        ensure_valid(spec)  # the Analysis below validates a rank-2 spec
         return CompressionReport(
             p, "undetermined", None, (), "compression decision implemented for rank 2"
         )

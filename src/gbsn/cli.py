@@ -72,12 +72,16 @@ def _load_spec(path: str) -> gog.GoGSpec:
 
 @functools.lru_cache(maxsize=None)
 def _spec_of(text: str) -> gog.GoGSpec:
-    # a parse error is raised again on every call: lru_cache keeps no exception
+    # a syntax error or an invalid spec raises on every call: lru_cache keeps no exception
     return gogfile.parse(text).to_spec()
 
 
 def _cmd_validate(args) -> int:
-    problems = gog.validate(_load_spec(args.file))
+    problems = []
+    try:
+        _load_spec(args.file)
+    except gog.InvalidSpecError as exc:
+        problems = exc.problems
     payload = {"command": "validate", "file": args.file, "ok": not problems, "violations": problems}
     lines = ["OK"] if not problems else [f"violation: {p}" for p in problems]
     _emit(payload, lines, args.format)

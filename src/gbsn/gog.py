@@ -5,7 +5,9 @@ edges carry two injective lattice maps: ``alpha`` includes the edge group
 into the source vertex group, ``omega`` into the target. The fundamental
 group has n commuting generators per vertex, one stable letter per edge
 outside the spanning tree (with t^-1 alpha(c) t = omega(c)), and spanning
-tree edges contribute identification relations instead.
+tree edges contribute identification relations instead. A ``GoGSpec`` is
+valid by construction: it runs ``validate`` once, when it is built, and
+raises ``InvalidSpecError`` on any violation.
 
 One breadth-first walk, ``walk``, serves every graph question: the default
 spanning tree, the two connectivity checks of ``validate`` and the transport
@@ -45,7 +47,11 @@ class Edge:
 
 
 class InvalidSpecError(ValueError):
-    pass
+    """``validate``'s violations of a spec, as ``problems`` and joined by "; "."""
+
+    def __init__(self, problems: list[str]):
+        super().__init__("; ".join(problems))
+        self.problems = problems
 
 
 @dataclass(frozen=True)
@@ -54,6 +60,10 @@ class GoGSpec:
     vertices: tuple[str, ...]
     edges: tuple[Edge, ...]
     spanning_tree: tuple[str, ...] = ()
+
+    def __post_init__(self):
+        if problems := validate(self):
+            raise InvalidSpecError(problems)
 
     @staticmethod
     def make(rank, vertices, edges, spanning_tree=None) -> "GoGSpec":
@@ -154,12 +164,6 @@ def validate(spec: GoGSpec) -> list[str]:
     return problems
 
 
-def ensure_valid(spec: GoGSpec) -> None:
-    problems = validate(spec)
-    if problems:
-        raise InvalidSpecError("; ".join(problems))
-
-
 def vertex_letters(spec: GoGSpec) -> dict[str, tuple[str, ...]]:
     """Deterministic generator names for each vertex group.
 
@@ -204,7 +208,6 @@ def presentation(spec: GoGSpec) -> Presentation:
     t with relations t^-1 alpha(c) t = omega(c) for each basis vector c of
     the edge group. Per tree edge: identifications alpha(c) = omega(c).
     """
-    ensure_valid(spec)
     letters = vertex_letters(spec)
     gens: list[str] = []
     for v in spec.vertices:
@@ -254,7 +257,6 @@ def bass_serre_degrees(spec: GoGSpec) -> BassSerreLocalData:
     iteratively collapses along index-1 tree edges to a point gives a finite
     tree (bounded); all-degree-2 gives a line.
     """
-    ensure_valid(spec)
     degrees = {v: 0 for v in spec.vertices}
     for e in spec.edges:
         degrees[e.src] += sublattice_index(e.alpha)
@@ -299,5 +301,4 @@ def _tree_is_infinite(spec: GoGSpec) -> bool:
 
 def underlying_rank(spec: GoGSpec) -> int:
     """Free rank of the underlying graph: #edges - #vertices + 1."""
-    ensure_valid(spec)
     return len(spec.edges) - len(spec.vertices) + 1

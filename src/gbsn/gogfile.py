@@ -12,8 +12,7 @@ A document describes a finite graph of Z^n-groups::
 The ``rank`` line comes first; ``tree`` (optional) lists the spanning-tree
 edge names. Matrix entries are integers. Parsing is whitespace-insensitive
 within a line and reports 1-based line/column positions on syntax errors;
-semantic problems (connectivity, singular inclusions) are left to
-``gog.validate``.
+``to_spec`` raises on semantic ones (connectivity, singular inclusions).
 """
 
 from __future__ import annotations
@@ -41,6 +40,7 @@ class GoGDocument:
     tree: Optional[tuple[str, ...]] = None
 
     def to_spec(self) -> GoGSpec:
+        """The spec; raises ``gog.InvalidSpecError`` if it would be invalid."""
         edges = [
             Edge(name, src, dst, QMat.from_ints(alpha, 1), QMat.from_ints(omega, 1))
             for name, src, dst, alpha, omega in self.edges

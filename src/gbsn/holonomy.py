@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
-from .gog import GoGSpec, ensure_valid, vertex_letters, walk
+from .gog import GoGSpec, vertex_letters, walk
 from .linalg import QMat, _multiplicative_group_shape, eigenlines
 from .matgroups import WordBall
 from .words import Word
@@ -38,7 +38,6 @@ class HolonomyData:
 def compute_holonomy(spec: GoGSpec) -> HolonomyData:
     """Holonomy matrices of the stable letters in name order, based at the
     least vertex."""
-    ensure_valid(spec)
     base = spec.base_vertex()
     # transport[v]: v-coordinates -> base-coordinates along the spanning tree
     transport: dict[str, QMat] = {base: QMat.identity(spec.rank)}

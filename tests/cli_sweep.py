@@ -28,8 +28,10 @@ classify and compression ``--p 3/2`` in JSON on each spec of
 ``free_pair_family``, 40 one-vertex specs with two or three loops built to
 carry a ping-pong free pair, and on each spec of ``outside_rank2_family``,
 10 specs of rank 1 and 3 and trees of groups, which reach the rank-n word
-ball and the collapse of a tree of groups. That is 6,196 runs over 186 spec
-files, and takes under three minutes on a 2-core x86 VM.
+ball and the collapse of a tree of groups. The compare and distortion runs
+are picked from the parsed documents, so the invalid specs get them too and
+exercise the error path. That is 6,282 runs over 187 spec files, and takes
+under three minutes on a 2-core x86 VM.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from itertools import combinations, product
 from math import gcd, isqrt
 from pathlib import Path
+from types import SimpleNamespace
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
@@ -206,12 +209,21 @@ def elements(letters: tuple) -> list:
     return [*letters, *pairs, f"{letters[0]}^3"]
 
 
+def letters(doc) -> tuple:
+    """The letters of the first vertex of ``doc``, as ``gog.vertex_letters``
+    names them; it reads only the rank, the vertices and the edge names, so
+    a document that describes no valid spec gets them too."""
+    edges = [SimpleNamespace(name=name) for name, *_ in doc.edges]
+    spec = SimpleNamespace(rank=doc.rank, vertices=doc.vertices, edges=edges)
+    return vertex_letters(spec)[doc.vertices[0]]
+
+
 def runs(texts: dict):
     parsed = {}
     for path, text in texts.items():
         try:
-            parsed[path] = gogfile.parse(text).to_spec()
-        except ValueError:
+            parsed[path] = gogfile.parse(text)
+        except gogfile.GoGParseError:
             pass
     for path in texts:
         for command in SPEC_COMMANDS:
@@ -220,10 +232,10 @@ def runs(texts: dict):
     for first, second in ((a, b) for a in parsed for b in parsed if a != b):
         if parsed[first].rank == parsed[second].rank:
             yield ["compare", first, second, "--format", "json"]
-    for path, spec in parsed.items():
-        if len(spec.vertices) != 1:
+    for path, doc in parsed.items():
+        if len(doc.vertices) != 1:
             continue
-        for element in elements(vertex_letters(spec)[spec.vertices[0]]):
+        for element in elements(letters(doc)):
             for cap in BFS_CAPS:
                 yield ["distortion", path, "--element", element, "--max-power", "200",
                        "--bfs-cap", cap, "--format", "json"]

@@ -134,6 +134,18 @@ class TestValidate:
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "OK"
 
+    def test_sweep_keeps_invalid_specs(self):
+        """``tests/cli_sweep.py`` picks its compare and distortion runs from
+        the parsed documents, so the specs that fail validation still get
+        them, and their error path stays in the byte-identity check."""
+        import cli_sweep
+
+        argvs = list(cli_sweep.runs(cli_sweep.spec_texts()))
+        compared = {path for argv in argvs if argv[0] == "compare" for path in argv[1:3]}
+        for name in ("undeclared_vertex", "disconnected", "tree_not_spanning"):
+            assert f"specs/{name}.gog" in compared
+        assert any(argv[:2] == ["distortion", "specs/undeclared_vertex.gog"] for argv in argvs)
+
 
 class TestReports:
     def test_presentation_text(self, capsys):

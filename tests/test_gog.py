@@ -1,8 +1,11 @@
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
-from gbsn.classify import classify
+from gbsn import gog, gogfile
+from gbsn.britton import is_identity
+from gbsn.classify import classify, compression_report, qi_compare
 from gbsn.gog import (
     Edge,
     GoGSpec,
@@ -14,7 +17,13 @@ from gbsn.gog import (
     vertex_letters,
 )
 from gbsn.gogfile import GoGDocument
+from gbsn.holonomy import compute_holonomy
 from gbsn.linalg import QMat
+from gbsn.words import Word
+
+from conftest import DATA
+
+SPECS = DATA.parent / "tests" / "specs"
 
 
 def make_loop_spec(rank, loops):
@@ -22,58 +31,148 @@ def make_loop_spec(rank, loops):
     return GoGSpec.make(rank, ["X"], edges)
 
 
+def problems_of(build):
+    """The violations that ``build()`` raises as ``InvalidSpecError``."""
+    with pytest.raises(InvalidSpecError) as info:
+        build()
+    return info.value.problems
+
+
 class TestValidate:
     def test_golden_spec_is_valid(self, spec_a):
         assert validate(spec_a) == []
 
     def test_singular_inclusion(self):
-        spec = make_loop_spec(2, [("h", [[1, 0], [0, 0]], [[1, 0], [0, 1]])])
-        assert any("not injective" in p for p in validate(spec))
+        problems = problems_of(
+            lambda: make_loop_spec(2, [("h", [[1, 0], [0, 0]], [[1, 0], [0, 1]])])
+        )
+        assert any("not injective" in p for p in problems)
 
     def test_disconnected(self):
-        spec = GoGSpec.make(
-            1,
-            ["X", "Y"],
-            [Edge("t", "X", "X", QMat([[1]]), QMat([[2]]))],
-            spanning_tree=(),
+        problems = problems_of(
+            lambda: GoGSpec.make(
+                1,
+                ["X", "Y"],
+                [Edge("t", "X", "X", QMat([[1]]), QMat([[2]]))],
+                spanning_tree=(),
+            )
         )
-        problems = validate(spec)
         assert any("not connected" in p for p in problems)
 
     def test_dimension_mismatch(self):
-        spec = make_loop_spec(2, [("h", [[1]], [[2]])])
-        assert any("dimension" in p for p in validate(spec))
+        problems = problems_of(lambda: make_loop_spec(2, [("h", [[1]], [[2]])]))
+        assert any("dimension" in p for p in problems)
 
     def test_duplicate_names(self):
-        spec = make_loop_spec(
-            1, [("t", [[1]], [[2]]), ("t", [[1]], [[3]])]
+        problems = problems_of(
+            lambda: make_loop_spec(1, [("t", [[1]], [[2]]), ("t", [[1]], [[3]])])
         )
-        assert any("not unique" in p for p in validate(spec))
+        assert any("not unique" in p for p in problems)
 
     def test_non_integral_inclusion_reported(self):
         half = Edge("t", "X", "X", QMat([[Fraction(1, 2)]]), QMat([[2]]))
-        spec = GoGSpec.make(1, ["X"], [half])
-        assert validate(spec) == ["edge t: alpha is not an integer matrix"]
-        with pytest.raises(InvalidSpecError, match="alpha is not an integer matrix"):
-            classify(spec)
+        with pytest.raises(InvalidSpecError, match="alpha is not an integer matrix") as info:
+            GoGSpec.make(1, ["X"], [half])
+        assert info.value.problems == ["edge t: alpha is not an integer matrix"]
 
     def test_non_square_rows_reported(self):
         doc = GoGDocument(1, ("X",), (("t", "X", "X", ((1, 2),), ((1,),)),))
-        assert validate(doc.to_spec()) == ["edge t: alpha is not square"]
+        assert problems_of(doc.to_spec) == ["edge t: alpha is not square"]
 
     def test_undeclared_endpoint_is_not_a_cut(self):
         # X is the only declared vertex, and the walk from it reaches it
-        spec = GoGSpec.make(1, ["X"], [Edge("t", "X", "Y", QMat([[1]]), QMat([[2]]))])
-        assert validate(spec) == ["edge t: unknown endpoint"]
+        edge = Edge("t", "X", "Y", QMat([[1]]), QMat([[2]]))
+        assert problems_of(lambda: GoGSpec.make(1, ["X"], [edge])) == [
+            "edge t: unknown endpoint"
+        ]
 
     def test_bad_spanning_tree(self):
-        spec = GoGSpec.make(
-            1,
-            ["X"],
-            [Edge("t", "X", "X", QMat([[1]]), QMat([[2]]))],
-            spanning_tree=("t",),
+        problems = problems_of(
+            lambda: GoGSpec.make(
+                1,
+                ["X"],
+                [Edge("t", "X", "X", QMat([[1]]), QMat([[2]]))],
+                spanning_tree=("t",),
+            )
         )
-        assert any("spanning tree" in p for p in validate(spec))
+        assert any("spanning tree" in p for p in problems)
+
+
+def _loop(name, src, dst, alpha, omega):
+    return Edge(name, src, dst, QMat(alpha), QMat(omega))
+
+
+VIOLATIONS = {
+    "singular inclusion": (
+        2, ("X",), (_loop("h", "X", "X", [[1, 0], [0, 0]], [[1, 0], [0, 1]]),), (),
+        ["edge h: edge inclusion not injective (alpha)"],
+    ),
+    "dimension mismatch": (
+        2, ("X",), (_loop("h", "X", "X", [[1]], [[2]]),), (),
+        ["edge h: alpha has dimension 1, expected 2", "edge h: omega has dimension 1, expected 2"],
+    ),
+    "undeclared endpoint": (
+        1, ("X",), (_loop("t", "X", "Y", [[1]], [[2]]),), ("t",),
+        ["edge t: unknown endpoint"],
+    ),
+    "disconnected": (
+        1, ("X", "Y"), (_loop("t", "X", "X", [[1]], [[2]]),), (),
+        ["graph not connected"],
+    ),
+    "tree not spanning": (
+        1,
+        ("X", "Y", "Z"),
+        (
+            _loop("s", "X", "Y", [[1]], [[1]]),
+            _loop("u", "X", "Y", [[1]], [[2]]),
+            _loop("r", "Y", "Z", [[1]], [[1]]),
+        ),
+        ("s", "u"),
+        ["spanning tree does not span the graph"],
+    ),
+}
+
+
+class TestValidByConstruction:
+    """A ``GoGSpec`` that exists is valid: the constructor itself, not only
+    ``make``, raises with ``validate``'s list."""
+
+    @pytest.mark.parametrize("kind", sorted(VIOLATIONS))
+    def test_constructor_raises_validate_list(self, kind):
+        rank, vertices, edges, tree, expected = VIOLATIONS[kind]
+        parts = SimpleNamespace(rank=rank, vertices=vertices, edges=edges, spanning_tree=tree)
+        with pytest.raises(InvalidSpecError) as info:
+            GoGSpec(rank, vertices, edges, tree)
+        assert info.value.problems == validate(parts) == expected
+        assert str(info.value) == "; ".join(expected)
+
+    def test_validated_once(self, monkeypatch):
+        """Building a spec from text validates it once; no verdict on it
+        validates it again."""
+        calls = []
+        real = gog.validate
+
+        def counting(spec):
+            calls.append(spec)
+            return real(spec)
+
+        monkeypatch.setattr(gog, "validate", counting)
+        specs = []
+        for path in (DATA / "bs12.gog", DATA / "specA.gog", SPECS / "rank3_relation.gog"):
+            specs.append(gogfile.parse(path.read_text()).to_spec())
+            assert len(calls) == len(specs)
+        calls.clear()
+        for spec in specs:
+            presentation(spec)
+            bass_serre_degrees(spec)
+            underlying_rank(spec)
+            compute_holonomy(spec)
+            classify(spec)
+            qi_compare(spec, spec)
+            compression_report(spec, Fraction(3, 2))
+            if len(spec.vertices) == 1:
+                assert is_identity(spec, Word())
+        assert calls == []
 
 
 class TestPresentation:
@@ -140,9 +239,10 @@ class TestPresentation:
         ]
 
     def test_invalid_spec_raises(self):
-        spec = make_loop_spec(2, [("h", [[1, 0], [0, 0]], [[1, 0], [0, 1]])])
-        with pytest.raises(InvalidSpecError):
-            presentation(spec)
+        problems = problems_of(
+            lambda: make_loop_spec(2, [("h", [[1, 0], [0, 0]], [[1, 0], [0, 1]])])
+        )
+        assert problems == ["edge h: edge inclusion not injective (alpha)"]
 
 
 class TestBassSerre:

@@ -10,7 +10,7 @@ from collections import Counter
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gbsn.gog import Edge, GoGSpec, _default_spanning_tree, validate
+from gbsn.gog import Edge, GoGSpec, InvalidSpecError, _default_spanning_tree
 from gbsn.holonomy import compute_holonomy
 from gbsn.linalg import QMat
 
@@ -64,41 +64,56 @@ def fixpoint_reach(start, edges):
     return seen
 
 
-def reference_validate(spec):
+def reference_validate(rank, vertices, edges, spanning_tree):
+    """The violations of the spec with these parts, read off the parts, so
+    that no spec need be built."""
     problems = []
-    if spec.rank < 1:
+    if rank < 1:
         problems.append("rank must be a positive integer")
-    if not spec.vertices:
+    if not vertices:
         problems.append("graph has no vertices")
-    if len(set(spec.vertices)) != len(spec.vertices):
+    if len(set(vertices)) != len(vertices):
         problems.append("vertex names not unique")
-    names = [e.name for e in spec.edges]
+    names = [e.name for e in edges]
     if len(set(names)) != len(names):
         problems.append("edge names not unique")
-    vertex_set = set(spec.vertices)
-    for e in spec.edges:
+    vertex_set = set(vertices)
+    for e in edges:
         if e.src not in vertex_set or e.dst not in vertex_set:
             problems.append(f"edge {e.name}: unknown endpoint")
             continue
         for label, m in (("alpha", e.alpha), ("omega", e.omega)):
-            if m.n != spec.rank:
-                problems.append(f"edge {e.name}: {label} has dimension {m.n}, expected {spec.rank}")
+            if m.n != rank:
+                problems.append(f"edge {e.name}: {label} has dimension {m.n}, expected {rank}")
             elif m.det() == 0:
                 problems.append(f"edge {e.name}: edge inclusion not injective ({label})")
     # an edge to an undeclared vertex is reported above, not as a cut
-    declared = [e for e in spec.edges if {e.src, e.dst} <= vertex_set]
-    if spec.vertices and fixpoint_reach(spec.vertices[0], declared) != vertex_set:
+    declared = [e for e in edges if {e.src, e.dst} <= vertex_set]
+    if vertices and fixpoint_reach(vertices[0], declared) != vertex_set:
         problems.append("graph not connected")
-    tree_names = set(spec.spanning_tree)
+    tree_names = set(spanning_tree)
     if not tree_names <= set(names):
         problems.append("spanning tree refers to unknown edges")
     elif not problems:
-        tree = [e for e in spec.edges if e.name in tree_names]
-        if len(tree) != len(spec.vertices) - 1:
+        tree = [e for e in edges if e.name in tree_names]
+        if len(tree) != len(vertices) - 1:
             problems.append("spanning tree has wrong edge count")
-        elif fixpoint_reach(spec.vertices[0], tree) != vertex_set:
+        elif fixpoint_reach(vertices[0], tree) != vertex_set:
             problems.append("spanning tree does not span the graph")
     return problems
+
+
+def build(rank, vertices, edges, tree):
+    """(spec, violations, spanning tree): the spec ``GoGSpec.make`` builds
+    from the parts, or None and the violations that it raises, and the tree
+    it was given or picked by default."""
+    picked = _default_spanning_tree(vertices, edges) if tree is None else tuple(tree)
+    try:
+        spec = GoGSpec.make(rank, vertices, edges, tree)
+    except InvalidSpecError as exc:
+        return None, exc.problems, picked
+    assert spec.spanning_tree == picked
+    return spec, [], picked
 
 
 def reference_holonomy(spec):
@@ -173,10 +188,9 @@ def graphs(draw):
 @PROPERTY
 @given(graphs())
 def test_walk_matches_references(args):
-    spec = GoGSpec.make(*args)
-    problems = validate(spec)
-    assert problems == reference_validate(spec)
-    _, vertices, edges, _ = args
+    spec, problems, tree = build(*args)
+    rank, vertices, edges, _ = args
+    assert problems == reference_validate(rank, vertices, edges, tree)
     try:
         expected = reference_tree(vertices, edges)
     except KeyError:
@@ -185,7 +199,7 @@ def test_walk_matches_references(args):
         assert any(p.endswith("unknown endpoint") for p in problems)
     else:
         assert _default_spanning_tree(vertices, edges) == expected
-    if not problems:
+    if spec is not None:
         assert compute_holonomy(spec).stable == reference_holonomy(spec)
 
 
@@ -197,20 +211,20 @@ def test_edge_order_changes_nothing(args, rnd):
         return  # repeated names: ties between them fall in input order
     shuffled = list(edges)
     rnd.shuffle(shuffled)
-    first = GoGSpec.make(rank, vertices, edges, tree)
-    second = GoGSpec.make(rank, vertices, shuffled, tree)
-    problems = validate(first)
-    assert Counter(validate(second)) == Counter(problems)
-    assert second.spanning_tree == first.spanning_tree
+    first, problems, first_tree = build(rank, vertices, edges, tree)
+    second, second_problems, second_tree = build(rank, vertices, shuffled, tree)
+    assert Counter(second_problems) == Counter(problems)
+    assert second_tree == first_tree
     if not problems:
         assert compute_holonomy(second).stable == compute_holonomy(first).stable
 
 
 def test_undeclared_endpoint_and_cut_both_reported():
     edge = Edge("t", "X", "Q", QMat([[1]]), QMat([[2]]))
-    spec = GoGSpec.make(1, ["X", "Y"], [edge])
+    spec, problems, tree = build(1, ["X", "Y"], [edge], None)
     expected = ["edge t: unknown endpoint", "graph not connected"]
-    assert validate(spec) == reference_validate(spec) == expected
+    assert spec is None
+    assert problems == reference_validate(1, ["X", "Y"], [edge], tree) == expected
 
 
 def test_generated_graphs_reach_every_branch():
@@ -221,9 +235,8 @@ def test_generated_graphs_reach_every_branch():
     @PROPERTY
     @given(graphs())
     def collect(args):
-        spec = GoGSpec.make(*args)
-        problems = validate(spec)
-        if not problems:
+        spec, problems, _ = build(*args)
+        if spec is not None:
             seen[f"valid rank {spec.rank}"] += 1
         seen.update(p.split(": ")[-1] for p in problems)  # drop "edge t: "
 

@@ -6,10 +6,12 @@ computed once, and, on first use, the Tits decision on the holonomy image,
 re-verified before it is read. The spec was validated when it was built.
 ``analysis(spec)`` builds it on a spec's first use and hands the same
 object to every later call of ``whyte_classify``, ``cv_properties``,
-``classify``, ``qi_compare`` and ``compression_report`` (a rank-2 spec
-only), and to the CLI's ``holonomy`` command. Like
-``britton._fast_ops``, the cache grows with the number of distinct specs
-a process reads.
+``qi_compare`` and ``compression_report`` (a rank-2 spec only), and to the
+CLI's ``holonomy`` command. Like ``britton._fast_ops``, the cache grows
+with the number of distinct specs a process reads.
+
+Each verdict is one function: ``classify`` calls ``whyte_classify`` and
+``cv_properties``, and ``qi_compare`` calls ``classify``, by module global.
 
 The quasi-isometry trichotomy for groups whose tree has infinitely many
 ends: (2a) semidirect products Z^n x| F with F a free subgroup of GL_n(Z) --
@@ -97,29 +99,26 @@ class Analysis:
     (``tits``) and its non-discreteness witness (``witness``), each
     certificate re-verified.
 
-    There is one ``Analysis`` per spec per process, from ``analysis``,
-    whose cache grows with the number of distinct specs, like
-    ``britton._fast_ops``. It is shared between calls, so its stages are
-    tuples and records that no caller changes (the holonomy's ``stable``
-    dict included)."""
+    Every stage hands ``matgroups`` the holonomy's ``stable`` dict as it is.
+    There is one ``Analysis`` per spec per process, from ``analysis``, whose
+    cache grows with the number of distinct specs, like ``britton._fast_ops``.
+    It is shared between calls, so its stages are records that no caller
+    changes (the ``stable`` dict included)."""
 
     def __init__(self, spec: GoGSpec):
-        self.spec = spec
         self.holonomy = compute_holonomy(spec)
-        self.names = tuple(self.holonomy.stable)
-        self.gens = tuple(self.holonomy.stable.values())
 
     def moved_letters(self) -> list:
         """The stable letters whose holonomy has |det| != 1."""
-        return [n for n, m in zip(self.names, self.gens) if abs(m.det()) != 1]
+        return [n for n, m in self.holonomy.stable.items() if abs(m.det()) != 1]
 
     @cached_property
     def tits(self) -> TitsResult:
-        if not self.gens:
+        if not self.holonomy.stable:
             return TitsResult(True, None, "trivial holonomy image")
-        result = virtually_solvable(self.gens, self.names)
+        result = virtually_solvable(self.holonomy.stable)
         cert = result.certificate
-        if cert is not None and not verify_certificate(self.gens, cert, self.names):
+        if cert is not None and not verify_certificate(self.holonomy.stable, cert):
             raise AssertionError("certificate failed re-verification")
         return result
 
@@ -166,21 +165,7 @@ def whyte_classify(spec: GoGSpec) -> ClassificationReport:
     quasi-isometric to BS(2,3). A stable letter with |hol| != 1 excludes the
     first, non-amenability the second, so such a group is (2c).
     """
-    return _whyte(analysis(spec))
-
-
-def cv_properties(spec: GoGSpec) -> AnalyticProperties:
-    """Haagerup property, weak amenability and the Cowling-Haagerup constant.
-
-    Decided together by virtual solvability of the holonomy image, which in
-    rank 2 only is amenability of its closure (SO(3) is compact and has dense
-    free subgroups); the certificate re-verifies exactly before it is reported.
-    """
-    return _cv(analysis(spec))
-
-
-def _whyte(stages: Analysis) -> ClassificationReport:
-    spec = stages.spec
+    stages = analysis(spec)
     local = bass_serre_degrees(spec)
     evidence = [
         Evidence(
@@ -323,8 +308,14 @@ def _whyte(stages: Analysis) -> ClassificationReport:
     return ClassificationReport(local.ends, amenable, reason, whyte, evidence=tuple(evidence))
 
 
-def _cv(stages: Analysis) -> AnalyticProperties:
-    result = stages.tits
+def cv_properties(spec: GoGSpec) -> AnalyticProperties:
+    """Haagerup property, weak amenability and the Cowling-Haagerup constant.
+
+    Decided together by virtual solvability of the holonomy image, which in
+    rank 2 only is amenability of its closure (SO(3) is compact and has dense
+    free subgroups); the certificate re-verifies exactly before it is reported.
+    """
+    result = analysis(spec).tits
     if result.certificate is not None:
         evidence = Evidence(
             f"tits-certificate ({result.certificate.kind()})",
@@ -345,11 +336,7 @@ def classify(spec: GoGSpec) -> ClassificationReport:
     Lambda_cb = 1, so amenability decides all three where the holonomy
     decision is undetermined.
     """
-    return _classify(analysis(spec))
-
-
-def _classify(stages: Analysis) -> ClassificationReport:
-    w, c = _whyte(stages), _cv(stages)
+    w, c = whyte_classify(spec), cv_properties(spec)
     if w.amenable is True and c.haagerup is not True:
         if c.haagerup is False:
             raise AssertionError("an amenable group was reported without the Haagerup property")
@@ -386,7 +373,7 @@ def _rank2_density(stages: Analysis) -> CoarseDensityReport:
         detail = f"|det| != 1 on {', '.join(moved)}, outside the SL_2(R)-closure argument"
         return CoarseDensityReport("undetermined", "no-certificate", detail)
     if stages.tits.virtually_solvable is not False:
-        return coarse_density(stages.gens, stages.tits)
+        return coarse_density(stages.holonomy.stable, stages.tits)
     pair, witness = stages.tits.certificate, stages.witness
     return CoarseDensityReport(
         "coarsely-dense",
@@ -428,7 +415,7 @@ def qi_compare(a: GoGSpec, b: GoGSpec) -> QIVerdict:
     aa, ab = analysis(a), analysis(b)
     if a.rank != b.rank:
         raise ValueError("dimension mismatch: specs have different ranks")
-    ra, rb = _classify(aa), _classify(ab)
+    ra, rb = classify(a), classify(b)
     reasons = [
         f"first: case {ra.whyte_case}, amenable {_tri(ra.amenable)}",
         f"second: case {rb.whyte_case}, amenable {_tri(rb.amenable)}",
@@ -460,7 +447,8 @@ def qi_compare(a: GoGSpec, b: GoGSpec) -> QIVerdict:
                     "single quasi-isometry class"
                 )
                 return QIVerdict("quasi-isometric", tuple(reasons), evidence=(cda, cdb))
-            evidence = (cda, cdb, *cartan_hausdorff_samples(aa.gens, ab.gens, radii=(4, 6, 8)))
+            stables = aa.holonomy.stable, ab.holonomy.stable
+            evidence = (cda, cdb, *cartan_hausdorff_samples(*stables, radii=(4, 6, 8)))
         reasons.append("no exact Hausdorff-equivalence evidence within bounds")
         return QIVerdict("undetermined", tuple(reasons), evidence=evidence)
     if ra.whyte_case == rb.whyte_case == "2b":
@@ -521,9 +509,9 @@ def compression_report(spec: GoGSpec, p) -> CompressionReport:
     if haagerup is None:
         return CompressionReport(p, "undetermined", None, (), "holonomy decision undetermined")
 
-    desc = closure_describe(stages.gens, stages.tits)
+    desc = closure_describe(stages.holonomy.stable, stages.tits)
     cocompact = desc.status == "triangular" and desc.diag_kind == "cyclic"
-    distortion = any(spectral_radius_gt_one(g) for g in stages.gens)
+    distortion = any(spectral_radius_gt_one(g) for g in stages.holonomy.stable.values())
     checklist = (
         ("amenable-closure", "yes"),
         (

@@ -151,8 +151,10 @@ def validate(spec: GoGSpec) -> list[str]:
     declared = [e for e in spec.edges if e.src in vertex_set and e.dst in vertex_set]
     if spec.vertices and not _spans(spec.vertices, declared):
         problems.append("graph not connected")
-    # spanning tree: right edge count, touches every vertex, acyclic
+    # spanning tree: distinct known edges, right edge count, touches every vertex, acyclic
     tree_names = set(spec.spanning_tree)
+    if len(tree_names) != len(spec.spanning_tree):
+        problems.append("spanning tree lists an edge twice")
     if not tree_names <= set(names):
         problems.append("spanning tree refers to unknown edges")
     elif not problems:

@@ -1,5 +1,8 @@
 """Decision procedures for finitely generated subgroups of GL_2(Q).
 
+<named> is the group generated by ``named``, a dict from generator name to
+matrix (a holonomy's ``stable``, say); scans spell words in its names, in order.
+
 Virtual solvability is decided constructively: a subgroup of GL_2(Q) is
 virtually solvable exactly when it fixes a point of the projective line over
 a quadratic extension or permutes a two-point set (for rational 2x2 matrices
@@ -120,14 +123,6 @@ def evaluate_word(named_gens: dict, w: Word) -> QMat:
     return out
 
 
-def _named(gens: Sequence[QMat], names: Optional[Sequence[str]]) -> dict:
-    if names is None:
-        names = [f"g{i}" for i in range(len(gens))]
-    if len(names) != len(gens):
-        raise ValueError("generator names do not match generators")
-    return dict(zip(names, gens))
-
-
 def _preserves_eigenpair(m: QMat, mats: Sequence[QMat]) -> bool:
     """Does every g in ``mats`` fix or swap the two eigendirections of m?
     False for every m with D = 0, scalars too, so the scan needs no filter.
@@ -150,16 +145,13 @@ def _preserves_eigenpair(m: QMat, mats: Sequence[QMat]) -> bool:
     return True
 
 
-def virtually_solvable(
-    gens: Sequence[QMat], names: Optional[Sequence[str]] = None
-) -> TitsResult:
-    """Decide virtual solvability of <gens> inside GL_n(Q) (full power at n=2).
+def virtually_solvable(named: dict) -> TitsResult:
+    """Decide virtual solvability of <named> inside GL_n(Q) (full power at n=2).
 
     True answers carry a Scalar / InvariantLine / InvariantPair certificate,
     False answers a FreePair certificate; None is returned only when neither
     certificate kind is found within the search bounds.
     """
-    named = _named(gens, names)
     mats = list(named.values())
     if any(m.det() == 0 for m in mats):
         raise ValueError("generators must be invertible")
@@ -190,7 +182,7 @@ def virtually_solvable(
                 "invariant two-point set",
             )
 
-    cert = pingpong_certify(gens, names)
+    cert = pingpong_certify(named)
     if cert is not None:
         return TitsResult(False, cert, "free subgroup by ping-pong")
     return TitsResult(
@@ -261,10 +253,10 @@ class WordBall:
     def __len__(self) -> int:
         return len(self.parent)
 
-    def grow(self, radius: int, cap: Optional[int] = None) -> Iterator[tuple]:
+    def grow(self, radius: int) -> Iterator[tuple]:
         """Yield each new state in discovery order, level by level, out to
-        word length ``radius``; stop after the state that takes the count of
-        stored states past ``cap``. A ball is grown by one call."""
+        word length ``radius``. A ball is grown by one call; a caller that
+        stops resuming it stores no further state."""
         n, parent, steps = self.n, self.parent, self.steps
         frontier = [self.identity]
         for _ in range(radius):
@@ -281,8 +273,6 @@ class WordBall:
                     parent[child] = (state, letter)
                     nxt.append(child)
                     yield child
-                    if cap is not None and len(parent) > cap:
-                        return
             frontier = nxt
 
     def word(self, state: tuple) -> Word:
@@ -438,9 +428,7 @@ def _try_pair(x: _Player, y: _Player, pts: list):
     )
 
 
-def pingpong_certify(
-    gens: Sequence[QMat], names: Optional[Sequence[str]] = None
-) -> Optional[FreePairCertificate]:
+def pingpong_certify(named: dict) -> Optional[FreePairCertificate]:
     """Search short words for a certified free pair; None when none found.
 
     Players are short words with real fixed points and infinite order whose
@@ -451,7 +439,6 @@ def pingpong_certify(
     players are read off its integer numerator, and only as far as the pair
     loop reaches: the first pair that passes ends the scan of the ball.
     """
-    named = _named(gens, names)
     if not named or next(iter(named.values())).n != 2:
         return None
     ball = WordBall(named)
@@ -482,18 +469,13 @@ def pingpong_certify(
     return None
 
 
-def verify_free_pair(
-    gens: Sequence[QMat],
-    cert: FreePairCertificate,
-    names: Optional[Sequence[str]] = None,
-) -> bool:
-    """Re-verify a free-pair certificate from scratch, exactly.
+def verify_free_pair(named: dict, cert: FreePairCertificate) -> bool:
+    """Re-verify a free-pair certificate on <named> from scratch, exactly.
 
     Checks the four headline inclusions, disjointness, the trap conditions
     that extend the inclusions to all nonzero powers, and that both players
     are hyperbolic or parabolic.
     """
-    named = _named(gens, names)
     x1, x2 = cert.domain_x, cert.domain_y
     if not x1.disjoint_from(x2):
         return False
@@ -517,11 +499,9 @@ def verify_free_pair(
     return True
 
 
-def verify_certificate(
-    gens: Sequence[QMat], cert, names: Optional[Sequence[str]] = None
-) -> bool:
-    """Exact re-verification for any Tits certificate."""
-    mats = list(gens)
+def verify_certificate(named: dict, cert) -> bool:
+    """Exact re-verification for any Tits certificate on <named>."""
+    mats = list(named.values())
     if isinstance(cert, ScalarCertificate):
         return all(m.is_scalar() for m in mats)
     if isinstance(cert, InvariantLineCertificate):
@@ -533,7 +513,7 @@ def verify_certificate(
             for g in mats
         )
     if isinstance(cert, FreePairCertificate):
-        return verify_free_pair(gens, cert, names)
+        return verify_free_pair(named, cert)
     return False
 
 
@@ -559,9 +539,9 @@ class ClosureDescription:
     unipotent_kind: str = ""
 
 
-def closure_describe(gens: Sequence[QMat], result: TitsResult) -> ClosureDescription:
-    """Describe the closure of <gens> in GL_2(R) when it is triangularizable,
-    given the Tits decision ``result`` on <gens>.
+def closure_describe(named: dict, result: TitsResult) -> ClosureDescription:
+    """Describe the closure of <named> in GL_2(R) when it is triangularizable,
+    given the Tits decision ``result`` on <named>.
 
     Over a basis whose first vector spans the rational invariant line
     (x : y), (1 : 0) under a scalar certificate, g is upper triangular with
@@ -574,7 +554,7 @@ def closure_describe(gens: Sequence[QMat], result: TitsResult) -> ClosureDescrip
     off-diagonal values under the diagonal parts has unbounded denominators
     (dense) iff some lambda(g)^2 != |det g|.
     """
-    mats = list(gens)
+    mats = list(named.values())
     if result.virtually_solvable is False:
         return ClosureDescription(status="nonamenable")
     if result.virtually_solvable is None:
@@ -628,16 +608,15 @@ def _mu(state: tuple) -> float:
 
 def _ball_mu_values(named: dict, radius: int, cap: int = 200000) -> list[float]:
     ball = WordBall(named)
-    for _ in ball.grow(radius, cap):
-        pass
-    if len(ball) > cap:
-        raise RuntimeError("sampling ball too large")
+    for _ in ball.grow(radius):
+        if len(ball) > cap:
+            raise RuntimeError("sampling ball too large")
     return sorted(map(_mu, ball.parent))
 
 
-def coarse_density(gens: Sequence[QMat], result: TitsResult) -> CoarseDensityReport:
-    """Is <gens> at finite Hausdorff distance from all of SL_2(R)? ``result``
-    is the Tits decision on <gens>.
+def coarse_density(named: dict, result: TitsResult) -> CoarseDensityReport:
+    """Is <named> at finite Hausdorff distance from all of SL_2(R)? ``result``
+    is the Tits decision on <named>.
 
     Decided exactly for virtually solvable groups only: a finite group is
     never coarsely dense; a triangularizable group is coarsely dense iff its
@@ -650,10 +629,10 @@ def coarse_density(gens: Sequence[QMat], result: TitsResult) -> CoarseDensityRep
     a non-discreteness certificate as well, which ``classify.qi_compare``
     takes from the classification report.
     """
-    if not gens:
+    if not named:
         return CoarseDensityReport("not-coarsely-dense", "trivial-group")
     if result.virtually_solvable is True:
-        desc = closure_describe(gens, result)
+        desc = closure_describe(named, result)
         if (
             desc.status == "triangular"
             and desc.diag_kind in ("cyclic", "dense")
@@ -676,7 +655,7 @@ def coarse_density(gens: Sequence[QMat], result: TitsResult) -> CoarseDensityRep
 
 
 def cartan_hausdorff_samples(
-    gens_a: Sequence[QMat], gens_b: Sequence[QMat], radii=(4, 6, 8)
+    named_a: dict, named_b: dict, radii=(4, 6, 8)
 ) -> list[tuple[int, float]]:
     """Sampled symmetric Hausdorff distances between normalized Cartan value
     sets of word balls in GL_2: diagnostics attached to an undetermined comparison,
@@ -684,8 +663,8 @@ def cartan_hausdorff_samples(
     out = []
     for r in radii:
         try:
-            va = _ball_mu_values(_named(gens_a, None), r)
-            vb = _ball_mu_values(_named(gens_b, None), r)
+            va = _ball_mu_values(named_a, r)
+            vb = _ball_mu_values(named_b, r)
         except RuntimeError:
             break
 

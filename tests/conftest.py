@@ -71,6 +71,11 @@ def naive_ball(spec, radius):
     return ball
 
 
+def anon(*mats) -> dict:
+    """The generators ``mats`` named g0, g1, ... in the order given."""
+    return {f"g{i}": m for i, m in enumerate(mats)}
+
+
 def reduced_words(named, radius):
     """Every freely reduced word of length <= radius with its matrix, in
     shortlex order (letters in the order of ``named``, +1 before -1): a

@@ -19,7 +19,7 @@ from gbsn.holonomy import compute_holonomy, non_discreteness_witness, verify_non
 from gbsn.linalg import QMat
 from gbsn.matgroups import TitsResult, verify_certificate
 
-from conftest import DATA, time_budget
+from conftest import DATA, anon, time_budget
 
 TURN = Edge("e", "X", "X", QMat.identity(2), QMat([[0, 1], [-1, 0]]))
 
@@ -270,9 +270,8 @@ class TestCornulierValette:
         assert report.haagerup is False
         assert report.weakly_amenable is False
         hd = compute_holonomy(spec)
-        gens = [hd.stable[n] for n in sorted(hd.stable)]
         (cert,) = [ev.payload for ev in report.evidence if ev.label.startswith("tits-certificate")]
-        assert verify_certificate(gens, cert, sorted(hd.stable))
+        assert verify_certificate(hd.stable, cert)
 
     def test_adversarial_three_loops_within_budget(self):
         # diag(1000, 1/1000), a shear and a quarter turn: the ping-pong
@@ -292,9 +291,8 @@ class TestCornulierValette:
         assert report.haagerup is False
         hd = compute_holonomy(spec)
         assert verify_nondiscreteness(hd, certificate_of(report))
-        gens = [hd.stable[n] for n in sorted(hd.stable)]
         (cert,) = [ev.payload for ev in report.evidence if ev.label.startswith("tits-certificate")]
-        assert verify_certificate(gens, cert, sorted(hd.stable))
+        assert verify_certificate(hd.stable, cert)
 
     def test_unimodular_triple_factors_few_discriminants(self, monkeypatch):
         # the ping-pong players keep their raw discriminants, so what is
@@ -325,7 +323,7 @@ class TestCornulierValette:
     def test_pingpong_with_large_discriminant_within_budget(self):
         # the fixed slopes (-10^7 +- sqrt(10^14 + 124)) / 2 are about 3e-6
         # and -10^7, so their separators need fine denominators
-        gens = [QMat([[10**7, 1], [31, 0]]), QMat([[2, 1], [1, 1]])]
+        gens = anon(QMat([[10**7, 1], [31, 0]]), QMat([[2, 1], [1, 1]]))
         with time_budget(0.05):
             cert = matgroups.pingpong_certify(gens)
         assert cert is not None and verify_certificate(gens, cert)
@@ -348,7 +346,7 @@ class TestCornulierValette:
     def test_tits_certificate_failing_reverification_raises(self, spec_b, monkeypatch):
         module = importlib.import_module("gbsn.classify")
         forged = TitsResult(True, matgroups.ScalarCertificate(), "specB's image is not scalar")
-        monkeypatch.setattr(module, "virtually_solvable", lambda gens, names: forged)
+        monkeypatch.setattr(module, "virtually_solvable", lambda named: forged)
         for verdict in (classify, cv_properties, lambda spec: compression_report(spec, 2)):
             with pytest.raises(AssertionError, match="re-verification"):
                 verdict(spec_b)
@@ -356,7 +354,7 @@ class TestCornulierValette:
     def test_amenable_without_haagerup_raises(self, spec_bs12, monkeypatch):
         module = importlib.import_module("gbsn.classify")
         wrong = TitsResult(False, None, "a Tits decision that contradicts amenability")
-        monkeypatch.setattr(module, "virtually_solvable", lambda gens, names: wrong)
+        monkeypatch.setattr(module, "virtually_solvable", lambda named: wrong)
         with pytest.raises(AssertionError, match="amenable"):
             classify(spec_bs12)
 
@@ -484,6 +482,31 @@ class TestOneAnalysisPerSpec:
         assert counts == {"holonomy": 2, "tits": 2}
 
 
+class TestOneFunctionPerVerdict:
+    """Each verdict has one function, and the combined verdicts reach it
+    through the module's global name."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        module = importlib.import_module("gbsn.classify")
+        calls = {"whyte_classify": 0, "cv_properties": 0, "classify": 0}
+        for name in calls:
+            def counted(*args, _verdict=getattr(module, name), _name=name):
+                calls[_name] += 1
+                return _verdict(*args)
+
+            monkeypatch.setattr(module, name, counted)
+        return calls
+
+    def test_classify_reads_both_verdicts(self, spec_b, calls):
+        importlib.import_module("gbsn.classify").classify(spec_b)
+        assert calls == {"whyte_classify": 1, "cv_properties": 1, "classify": 1}
+
+    def test_compare_reads_two_classifications(self, spec_a, spec_b, calls):
+        assert qi_compare(spec_a, spec_b).verdict == "quasi-isometric"
+        assert calls == {"whyte_classify": 2, "cv_properties": 2, "classify": 2}
+
+
 class TestReportInvariants:
     def test_haagerup_equals_weak_amenability(self, spec_a, spec_b, spec_bs12, spec_ascend2):
         for spec in (spec_a, spec_b, spec_bs12, spec_ascend2):
@@ -552,10 +575,8 @@ class TestPaperTheorem:
         for spec, rep in ((spec_a, ra), (spec_b, rb)):
             assert rep.whyte_case == "2c"
             hd = compute_holonomy(spec)
-            names = sorted(hd.stable)
-            gens = [hd.stable[n] for n in names]
             (tits,) = [ev.payload for ev in rep.evidence if ev.label.startswith("tits-certificate")]
-            assert verify_certificate(gens, tits, names)
+            assert verify_certificate(hd.stable, tits)
             assert verify_nondiscreteness(hd, certificate_of(rep))
 
     def test_decided_without_sampling(self, spec_a, spec_b, monkeypatch):

@@ -111,6 +111,17 @@ class TestValidate:
         assert code == 1
         assert "not injective" in out
 
+    def test_spanning_tree_edge_listed_twice(self, capsys, tmp_path):
+        bad = tmp_path / "twice.gog"
+        bad.write_text(
+            "rank 1\nvertex X\nvertex Y\n"
+            "edge e: X -> Y alpha [[1]] omega [[1]]\n"
+            "edge t: X -> X alpha [[1]] omega [[2]]\n"
+            "tree e e\n"
+        )
+        code, out, _ = invoke(capsys, "validate", str(bad))
+        assert (code, out) == (1, "violation: spanning tree lists an edge twice\n")
+
     def test_parse_error_exit_one(self, capsys, tmp_path):
         bad = tmp_path / "bad.gog"
         bad.write_text("vertex X\n")

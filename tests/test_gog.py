@@ -97,6 +97,18 @@ class TestValidate:
         )
         assert any("spanning tree" in p for p in problems)
 
+    def test_spanning_tree_edge_listed_twice(self):
+        # one tree edge e and a loop t: the tree "e e" has the right number
+        # of distinct edges and spans, but names e twice
+        edges = [
+            Edge("e", "X", "Y", QMat([[1]]), QMat([[1]])),
+            Edge("t", "X", "X", QMat([[1]]), QMat([[2]])),
+        ]
+        problems = problems_of(
+            lambda: GoGSpec.make(1, ["X", "Y"], edges, spanning_tree=("e", "e"))
+        )
+        assert problems == ["spanning tree lists an edge twice"]
+
 
 def _loop(name, src, dst, alpha, omega):
     return Edge(name, src, dst, QMat(alpha), QMat(omega))

@@ -23,11 +23,14 @@ from gbsn.matgroups import (
     virtually_solvable,
 )
 from gbsn.words import Word
+from conftest import anon
 from quadratic_reference import INF, QuadraticNumber, direction, point, slope
 
 H = QMat([[2, 0], [0, Q(1, 2)]])
 P = QMat([[1, 1], [0, 1]])
 E = QMat([[0, 1], [-1, 0]])
+HP = {"h": H, "p": P}
+HPE = {"h": H, "p": P, "e": E}
 
 # the package rebinds gbsn.classify to the function of that name
 classify_module = importlib.import_module("gbsn.classify")
@@ -123,35 +126,35 @@ class TestProjectiveCircle:
 
 class TestVirtuallySolvable:
     def test_triangular_pair(self):
-        result = virtually_solvable([H, P], names=["h", "p"])
+        result = virtually_solvable(HP)
         assert result.virtually_solvable is True
         assert isinstance(result.certificate, InvariantLineCertificate)
         assert result.certificate.point == point(1, 0)
-        assert verify_certificate([H, P], result.certificate)
+        assert verify_certificate(HP, result.certificate)
 
     def test_full_triple_is_not(self):
-        result = virtually_solvable([H, P, E], names=["h", "p", "e"])
+        result = virtually_solvable(HPE)
         assert result.virtually_solvable is False
         assert isinstance(result.certificate, FreePairCertificate)
-        assert verify_free_pair([H, P, E], result.certificate, names=["h", "p", "e"])
+        assert verify_free_pair(HPE, result.certificate)
 
     def test_quarter_turn_invariant_pair(self):
-        result = virtually_solvable([E], names=["e"])
+        result = virtually_solvable({"e": E})
         assert result.virtually_solvable is True
         cert = result.certificate
         assert isinstance(cert, InvariantPairCertificate)
         i = QuadraticNumber.make(0, 1, -1)
         assert set(cert.points) == {point(1, i), point(1, -i)}
-        assert verify_certificate([E], cert)
+        assert verify_certificate({"e": E}, cert)
 
     def test_swapping_pair_needs_product_candidates(self):
         # E swaps the axes and diag(2,3) fixes them; the invariant pair is
         # the eigendirection pair of a length-2 product, not of the pivot
         D = QMat([[2, 0], [0, 3]])
-        result = virtually_solvable([E, D])
+        result = virtually_solvable(anon(E, D))
         assert result.virtually_solvable is True
         assert isinstance(result.certificate, InvariantPairCertificate)
-        assert verify_certificate([E, D], result.certificate)
+        assert verify_certificate(anon(E, D), result.certificate)
 
     def test_forged_line_and_pair_certificates_are_refused(self):
         def hand_built(x, a, b=0, d=0):
@@ -161,10 +164,10 @@ class TestVirtuallySolvable:
             )
 
         # H fixes (0 : 1) and P moves it to (1 : 1)
-        assert not verify_certificate([H, P], InvariantLineCertificate(hand_built(0, 1)))
+        assert not verify_certificate(HP, InvariantLineCertificate(hand_built(0, 1)))
         # the loops of tests/specs/real_pair.gog: s swaps the eigenlines
         # (1 : -1/2 +- (1/2) sqrt 5) of m
-        gens = [QMat([[2, 1], [1, 1]]), QMat([[1, -2], [1, -1]])]
+        gens = anon(QMat([[2, 1], [1, 1]]), QMat([[1, -2], [1, -1]]))
         cert = virtually_solvable(gens).certificate
         p, q = cert.points
         assert p == hand_built(1, Q(-1, 2), Q(1, 2), 5)
@@ -175,23 +178,23 @@ class TestVirtuallySolvable:
         not_conjugate = (p, hand_built(1, Q(1, 2), Q(-1, 2), 5))
         assert not verify_certificate(gens, InvariantPairCertificate(not_conjugate))
         # both generators fix (1 : 2); the point is given at scale (2 : 4)
-        line = [QMat([[3, 1], [2, 4]]), QMat([[1, 1], [-2, 4]])]
+        line = anon(QMat([[3, 1], [2, 4]]), QMat([[1, 1], [-2, 4]]))
         assert verify_certificate(line, InvariantLineCertificate(hand_built(2, 4)))
         assert not verify_certificate(line, InvariantLineCertificate(hand_built(1, 4)))
 
     def test_scalars(self):
-        result = virtually_solvable([QMat([[3, 0], [0, 3]])])
+        result = virtually_solvable(anon(QMat([[3, 0], [0, 3]])))
         assert result.virtually_solvable is True
         assert isinstance(result.certificate, ScalarCertificate)
 
     def test_higher_rank_undetermined(self):
-        result = virtually_solvable([QMat([[1, 1, 0], [0, 1, 0], [0, 0, 2]])])
+        result = virtually_solvable(anon(QMat([[1, 1, 0], [0, 1, 0], [0, 0, 2]])))
         assert result.virtually_solvable is None
         assert "n = 2" in result.detail
 
     def test_conjugation_invariance(self):
         rng = random.Random(41)
-        for gens in ([H, P], [H, P, E], [E]):
+        for gens in (HP, HPE, {"e": E}):
             expected = virtually_solvable(gens).virtually_solvable
             for _ in range(3):
                 while True:
@@ -200,47 +203,46 @@ class TestVirtuallySolvable:
                     )
                     if g.det() != 0:
                         break
-                conj = [g * m * g.inverse() for m in gens]
+                conj = {name: g * m * g.inverse() for name, m in gens.items()}
                 assert virtually_solvable(conj).virtually_solvable == expected
 
     def test_singular_generator_rejected(self):
         with pytest.raises(ValueError):
-            virtually_solvable([QMat([[1, 0], [0, 0]])])
+            virtually_solvable(anon(QMat([[1, 0], [0, 0]])))
 
 
 class TestPingpong:
     def test_solvable_groups_have_no_pair(self):
-        assert pingpong_certify([H, P], names=["h", "p"]) is None
-        assert pingpong_certify([H], names=["h"]) is None
-        assert pingpong_certify([E], names=["e"]) is None
+        assert pingpong_certify(HP) is None
+        assert pingpong_certify({"h": H}) is None
+        assert pingpong_certify({"e": E}) is None
 
     def test_verification_factors_no_discriminant(self, monkeypatch):
         # the certified powers t^16 and (s t s)^16 have discriminants of
         # about 116 bits; classifying them as players needs only the signs
         # of discriminant and trace, never the radicand, and neither the
         # search nor the re-verification factors anything
-        gens = [
-            QMat([[Q(8, 3), Q(-2, 3)], [Q(4, 3), Q(5, 3)]]),
-            QMat([[Q(-2, 3), Q(1, 3)], [Q(1, 18), Q(7, 18)]]),
-            QMat([[-1, 1], [-1, 0]]),
-        ]
+        gens = {
+            "s": QMat([[Q(8, 3), Q(-2, 3)], [Q(4, 3), Q(5, 3)]]),
+            "t": QMat([[Q(-2, 3), Q(1, 3)], [Q(1, 18), Q(7, 18)]]),
+            "u": QMat([[-1, 1], [-1, 0]]),
+        }
         def refuse(n):
             raise AssertionError(f"factored {n}")
 
         monkeypatch.setattr(linalg, "squarefree_decompose", refuse)
-        cert = pingpong_certify(gens, names=["s", "t", "u"])
+        cert = pingpong_certify(gens)
         assert str(cert.word_x).startswith("t^16")
-        assert verify_free_pair(gens, cert, names=["s", "t", "u"])
+        assert verify_free_pair(gens, cert)
 
     def test_certificate_re_verifies_and_is_honest(self):
-        cert = pingpong_certify([H, P, E], names=["h", "p", "e"])
+        cert = pingpong_certify(HPE)
         assert cert is not None
-        named = {"h": H, "p": P, "e": E}
-        assert verify_free_pair([H, P, E], cert, names=["h", "p", "e"])
+        assert verify_free_pair(HPE, cert)
         assert cert.domain_x.disjoint_from(cert.domain_y)
         # short words in the certified pair are all nontrivial
-        x = evaluate_word(named, cert.word_x)
-        y = evaluate_word(named, cert.word_y)
+        x = evaluate_word(HPE, cert.word_x)
+        y = evaluate_word(HPE, cert.word_y)
         identity = QMat.identity(2)
         count = 0
         frontier = [(identity, None)]
@@ -258,7 +260,7 @@ class TestPingpong:
         assert count == 4 + 12 + 36 + 108
 
     def test_tampered_certificate_fails_verification(self):
-        cert = pingpong_certify([H, P, E], names=["h", "p", "e"])
+        cert = pingpong_certify(HPE)
         bad = FreePairCertificate(
             cert.word_x,
             cert.word_y,
@@ -267,22 +269,22 @@ class TestPingpong:
             cert.traps_x,
             cert.traps_y,
         )
-        assert not verify_free_pair([H, P, E], bad, names=["h", "p", "e"])
+        assert not verify_free_pair(HPE, bad)
 
     @pytest.mark.parametrize(
         "gens",
         [
-            [H, P, E],
-            [QMat([[1, 2], [0, 1]]), QMat([[1, 0], [2, 1]])],
-            [QMat([[2, 1], [1, 1]]), QMat([[3, 2], [1, 1]])],
-            [QMat([[x, x - 1], [1, 1]]) for x in (999, 1000, 1001)],
+            HPE,
+            anon(QMat([[1, 2], [0, 1]]), QMat([[1, 0], [2, 1]])),
+            anon(QMat([[2, 1], [1, 1]]), QMat([[3, 2], [1, 1]])),
+            anon(*(QMat([[x, x - 1], [1, 1]]) for x in (999, 1000, 1001))),
         ],
         ids=["specB", "sanov", "two-fields", "unimodular-triple"],
     )
     def test_lazy_scan_returns_the_eager_certificate(self, gens):
         # the scan the lazy one replaced: classify every state of the ball,
         # then try the pairs (i, j) in order
-        ball = matgroups.WordBall(matgroups._named(gens, None))
+        ball = matgroups.WordBall(gens)
         players = [
             matgroups._Player(ball.word(state), ball.matrix(state).num, *found)
             for state in ball.grow(matgroups.PINGPONG_WORD_LEN)
@@ -306,8 +308,7 @@ class TestPingpong:
     def test_hand_built_ends_at_any_scale_verify(self):
         # a certificate may be built by hand: an end is any nonzero integer
         # pair on the line of its direction, and names the same arc
-        gens, names = [H, P, E], ["h", "p", "e"]
-        cert = pingpong_certify(gens, names)
+        cert = pingpong_certify(HPE)
         rng = random.Random(1403)
 
         def rescaled(c):
@@ -330,8 +331,8 @@ class TestPingpong:
         ]
         for _ in range(32):
             copy = rescaled(cert)
-            assert copy == cert and verify_free_pair(gens, copy, names)
-            assert not any(verify_free_pair(gens, rescaled(bad), names) for bad in invalid)
+            assert copy == cert and verify_free_pair(HPE, copy)
+            assert not any(verify_free_pair(HPE, rescaled(bad)) for bad in invalid)
 
     @pytest.mark.parametrize(
         "end", [(0, 0), (1.0, 2), (Q(1, 2), 1), Q(1, 2), 2, (1, 2, 3)],
@@ -346,41 +347,41 @@ class TestPingpong:
     def test_sanov_pair(self):
         a = QMat([[1, 2], [0, 1]])
         b = QMat([[1, 0], [2, 1]])
-        cert = pingpong_certify([a, b])
+        cert = pingpong_certify({"a": a, "b": b})
         assert cert is not None
-        assert verify_free_pair([a, b], cert)
+        assert verify_free_pair({"a": a, "b": b}, cert)
 
 
 class TestClosure:
     def test_scaling_and_shear(self):
-        desc = closure_describe([H, P], virtually_solvable([H, P]))
+        desc = closure_describe(HP, virtually_solvable(HP))
         assert desc.status == "triangular"
         assert desc.diag_kind == "cyclic" and desc.diag_generator == 2
         assert desc.unipotent_kind == "dense"
 
     def test_scaling_alone_is_discrete(self):
-        desc = closure_describe([H], virtually_solvable([H]))
+        desc = closure_describe({"h": H}, virtually_solvable({"h": H}))
         assert desc.diag_kind == "cyclic" and desc.diag_generator == 2
         assert desc.unipotent_kind == "trivial"
 
     def test_shear_alone(self):
-        desc = closure_describe([P], virtually_solvable([P]))
+        desc = closure_describe({"p": P}, virtually_solvable({"p": P}))
         assert desc.diag_kind == "trivial"
         assert desc.unipotent_kind == "discrete"
 
     def test_nonamenable(self):
-        desc = closure_describe([H, P, E], virtually_solvable([H, P, E]))
+        desc = closure_describe(HPE, virtually_solvable(HPE))
         assert desc.status == "nonamenable"
 
     def test_two_scalings_make_dense_diagonal(self):
-        other = QMat([[3, 0], [0, Q(1, 3)]])
-        desc = closure_describe([H, other], virtually_solvable([H, other]))
+        gens = {"h": H, "k": QMat([[3, 0], [0, Q(1, 3)]])}
+        desc = closure_describe(gens, virtually_solvable(gens))
         assert desc.diag_kind == "dense"
 
 
 class TestCoarseDensity:
     def test_triangular_dense_shape(self):
-        report = coarse_density([H, P], virtually_solvable([H, P]))
+        report = coarse_density(HP, virtually_solvable(HP))
         assert report.verdict == "coarsely-dense"
         assert report.method == "exact-closure-shape"
 
@@ -388,28 +389,29 @@ class TestCoarseDensity:
         # <H, P, E> (specB's holonomy) is not virtually solvable: coarse_density
         # alone has no certificate of density, while the free pair and the
         # contraction pair of specB's classification prove it exactly
-        report = coarse_density([H, P, E], virtually_solvable([H, P, E]))
+        report = coarse_density(HPE, virtually_solvable(HPE))
         assert (report.verdict, report.method) == ("undetermined", "no-certificate")
         exact = classify_module._rank2_density(classify_module.Analysis(spec_b))
         assert (exact.verdict, exact.method) == ("coarsely-dense", "exact-sl2-closure")
         assert "free pair" in exact.detail and "contraction pair (h, p)" in exact.detail
 
     def test_trivial_group(self):
-        report = coarse_density([QMat.identity(2)], virtually_solvable([QMat.identity(2)]))
+        trivial = anon(QMat.identity(2))
+        report = coarse_density(trivial, virtually_solvable(trivial))
         assert report.verdict == "not-coarsely-dense"
 
     def test_finite_group(self):
         # a finite group has a trivial diagonal value group: never cocompact
-        report = coarse_density([E], virtually_solvable([E]))
+        report = coarse_density({"e": E}, virtually_solvable({"e": E}))
         assert (report.verdict, report.method) == ("not-coarsely-dense", "exact-solvable-shape")
 
     def test_diagonal_alone_not_dense(self):
-        report = coarse_density([H], virtually_solvable([H]))
+        report = coarse_density({"h": H}, virtually_solvable({"h": H}))
         assert report.verdict == "not-coarsely-dense"
         assert report.method == "exact-solvable-shape"
 
     def test_hausdorff_sampler_returns_small_distances_for_equal_groups(self):
-        samples = cartan_hausdorff_samples([H, P], [H, P], radii=(3, 4))
+        samples = cartan_hausdorff_samples(HP, HP, radii=(3, 4))
         assert [r for r, _ in samples] == [3, 4]
         assert all(d == 0 for _, d in samples)
 
@@ -429,11 +431,10 @@ class TestCoarseDensity:
         assert all(math.isclose(g, w, abs_tol=1e-9) for g, w in zip(got, sorted(want)))
 
     def test_hausdorff_sampler_matches_all_pairs_distance(self):
-        named_a, named_b = {"h": H, "p": P}, {"h": H, "p": P, "e": E}
-        samples = cartan_hausdorff_samples([H, P], [H, P, E], radii=(3, 4))
+        samples = cartan_hausdorff_samples(HP, HPE, radii=(3, 4))
         for radius, dist in samples:
-            va = matgroups._ball_mu_values(named_a, radius)
-            vb = matgroups._ball_mu_values(named_b, radius)
+            va = matgroups._ball_mu_values(HP, radius)
+            vb = matgroups._ball_mu_values(HPE, radius)
 
             def directed(xs, ys):
                 return max(min(abs(x - y) for y in ys) for x in xs)

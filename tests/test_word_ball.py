@@ -1,12 +1,14 @@
 """WordBall against the plain reduced-word search ``conftest.reduced_words``."""
 
+import itertools
 from fractions import Fraction as Q
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gbsn.linalg import QMat
-from gbsn.matgroups import WordBall, evaluate_word
+from gbsn.matgroups import WordBall, _ball_mu_values, evaluate_word
 
 from conftest import reduced_words
 
@@ -68,6 +70,10 @@ def test_matches_reduced_word_search(mats):
 
 
 def test_cap_stops_growth():
-    ball = WordBall({"h": H, "p": P})
-    grown = list(ball.grow(10, cap=50))
+    named = {"h": H, "p": P}
+    with pytest.raises(RuntimeError, match="sampling ball too large"):
+        _ball_mu_values(named, 10, cap=50)
+    # a ball that is no longer resumed stores nothing past its last state
+    ball = WordBall(named)
+    grown = list(itertools.islice(ball.grow(10), 50))
     assert len(ball) == 51 and len(grown) == 50

@@ -21,6 +21,8 @@ from gbsn.matgroups import (
     _preserves_eigenpair, closure_describe, virtually_solvable,
 )
 
+from conftest import anon
+
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=300)
 
 
@@ -133,7 +135,7 @@ def pair_groups(draw):
 @PROPERTY
 @given(pair_groups())
 def test_pair_scan_matches_pool_reference(gens):
-    result = virtually_solvable(gens)
+    result = virtually_solvable(anon(*gens))
     assert result.virtually_solvable is True
     if isinstance(result.certificate, InvariantPairCertificate):
         assert result.certificate == reference_pair(gens)
@@ -144,10 +146,10 @@ def test_pair_scan_on_named_cases():
     # neither swap's own eigenpair is invariant: s u = diag(1, 2) is found
     expected = InvariantPairCertificate(eigen_directions(s * u).points)
     assert reference_pair([s, u]) == expected
-    assert virtually_solvable([s, u], ["s", "u"]).certificate == expected
+    assert virtually_solvable({"s": s, "u": u}).certificate == expected
     # the quarter turn's complex pair, from the generator itself
     turn, flip = QMat([[0, 1], [-1, 0]]), QMat([[1, 0], [0, -1]])
-    assert virtually_solvable([turn, flip]).certificate == reference_pair([turn, flip])
+    assert virtually_solvable(anon(turn, flip)).certificate == reference_pair([turn, flip])
 
 
 @st.composite
@@ -184,9 +186,9 @@ def triangular_groups(draw):
 @PROPERTY
 @given(triangular_groups())
 def test_closure_matches_conjugation_reference(gens):
-    result = virtually_solvable(gens)
+    result = virtually_solvable(anon(*gens))
     assert isinstance(result.certificate, (ScalarCertificate, InvariantLineCertificate))
-    assert closure_describe(gens, result) == reference_closure(gens, result)
+    assert closure_describe(anon(*gens), result) == reference_closure(gens, result)
 
 
 def test_closure_on_named_cases():
@@ -201,7 +203,7 @@ def test_closure_on_named_cases():
         (QMat([[2, 0], [0, 1]]), QMat([[1, 0], [0, 3]]), "trivial"),
     ]
     for a, b, kind in cases:
-        result = virtually_solvable([a, b])
-        desc = closure_describe([a, b], result)
+        result = virtually_solvable(anon(a, b))
+        desc = closure_describe(anon(a, b), result)
         assert desc == reference_closure([a, b], result)
         assert (desc.status, desc.unipotent_kind) == ("triangular", kind)

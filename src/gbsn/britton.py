@@ -54,7 +54,6 @@ import math
 import threading
 from collections import OrderedDict
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import groupby
 from operator import countOf, mul
@@ -62,6 +61,7 @@ from typing import Optional
 
 from .gog import GoGSpec, vertex_letters
 from .linalg import hermite_normal_form, lattice_residue
+from .record import Record
 from .words import Word
 
 
@@ -69,8 +69,7 @@ class UnsupportedSpecError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class NormalForm:
+class NormalForm(Record):
     """Canonical alternating form; structural equality decides the word problem.
 
     The last vector is free; every other one is a Hermite residue modulo
@@ -483,23 +482,21 @@ def geodesic_length(spec: GoGSpec, w: Word, max_radius: int):
     return d if d is not None else "exceeds radius"
 
 
-@dataclass(frozen=True)
-class ProfileEntry:
+class ProfileEntry(Record):
     power: int
     upper_bound: int
     exact_length: Optional[int]
     ratio_to_log: Optional[float]
 
 
-@dataclass(frozen=True)
-class DistortionProfile:
+class DistortionProfile(Record, uncompared=("note",)):
     element: Word
     entries: tuple[ProfileEntry, ...]
     max_ratio: Optional[float]
     doubling_letter: Optional[str]
     doubling_factor: Optional[int]
     analytic_constant: float
-    note: str = field(default="", compare=False)
+    note: str = ""
 
     def analytic_lower_bound(self, m: int) -> float:
         """Length lower bound log(m)/log(C); C bounds entry growth per letter."""

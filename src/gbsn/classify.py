@@ -34,7 +34,6 @@ classification reports carry, and never from sampled evidence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Optional
@@ -57,19 +56,18 @@ from .matgroups import (
     verify_certificate,
     virtually_solvable,
 )
+from .record import Record
 
 Q = Fraction
 
 
-@dataclass(frozen=True)
-class Evidence:
+class Evidence(Record, uncompared=("payload",)):
     label: str
     detail: str
-    payload: object = field(default=None, compare=False)
+    payload: object = None
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
+class ClassificationReport(Record):
     ends: str
     amenable: Optional[bool]
     amenable_reason: str
@@ -83,8 +81,7 @@ class ClassificationReport:
         return self.whyte_case != "undetermined" and self.haagerup is not None
 
 
-@dataclass(frozen=True)
-class AnalyticProperties:
+class AnalyticProperties(Record):
     """The Haagerup property, weak amenability and Lambda_cb of one group."""
 
     haagerup: Optional[bool]
@@ -355,8 +352,7 @@ def classify(spec: GoGSpec) -> ClassificationReport:
     )
 
 
-@dataclass(frozen=True)
-class QIVerdict:
+class QIVerdict(Record):
     verdict: str  # 'quasi-isometric' | 'not-quasi-isometric' | 'undetermined'
     reasons: tuple
     evidence: tuple = ()
@@ -460,8 +456,7 @@ def qi_compare(a: GoGSpec, b: GoGSpec) -> QIVerdict:
     return QIVerdict("undetermined", tuple(reasons))
 
 
-@dataclass(frozen=True)
-class CompressionReport:
+class CompressionReport(Record):
     """Equivariant Lp-compression exponent report.
 
     alpha_kind is 'value' (alpha holds max(1/p, 1/2)), 'zero', or

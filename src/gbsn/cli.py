@@ -10,7 +10,6 @@ carry the certificate data needed to re-verify every decided verdict.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import sys
@@ -19,6 +18,7 @@ from fractions import Fraction
 from . import britton, gog, gogfile
 from .classify import _tri, analysis, classify, compression_report, qi_compare
 from .linalg import ProjInterval, ProjPoint, QMat, QuadraticNumber, slope_text
+from .record import Record
 from .words import Word, parse_word
 
 
@@ -39,10 +39,10 @@ def _jsonable(obj):
         return {"x": _jsonable(obj.x), "y": _jsonable(obj.y)}
     if isinstance(obj, ProjInterval):
         return {"lo": slope_text(obj.lo), "hi": slope_text(obj.hi)}
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+    if isinstance(obj, Record):
         out = {"type": type(obj).__name__}
-        for f in dataclasses.fields(obj):
-            out[f.name] = _jsonable(getattr(obj, f.name))
+        for name in obj._fields:
+            out[name] = _jsonable(getattr(obj, name))
         return out
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}

@@ -17,15 +17,14 @@ of the holonomy along the tree.
 from __future__ import annotations
 
 import string
-from dataclasses import dataclass, field
 from typing import Optional
 
 from .linalg import QMat, sublattice_index
+from .record import Record
 from .words import Word
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(Record):
     """An edge src -> dst; ``alpha`` and ``omega`` are its inclusions into
     the source and target vertex groups, integer matrices (``QMat``s with
     ``den == 1``) whose columns span the image of the edge group."""
@@ -54,8 +53,7 @@ class InvalidSpecError(ValueError):
         self.problems = problems
 
 
-@dataclass(frozen=True)
-class GoGSpec:
+class GoGSpec(Record):
     rank: int
     vertices: tuple[str, ...]
     edges: tuple[Edge, ...]
@@ -187,11 +185,10 @@ def _letter_names():
         i += 1
 
 
-@dataclass(frozen=True)
-class Presentation:
+class Presentation(Record, uncompared=("relations",)):
     generators: tuple[str, ...]
     relators: tuple[Word, ...]
-    relations: tuple[tuple[Word, Word], ...] = field(default=(), compare=False)
+    relations: tuple[tuple[Word, Word], ...] = ()
 
     def __str__(self):
         rels = ", ".join(f"{lhs} = {rhs}" for lhs, rhs in self.relations)
@@ -243,8 +240,7 @@ def presentation(spec: GoGSpec) -> Presentation:
     return Presentation(tuple(gens), tuple(relators), tuple(relations))
 
 
-@dataclass(frozen=True)
-class BassSerreLocalData:
+class BassSerreLocalData(Record):
     """Per-vertex degrees in the Bass-Serre tree and its ends type."""
 
     degrees: dict

@@ -18,11 +18,11 @@ within a line and reports 1-based line/column positions on syntax errors;
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Optional
 
 from .gog import Edge, GoGSpec
 from .linalg import QMat
+from .record import Record
 
 
 class GoGParseError(ValueError):
@@ -32,8 +32,7 @@ class GoGParseError(ValueError):
         self.column = column
 
 
-@dataclass(frozen=True)
-class GoGDocument:
+class GoGDocument(Record):
     rank: int
     vertices: tuple[str, ...]
     edges: tuple[tuple[str, str, str, tuple, tuple], ...]

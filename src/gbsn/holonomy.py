@@ -17,18 +17,17 @@ rank 1 a dense group of absolute values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
 from .gog import GoGSpec, vertex_letters, walk
 from .linalg import QMat, _multiplicative_group_shape, eigenlines
 from .matgroups import WordBall
+from .record import Record
 from .words import Word
 
 
-@dataclass(frozen=True)
-class HolonomyData:
+class HolonomyData(Record):
     base_vertex: str
     stable: dict  # stable letter name -> QMat, in name order
     vertex_letter_names: frozenset
@@ -64,8 +63,7 @@ def word_image(hd: HolonomyData, w: Word) -> QMat:
     return result
 
 
-@dataclass(frozen=True)
-class WitnessResult:
+class WitnessResult(Record):
     """Outcome of the exact search for a proof that the holonomy image is
     not discrete.
 

@@ -34,11 +34,12 @@ that those two read stays inside this module. A slope y/x is only printed
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm, prod
 from operator import mul
 from typing import Iterable, Sequence
+
+from .record import Record
 
 Q = Fraction
 
@@ -348,8 +349,7 @@ def _root_sign(a, b, d: int, c=0, e: int = 0) -> int:
     return _sgn(a) * _root_sign(a * a - b * b * d - c * c * e, -2 * b * c, d * e)
 
 
-@dataclass(frozen=True)
-class QuadraticNumber:
+class QuadraticNumber(Record):
     """The number a + b*sqrt(d), as a certificate states it.
 
     Stated form: a and b are rational, and either b == d == 0 (a rational
@@ -371,8 +371,7 @@ class QuadraticNumber:
         return f"({self.a} + {self.b}*sqrt({self.d}))"
 
 
-@dataclass(frozen=True)
-class ProjPoint:
+class ProjPoint(Record):
     """The point (x : y) of the projective line over Q(sqrt(d)), as a
     certificate states it.
 
@@ -391,8 +390,7 @@ class ProjPoint:
         return f"({self.x} : {self.y})"
 
 
-@dataclass(frozen=True)
-class EigenData:
+class EigenData(Record):
     """Fixed points of a 2x2 rational matrix on the projective line.
 
     ``scalar`` marks scalar matrices (every point is fixed, ``points`` empty).
@@ -661,8 +659,7 @@ def between(p: tuple, r: tuple) -> tuple:
     return _key_direction(rational_key_between(kp, kr))
 
 
-@dataclass(frozen=True)
-class ProjInterval:
+class ProjInterval(Record):
     """Closed arc [lo, hi] of the projective circle, counterclockwise.
 
     The ends are rational directions (x, y): integers in lowest terms with

@@ -40,7 +40,6 @@ import bisect
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Iterator, Optional, Sequence
@@ -49,6 +48,7 @@ from .linalg import (
     ProjInterval, ProjPoint, QMat, _cross, _multiplicative_group_shape, _normal, adjugate,
     between, common_eigenline, commutes, eigen_directions, eigenlines, maps_to,
 )
+from .record import Record
 from .words import Word
 
 Q = Fraction
@@ -58,32 +58,28 @@ Q = Fraction
 # certificates
 
 
-@dataclass(frozen=True)
-class ScalarCertificate:
+class ScalarCertificate(Record):
     """Every generator is a scalar matrix (the group is central, abelian)."""
 
     def kind(self):
         return "scalar"
 
 
-@dataclass(frozen=True)
-class InvariantLineCertificate:
+class InvariantLineCertificate(Record):
     point: ProjPoint
 
     def kind(self):
         return "invariant-line"
 
 
-@dataclass(frozen=True)
-class InvariantPairCertificate:
+class InvariantPairCertificate(Record):
     points: tuple[ProjPoint, ProjPoint]
 
     def kind(self):
         return "invariant-pair"
 
 
-@dataclass(frozen=True)
-class FreePairCertificate:
+class FreePairCertificate(Record):
     """Ping-pong witness that <x, y> is free of rank 2.
 
     The four headline inclusions x^{+-1}(domain_y) <= domain_x and
@@ -105,8 +101,7 @@ class FreePairCertificate:
         return "free-pair"
 
 
-@dataclass(frozen=True)
-class TitsResult:
+class TitsResult(Record):
     """Tri-state outcome: True/False with certificate, or None (undetermined)."""
 
     virtually_solvable: Optional[bool]
@@ -311,8 +306,7 @@ PINGPONG_POWER_CAP = 4096  # largest power tried for a player's traps
 PINGPONG_WORD_LEN = 3  # players are the elements of the word ball of this radius
 
 
-@dataclass(frozen=True)
-class _Player:
+class _Player(Record):
     word: Word
     num: tuple  # ((a, b), (c, d)): the element's integer numerator
     kind: str  # 'hyperbolic' | 'parabolic'
@@ -521,8 +515,7 @@ def verify_certificate(named: dict, cert) -> bool:
 # closure description
 
 
-@dataclass(frozen=True)
-class ClosureDescription:
+class ClosureDescription(Record):
     """Shape of the closure of a triangularizable-over-Q matrix group.
 
     status: 'triangular', 'not available', or 'nonamenable'. In the
@@ -585,8 +578,7 @@ def closure_describe(named: dict, result: TitsResult) -> ClosureDescription:
 # coarse density
 
 
-@dataclass(frozen=True)
-class CoarseDensityReport:
+class CoarseDensityReport(Record):
     verdict: str  # 'coarsely-dense' | 'not-coarsely-dense' | 'undetermined'
     method: str
     detail: str = ""

@@ -1,6 +1,5 @@
 import importlib
 import json
-from dataclasses import replace
 from fractions import Fraction as Q
 
 import pytest
@@ -18,6 +17,7 @@ from gbsn.gog import Edge, GoGSpec
 from gbsn.holonomy import compute_holonomy, non_discreteness_witness, verify_nondiscreteness
 from gbsn.linalg import QMat
 from gbsn.matgroups import TitsResult, verify_certificate
+from gbsn.record import replace
 
 from conftest import DATA, anon, time_budget
 

@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 from fractions import Fraction as Q
 
 import pytest
@@ -14,6 +13,7 @@ from gbsn.holonomy import (
     word_image,
 )
 from gbsn.linalg import QMat
+from gbsn.record import replace
 from gbsn.words import Word, parse_word
 
 H = QMat([[2, 0], [0, Q(1, 2)]])

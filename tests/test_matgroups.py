@@ -1,7 +1,6 @@
 import importlib
 import math
 import random
-from dataclasses import replace
 from fractions import Fraction as Q
 
 import pytest
@@ -22,6 +21,7 @@ from gbsn.matgroups import (
     verify_free_pair,
     virtually_solvable,
 )
+from gbsn.record import replace
 from gbsn.words import Word
 from conftest import anon
 from quadratic_reference import INF, QuadraticNumber, direction, point, slope

@@ -22,6 +22,12 @@ generator step and leaves it canonical. ``britton_reduce`` folds a word into
 the identity with it, ``nf_multiply`` folds a word into a given form, and the
 geodesic search expands every state with it.
 
+``is_identity`` first maps the word to the abelianization, Z^n/L + Z^k for
+k loops, where L is spanned by alpha_j c - omega_j c over every loop j and
+every vector c. That takes one step per run of ``Word.letters``, whatever
+the exponents, and a nonzero image answers "no" exactly, since the map is
+a homomorphism. Only a word with a zero image is folded.
+
 Geodesic lengths come from a meet-in-the-middle breadth-first search
 (``GeodesicOracle``): a forward ball around the identity, grown in complete
 levels, and a backward search from the target for the rest. A query grows
@@ -60,7 +66,7 @@ from operator import countOf, mul
 from typing import Optional
 
 from .gog import GoGSpec, vertex_letters
-from .linalg import hermite_normal_form, lattice_residue
+from .linalg import hermite_normal_form, lattice_hnf, lattice_residue
 from .record import Record
 from .words import Word
 
@@ -115,6 +121,9 @@ class _FastOps:
     unimodular and push·H = omega U; for sign -1 it is alpha U), so a step
     pushes a lattice part H q through the letter as moves·q, integer work
     with no division.
+
+    ``abelian`` is the column HNF of the lattice L above, with a zero column
+    wherever L has no pivot; ``abelian_image_is_zero`` reads a word's image.
     """
 
     def __init__(self, spec: GoGSpec):
@@ -143,6 +152,14 @@ class _FastOps:
                         move.append(entry)
                     moves.append(tuple(move))
                 self.tables[(idx, sign)] = (cols, tuple(moves), push.num, push.den, hnf)
+        self.abelian = lattice_hnf(
+            self.n,
+            (
+                [a - o for a, o in zip(a_col, o_col)]
+                for e in edges.values()
+                for a_col, o_col in zip(zip(*e.alpha.num), zip(*e.omega.num))
+            ),
+        )
 
     def to_flat(self, nf: NormalForm) -> tuple:
         """The flat state of ``nf``; ValueError when its shape does not fit."""
@@ -225,7 +242,7 @@ class _FastOps:
         added to it as one step; a stable run takes one ``apply`` per letter.
         The Python work is per run and the C work per letter, so the cost is
         still linear in each exponent. Reading each run as one integer step
-        from ``w.letters`` (ROADMAP item 12) waits on the benchmark tracer:
+        from ``w.letters`` (ROADMAP item 14) waits on the benchmark tracer:
         it counts letters by wrapping ``Word.single_letters``, and
         ``test_tracer_restores_gbsn`` in ``perfbench/tests`` pins that count
         above zero.
@@ -245,6 +262,28 @@ class _FastOps:
             for _ in run:
                 apply(s, 1, idx, step)
 
+    def abelian_image_is_zero(self, w: Word) -> bool:
+        """Whether ``w`` maps to zero in the abelianization Z^n/L + Z^k.
+
+        A vertex run adds its exponent to one coordinate and a stable run
+        adds its exponent to its loop's count, so the cost grows with the
+        number of runs in ``w.letters``, not with the exponents. Every run
+        is read before the answer, so an unknown letter raises KeyError.
+        """
+        vec = [0] * self.n
+        loops = [0] * len(self.loop_names)
+        vletters, loop_index = self.vletters, self.loop_index
+        for name, exp in w.letters:
+            i = vletters.get(name)
+            if i is not None:
+                vec[i] += exp
+                continue
+            idx = loop_index.get(name)
+            if idx is None:
+                raise KeyError(f"unknown letter {name!r}")
+            loops[idx] += exp
+        return not any(loops) and not any(lattice_residue(self.abelian, vec)[0])
+
 
 @lru_cache(maxsize=None)
 def _fast_ops(spec: GoGSpec) -> _FastOps:
@@ -260,7 +299,15 @@ def britton_reduce(spec: GoGSpec, w: Word) -> NormalForm:
 
 
 def is_identity(spec: GoGSpec, w: Word) -> bool:
-    """Word problem: does ``w`` represent the identity?"""
+    """Word problem: does ``w`` represent the identity?
+
+    The abelian test runs before the fold: a word whose image in the
+    abelianization is nonzero is not the identity, and the answer comes
+    from one pass over its runs. Only the other words are folded into their
+    normal form.
+    """
+    if not _fast_ops(spec).abelian_image_is_zero(w):
+        return False
     return britton_reduce(spec, w).is_trivial()
 
 

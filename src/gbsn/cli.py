@@ -108,7 +108,7 @@ def _cmd_holonomy(args) -> int:
         "command": "holonomy",
         "base_vertex": hd.base_vertex,
         "vertex_letters": sorted(hd.vertex_letter_names),
-        "stable": {name: _jsonable(m) for name, m in hd.stable.items()},
+        "stable": hd.stable,
     }
     lines = [f"base vertex: {hd.base_vertex}"]
     lines.append("vertex letters map to the identity")

@@ -193,54 +193,72 @@ def sublattice_index(m: QMat) -> int:
 
 
 def hermite_normal_form(m: QMat) -> QMat:
-    """Column-style Hermite normal form H of an integer matrix m (same
-    column lattice).
+    """Column-style Hermite normal form H of a nonsingular integer matrix m
+    (same column lattice): ``lattice_hnf`` of its columns.
 
-    H is lower triangular with positive diagonal, and entries left of each
-    diagonal pivot reduced into [0, pivot). Obtained from m by unimodular
-    column operations, so H(Z^n) = m(Z^n).
+    Raises SingularMatrixError for singular m.
     """
     if m.det() == 0:
         raise SingularMatrixError("lattice has no full-rank basis")
-    n = m.n
-    cols = [list(col) for col in zip(*m.num)]  # work column-wise
+    return lattice_hnf(m.n, zip(*m.num))
 
+
+def lattice_hnf(n: int, generators: Iterable[Sequence[int]]) -> QMat:
+    """Column-style Hermite normal form of the lattice that the integer
+    vectors ``generators`` span in Z^n, whatever its rank.
+
+    Column i of the n x n result is zero where no lattice vector has its
+    first nonzero entry in row i; otherwise it is the lattice's pivot
+    column there, whose diagonal entry is positive and which reduces the
+    entries of row i left of it into [0, pivot). The result is lower
+    triangular, its nonzero columns are a basis of the lattice, and it is
+    obtained from the generators by unimodular column operations, so every
+    generating set of one lattice gives the same matrix.
+    """
+    cols = [list(g) for g in generators]  # not yet placed
+    basis = []
     for i in range(n):
-        # gcd sweep on row i across columns i..n-1
+        # gcd sweep on row i across the columns not yet placed; all of them
+        # are zero above row i
         while True:
-            nonzero = [k for k in range(i, n) if cols[k][i] != 0]
-            if len(nonzero) == 1:
+            nonzero = [k for k in range(len(cols)) if cols[k][i] != 0]
+            if len(nonzero) < 2:
                 break
             k1, k2 = nonzero[0], nonzero[1]
             if abs(cols[k1][i]) > abs(cols[k2][i]):
                 k1, k2 = k2, k1
             q = cols[k2][i] // cols[k1][i]
             cols[k2] = [a - q * b for a, b in zip(cols[k2], cols[k1])]
-        pivot_col = next(k for k in range(i, n) if cols[k][i] != 0)
-        cols[i], cols[pivot_col] = cols[pivot_col], cols[i]
-        if cols[i][i] < 0:
-            cols[i] = [-a for a in cols[i]]
+        if not nonzero:
+            basis.append([0] * n)
+            continue
+        pivot = cols.pop(nonzero[0])
+        if pivot[i] < 0:
+            pivot = [-a for a in pivot]
         # reduce row i in earlier columns into [0, pivot)
-        for k in range(i):
-            q = cols[k][i] // cols[i][i]
+        for k, col in enumerate(basis):
+            q = col[i] // pivot[i]
             if q:
-                cols[k] = [a - q * b for a, b in zip(cols[k], cols[i])]
-    return QMat.from_ints(tuple(zip(*cols)), 1)
+                basis[k] = [a - q * b for a, b in zip(col, pivot)]
+        basis.append(pivot)
+    return QMat.from_ints(tuple(zip(*basis)), 1)
 
 
 def lattice_residue(hnf: QMat, vec: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Split vec = residue + lattice part w.r.t. a column-HNF basis.
 
     The residue is the canonical representative of vec modulo the column
-    lattice of ``hnf``: coordinate i is reduced into [0, hnf[i][i]) working
-    top-down. Returns (residue, lattice_part); vec is in the lattice iff the
+    lattice of ``hnf``: working top-down, coordinate i is reduced into
+    [0, hnf[i][i]) where column i is a pivot and left as it is where it is
+    zero. Returns (residue, lattice_part); vec is in the lattice iff the
     residue is zero.
     """
     n, rows = hnf.n, hnf.num
     v = list(vec)
     lattice = [0] * n
     for i in range(n):
-        q = v[i] // rows[i][i]
+        d = rows[i][i]
+        q = v[i] // d if d else 0
         if q:
             for r in range(n):
                 v[r] -= q * rows[r][i]

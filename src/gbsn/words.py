@@ -65,6 +65,9 @@ class Word:
     def __pow__(self, k: int) -> "Word":
         if k < 0:
             return self.inverse() ** (-k)
+        if len(self.letters) == 1:  # one letter: its exponent times k
+            ((name, exp),) = self.letters
+            return Word([(name, exp * k)])
         return Word(self.letters * k)
 
     def inverse(self) -> "Word":

@@ -188,6 +188,33 @@ class TestIsIdentity:
             tracemalloc.stop()
         assert peak < 64 * 1024
 
+    def test_nonzero_abelian_image_answers_at_once(self, spec_bs12):
+        # t maps to a nonzero loop count, so no letter of a^N is walked
+        with time_budget(2):
+            assert not is_identity(spec_bs12, parse_word("t a^1000000000"))
+            assert not is_identity(spec_bs12, parse_word("a^1000000000 t^-1"))
+
+    def test_abelian_test_reads_every_letter(self, spec_bs12):
+        # a nonzero loop count before the unknown letter does not answer
+        with pytest.raises(KeyError, match="unknown letter 'z'"):
+            is_identity(spec_bs12, parse_word("t z"))
+
+    def test_rank_deficient_abelianization(self):
+        # s and u shear the first two coordinates: L = Z e1 + Z e2 has no
+        # pivot in the third, so c^k answers at once and a (in L) is folded
+        one = QMat.identity(3)
+        s_shear = QMat([[1, 1, 0], [0, 1, 0], [0, 0, 1]])
+        u_shear = QMat([[1, 0, 0], [1, 1, 0], [0, 0, 1]])
+        spec = GoGSpec.make(
+            3, ["X"], [Edge("s", "X", "X", one, s_shear), Edge("u", "X", "X", one, u_shear)]
+        )
+        assert _fast_ops(spec).abelian.num == ((1, 0, 0), (0, 1, 0), (0, 0, 0))
+        for text, want in (("c^5", False), ("a", False), ("s^-1 b s b^-1 a^-1", True),
+                           ("c s^-1 b s b^-1 a^-1 c^-1", True)):
+            w = parse_word(text)
+            assert is_identity(spec, w) is want
+            assert britton_reduce(spec, w).is_trivial() is want
+
     def test_identity_implies_trivial_holonomy_image(self, spec_a):
         rng = random.Random(43)
         hd = compute_holonomy(spec_a)

@@ -250,6 +250,22 @@ def test_normal_form_is_canonical_and_spells_the_word(case):
     assert affine_image(spec, respelled) == affine_image(spec, w)
 
 
+@PROPERTY
+@given(generated_spec_and_words())
+def test_abelian_test_agrees_with_the_normal_form(case):
+    # the abelian test answers alone for words with a nonzero image; w c x
+    # c^-1 has the image of w x, so x = w^-1 and x = a relator give words
+    # with a zero image, which the fold decides
+    spec, w, c = case
+    relators = presentation(spec).relators
+    for x in (w.inverse(), *relators):
+        for word in (w, w * c, w * c * x * c.inverse()):
+            assert is_identity(spec, word) == britton_reduce(spec, word).is_trivial()
+    assert is_identity(spec, w * c * w.inverse() * c.inverse()) == (
+        britton_reduce(spec, w * c) == britton_reduce(spec, c * w)
+    )
+
+
 @settings(derandomize=True, deadline=None, max_examples=150)
 @given(generated_spec_and_words())
 def test_kernel_on_generated_specs(case):

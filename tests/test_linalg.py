@@ -1,10 +1,12 @@
 import decimal
+import itertools
 import math
 import random
 from fractions import Fraction as Q
 
 import pytest
 import sympy
+from sympy.matrices.normalforms import hermite_normal_form as sympy_hnf
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -15,6 +17,7 @@ from gbsn.linalg import (
     SingularMatrixError,
     eigen_directions,
     hermite_normal_form,
+    lattice_hnf,
     lattice_residue,
     spectral_radius_gt_one,
     squarefree_decompose,
@@ -124,6 +127,81 @@ class TestHermite:
         h = hermite_normal_form(QMat([[1, 0], [0, 2]]))
         residues = {lattice_residue(h, (x, y))[0] for x in range(-3, 4) for y in range(-3, 4)}
         assert residues == {(0, 0), (0, 1)}
+
+    def test_singular_matrix_refused(self):
+        with pytest.raises(SingularMatrixError, match="full-rank"):
+            hermite_normal_form(QMat([[1, 2], [2, 4]]))
+
+    def test_rank_deficient_keeps_a_zero_column(self):
+        # (0, 1, 2) and (0, 2, 4) span a rank-1 lattice with its pivot in
+        # row 1; rows 0 and 2 have none
+        h = lattice_hnf(3, [(0, 1, 2), (0, 2, 4), (0, 0, 0)])
+        assert h.num == ((0, 0, 0), (0, 1, 0), (0, 2, 0))
+        assert lattice_residue(h, (5, 3, 7)) == ((5, 0, 1), (0, 3, 6))
+        assert lattice_hnf(2, []).num == ((0, 0), (0, 0))
+
+
+def sympy_membership(n, generators):
+    """Independent oracle: a test whether a vector is an integer combination
+    of the generators. sympy's Hermite basis B of their lattice has full
+    column rank, so a vector v is in the lattice exactly when the rational
+    solution c of B c = v on r independent rows is integral and B c = v."""
+    if not any(any(g) for g in generators):
+        return lambda vec: not any(vec)
+    basis = sympy_hnf(sympy.Matrix(n, len(generators), lambda i, j: generators[j][i]))
+    _, rows = basis.T.rref()  # the pivot columns of B^T: independent rows of B
+    solve = basis.extract(list(rows), list(range(basis.cols))).inv()
+    solve = [[Q(int(x.p), int(x.q)) for x in solve.row(i)] for i in range(solve.rows)]
+    ints = [[int(x) for x in basis.row(i)] for i in range(n)]
+
+    def member(vec):
+        coords = [sum(a * vec[r] for a, r in zip(row, rows)) for row in solve]
+        return all(c.denominator == 1 for c in coords) and all(
+            sum(a * c for a, c in zip(row, coords)) == v for row, v in zip(ints, vec)
+        )
+
+    return member
+
+
+@st.composite
+def generating_sets(draw):
+    """Rank 1-3, 0-4 generators with entries |x| <= 4; a generator is often
+    a combination of the others, so most sets are rank deficient."""
+    n = draw(st.integers(1, 3))
+    vector = st.lists(st.integers(-4, 4), min_size=n, max_size=n).map(tuple)
+    gens = draw(st.lists(vector, max_size=4))
+    if gens and draw(st.booleans()):
+        a, b = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+        first, last = gens[0], gens[-1]
+        gens.append(tuple(a * x + b * y for x, y in zip(first, last)))
+    return n, gens
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(generating_sets())
+@example((3, [(1, 0, 0), (0, 1, 0)]))
+@example((2, [(2, 4), (3, 6)]))
+def test_lattice_hnf_of_any_rank(case):
+    n, gens = case
+    h = lattice_hnf(n, gens)
+    cols = list(zip(*h.num))
+    for i, col in enumerate(cols):
+        assert not any(col[:i])  # lower triangular
+        if col[i]:
+            assert col[i] > 0
+            assert all(0 <= cols[k][i] < col[i] for k in range(i))
+        else:
+            assert not any(col)  # no pivot: a zero column
+    assert lattice_hnf(n, reversed(gens)) == h  # canonical
+    if len(gens) == n and QMat(list(zip(*gens))).det() != 0:
+        assert hermite_normal_form(QMat(list(zip(*gens)))) == h
+    for g in gens:
+        assert not any(lattice_residue(h, g)[0])
+    member = sympy_membership(n, gens)
+    for vec in itertools.product(range(-3, 4), repeat=n):
+        residue, lat = lattice_residue(h, vec)
+        assert tuple(a + b for a, b in zip(residue, lat)) == vec
+        assert (not any(residue)) == member(vec)
 
 
 class TestEigenDirections:

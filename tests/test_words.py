@@ -89,6 +89,22 @@ def test_power():
     assert w ** 0 == Word()
 
 
+def test_power_of_one_letter_is_one_letter():
+    with time_budget(0.05):
+        assert (Word([("a", 1)]) ** 10**9).letters == (("a", 10**9),)
+        assert (Word([("a", -3)]) ** -(10**9)).letters == (("a", 3 * 10**9),)
+
+
+@given(st.lists(st.tuples(st.sampled_from("ab"), st.integers(-3, 3)), max_size=6), st.integers(-5, 5))
+@example([("a", 2)], 3)
+@example([("a", 2)], -2)
+def test_power_matches_repeated_letters(letters, k):
+    # a negative power repeats the inverse's letters
+    w = Word(letters)
+    base = w if k >= 0 else w.inverse()
+    assert w ** k == Word(base.letters * abs(k))
+
+
 def test_single_letters_stream():
     w = parse_word("a^2 b^-1")
     assert list(w.single_letters()) == [("a", 1), ("a", 1), ("b", -1)]

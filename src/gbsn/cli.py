@@ -5,15 +5,23 @@ compression; every command takes ``--format text|json``. Exit codes: 0 for
 decided verdicts, 2 for undetermined ones, 1 for input errors. The JSON
 reports are deterministic (sorted keys, exact rationals as strings) and
 carry the certificate data needed to re-verify every decided verdict.
+
+A JSON report is written by ``_json_text`` in one pass over the payload:
+records, matrices, words and rationals become JSON values on the way, and
+the text is exactly that of ``json.dumps(..., sort_keys=True, indent=2)``
+on the converted payload (``tests/json_reference.py`` keeps that
+conversion). The arguments after a command's name are read by that
+command's parser alone; see ``_parse``.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
+from math import isfinite
 
 from . import britton, gog, gogfile
 from .classify import _tri, analysis, classify, compression_report, qi_compare
@@ -22,38 +30,89 @@ from .record import Record
 from .words import Word, parse_word
 
 
-def _jsonable(obj):
-    if obj is None or isinstance(obj, (bool, int, str)):
-        return obj
-    if isinstance(obj, float):
-        return obj
-    if isinstance(obj, Fraction):
-        return str(obj)
-    if isinstance(obj, QuadraticNumber):
-        return {"a": str(obj.a), "b": str(obj.b), "d": obj.d}
-    if isinstance(obj, QMat):
-        return [[str(x) for x in row] for row in obj.rows]
-    if isinstance(obj, Word):
-        return str(obj)
-    if isinstance(obj, ProjPoint):
-        return {"x": _jsonable(obj.x), "y": _jsonable(obj.y)}
-    if isinstance(obj, ProjInterval):
-        return {"lo": slope_text(obj.lo), "hi": slope_text(obj.hi)}
-    if isinstance(obj, Record):
-        out = {"type": type(obj).__name__}
-        for name in obj._fields:
-            out[name] = _jsonable(getattr(obj, name))
-        return out
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple, set, frozenset)):
-        return [_jsonable(x) for x in obj]
-    return str(obj)
+def _json_text(obj) -> str:
+    """The text of ``json.dumps(x, sort_keys=True, indent=2)``, where x is
+    ``obj`` with each value json cannot write made one it can, as ``_CHAIN``
+    lists. Written in one pass, since ``indent`` keeps json's C encoder out."""
+    out = []
+    _write(obj, out, "\n")
+    return "".join(out)
+
+
+def _write(obj, out, nl):
+    # nl is the newline and indent of obj's level
+    writer = _WRITERS.get(type(obj))
+    if writer is None:
+        # that of the first class in _CHAIN that obj is an instance of, kept for its type
+        writer = _WRITERS[type(obj)] = next((w for cls, w in _CHAIN if isinstance(obj, cls)),
+                                            _write_str)
+    writer(obj, out, nl)
+
+
+def _write_str(obj, out, nl):
+    out.append(_quote(str(obj)))
+
+
+def _write_float(obj, out, nl):
+    if isfinite(obj):
+        out.append(float.__repr__(obj))
+    else:
+        out.append("NaN" if obj != obj else "Infinity" if obj > 0 else "-Infinity")
+
+
+def _write_dict(obj, out, nl):
+    if not obj:
+        out.append("{}")
+        return
+    inner, sep = nl + "  ", "{"
+    for key, value in sorted({str(k): v for k, v in obj.items()}.items()):
+        out += (sep, inner, _quote(key), ": ")
+        _write(value, out, inner)
+        sep = ","
+    out.append(nl + "}")
+
+
+def _write_list(obj, out, nl):
+    if not obj:
+        out.append("[]")
+        return
+    inner, sep = nl + "  ", "["
+    for value in obj:
+        out += (sep, inner)
+        _write(value, out, inner)
+        sep = ","
+    out.append(nl + "]")
+
+
+# each class and how its instances are written: a Fraction, Word or unknown
+# object as its str, a record as its fields plus "type", its class name (which
+# a field of that name overrides). The first class an object is an instance of
+# wins, so bool comes before int and the stated certificate records before Record.
+_CHAIN = (
+    (type(None), lambda obj, out, nl: out.append("null")),
+    (bool, lambda obj, out, nl: out.append("true" if obj else "false")),
+    (int, lambda obj, out, nl: out.append(int.__repr__(obj))),
+    (str, lambda obj, out, nl: out.append(_quote(obj))),
+    (float, _write_float),
+    (Fraction, _write_str),
+    (QuadraticNumber,
+     lambda q, out, nl: _write_dict({"a": str(q.a), "b": str(q.b), "d": q.d}, out, nl)),
+    (QMat, lambda m, out, nl: _write_list([[str(x) for x in row] for row in m.rows], out, nl)),
+    (Word, _write_str),
+    (ProjPoint, lambda p, out, nl: _write_dict({"x": p.x, "y": p.y}, out, nl)),
+    (ProjInterval,
+     lambda i, out, nl: _write_dict({"lo": slope_text(i.lo), "hi": slope_text(i.hi)}, out, nl)),
+    (Record, lambda r, out, nl: _write_dict(
+        {"type": type(r).__name__, **{n: getattr(r, n) for n in r._fields}}, out, nl)),
+    (dict, _write_dict),
+    ((list, tuple, set, frozenset), _write_list),
+)
+_WRITERS = {}  # type -> its writer from _CHAIN, filled on first use
 
 
 def _emit(payload: dict, lines: list[str], fmt: str) -> None:
     if fmt == "json":
-        print(json.dumps(_jsonable(payload), sort_keys=True, indent=2))
+        print(_json_text(payload))
     else:
         for line in lines:
             print(line)
@@ -261,13 +320,26 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("compression", _cmd_compression, "equivariant Lp-compression exponent")
     p.add_argument("file")
     p.add_argument("--p", required=True, help="exponent p >= 1 (rational, e.g. 3/2)")
+    parser.commands = sub.choices  # each command's name and parser, for _parse
     return parser
 
 
-def run(argv=None) -> int:
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``. When ``argv[0]`` names a command,
+    its own parser reads the rest, which the tree would hand it anyway; the
+    tree parses again only when that leaves arguments over, and reports them."""
     parser = build_parser()
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is not None:
+        args, rest = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if not rest:
+            return args
+    return parser.parse_args(argv)
+
+
+def run(argv=None) -> int:
     try:
-        args = parser.parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
     try:

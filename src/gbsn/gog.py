@@ -16,7 +16,6 @@ of the holonomy along the tree.
 
 from __future__ import annotations
 
-import string
 from typing import Optional
 
 from .linalg import QMat, sublattice_index
@@ -175,12 +174,14 @@ def vertex_letters(spec: GoGSpec) -> dict[str, tuple[str, ...]]:
     return {v: tuple(next(pool) for _ in range(spec.rank)) for v in spec.vertices}
 
 
+_ALPHABET = "abcdefghijklmnopqrstuvwxyz"
+
+
 def _letter_names():
-    for ch in string.ascii_lowercase:
-        yield ch
+    yield from _ALPHABET
     i = 1
     while True:
-        for ch in string.ascii_lowercase:
+        for ch in _ALPHABET:
             yield f"{ch}{i}"
         i += 1
 

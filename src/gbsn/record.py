@@ -21,7 +21,10 @@ class Record:
         super().__init_subclass__(**kwargs)
         names = cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
         cls._index = {n: i for i, n in enumerate(names)}
-        cls._defaults = tuple(cls.__dict__.get(n, _REQUIRED) for n in names)
+        cls._defaults = defaults = tuple(cls.__dict__.get(n, _REQUIRED) for n in names)
+        # _tails[n]: the defaults that complete n positional values, for each n that leaves none unset
+        fewest = max((i + 1 for i, d in enumerate(defaults) if d is _REQUIRED), default=0)
+        cls._tails = {n: defaults[n:] for n in range(fewest, len(names))}
         compared = [n for n in names if n not in uncompared]
         # a class is a constant key: records without compared fields are all equal
         cls._key = attrgetter(*compared) if compared else type
@@ -29,7 +32,11 @@ class Record:
     def __init__(self, *args, **kwargs):
         names = self._fields
         if kwargs or len(args) != len(names):
-            args = self._bind(args, kwargs)
+            tail = None if kwargs else self._tails.get(len(args))
+            if tail is None:
+                args = self._bind(args, kwargs)
+            else:
+                args += tail
         fields = self.__dict__
         for name, value in zip(names, args):
             fields[name] = value

@@ -352,6 +352,30 @@ class TestExitCodes:
         assert [code for code, _, _ in together] == [1, 0, 2]
         assert together == alone
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["frobnicate"],
+            ["-h"],
+            ["classify", "-h"],
+            ["compression", SPEC_B],
+            ["classify", SPEC_B, "extra"],
+            ["classify", SPEC_B, "--format", "xml"],
+            ["--format", "xml"],
+            ["distortion", SPEC_A, "--element", "a", "--max-power", "x"],
+        ],
+        ids=["no-arguments", "unknown-command", "help", "command-help", "missing-option",
+             "extra-argument", "bad-choice", "option-before-command", "bad-integer"],
+    )
+    def test_usage_ends_as_the_full_parser_ends(self, capsys, argv):
+        """A help request or usage error prints what the whole tree's
+        ``parse_args`` prints, and exits 0 after help and 1 otherwise."""
+        got = invoke(capsys, *argv)
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert got == ({0: 0, 2: 1}[exc.value.code], *capsys.readouterr())
+
     def test_compression_checks_rank_before_the_holonomy(self, capsys, monkeypatch, tmp_path):
         def no_holonomy(spec):
             raise AssertionError("holonomy computed for a rank-1 compression")

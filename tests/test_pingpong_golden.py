@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
 
-from gbsn.cli import _jsonable
+from gbsn.cli import _json_text
 from gbsn.linalg import QMat
 from gbsn.matgroups import pingpong_certify, verify_free_pair
 
@@ -50,7 +50,7 @@ def certified() -> tuple:
 
 def golden_text() -> str:
     entries = [{"gens": gens, "certificate": cert} for gens, cert in certified()]
-    return json.dumps(_jsonable(entries), sort_keys=True, indent=2) + "\n"
+    return _json_text(entries) + "\n"
 
 
 def test_certificates_match_the_golden():

@@ -107,12 +107,13 @@ def test_pickle_rebuilds_through_the_class():
 
 def test_import_makes_no_generated_code():
     """gbsn's import pulls in neither ``dataclasses`` nor ``inspect``, so a
-    CLI process compiles no per-class methods. ``-S`` keeps site hooks of
-    the host out of the check."""
+    CLI process compiles no per-class methods, and not ``string``, whose
+    import compiles ``Template``'s pattern. ``-S`` keeps site hooks of the
+    host out of the check."""
     src = str(Path(gbsn.__file__).resolve().parent.parent)
     code = (
         f"import sys; sys.path.insert(0, {src!r}); import gbsn, gbsn.cli; "
-        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+        "print(sorted({'dataclasses', 'inspect', 'string'} & set(sys.modules)))"
     )
     out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
                          check=True)

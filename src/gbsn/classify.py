@@ -12,6 +12,10 @@ with the number of distinct specs a process reads.
 
 Each verdict is one function: ``classify`` calls ``whyte_classify`` and
 ``cv_properties``, and ``qi_compare`` calls ``classify``, by module global.
+The rules are functions of their own, each returning what it decides with
+its reason or evidence: ``_amenability`` and ``_whyte_case`` for
+``whyte_classify``, which builds its report once, and ``_qi_rule`` for
+``qi_compare``.
 
 The quasi-isometry trichotomy for groups whose tree has infinitely many
 ends: (2a) semidirect products Z^n x| F with F a free subgroup of GL_n(Z) --
@@ -153,156 +157,98 @@ def _certificate_detail(witness: WitnessResult) -> str:
     )
 
 
-def whyte_classify(spec: GoGSpec) -> ClassificationReport:
-    """Ends, amenability, and the quasi-isometry subclass of the group.
+def _amenability(spec: GoGSpec, rank: int) -> tuple[Optional[bool], str]:
+    """Amenability of a group with infinitely many ends and ``rank`` >= 1
+    stable letters, and why: free quotients in rank >= 2, and in rank 1 the
+    ascending form, both inclusions proper, or undetermined."""
+    if rank >= 2:
+        return False, f"killing all vertex generators leaves a free group of rank {rank} >= 2"
+    loop = spec.loop_edges()[0]
+    ia, io = sublattice_index(loop.alpha), sublattice_index(loop.omega)
+    if len(spec.vertices) == 1 and (ia == 1 or io == 1):
+        return True, f"ascending HNN extension (edge indices {ia} and {io})"
+    if ia >= 2 and io >= 2:
+        return False, (
+            f"HNN extension with both edge inclusions proper (indices {ia}, {io}) "
+            "contains a free subgroup"
+        )
+    return None, "virtually-ascending detection beyond the single-loop form is not implemented"
 
-    The rank-1 rule is Whyte, "The large scale geometry of the higher
+
+def _short_relation(stable: dict):
+    """A reduced stable-letter relation of length <= 6, or None: one exists
+    exactly when two distinct reduced words of length <= 3 have the same image."""
+    ball = WordBall(stable)
+    for _ in ball.grow(3):
+        pass
+    return ball.relation()
+
+
+def _whyte_case(spec: GoGSpec, stages: Analysis, amenable: Optional[bool]) -> tuple:
+    """``(case, detail, payload, *certificates)`` by the first rule that
+    applies to a group with infinitely many ends and a stable letter: its
+    ``whyte-case`` evidence is ``detail`` and ``payload`` (none when
+    ``detail`` is None), after the ``certificates``.
+
+    The rank-1 2c rule is Whyte, "The large scale geometry of the higher
     Baumslag-Solitar groups" (GAFA 2001), Thm 0.1: a GBS_1 group whose tree
     has infinitely many ends is virtually F_m x Z, or BS(1,n), or
     quasi-isometric to BS(2,3). A stable letter with |hol| != 1 excludes the
     first, non-amenability the second, so such a group is (2c).
     """
+    if amenable is None:
+        return "undetermined", None, None
+    if amenable:
+        return "2b", "2b: virtually ascending HNN extensions are the amenable ones", None
+    unimodular = all(sublattice_index(m) == 1 for e in spec.edges for m in (e.alpha, e.omega))
+    relation = _short_relation(stages.holonomy.stable) if unimodular else None
+    if unimodular and relation is None:
+        return "2a", ("2a: unimodular inclusions, holonomy in GL_n(Z) (discrete), no "
+                      "stable-letter relation up to length 6"), None
+    if unimodular:
+        detail = f"ambiguous 2a form: holonomy kills the stable-letter word {relation}"
+        return "undetermined", detail, relation
+    witness = stages.witness
+    if witness.kind in ("contraction", "dense"):
+        certificate = Evidence("non-discreteness-certificate", _certificate_detail(witness), witness)
+        return "2c", "2c: nonamenable with non-discrete holonomy image", None, certificate
+    if spec.rank == 1 and (moved := stages.moved_letters()):
+        name, value = moved[0], stages.holonomy.stable[moved[0]].rows[0][0]
+        image = Evidence("modular-image", f"|hol({name})| = {abs(value)} != 1: not virtually "
+                         "F_m x Z", (name, value))
+        return "2c", ("2c: nonamenable GBS_1 group, not virtually F_m x Z, hence quasi-isometric "
+                      "to BS(2,3) (Whyte 2001, Thm 0.1)"), None, image
+    if witness.kind == "discrete (integral)":
+        return "undetermined", ("holonomy image is integral-discrete but inclusions are not "
+                                "unimodular; the 2a form is not established"), None
+    return "undetermined", ("no non-discreteness certificate: no contraction pair among the "
+                            "stable letters and their inverses, and no dense rank-1 image"), None
+
+
+def whyte_classify(spec: GoGSpec) -> ClassificationReport:
+    """Ends, amenability (``_amenability``), and the quasi-isometry subclass
+    (``_whyte_case``) of the group. A tree with finitely many ends, or with
+    infinitely many and no stable letter (an amalgam), is out of scope."""
     stages = analysis(spec)
     local = bass_serre_degrees(spec)
-    evidence = [
-        Evidence(
-            "bass-serre-degrees",
-            ", ".join(f"{v}: {d}" for v, d in sorted(local.degrees.items()))
-            + f"; ends: {local.ends}",
-            local,
-        )
-    ]
-    if local.ends != "infinitely-many-ends":
-        return ClassificationReport(
-            local.ends,
-            None,
-            "not decided: the trichotomy applies to trees with infinitely many ends",
-            "out-of-scope(ends)",
-            evidence=tuple(evidence),
-        )
-
-    rank = underlying_rank(spec)
-    evidence.append(Evidence("underlying-rank", f"#edges - #vertices + 1 = {rank}"))
-    amenable: Optional[bool]
-    if rank >= 2:
-        amenable = False
-        reason = (
-            f"killing all vertex generators leaves a free group of rank {rank} >= 2"
-        )
-    elif rank == 1:
-        loop = spec.loop_edges()[0]
-        ia, io = sublattice_index(loop.alpha), sublattice_index(loop.omega)
-        if len(spec.vertices) == 1 and (ia == 1 or io == 1):
-            amenable = True
-            reason = f"ascending HNN extension (edge indices {ia} and {io})"
-        elif ia >= 2 and io >= 2:
-            amenable = False
-            reason = (
-                f"HNN extension with both edge inclusions proper "
-                f"(indices {ia}, {io}) contains a free subgroup"
-            )
-        else:
-            amenable = None
-            reason = (
-                "virtually-ascending detection beyond the single-loop form "
-                "is not implemented"
-            )
-    else:
-        # rank 0 (a tree of groups): left out of scope by the degree-based
-        # classification even though the ends count says infinitely many
-        return ClassificationReport(
-            local.ends,
-            None,
-            "not decided: amalgams (no stable letters) are outside the decision scope",
-            "out-of-scope(ends)",
-            evidence=tuple(evidence),
-        )
+    degrees = ", ".join(f"{v}: {d}" for v, d in sorted(local.degrees.items()))
+    evidence = [Evidence("bass-serre-degrees", f"{degrees}; ends: {local.ends}", local)]
+    rank = None
+    if local.ends == "infinitely-many-ends":
+        rank = underlying_rank(spec)
+        evidence.append(Evidence("underlying-rank", f"#edges - #vertices + 1 = {rank}"))
+    if not rank:
+        scope = ("the trichotomy applies to trees with infinitely many ends" if rank is None
+                 else "amalgams (no stable letters) are outside the decision scope")
+        return ClassificationReport(local.ends, None, f"not decided: {scope}",
+                                    "out-of-scope(ends)", evidence=tuple(evidence))
+    amenable, reason = _amenability(spec, rank)
     evidence.append(Evidence("amenability", f"{_tri(amenable)}: {reason}"))
-
-    if amenable is True:
-        whyte = "2b"
-        evidence.append(
-            Evidence("whyte-case", "2b: virtually ascending HNN extensions are the amenable ones")
-        )
-    elif amenable is False:
-        unimodular = all(
-            sublattice_index(e.alpha) == 1 and sublattice_index(e.omega) == 1
-            for e in spec.edges
-        )
-        if unimodular:
-            # a reduced relation of length <= 6 exists exactly when two
-            # distinct reduced words of length <= 3 have the same image
-            ball = WordBall(stages.holonomy.stable)
-            for _ in ball.grow(3):
-                pass
-            relation = ball.relation()
-            if relation is None:
-                whyte = "2a"
-                evidence.append(
-                    Evidence(
-                        "whyte-case",
-                        "2a: unimodular inclusions, holonomy in GL_n(Z) (discrete), "
-                        "no stable-letter relation up to length 6",
-                    )
-                )
-            else:
-                whyte = "undetermined"
-                evidence.append(
-                    Evidence(
-                        "whyte-case",
-                        f"ambiguous 2a form: holonomy kills the stable-letter word {relation}",
-                        relation,
-                    )
-                )
-        else:
-            witness = stages.witness
-            if witness.kind in ("contraction", "dense"):
-                whyte = "2c"
-                evidence.append(
-                    Evidence("non-discreteness-certificate", _certificate_detail(witness), witness)
-                )
-                evidence.append(
-                    Evidence("whyte-case", "2c: nonamenable with non-discrete holonomy image")
-                )
-            elif spec.rank == 1 and (moved := stages.moved_letters()):
-                whyte = "2c"
-                name, value = moved[0], stages.holonomy.stable[moved[0]].rows[0][0]
-                evidence.append(
-                    Evidence(
-                        "modular-image",
-                        f"|hol({name})| = {abs(value)} != 1: not virtually F_m x Z",
-                        (name, value),
-                    )
-                )
-                evidence.append(
-                    Evidence(
-                        "whyte-case",
-                        "2c: nonamenable GBS_1 group, not virtually F_m x Z, hence "
-                        "quasi-isometric to BS(2,3) (Whyte 2001, Thm 0.1)",
-                    )
-                )
-            elif witness.kind == "discrete (integral)":
-                whyte = "undetermined"
-                evidence.append(
-                    Evidence(
-                        "whyte-case",
-                        "holonomy image is integral-discrete but inclusions are not "
-                        "unimodular; the 2a form is not established",
-                    )
-                )
-            else:
-                whyte = "undetermined"
-                evidence.append(
-                    Evidence(
-                        "whyte-case",
-                        "no non-discreteness certificate: no contraction pair among the "
-                        "stable letters and their inverses, and no dense rank-1 image",
-                    )
-                )
-    else:
-        whyte = "undetermined"
-
-    return ClassificationReport(local.ends, amenable, reason, whyte, evidence=tuple(evidence))
+    case, detail, payload, *certificates = _whyte_case(spec, stages, amenable)
+    evidence += certificates
+    if detail is not None:
+        evidence.append(Evidence("whyte-case", detail, payload))
+    return ClassificationReport(local.ends, amenable, reason, case, evidence=tuple(evidence))
 
 
 def cv_properties(spec: GoGSpec) -> AnalyticProperties:
@@ -315,7 +261,7 @@ def cv_properties(spec: GoGSpec) -> AnalyticProperties:
     result = analysis(spec).tits
     if result.certificate is not None:
         evidence = Evidence(
-            f"tits-certificate ({result.certificate.kind()})",
+            f"tits-certificate ({result.certificate.kind})",
             result.detail + "; re-verified exactly",
             result.certificate,
         )
@@ -380,6 +326,38 @@ def _rank2_density(stages: Analysis) -> CoarseDensityReport:
     )
 
 
+def _qi_rule(rank: int, ra: ClassificationReport, rb: ClassificationReport,
+             aa: Analysis, ab: Analysis) -> tuple[str, str, tuple]:
+    """``(verdict, reason, evidence)`` of two classified specs of lattice
+    rank ``rank``, by the first rule of ``qi_compare`` that applies."""
+    if ra.amenable is not None and rb.amenable is not None and ra.amenable != rb.amenable:
+        return "not-quasi-isometric", "amenability is a quasi-isometry invariant and differs", ()
+    cases = {ra.whyte_case, rb.whyte_case}
+    if cases <= {"2a", "2b", "2c"} and len(cases) == 2:
+        return "not-quasi-isometric", "the subclasses are quasi-isometry invariant and differ", ()
+    if cases == {"2c"} and rank == 1:
+        certs = tuple(ev for r in (ra, rb) for ev in r.evidence
+                      if ev.label in ("non-discreteness-certificate", "modular-image"))
+        return "quasi-isometric", ("both are nonamenable and not virtually F_m x Z, so both are "
+                                   "quasi-isometric to BS(2,3); rank-1 class (2c) is a single "
+                                   "quasi-isometry class (Whyte 2001, Thm 0.1)"), certs
+    if cases == {"2c"} and rank == 2:
+        cda, cdb = _rank2_density(aa), _rank2_density(ab)
+        if cda.verdict == cdb.verdict == "coarsely-dense":
+            return "quasi-isometric", ("both holonomy images are coarsely dense in SL_2(R), hence "
+                                       "Hausdorff equivalent; class (2c) within a Hausdorff class "
+                                       "is a single quasi-isometry class"), (cda, cdb)
+        samples = cartan_hausdorff_samples(aa.holonomy.stable, ab.holonomy.stable, radii=(4, 6, 8))
+        return "undetermined", "no exact Hausdorff-equivalence evidence within bounds", (
+            cda, cdb, *samples)
+    if cases == {"2c"}:
+        return "undetermined", "no exact Hausdorff-equivalence evidence within bounds", ()
+    if cases == {"2b"}:
+        return "undetermined", ("both are ascending HNN extensions; their finer comparison is "
+                                "not implemented"), ()
+    return "undetermined", "comparison undetermined for these subclasses", ()
+
+
 def qi_compare(a: GoGSpec, b: GoGSpec) -> QIVerdict:
     """Compare two specs up to quasi-isometry.
 
@@ -408,52 +386,16 @@ def qi_compare(a: GoGSpec, b: GoGSpec) -> QIVerdict:
     Every other (2c) pair is 'undetermined', with sampled Cartan distances
     as diagnostics only.
     """
-    aa, ab = analysis(a), analysis(b)
     if a.rank != b.rank:
         raise ValueError("dimension mismatch: specs have different ranks")
     ra, rb = classify(a), classify(b)
-    reasons = [
+    verdict, reason, evidence = _qi_rule(a.rank, ra, rb, analysis(a), analysis(b))
+    reasons = (
         f"first: case {ra.whyte_case}, amenable {_tri(ra.amenable)}",
         f"second: case {rb.whyte_case}, amenable {_tri(rb.amenable)}",
-    ]
-    if ra.amenable is not None and rb.amenable is not None and ra.amenable != rb.amenable:
-        reasons.append("amenability is a quasi-isometry invariant and differs")
-        return QIVerdict("not-quasi-isometric", tuple(reasons))
-    cases = {ra.whyte_case, rb.whyte_case}
-    if cases <= {"2a", "2b", "2c"} and ra.whyte_case != rb.whyte_case:
-        reasons.append("the subclasses are quasi-isometry invariant and differ")
-        return QIVerdict("not-quasi-isometric", tuple(reasons))
-    if ra.whyte_case == rb.whyte_case == "2c":
-        if a.rank == 1:
-            reasons.append(
-                "both are nonamenable and not virtually F_m x Z, so both are "
-                "quasi-isometric to BS(2,3); rank-1 class (2c) is a single "
-                "quasi-isometry class (Whyte 2001, Thm 0.1)"
-            )
-            certs = tuple(ev for r in (ra, rb) for ev in r.evidence
-                          if ev.label in ("non-discreteness-certificate", "modular-image"))
-            return QIVerdict("quasi-isometric", tuple(reasons), evidence=certs)
-        evidence = ()
-        if a.rank == 2:
-            cda, cdb = _rank2_density(aa), _rank2_density(ab)
-            if cda.verdict == cdb.verdict == "coarsely-dense":
-                reasons.append(
-                    "both holonomy images are coarsely dense in SL_2(R), hence "
-                    "Hausdorff equivalent; class (2c) within a Hausdorff class is a "
-                    "single quasi-isometry class"
-                )
-                return QIVerdict("quasi-isometric", tuple(reasons), evidence=(cda, cdb))
-            stables = aa.holonomy.stable, ab.holonomy.stable
-            evidence = (cda, cdb, *cartan_hausdorff_samples(*stables, radii=(4, 6, 8)))
-        reasons.append("no exact Hausdorff-equivalence evidence within bounds")
-        return QIVerdict("undetermined", tuple(reasons), evidence=evidence)
-    if ra.whyte_case == rb.whyte_case == "2b":
-        reasons.append(
-            "both are ascending HNN extensions; their finer comparison is not implemented"
-        )
-        return QIVerdict("undetermined", tuple(reasons))
-    reasons.append("comparison undetermined for these subclasses")
-    return QIVerdict("undetermined", tuple(reasons))
+        reason,
+    )
+    return QIVerdict(verdict, reasons, evidence)
 
 
 class CompressionReport(Record):

@@ -11,7 +11,8 @@ records, matrices, words and rationals become JSON values on the way, and
 the text is exactly that of ``json.dumps(..., sort_keys=True, indent=2)``
 on the converted payload (``tests/json_reference.py`` keeps that
 conversion). The arguments after a command's name are read by that
-command's parser alone; see ``_parse``.
+command's parser alone; see ``_parse``. Each ``_cmd_*`` returns its
+payload, its text lines and its exit code, and ``run`` prints the report.
 """
 
 from __future__ import annotations
@@ -110,14 +111,6 @@ _CHAIN = (
 _WRITERS = {}  # type -> its writer from _CHAIN, filled on first use
 
 
-def _emit(payload: dict, lines: list[str], fmt: str) -> None:
-    if fmt == "json":
-        print(_json_text(payload))
-    else:
-        for line in lines:
-            print(line)
-
-
 def _load_spec(path: str) -> gog.GoGSpec:
     """The spec in the file at ``path``. The file is read on every call;
     each distinct text is parsed once per process (``_spec_of``), and each
@@ -135,7 +128,7 @@ def _spec_of(text: str) -> gog.GoGSpec:
     return gogfile.parse(text).to_spec()
 
 
-def _cmd_validate(args) -> int:
+def _cmd_validate(args) -> tuple:
     problems = []
     try:
         _load_spec(args.file)
@@ -143,11 +136,10 @@ def _cmd_validate(args) -> int:
         problems = exc.problems
     payload = {"command": "validate", "file": args.file, "ok": not problems, "violations": problems}
     lines = ["OK"] if not problems else [f"violation: {p}" for p in problems]
-    _emit(payload, lines, args.format)
-    return 0 if not problems else 1
+    return payload, lines, 0 if not problems else 1
 
 
-def _cmd_presentation(args) -> int:
+def _cmd_presentation(args) -> tuple:
     spec = _load_spec(args.file)
     pres = gog.presentation(spec)
     payload = {
@@ -156,12 +148,10 @@ def _cmd_presentation(args) -> int:
         "relators": [str(r) for r in pres.relators],
         "relations": [[str(a), str(b)] for a, b in pres.relations],
     }
-    lines = [str(pres)]
-    _emit(payload, lines, args.format)
-    return 0
+    return payload, [str(pres)], 0
 
 
-def _cmd_holonomy(args) -> int:
+def _cmd_holonomy(args) -> tuple:
     hd = analysis(_load_spec(args.file)).holonomy
     payload = {
         "command": "holonomy",
@@ -174,11 +164,10 @@ def _cmd_holonomy(args) -> int:
     for name, m in hd.stable.items():
         rows = "; ".join(", ".join(str(x) for x in row) for row in m.rows)
         lines.append(f"hol({name}) = [{rows}]")
-    _emit(payload, lines, args.format)
-    return 0
+    return payload, lines, 0
 
 
-def _cmd_classify(args) -> int:
+def _cmd_classify(args) -> tuple:
     spec = _load_spec(args.file)
     report = classify(spec)
     payload = {
@@ -206,11 +195,10 @@ def _cmd_classify(args) -> int:
         f"Whyte case: {report.whyte_case}; Haagerup: {_tri(report.haagerup)}; "
         f"weakly amenable: {_tri(report.weakly_amenable)}; {lcb}"
     )
-    _emit(payload, lines, args.format)
-    return 0 if report.decided() else 2
+    return payload, lines, 0 if report.decided() else 2
 
 
-def _cmd_compare(args) -> int:
+def _cmd_compare(args) -> tuple:
     spec_a = _load_spec(args.file1)
     spec_b = _load_spec(args.file2)
     verdict = qi_compare(spec_a, spec_b)
@@ -224,11 +212,10 @@ def _cmd_compare(args) -> int:
         "evidence": verdict.evidence,
     }
     lines = list(verdict.reasons) + [verdict.verdict]
-    _emit(payload, lines, args.format)
-    return 0 if verdict.verdict != "undetermined" else 2
+    return payload, lines, 0 if verdict.verdict != "undetermined" else 2
 
 
-def _cmd_distortion(args) -> int:
+def _cmd_distortion(args) -> tuple:
     spec = _load_spec(args.file)
     element = parse_word(args.element)
     if args.max_power < 1 or args.bfs_cap < 0:
@@ -256,11 +243,10 @@ def _cmd_distortion(args) -> int:
         "analytic lower bound: |m v| >= log(m)/log(%.3g), labeled analytic"
         % profile.analytic_constant
     )
-    _emit(payload, lines, args.format)
-    return 0
+    return payload, lines, 0
 
 
-def _cmd_compression(args) -> int:
+def _cmd_compression(args) -> tuple:
     spec = _load_spec(args.file)
     try:
         p = Fraction(args.p)
@@ -282,8 +268,7 @@ def _cmd_compression(args) -> int:
         lines.append(f"α_{report.p} undetermined" + (f" ({report.detail})" if report.detail else ""))
     else:
         lines.append(f"α_{report.p} = {report.alpha}")
-    _emit(payload, lines, args.format)
-    return 0 if report.alpha_kind != "undetermined" else 2
+    return payload, lines, 0 if report.alpha_kind != "undetermined" else 2
 
 
 @functools.lru_cache(maxsize=1)
@@ -343,7 +328,9 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        payload, lines, code = args.func(args)
+        print(_json_text(payload) if args.format == "json" else "\n".join(lines))
+        return code
     except (OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

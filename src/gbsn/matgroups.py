@@ -61,22 +61,19 @@ Q = Fraction
 class ScalarCertificate(Record):
     """Every generator is a scalar matrix (the group is central, abelian)."""
 
-    def kind(self):
-        return "scalar"
+    kind = "scalar"
 
 
 class InvariantLineCertificate(Record):
     point: ProjPoint
 
-    def kind(self):
-        return "invariant-line"
+    kind = "invariant-line"
 
 
 class InvariantPairCertificate(Record):
     points: tuple[ProjPoint, ProjPoint]
 
-    def kind(self):
-        return "invariant-pair"
+    kind = "invariant-pair"
 
 
 class FreePairCertificate(Record):
@@ -97,8 +94,7 @@ class FreePairCertificate(Record):
     traps_x: tuple[ProjInterval, ProjInterval]  # forward trap, backward trap
     traps_y: tuple[ProjInterval, ProjInterval]
 
-    def kind(self):
-        return "free-pair"
+    kind = "free-pair"
 
 
 class TitsResult(Record):

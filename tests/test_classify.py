@@ -4,7 +4,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from gbsn import holonomy, linalg, matgroups
+from gbsn import gogfile, holonomy, linalg, matgroups
 from gbsn.cli import run
 from gbsn.classify import (
     classify,
@@ -74,6 +74,156 @@ CYCLIC = GoGSpec.make(
         Edge("u", "X", "X", QMat([[1001**2, 0], [0, 1002**2]]), QMat([[1002**2, 0], [0, 1001**2]])),
     ],
 )
+
+
+FREE_RANK_2 = "killing all vertex generators leaves a free group of rank 2 >= 2"
+NOT_INFINITE = "not decided: the trichotomy applies to trees with infinitely many ends"
+
+
+def one_vertex(rank, *loops):
+    """A .gog text: vertex X and the loops (name, alpha, omega)."""
+    edges = "".join(f"edge {n}: X -> X alpha {a} omega {o}\n" for n, a, o in loops)
+    return f"rank {rank}\nvertex X\n" + edges
+
+
+def rank_two_rule(degrees, case, *evidence):
+    """The verdict and evidence of a nonamenable one-vertex spec with two loops."""
+    return (
+        (False, FREE_RANK_2, case),
+        [
+            ("bass-serre-degrees", f"X: {degrees}; ends: infinitely-many-ends"),
+            ("underlying-rank", "#edges - #vertices + 1 = 2"),
+            ("amenability", f"no: {FREE_RANK_2}"),
+            *evidence,
+        ],
+    )
+
+
+# one spec per rule of whyte_classify: its .gog text, its exact
+# (amenable, amenable_reason, whyte_case) and its evidence (label, detail)
+WHYTE_RULES = {
+    "bounded": (
+        "rank 1\nvertex X\n",
+        (None, NOT_INFINITE, "out-of-scope(ends)"),
+        [("bass-serre-degrees", "X: 0; ends: bounded")],
+    ),
+    "line": (
+        one_vertex(1, ("t", "[[1]]", "[[1]]")),
+        (None, NOT_INFINITE, "out-of-scope(ends)"),
+        [("bass-serre-degrees", "X: 2; ends: two-ended (line)")],
+    ),
+    "amalgam": (
+        "rank 1\nvertex X\nvertex Y\nedge e: X -> Y alpha [[2]] omega [[3]]\n",
+        (
+            None,
+            "not decided: amalgams (no stable letters) are outside the decision scope",
+            "out-of-scope(ends)",
+        ),
+        [
+            ("bass-serre-degrees", "X: 2, Y: 3; ends: infinitely-many-ends"),
+            ("underlying-rank", "#edges - #vertices + 1 = 0"),
+        ],
+    ),
+    "2b": (
+        one_vertex(1, ("t", "[[1]]", "[[2]]")),
+        (True, "ascending HNN extension (edge indices 1 and 2)", "2b"),
+        [
+            ("bass-serre-degrees", "X: 3; ends: infinitely-many-ends"),
+            ("underlying-rank", "#edges - #vertices + 1 = 1"),
+            ("amenability", "yes: ascending HNN extension (edge indices 1 and 2)"),
+            ("whyte-case", "2b: virtually ascending HNN extensions are the amenable ones"),
+        ],
+    ),
+    "2a": (
+        one_vertex(2, ("p", "[[1,0],[0,1]]", "[[1,1],[0,1]]"),
+                   ("q", "[[1,0],[0,1]]", "[[1,0],[2,1]]")),
+        *rank_two_rule(4, "2a", (
+            "whyte-case",
+            "2a: unimodular inclusions, holonomy in GL_n(Z) (discrete), "
+            "no stable-letter relation up to length 6",
+        )),
+    ),
+    "ambiguous-2a": (
+        one_vertex(1, ("s", "[[1]]", "[[-1]]"), ("u", "[[1]]", "[[1]]")),
+        *rank_two_rule(4, "undetermined", (
+            "whyte-case", "ambiguous 2a form: holonomy kills the stable-letter word s^2",
+        )),
+    ),
+    "2c-certificate": (
+        (DATA / "specA.gog").read_text(),
+        *rank_two_rule(
+            6,
+            "2c",
+            (
+                "non-discreteness-certificate",
+                "the conjugates (h)^-k p (h)^k, k >= 1, are pairwise distinct and tend to I: "
+                "every nonzero entry (i, j) of p - I in an eigenbasis of h has "
+                "|lambda_j| < |lambda_i|; re-verified exactly",
+            ),
+            ("whyte-case", "2c: nonamenable with non-discrete holonomy image"),
+        ),
+    ),
+    "2c-modular-image": (
+        one_vertex(1, ("t", "[[2]]", "[[3]]")),
+        (
+            False,
+            "HNN extension with both edge inclusions proper (indices 2, 3) contains a "
+            "free subgroup",
+            "2c",
+        ),
+        [
+            ("bass-serre-degrees", "X: 5; ends: infinitely-many-ends"),
+            ("underlying-rank", "#edges - #vertices + 1 = 1"),
+            (
+                "amenability",
+                "no: HNN extension with both edge inclusions proper (indices 2, 3) contains "
+                "a free subgroup",
+            ),
+            ("modular-image", "|hol(t)| = 3/2 != 1: not virtually F_m x Z"),
+            (
+                "whyte-case",
+                "2c: nonamenable GBS_1 group, not virtually F_m x Z, hence "
+                "quasi-isometric to BS(2,3) (Whyte 2001, Thm 0.1)",
+            ),
+        ],
+    ),
+    "integral-discrete": (
+        one_vertex(1, ("s", "[[2]]", "[[-2]]"), ("u", "[[1]]", "[[1]]")),
+        *rank_two_rule(6, "undetermined", (
+            "whyte-case",
+            "holonomy image is integral-discrete but inclusions are not unimodular; "
+            "the 2a form is not established",
+        )),
+    ),
+    "none-found": (
+        one_vertex(2, ("s", "[[1001,0],[0,1002]]", "[[1002,0],[0,1001]]"),
+                   ("u", "[[1002001,0],[0,1004004]]", "[[1004004,0],[0,1002001]]")),
+        *rank_two_rule(2012028030012, "undetermined", (
+            "whyte-case",
+            "no non-discreteness certificate: no contraction pair among the stable "
+            "letters and their inverses, and no dense rank-1 image",
+        )),
+    ),
+    "amenability-unknown": (
+        # BS(1,3) on two vertices: virtually ascending, but not in the single-loop form
+        "rank 1\nvertex x\nvertex y\n"
+        "edge e: x -> y alpha [[1]] omega [[2]]\nedge t: y -> y alpha [[1]] omega [[3]]\n",
+        (
+            None,
+            "virtually-ascending detection beyond the single-loop form is not implemented",
+            "undetermined",
+        ),
+        [
+            ("bass-serre-degrees", "x: 1, y: 6; ends: infinitely-many-ends"),
+            ("underlying-rank", "#edges - #vertices + 1 = 1"),
+            (
+                "amenability",
+                "undetermined: virtually-ascending detection beyond the single-loop form "
+                "is not implemented",
+            ),
+        ],
+    ),
+}
 
 
 class TestWhyte:
@@ -235,6 +385,13 @@ class TestWhyte:
             1, ["X", "Y"], [Edge("f", "X", "Y", QMat([[2]]), QMat([[3]]))]
         )
         assert whyte_classify(spec).whyte_case == "out-of-scope(ends)"
+
+    @pytest.mark.parametrize("name", WHYTE_RULES)
+    def test_each_rule_gives_its_case_and_evidence(self, name):
+        text, verdict, evidence = WHYTE_RULES[name]
+        report = whyte_classify(gogfile.parse(text).to_spec())
+        assert (report.amenable, report.amenable_reason, report.whyte_case) == verdict
+        assert [(ev.label, ev.detail) for ev in report.evidence] == evidence
 
 
 class TestCornulierValette:

@@ -395,6 +395,18 @@ class TestExitCodes:
             assert (code, out) == (1, "")
             assert err == "error: edge t: edge inclusion not injective (alpha)\n"
 
+    def test_compare_checks_rank_before_the_holonomy(self, capsys, monkeypatch):
+        def no_holonomy(spec):
+            raise AssertionError("holonomy computed for specs of different ranks")
+
+        module = importlib.import_module("gbsn.classify")
+        # an analysis kept from an earlier test would not call compute_holonomy
+        module.analysis.cache_clear()
+        monkeypatch.setattr(module, "compute_holonomy", no_holonomy)
+        code, out, err = invoke(capsys, "compare", BS12, SPEC_A)
+        assert (code, out) == (1, "")
+        assert err == "error: dimension mismatch: specs have different ranks\n"
+
     def test_decided_undetermined_error_trichotomy(self, capsys, tmp_path):
         assert invoke(capsys, "classify", SPEC_A)[0] == 0
         assert invoke(capsys, "compression", SPEC_B, "--p", "3")[0] == 2

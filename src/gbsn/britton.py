@@ -16,11 +16,11 @@ Excess lattice parts are pushed right through the letter, and the last
 vector gk is free. Two words represent the same group element exactly when
 their canonical forms are equal.
 
-All normal-form arithmetic goes through one step, ``_FastOps.apply``, which
-right-multiplies a canonical form, held as a flat integer list, by one
-generator step and leaves it canonical. ``britton_reduce`` folds a word into
-the identity with it, ``nf_multiply`` folds a word into a given form, and the
-geodesic search expands every state with it.
+All stable-letter arithmetic is one function, ``_stable_step``: it
+right-multiplies a canonical form, a flat integer list with its free last
+vector apart, by t^{+-1} along the letter's pivot plan. ``_FastOps.fold``
+takes it per stable letter of a word (``britton_reduce``, ``nf_multiply``)
+and ``_FastOps.apply`` per stable step of the geodesic search.
 
 ``is_identity`` first maps the word to the abelianization, Z^n/L + Z^k for
 k loops, where L is spanned by alpha_j c - omega_j c over every loop j and
@@ -62,7 +62,7 @@ from collections import OrderedDict
 from contextlib import contextmanager
 from functools import lru_cache
 from itertools import groupby
-from operator import countOf, mul
+from operator import add, countOf, mul
 from typing import Optional
 
 from .gog import GoGSpec, vertex_letters
@@ -98,29 +98,55 @@ class NormalForm(Record):
         return " ".join(parts) if parts else "(0)"
 
 
+def _stable_step(s: list, v: list, plan: tuple) -> list:
+    """Right-multiply the canonical form ``s`` + ``v`` by one stable letter:
+    ``s``, the flat form without its free last vector ``v``, changes in
+    place, and the new last vector is returned. Along the letter's plan
+    ``(index, sign, pivots)``, ``v`` becomes its residue and the lattice part
+    H q moves right through the letter as moves·q. The letter pinches when
+    the residue is zero and ``s`` ends with t_index^-sign; otherwise ``v``
+    and the letter join ``s``. The pushed part joins the new last vector."""
+    index, sign, pivots = plan
+    n = len(v)
+    pushed = [0] * n
+    for i, pivot, below, move in pivots:
+        q = v[i] // pivot
+        if q:
+            v[i] -= q * pivot
+            for r, c in below:
+                v[r] -= q * c
+            for j in range(n):
+                pushed[j] += q * move[j]
+    if s and s[-1] == -sign and s[-2] == index and not any(v):
+        v = s[-n - 2 : -2]
+        del s[-n - 2 :]
+        return list(map(add, v, pushed))
+    s += v
+    s += (index, sign)
+    return pushed
+
+
 class _FastOps:
-    """Per-spec tables and the normal-form step (single-vertex specs).
+    """Per-spec tables and the normal-form steps (single-vertex specs).
 
     State layout: a canonical form g0 t1^e1 g1 ... tk^ek gk is the flat
     integer sequence (g0[0..n-1], then per entry: loop_index, sign,
     vec[0..n-1]), a list while it is being changed and a tuple as a
     dictionary key. The last vector is free; every other one is a residue
-    modulo the lattice of the letter after it. ``apply`` is the one
-    normal-form step: it right-multiplies such a list in place by a vertex
-    step (kind 0: any integer added to one coordinate of the last vector) or
-    a stable step (kind 1: t^{+-1}), and leaves it canonical. ``fold``
-    right-multiplies by a whole word, one ``apply`` per stable letter.
+    modulo the lattice of the letter after it. ``apply`` right-multiplies
+    such a list in place by one generator step and ``fold`` by a word.
 
-    ``tables[(loop_index, sign)]`` is ``(cols, moves, push_num, den, hnf)``
-    for the letter t^sign: ``hnf`` is the integer HNF H of the lattice that
-    passes right through it (alpha-image for sign +1, omega-image for sign
-    -1), ``cols`` its columns, and the integer rows ``push_num`` over
-    ``den`` > 0 are the push map x -> t^-sign x t^sign on that lattice.
-    ``moves`` holds the columns of push·H, the push map in the lattice's
-    own coordinates; it is integral (for sign +1, H = alpha U with U
-    unimodular and push·H = omega U; for sign -1 it is alpha U), so a step
-    pushes a lattice part H q through the letter as moves·q, integer work
-    with no division.
+    ``plans[(loop_index, sign)]`` is the pivot plan ``(loop_index, sign,
+    pivots)`` of t^sign. H, the integer HNF of the lattice that passes right
+    through t^sign (alpha-image for sign +1, omega-image for -1), is lower
+    triangular with positive pivots; ``pivots`` holds, per column i,
+    ``(i, H[i][i], the nonzero (r, H[r][i]) below it, move)``, with ``move``
+    column i of push·H, the push map in the lattice's own coordinates. It
+    is integral (for sign +1, H = alpha U with U unimodular and push·H =
+    omega U; for sign -1 it is alpha U), so the lattice part H q moves
+    through the letter as moves·q, with no division.
+    ``tables[(loop_index, sign)]`` is ``(push_num, den, hnf)``: the push
+    map x -> t^-sign x t^sign as integer rows over ``den`` > 0, and H.
 
     ``abelian`` is the column HNF of the lattice L above, with a zero column
     wherever L has no pivot; ``abelian_image_is_zero`` reads a word's image.
@@ -136,22 +162,20 @@ class _FastOps:
         edges = {e.name: e for e in spec.loop_edges()}
         self.loop_names = sorted(edges)
         self.loop_index = {name: i for i, name in enumerate(self.loop_names)}
-        self.tables = {}
+        self.tables, self.plans = {}, {}
         for idx, name in enumerate(self.loop_names):
             e = edges[name]
             mat = e.comparison()  # x -> t^-1 x t
             for sign, image, push in ((1, e.alpha, mat), (-1, e.omega, mat.inverse())):
                 hnf = hermite_normal_form(image)
-                cols = tuple(zip(*hnf.num))
-                moves = []
-                for col in cols:
-                    move = []
-                    for row in push.num:
-                        entry, rem = divmod(sum(map(mul, row, col)), push.den)
-                        assert rem == 0, "push map not integral on its lattice"
-                        move.append(entry)
-                    moves.append(tuple(move))
-                self.tables[(idx, sign)] = (cols, tuple(moves), push.num, push.den, hnf)
+                pivots = []
+                for i, col in enumerate(zip(*hnf.num)):
+                    move = [divmod(sum(map(mul, row, col)), push.den) for row in push.num]
+                    assert not any(rem for _, rem in move), "push map not integral on its lattice"
+                    below = tuple((r, c) for r, c in enumerate(col) if r > i and c)
+                    pivots.append((i, col[i], below, tuple(entry for entry, _ in move)))
+                self.tables[(idx, sign)] = (push.num, push.den, hnf)
+                self.plans[(idx, sign)] = (idx, sign, tuple(pivots))
         self.abelian = lattice_hnf(
             self.n,
             (
@@ -197,70 +221,54 @@ class _FastOps:
         return steps
 
     def apply(self, s: list, kind: int, index: int, step: int) -> None:
-        """Right-multiply the canonical form ``s`` in place by one step.
-
-        Kind 0 adds ``step`` to coordinate ``index`` of the last vector,
-        which is free. Kind 1 multiplies by t_index^step (step is +-1): the
-        last vector becomes its residue modulo the lattice of t^step, and
-        the lattice part H q moves right through the letter as
-        t^-step (H q) t^step = moves·q. The letter pinches instead when the
-        residue is zero and the last entry is t_index^-step; the pushed part
-        then joins the vector before them, which becomes the free last one.
-        """
+        """Right-multiply the canonical form ``s`` in place by one step:
+        kind 0 adds ``step`` to coordinate ``index`` of the free last vector,
+        kind 1 splits that vector off for one ``_stable_step`` by
+        t_index^step (step is +-1) and puts back the vector it returns."""
         n = self.n
-        last = len(s) - n
         if kind == 0:
-            s[last + index] += step
+            s[index - n] += step
             return
-        cols, moves, _, _, _ = self.tables[(index, step)]
-        pushed = []
-        for i in range(n):
-            col = cols[i]
-            q = s[last + i] // col[i]
-            if q:
-                for r in range(i, n):
-                    s[last + r] -= q * col[r]
-                pushed.append((q, moves[i]))
-        pos = last - 2
-        if pos >= n and s[pos] == index and s[pos + 1] == -step and not any(s[last:]):
-            del s[pos:]
-        else:
-            s += (index, step)
-            s += (0,) * n
-        if pushed:
-            last = len(s) - n
-            for q, move in pushed:
-                for j in range(n):
-                    s[last + j] += q * move[j]
+        v = s[-n:]
+        del s[-n:]
+        s += _stable_step(s, v, self.plans[index, step])
 
     def fold(self, s: list, w: Word) -> None:
         """Right-multiply the canonical form ``s`` in place by the word ``w``.
 
-        The C-level stream of ``Word.single_letters`` is grouped into
-        maximal runs of one single letter. Vertex letters commute and only
-        ever change the free last vector, so a vertex run is counted and
-        added to it as one step; a stable run takes one ``apply`` per letter.
-        The Python work is per run and the C work per letter, so the cost is
-        still linear in each exponent. Reading each run as one integer step
-        from ``w.letters`` (ROADMAP item 14) waits on the benchmark tracer:
-        it counts letters by wrapping ``Word.single_letters``, and
+        The free last vector ``v`` is held apart for the whole word and put
+        back at the end, also when an unknown letter stops the fold. The
+        C-level stream of ``Word.single_letters`` is grouped into maximal
+        runs of one single letter. Vertex letters commute and only ever
+        change ``v``, so a vertex run is counted and added to it as one step;
+        a stable run looks up its letter's plan once and takes one
+        ``_stable_step`` per letter. The Python work is per run and per
+        stable letter, and the C work per letter, so the cost is still
+        linear in each exponent. Reading each run as one integer step from
+        ``w.letters`` (ROADMAP item 14) waits on the benchmark tracer: it
+        counts letters by wrapping ``Word.single_letters``, and
         ``test_tracer_restores_gbsn`` in ``perfbench/tests`` pins that count
         above zero.
         """
         n = self.n
-        apply = self.apply
-        vletters, loop_index = self.vletters, self.loop_index
-        for letter, run in groupby(w.single_letters()):
-            name, step = letter
-            i = vletters.get(name)
-            if i is not None:
-                s[i - n] += step * countOf(run, letter)
-                continue
-            idx = loop_index.get(name)
-            if idx is None:
-                raise KeyError(f"unknown letter {name!r}")
-            for _ in run:
-                apply(s, 1, idx, step)
+        plans, vletters, loop_index = self.plans, self.vletters, self.loop_index
+        v = s[-n:]
+        del s[-n:]
+        try:
+            for letter, run in groupby(w.single_letters()):
+                name, step = letter
+                i = vletters.get(name)
+                if i is not None:
+                    v[i] += step * countOf(run, letter)
+                    continue
+                idx = loop_index.get(name)
+                if idx is None:
+                    raise KeyError(f"unknown letter {name!r}")
+                plan = plans[idx, step]
+                for _ in run:
+                    v = _stable_step(s, v, plan)
+        finally:
+            s += v
 
     def abelian_image_is_zero(self, w: Word) -> bool:
         """Whether ``w`` maps to zero in the abelianization Z^n/L + Z^k.
@@ -570,7 +578,7 @@ def _find_doubler(ops: _FastOps, vec: tuple):
         for sign in (1, -1):
             # t^-sign vec t^sign is the push map through t^sign, and it
             # needs vec in that letter's lattice
-            _, _, push, den, hnf = ops.tables[(idx, sign)]
+            push, den, hnf = ops.tables[(idx, sign)]
             image = [sum(map(mul, row, vec)) for row in push]
             lam, rem = divmod(image[first], den * vec[first])
             if rem or abs(lam) < 2 or any(y != lam * den * c for y, c in zip(image, vec)):
@@ -637,7 +645,7 @@ def distortion_profile(
         return best
 
     growth = 2.0
-    for _, _, push, den, _ in ops.tables.values():
+    for push, den, _ in ops.tables.values():
         growth = max(growth, max(abs(x) for row in push for x in row) / den)
 
     entries = []

@@ -592,9 +592,13 @@ def _cross(p: tuple, r: tuple) -> int:
 
 
 def slope_text(p: tuple) -> str:
-    """The slope y/x of a rational direction as a report prints it: "inf"
-    for (0, 1), else the fraction."""
-    return "inf" if p[0] == 0 else str(Q(p[1], p[0]))
+    """The slope y/x of a rational direction (x, y) in lowest terms as a
+    report prints it: "inf" for (0, 1), else the fraction with its sign on
+    the numerator, and a bare integer when |x| = 1."""
+    x, y = p
+    if x < 0:
+        x, y = -x, -y
+    return "inf" if x == 0 else str(y) if x == 1 else f"{y}/{x}"
 
 
 def adjugate(m: tuple) -> tuple:

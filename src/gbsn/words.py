@@ -22,10 +22,11 @@ class Word:
     def __init__(self, letters: Iterable[Letter] = ()):
         merged: list[Letter] = []
         last = None  # name of merged[-1], None when merged is empty
-        for name, value in letters:
-            exp = int(value)
-            if exp != value:
-                raise ValueError(f"exponent {value!r} of {name!r} is not an integer")
+        for name, exp in letters:
+            if type(exp) is not int:
+                value, exp = exp, int(exp)
+                if exp != value:
+                    raise ValueError(f"exponent {value!r} of {name!r} is not an integer")
             if exp == 0:
                 continue
             if name == last:

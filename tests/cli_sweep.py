@@ -30,8 +30,13 @@ carry a ping-pong free pair, and on each spec of ``outside_rank2_family``,
 10 specs of rank 1 and 3 and trees of groups, which reach the rank-n word
 ball and the collapse of a tree of groups. The compare and distortion runs
 are picked from the parsed documents, so the invalid specs get them too and
-exercise the error path. That is 6,282 runs over 187 spec files, and takes
-under three minutes on a 2-core x86 VM.
+exercise the error path. That is 6,282 runs over 187 spec files.
+
+The word problem has no CLI command, so a last section calls its API: for
+each of the 504 word_problem jobs of ``perfbench.specgen.generate`` at seeds
+1-3, the ``britton_reduce`` form and the ``is_identity`` answer of each of
+its words, and the forms of the ``nf_multiply`` chain through them. The
+whole sweep takes under three minutes on a 2-core x86 VM.
 """
 
 from __future__ import annotations
@@ -50,8 +55,10 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
 from gbsn import gogfile  # noqa: E402
+from gbsn.britton import britton_reduce, is_identity, nf_multiply  # noqa: E402
 from gbsn.cli import run  # noqa: E402
 from gbsn.gog import vertex_letters  # noqa: E402
+from gbsn.words import Word  # noqa: E402
 from perfbench.specgen import WORKLOADS, generate  # noqa: E402
 
 SEEDS = (1, 2, 3)
@@ -247,6 +254,26 @@ def family_runs(family: dict, commands: tuple):
             yield [command[0], path, *command[1:], "--format", "json"]
 
 
+def word_problem_lines():
+    """Lines for every word_problem job of ``generate`` at ``SEEDS``: per
+    word of its arguments, the ``britton_reduce`` form and ``is_identity``,
+    then the forms of the ``nf_multiply`` chain from the identity through
+    those words in order. No CLI command reaches these calls."""
+    for seed in SEEDS:
+        specs, jobs = generate("word_problem", seed)
+        parsed = {spec.name: gogfile.parse(spec.text()).to_spec() for spec in specs}
+        for k, job in enumerate(jobs):
+            spec = parsed[job.spec]
+            words = [Word(letters) for letters in job.args]
+            yield f"$ word_problem {seed} {k} {job.kind} {job.spec}\n"
+            for i, w in enumerate(words):
+                yield f"word {i}: {len(w.letters)} runs, {britton_reduce(spec, w)}, {is_identity(spec, w)}\n"
+            nf = britton_reduce(spec, Word())
+            for w in words:
+                nf = nf_multiply(spec, nf, w)
+                yield f"chain: {nf}\n"
+
+
 def main() -> None:
     texts, family, pairs = spec_texts(), certificate_family(), free_pair_family()
     outside = outside_rank2_family()
@@ -269,6 +296,7 @@ def main() -> None:
                 out.write(f"--- stdout\n{stdout.getvalue()}--- stderr\n{stderr.getvalue()}")
         finally:
             os.chdir(cwd)
+    out.writelines(word_problem_lines())
 
 
 if __name__ == "__main__":

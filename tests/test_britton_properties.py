@@ -8,7 +8,7 @@ state's BFS parent, against a plain breadth-first ball that skips nothing.
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gbsn import britton
@@ -16,7 +16,7 @@ from gbsn.britton import GeodesicOracle, _fast_ops, britton_reduce, is_identity,
 from gbsn.gog import Edge, GoGSpec, presentation, vertex_letters
 from gbsn.holonomy import compute_holonomy, word_image
 from gbsn.linalg import QMat, hermite_normal_form, lattice_residue
-from gbsn.words import Word
+from gbsn.words import Word, parse_word
 
 from conftest import load_spec, naive_ball, one_vertex_specs, word_of_normal_form
 
@@ -28,6 +28,15 @@ RANK3 = GoGSpec.make(
         Edge("u", "X", "X", QMat.identity(3), QMat([[1, 1, 0], [0, 1, 1], [0, 0, 2]])),
     ],
 )
+# rank 2, and both Hermite bases have an entry below the diagonal: alpha's
+# columns (2, 1), (0, 3) and omega's (1, 1), (0, 2)
+SHEAR = GoGSpec.make(
+    2, ["X"], [Edge("t", "X", "X", QMat([[2, 0], [1, 3]]), QMat([[1, 0], [1, 2]]))]
+)
+# t pinches against t^-1 after the free vector (2, 1), alpha's first column:
+# its pushed part (1, 1), omega's first column, joins the residue (0, 1)
+# before t^-1
+PINCH_WITH_PUSH = (SHEAR, parse_word("b t^-1 a^2 b"), parse_word("t a"))
 SPECS = {name: load_spec(f"{name}.gog") for name in ("specA", "specB", "bs12", "ascend2")}
 SPECS["rank3"] = RANK3
 
@@ -99,7 +108,8 @@ def reference_stable_step(ops, s, index, step):
     ``push_num`` and divided by ``den``."""
     n = ops.n
     last = len(s) - n
-    cols, _, push, den, _ = ops.tables[(index, step)]
+    push, den, hnf = ops.tables[(index, step)]
+    cols = tuple(zip(*hnf.num))
     lat = [0] * n
     for i in range(n):
         q = s[last + i] // cols[i][i]
@@ -171,6 +181,7 @@ def test_incremental_multiply_matches_whole_word(case):
 
 @PROPERTY
 @given(short_run_words())
+@example(PINCH_WITH_PUSH)
 def test_run_fold_matches_letter_at_a_time(case):
     spec, u, v = case
     ops = _fast_ops(spec)
@@ -182,6 +193,7 @@ def test_run_fold_matches_letter_at_a_time(case):
 
 @PROPERTY
 @given(generated_spec_and_words())
+@example(PINCH_WITH_PUSH)
 def test_stable_step_matches_the_push_map(case):
     # every stable step from the canonical forms of u, u v and v: the
     # integer move map gives what pushing the lattice part through the

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gbsn import linalg, matgroups
-from gbsn.linalg import ProjInterval, QMat, between, circle_key, rational_key_between
+from gbsn.linalg import ProjInterval, QMat, between, circle_key, rational_key_between, slope_text
 from quadratic_reference import INF, QuadraticNumber, direction, slope
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=300)
@@ -162,6 +162,18 @@ def test_containment_and_disjointness_match_the_chart(a, b, c, d):
 def test_image_matches_the_moebius_action(lo, hi, m):
     image = ProjInterval(direction(lo), direction(hi)).image(m.num)
     assert (slope(image.lo), slope(image.hi)) == ref_image(m, lo, hi)
+
+
+coordinates = st.integers(-12, 12) | st.integers(-(10**20), 10**20)
+
+
+@PROPERTY
+@given(coordinates, coordinates)
+def test_slope_text_prints_the_fraction(x, y):
+    # ProjInterval puts a nonzero pair in lowest terms with y > 0 or
+    # y = 0 < x, so x may be negative: its sign moves to the numerator
+    end = ProjInterval((x, y), (x, y)).lo if x or y else (0, 1)
+    assert slope_text(end) == ("inf" if end == (0, 1) else str(Q(end[1], end[0])))
 
 
 def test_raw_discriminants_name_one_point():

@@ -21,9 +21,11 @@ from .britton import (
 from .classify import (
     AnalyticProperties,
     ClassificationReport,
+    CoarseDensityReport,
     CompressionReport,
     QIVerdict,
     classify,
+    coarse_density,
     compression_report,
     cv_properties,
     qi_compare,
@@ -60,14 +62,12 @@ from .linalg import (
 )
 from .matgroups import (
     ClosureDescription,
-    CoarseDensityReport,
     FreePairCertificate,
     InvariantLineCertificate,
     InvariantPairCertificate,
     ScalarCertificate,
     TitsResult,
     closure_describe,
-    coarse_density,
     pingpong_certify,
     verify_certificate,
     virtually_solvable,

@@ -1,21 +1,21 @@
 """Top-level verdicts: quasi-isometry subclass, analytic properties,
 pairwise comparison, and equivariant Lp-compression exponents.
 
-Every verdict reads one ``Analysis`` per spec per process: the holonomy,
-computed once, and, on first use, the Tits decision on the holonomy image,
-re-verified before it is read. The spec was validated when it was built.
-``analysis(spec)`` builds it on a spec's first use and hands the same
-object to every later call of ``whyte_classify``, ``cv_properties``,
-``qi_compare`` and ``compression_report`` (a rank-2 spec only), and to the
-CLI's ``holonomy`` command. Like ``britton._fast_ops``, the cache grows
-with the number of distinct specs a process reads.
+Every verdict reads one ``Analysis`` per spec per process (``analysis``),
+whose stages are each computed at most once: the holonomy, and, on first
+use, the Tits decision (``tits``) and the non-discreteness witness
+(``witness``), both re-verified, and the closure shape (``closure``). The
+spec was validated when it was built. Like ``britton._fast_ops``, the cache
+grows with the number of distinct specs a process reads.
 
-Each verdict is one function: ``classify`` calls ``whyte_classify`` and
-``cv_properties``, and ``qi_compare`` calls ``classify``, by module global.
-The rules are functions of their own, each returning what it decides with
-its reason or evidence: ``_amenability`` and ``_whyte_case`` for
-``whyte_classify``, which builds its report once, and ``_qi_rule`` for
-``qi_compare``.
+Each verdict is one function of a spec that reads its ``Analysis``:
+``whyte_classify``, ``cv_properties``, ``coarse_density`` and
+``compression_report`` (the CLI's ``holonomy`` command reads it too).
+``classify`` calls the first two, and ``qi_compare`` calls ``classify`` and
+``coarse_density``, by module global. The rules are functions of their own,
+each returning what it decides with its reason or evidence: ``_amenability``
+and ``_whyte_case`` for ``whyte_classify``, which builds its report once,
+and ``_qi_rule`` for ``qi_compare``.
 
 The quasi-isometry trichotomy for groups whose tree has infinitely many
 ends: (2a) semidirect products Z^n x| F with F a free subgroup of GL_n(Z) --
@@ -51,12 +51,11 @@ from .holonomy import (
 )
 from .linalg import spectral_radius_gt_one, sublattice_index
 from .matgroups import (
-    CoarseDensityReport,
+    ClosureDescription,
     TitsResult,
     WordBall,
     cartan_hausdorff_samples,
     closure_describe,
-    coarse_density,
     verify_certificate,
     virtually_solvable,
 )
@@ -97,8 +96,9 @@ class AnalyticProperties(Record):
 class Analysis:
     """The stages of one spec, each computed at most once: the holonomy on
     construction, and, on first use, the Tits decision on the holonomy image
-    (``tits``) and its non-discreteness witness (``witness``), each
-    certificate re-verified.
+    (``tits``), its non-discreteness witness (``witness``), each certificate
+    re-verified, and the closure shape that the Tits decision gives
+    (``closure``).
 
     Every stage hands ``matgroups`` the holonomy's ``stable`` dict as it is.
     There is one ``Analysis`` per spec per process, from ``analysis``, whose
@@ -131,6 +131,10 @@ class Analysis:
         ):
             raise AssertionError("non-discreteness certificate failed re-verification")
         return witness
+
+    @cached_property
+    def closure(self) -> ClosureDescription:
+        return closure_describe(self.holonomy.stable, self.tits)
 
 
 @lru_cache(maxsize=None)
@@ -304,50 +308,93 @@ class QIVerdict(Record):
     evidence: tuple = ()
 
 
-def _rank2_density(stages: Analysis) -> CoarseDensityReport:
-    """Coarse density in SL_2(R) of a rank-2 (2c) holonomy image; a
-    nonsolvable one is decided from its free pair and the contraction pair
-    of its ``witness`` (``qi_compare``). Both paths need |det| = 1 on every
-    generator: determinants 2^k keep an image at infinite Hausdorff distance
-    from SL_2(R)."""
-    moved = stages.moved_letters()
-    if moved:
+class CoarseDensityReport(Record):
+    verdict: str  # 'coarsely-dense' | 'not-coarsely-dense' | 'undetermined'
+    method: str
+    detail: str = ""
+
+
+def coarse_density(spec: GoGSpec) -> CoarseDensityReport:
+    """Is the holonomy image of ``spec`` at finite Hausdorff distance from
+    all of SL_2(R)? Decided in rank 2 by the first rule that applies.
+
+    Both decided paths need |det| = 1 on every generator: determinants 2^k
+    keep an image at infinite Hausdorff distance from SL_2(R).
+
+    An image that is not virtually solvable is decided from the free pair of
+    its Tits certificate and the contraction pair of its ``witness``: its
+    closure then contains SL_2(R). Its part in SL_2(R) has index <= 2, so it
+    is still non-discrete and not virtually solvable; let H be the closure
+    of that part. H is a Lie group (Cartan's closed-subgroup theorem);
+    H° != 1, because the image is not discrete; Lie(H°) is Ad-invariant
+    under the image; the image is Zariski-dense in SL_2, because every
+    proper algebraic subgroup of SL_2 is virtually solvable; sl_2 is
+    irreducible under Ad, so Lie(H°) = sl_2 and H = SL_2(R). Without a
+    contraction pair the image may be discrete, and it stays undetermined.
+
+    A virtually solvable image is decided by its ``closure`` shape: a finite
+    group is never coarsely dense; a triangularizable group is coarsely
+    dense iff its closure has the {nontrivial diagonal value group} x
+    {dense unipotent} shape (then it is cocompact in the upper triangular
+    subgroup, itself cocompact in SL_2(R)); every other virtually solvable
+    closure lies in a conjugate of the triangular subgroup or of a torus
+    normalizer and is never cocompact.
+    """
+    if spec.rank != 2:
+        return CoarseDensityReport("undetermined", "no-certificate",
+                                   f"rank {spec.rank}: coarse density in SL_2(R) needs rank 2")
+    stages = analysis(spec)
+    if moved := stages.moved_letters():
         detail = f"|det| != 1 on {', '.join(moved)}, outside the SL_2(R)-closure argument"
         return CoarseDensityReport("undetermined", "no-certificate", detail)
-    if stages.tits.virtually_solvable is not False:
-        return coarse_density(stages.holonomy.stable, stages.tits)
-    pair, witness = stages.tits.certificate, stages.witness
-    return CoarseDensityReport(
-        "coarsely-dense",
-        "exact-sl2-closure",
-        f"free pair ({pair.word_x}, {pair.word_y}) by ping-pong and contraction pair "
-        f"({witness.contractor}, {witness.word}), both re-verified, with |det| = 1 on "
-        "every generator: the closure of the image contains SL_2(R)",
-    )
+    tits = stages.tits
+    if tits.virtually_solvable is None:
+        return CoarseDensityReport("undetermined", "no-certificate", tits.detail)
+    if tits.virtually_solvable is False and stages.witness.kind == "contraction":
+        pair, witness = tits.certificate, stages.witness
+        return CoarseDensityReport(
+            "coarsely-dense",
+            "exact-sl2-closure",
+            f"free pair ({pair.word_x}, {pair.word_y}) by ping-pong and contraction pair "
+            f"({witness.contractor}, {witness.word}), both re-verified, with |det| = 1 on "
+            "every generator: the closure of the image contains SL_2(R)",
+        )
+    if tits.virtually_solvable is False:
+        return CoarseDensityReport("undetermined", "no-certificate", "not virtually solvable: "
+                                   "density needs a non-discreteness certificate too")
+    desc = stages.closure
+    if (desc.status == "triangular" and desc.diag_kind != "trivial"
+            and desc.unipotent_kind == "dense"):
+        return CoarseDensityReport("coarsely-dense", "exact-closure-shape", "closure is cocompact "
+                                   "in the upper triangular subgroup of SL_2(R)")
+    return CoarseDensityReport("not-coarsely-dense", "exact-solvable-shape",
+                               "solvable closure is not cocompact in SL_2(R)")
 
 
-def _qi_rule(rank: int, ra: ClassificationReport, rb: ClassificationReport,
-             aa: Analysis, ab: Analysis) -> tuple[str, str, tuple]:
-    """``(verdict, reason, evidence)`` of two classified specs of lattice
-    rank ``rank``, by the first rule of ``qi_compare`` that applies."""
+def _qi_rule(a: GoGSpec, b: GoGSpec, ra: ClassificationReport,
+             rb: ClassificationReport) -> tuple[str, str, tuple]:
+    """``(verdict, reason, evidence)`` of the specs ``a`` and ``b`` of one
+    lattice rank, classified as ``ra`` and ``rb``, by the first rule of
+    ``qi_compare`` that applies."""
     if ra.amenable is not None and rb.amenable is not None and ra.amenable != rb.amenable:
         return "not-quasi-isometric", "amenability is a quasi-isometry invariant and differs", ()
     cases = {ra.whyte_case, rb.whyte_case}
     if cases <= {"2a", "2b", "2c"} and len(cases) == 2:
         return "not-quasi-isometric", "the subclasses are quasi-isometry invariant and differ", ()
-    if cases == {"2c"} and rank == 1:
+    if cases == {"2c"} and a.rank == 1:
         certs = tuple(ev for r in (ra, rb) for ev in r.evidence
                       if ev.label in ("non-discreteness-certificate", "modular-image"))
         return "quasi-isometric", ("both are nonamenable and not virtually F_m x Z, so both are "
                                    "quasi-isometric to BS(2,3); rank-1 class (2c) is a single "
                                    "quasi-isometry class (Whyte 2001, Thm 0.1)"), certs
-    if cases == {"2c"} and rank == 2:
-        cda, cdb = _rank2_density(aa), _rank2_density(ab)
+    if cases == {"2c"} and a.rank == 2:
+        cda, cdb = coarse_density(a), coarse_density(b)
         if cda.verdict == cdb.verdict == "coarsely-dense":
             return "quasi-isometric", ("both holonomy images are coarsely dense in SL_2(R), hence "
                                        "Hausdorff equivalent; class (2c) within a Hausdorff class "
                                        "is a single quasi-isometry class"), (cda, cdb)
-        samples = cartan_hausdorff_samples(aa.holonomy.stable, ab.holonomy.stable, radii=(4, 6, 8))
+        samples = cartan_hausdorff_samples(analysis(a).holonomy.stable,
+                                           analysis(b).holonomy.stable, radii=(4, 6, 8))
         return "undetermined", "no exact Hausdorff-equivalence evidence within bounds", (
             cda, cdb, *samples)
     if cases == {"2c"}:
@@ -370,18 +417,8 @@ def qi_compare(a: GoGSpec, b: GoGSpec) -> QIVerdict:
       Baumslag-Solitar groups", GAFA 2001, Thm 0.1): a rank-1 (2c) group is
       nonamenable and not virtually F_m x Z, so it is quasi-isometric to
       BS(2,3); any two are quasi-isometric.
-    * Rank 2: both images are coarsely dense in SL_2(R), which needs
-      |det| = 1 on every generator; a generator with |det| != 1 leaves that
-      side undetermined. A virtually solvable image is then decided by
-      ``coarse_density``'s exact closure shape. An image with a free pair
-      and a contraction pair has a closure containing SL_2(R). Its part in
-      SL_2(R) has index <= 2, so it is still non-discrete and not virtually
-      solvable; let H be the closure of that part. H is a Lie group
-      (Cartan's closed-subgroup theorem); H° != 1, because the image is not
-      discrete; Lie(H°) is Ad-invariant under the image; the image is
-      Zariski-dense in SL_2, because every proper algebraic subgroup of SL_2
-      is virtually solvable; sl_2 is irreducible under Ad, so
-      Lie(H°) = sl_2 and H = SL_2(R).
+    * Rank 2: both images are coarsely dense in SL_2(R), each decided
+      exactly by ``coarse_density``, so the two are Hausdorff equivalent.
 
     Every other (2c) pair is 'undetermined', with sampled Cartan distances
     as diagnostics only.
@@ -389,7 +426,7 @@ def qi_compare(a: GoGSpec, b: GoGSpec) -> QIVerdict:
     if a.rank != b.rank:
         raise ValueError("dimension mismatch: specs have different ranks")
     ra, rb = classify(a), classify(b)
-    verdict, reason, evidence = _qi_rule(a.rank, ra, rb, analysis(a), analysis(b))
+    verdict, reason, evidence = _qi_rule(a, b, ra, rb)
     reasons = (
         f"first: case {ra.whyte_case}, amenable {_tri(ra.amenable)}",
         f"second: case {rb.whyte_case}, amenable {_tri(rb.amenable)}",
@@ -446,7 +483,7 @@ def compression_report(spec: GoGSpec, p) -> CompressionReport:
     if haagerup is None:
         return CompressionReport(p, "undetermined", None, (), "holonomy decision undetermined")
 
-    desc = closure_describe(stages.holonomy.stable, stages.tits)
+    desc = stages.closure
     cocompact = desc.status == "triangular" and desc.diag_kind == "cyclic"
     distortion = any(spectral_radius_gt_one(g) for g in stages.holonomy.stable.values())
     checklist = (

@@ -21,7 +21,8 @@ the integer entries of a word-ball state; every short-word scan reads a
 ``WordBall``. ``eigen_directions`` runs only to state a returned irrational
 invariant line or invariant pair, and it only states the lines of
 ``linalg.eigenlines`` in the printed form; certificates re-verify with
-``linalg.maps_to``. The closure shape is read off the generators.
+``linalg.maps_to``. The closure shape (``closure_describe``) is read off
+the generators; ``classify.coarse_density`` reads it as a spec's stage.
 
 The ping-pong is integer work on the circle of directions of ``linalg``:
 fixed points are sorted by the sign of a cross product, irrational ones keep
@@ -29,9 +30,9 @@ their raw discriminants, domains are cut at the rational directions of
 ``linalg.between``, traps come from ``ProjInterval.isolate``, and every
 inclusion is ``ProjInterval.contains_interval`` of an image under an integer
 numerator. No slope is formed until a report prints one. The closure's
-value group is classified over a coprime base. Floating point appears only
-in ``cartan_hausdorff_samples``, for the diagnostics of an undetermined
-comparison.
+value group is classified over a coprime base, at any rank for a scalar
+group. Floating point appears only in ``cartan_hausdorff_samples``, for the
+diagnostics of an undetermined comparison.
 """
 
 from __future__ import annotations
@@ -516,10 +517,13 @@ class ClosureDescription(Record):
 
     status: 'triangular', 'not available', or 'nonamenable'. In the
     triangular case every generator g fixes a rational line, on which it
-    acts by its eigenvalue lambda(g); ``diag_kind`` flags the multiplicative
-    group generated by the |lambda(g)| as trivial / cyclic (with generator)
-    / dense, and ``unipotent_kind`` flags the additive closure of the
-    unipotent part as trivial / discrete / dense.
+    acts by its eigenvalue lambda(g): in rank 2 the line of an invariant-line
+    certificate, and at any rank, under a scalar certificate, every line,
+    with lambda(g) the scalar's diagonal entry. ``diag_kind`` flags the
+    multiplicative group generated by the |lambda(g)| as trivial / cyclic
+    (with generator) / dense, and ``unipotent_kind`` flags the additive
+    closure of the unipotent part as trivial / discrete / dense (trivial for
+    scalars).
     """
 
     status: str
@@ -529,19 +533,21 @@ class ClosureDescription(Record):
 
 
 def closure_describe(named: dict, result: TitsResult) -> ClosureDescription:
-    """Describe the closure of <named> in GL_2(R) when it is triangularizable,
-    given the Tits decision ``result`` on <named>.
+    """Describe the closure of <named> when it is triangularizable, given
+    the Tits decision ``result`` on <named>: a scalar group at any rank, or
+    a subgroup of GL_2(R) with a rational invariant line.
 
-    Over a basis whose first vector spans the rational invariant line
-    (x : y), (1 : 0) under a scalar certificate, g is upper triangular with
-    diagonal (lambda(g), det g / lambda(g)), lambda(g) its eigenvalue on the
-    line. The unipotent part is trivial iff all generators commute and none
-    is non-scalar with D = 0: a commutator of triangular matrices is
-    unipotent, and not I iff the two do not commute; in an abelian group,
-    an element commuting with a non-scalar unipotent (times a scalar) has
-    equal eigenvalues, so products add nothing. Otherwise the orbit of the
-    off-diagonal values under the diagonal parts has unbounded denominators
-    (dense) iff some lambda(g)^2 != |det g|.
+    Under a scalar certificate every g is lambda(g) times I. Otherwise,
+    over a basis whose first vector spans the rational invariant line
+    (x : y), g is upper triangular with diagonal (lambda(g),
+    det g / lambda(g)), lambda(g) its eigenvalue on the line. The unipotent
+    part is trivial iff all generators commute and none is non-scalar with
+    D = 0: a commutator of triangular matrices is unipotent, and not I iff
+    the two do not commute; in an abelian group, an element commuting with
+    a non-scalar unipotent (times a scalar) has equal eigenvalues, so
+    products add nothing. Otherwise the orbit of the off-diagonal values
+    under the diagonal parts has unbounded denominators (dense) iff some
+    lambda(g)^2 != |det g|.
     """
     mats = list(named.values())
     if result.virtually_solvable is False:
@@ -550,13 +556,13 @@ def closure_describe(named: dict, result: TitsResult) -> ClosureDescription:
         return ClosureDescription(status="not available")
     cert = result.certificate
     if isinstance(cert, ScalarCertificate):
-        x, y = Q(1), Q(0)
+        lams = [Q(g.num[0][0], g.den) for g in mats]
     elif isinstance(cert, InvariantLineCertificate) and cert.point.is_rational():
         x, y = cert.point.x.a, cert.point.y.a
+        i, coord = (0, x) if x else (1, y)  # g (x, y) = lambda(g) (x, y)
+        lams = [(g.num[i][0] * x + g.num[i][1] * y) / (g.den * coord) for g in mats]
     else:
         return ClosureDescription(status="not available")  # not triangularizable over Q
-    i, coord = (0, x) if x else (1, y)  # g (x, y) = lambda(g) (x, y)
-    lams = [(g.num[i][0] * x + g.num[i][1] * y) / (g.den * coord) for g in mats]
     diag_kind, diag_gen = _multiplicative_group_shape([abs(lam) for lam in lams])
     moving = [g for g in mats if not g.is_scalar()]  # scalars pass both tests, at any n
     if all(commutes(a, b) for a, b in itertools.combinations(moving, 2)) and not any(
@@ -571,13 +577,7 @@ def closure_describe(named: dict, result: TitsResult) -> ClosureDescription:
 
 
 # --------------------------------------------------------------------------
-# coarse density
-
-
-class CoarseDensityReport(Record):
-    verdict: str  # 'coarsely-dense' | 'not-coarsely-dense' | 'undetermined'
-    method: str
-    detail: str = ""
+# Cartan samples
 
 
 def _mu(state: tuple) -> float:
@@ -600,46 +600,6 @@ def _ball_mu_values(named: dict, radius: int, cap: int = 200000) -> list[float]:
         if len(ball) > cap:
             raise RuntimeError("sampling ball too large")
     return sorted(map(_mu, ball.parent))
-
-
-def coarse_density(named: dict, result: TitsResult) -> CoarseDensityReport:
-    """Is <named> at finite Hausdorff distance from all of SL_2(R)? ``result``
-    is the Tits decision on <named>.
-
-    Decided exactly for virtually solvable groups only: a finite group is
-    never coarsely dense; a triangularizable group is coarsely dense iff its
-    closure has the {nontrivial diagonal value group} x {dense unipotent}
-    shape (then it is cocompact in the upper triangular subgroup, itself
-    cocompact in SL_2(R)); every other virtually solvable closure lies in a
-    conjugate of the triangular subgroup or of a torus normalizer and is
-    never cocompact. A group that is not virtually solvable gets
-    'undetermined' with method 'no-certificate': density in SL_2(R) needs
-    a non-discreteness certificate as well, which ``classify.qi_compare``
-    takes from the classification report.
-    """
-    if not named:
-        return CoarseDensityReport("not-coarsely-dense", "trivial-group")
-    if result.virtually_solvable is True:
-        desc = closure_describe(named, result)
-        if (
-            desc.status == "triangular"
-            and desc.diag_kind in ("cyclic", "dense")
-            and desc.unipotent_kind == "dense"
-        ):
-            return CoarseDensityReport(
-                "coarsely-dense",
-                "exact-closure-shape",
-                "closure is cocompact in the upper triangular subgroup of SL_2(R)",
-            )
-        return CoarseDensityReport(
-            "not-coarsely-dense",
-            "exact-solvable-shape",
-            "solvable closure is not cocompact in SL_2(R)",
-        )
-    detail = result.detail if result.virtually_solvable is None else (
-        "not virtually solvable: density needs a non-discreteness certificate too"
-    )
-    return CoarseDensityReport("undetermined", "no-certificate", detail)
 
 
 def cartan_hausdorff_samples(

@@ -595,8 +595,8 @@ class TestRankOneWhyte:
 
 
 class TestOneAnalysisPerSpec:
-    """Each command computes the holonomy and the Tits decision of a spec
-    once, whichever module's name a stage is reached through."""
+    """Each command computes the holonomy, the Tits decision and the closure
+    of a spec once, whichever module's name a stage is reached through."""
 
     @pytest.fixture
     def counts(self, monkeypatch):
@@ -638,6 +638,18 @@ class TestOneAnalysisPerSpec:
         assert cv_properties(spec_b).haagerup is False
         assert counts == {"holonomy": 2, "tits": 2}
 
+    def test_closure_once(self, spec_a, monkeypatch):
+        # a classification, a self-compare and four compressions of one spec
+        module, calls = importlib.import_module("gbsn.classify"), []
+        for owner in (module, matgroups):
+            monkeypatch.setattr(owner, "closure_describe",
+                                lambda *a, _f=owner.closure_describe: calls.append(a) or _f(*a))
+        assert classify(spec_a).decided()
+        assert qi_compare(spec_a, spec_a).verdict == "quasi-isometric"
+        for p in (1, Q(3, 2), 2, 3):
+            assert compression_report(spec_a, p).alpha_kind == "value"
+        assert len(calls) == 1
+
 
 class TestOneFunctionPerVerdict:
     """Each verdict has one function, and the combined verdicts reach it
@@ -662,6 +674,13 @@ class TestOneFunctionPerVerdict:
     def test_compare_reads_two_classifications(self, spec_a, spec_b, calls):
         assert qi_compare(spec_a, spec_b).verdict == "quasi-isometric"
         assert calls == {"whyte_classify": 2, "cv_properties": 2, "classify": 2}
+
+    def test_compare_reads_coarse_density(self, spec_a, spec_b, monkeypatch):
+        module, specs = importlib.import_module("gbsn.classify"), []
+        monkeypatch.setattr(module, "coarse_density",
+                            lambda spec, _f=module.coarse_density: specs.append(spec) or _f(spec))
+        assert qi_compare(spec_a, spec_b).verdict == "quasi-isometric"
+        assert specs == [spec_a, spec_b]
 
 
 class TestReportInvariants:

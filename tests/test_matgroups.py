@@ -1,4 +1,3 @@
-import importlib
 import math
 import random
 from fractions import Fraction as Q
@@ -6,15 +5,17 @@ from fractions import Fraction as Q
 import pytest
 
 from gbsn import linalg, matgroups
+from gbsn.classify import coarse_density
+from gbsn.gog import Edge, GoGSpec
 from gbsn.linalg import ProjInterval, QMat, between, circle_key, rational_key_between
 from gbsn.matgroups import (
+    ClosureDescription,
     FreePairCertificate,
     InvariantLineCertificate,
     InvariantPairCertificate,
     ScalarCertificate,
     cartan_hausdorff_samples,
     closure_describe,
-    coarse_density,
     evaluate_word,
     pingpong_certify,
     verify_certificate,
@@ -23,7 +24,7 @@ from gbsn.matgroups import (
 )
 from gbsn.record import replace
 from gbsn.words import Word
-from conftest import anon
+from conftest import anon, load_spec
 from quadratic_reference import INF, QuadraticNumber, direction, point, slope
 
 H = QMat([[2, 0], [0, Q(1, 2)]])
@@ -31,9 +32,7 @@ P = QMat([[1, 1], [0, 1]])
 E = QMat([[0, 1], [-1, 0]])
 HP = {"h": H, "p": P}
 HPE = {"h": H, "p": P, "e": E}
-
-# the package rebinds gbsn.classify to the function of that name
-classify_module = importlib.import_module("gbsn.classify")
+I2 = [[1, 0], [0, 1]]
 
 
 def arc(lo, hi) -> ProjInterval:
@@ -378,37 +377,85 @@ class TestClosure:
         desc = closure_describe(gens, virtually_solvable(gens))
         assert desc.diag_kind == "dense"
 
+    @pytest.mark.parametrize("gens, diag_kind, generator", [
+        ({"t": QMat([[2]]), "s": QMat([[Q(3, 2)]])}, "dense", None),
+        ({"t": QMat([[-4]]), "s": QMat([[Q(1, 8)]])}, "cyclic", 2),
+        ({"t": QMat([[3, 0, 0], [0, 3, 0], [0, 0, 3]]),
+          "s": QMat([[Q(-1, 9), 0, 0], [0, Q(-1, 9), 0], [0, 0, Q(-1, 9)]])}, "cyclic", 3),
+    ], ids=["rank-1-dense", "rank-1-cyclic", "rank-3"])
+    def test_scalars_at_any_rank(self, gens, diag_kind, generator):
+        # lambda(g) is the scalar's diagonal entry; scalars add no unipotent part
+        desc = closure_describe(gens, virtually_solvable(gens))
+        assert desc == ClosureDescription("triangular", diag_kind, generator, "trivial")
+
+
+def loops_spec(**loops) -> GoGSpec:
+    """One vertex Z^2 with a loop ``name=(alpha, omega)`` for each keyword:
+    the holonomy of the loop is omega alpha^-1."""
+    return GoGSpec.make(2, ["X"], [Edge(name, "X", "X", QMat(alpha), QMat(omega))
+                                   for name, (alpha, omega) in loops.items()])
+
+
+def density(spec) -> tuple:
+    report = coarse_density(spec)
+    return report.verdict, report.method, report.detail
+
+
+NOT_COCOMPACT = ("not-coarsely-dense", "exact-solvable-shape",
+                 "solvable closure is not cocompact in SL_2(R)")
+
 
 class TestCoarseDensity:
-    def test_triangular_dense_shape(self):
-        report = coarse_density(HP, virtually_solvable(HP))
-        assert report.verdict == "coarsely-dense"
-        assert report.method == "exact-closure-shape"
+    """One spec per branch of ``coarse_density``, in the order it tries them."""
+
+    def test_rank_one_undetermined(self):
+        assert density(load_spec("bs12.gog")) == (
+            "undetermined", "no-certificate", "rank 1: coarse density in SL_2(R) needs rank 2")
+
+    def test_determinant_off_one_undetermined(self):
+        spec = loops_spec(h=(I2, [[2, 0], [0, 1]]), p=(I2, [[1, 1], [0, 1]]))
+        assert density(spec) == ("undetermined", "no-certificate",
+                                 "|det| != 1 on h, outside the SL_2(R)-closure argument")
+
+    def test_tits_undetermined(self):
+        # two elliptic generators of det 1: no invariant line or pair, and
+        # no free pair among words of length <= 3
+        spec = loops_spec(s=([[2, 0], [0, 2]], [[1, 1], [-2, 2]]),
+                          t=([[3, 0], [0, 3]], [[-4, 3], [-3, 0]]))
+        assert density(spec) == ("undetermined", "no-certificate", "undetermined: no invariant "
+                                 "line or pair, and no free pair within bounds")
 
     def test_full_triple_exact_from_certificates(self, spec_b):
-        # <H, P, E> (specB's holonomy) is not virtually solvable: coarse_density
-        # alone has no certificate of density, while the free pair and the
-        # contraction pair of specB's classification prove it exactly
-        report = coarse_density(HPE, virtually_solvable(HPE))
-        assert (report.verdict, report.method) == ("undetermined", "no-certificate")
-        exact = classify_module._rank2_density(classify_module.Analysis(spec_b))
-        assert (exact.verdict, exact.method) == ("coarsely-dense", "exact-sl2-closure")
-        assert "free pair" in exact.detail and "contraction pair (h, p)" in exact.detail
+        # <H, P, E> (specB's holonomy) has a free pair and the contraction
+        # pair (h, p): its closure contains SL_2(R)
+        assert density(spec_b) == (
+            "coarsely-dense",
+            "exact-sl2-closure",
+            "free pair (h^4, e h p e h p e h p e h p e h p e h p e h p e h p) by ping-pong and "
+            "contraction pair (h, p), both re-verified, with |det| = 1 on every generator: the "
+            "closure of the image contains SL_2(R)",
+        )
+
+    def test_free_integral_image_undetermined(self):
+        # the Sanov shears generate a free subgroup of SL_2(Z): discrete, so
+        # a free pair alone proves no density
+        spec = loops_spec(a=(I2, [[1, 2], [0, 1]]), b=(I2, [[1, 0], [2, 1]]))
+        assert density(spec) == ("undetermined", "no-certificate", "not virtually solvable: "
+                                 "density needs a non-discreteness certificate too")
+
+    def test_triangular_dense_shape(self, spec_a):
+        assert density(spec_a) == ("coarsely-dense", "exact-closure-shape",
+                                   "closure is cocompact in the upper triangular subgroup of SL_2(R)")
 
     def test_trivial_group(self):
-        trivial = anon(QMat.identity(2))
-        report = coarse_density(trivial, virtually_solvable(trivial))
-        assert report.verdict == "not-coarsely-dense"
+        assert density(loops_spec(t=(I2, I2))) == NOT_COCOMPACT
 
     def test_finite_group(self):
         # a finite group has a trivial diagonal value group: never cocompact
-        report = coarse_density({"e": E}, virtually_solvable({"e": E}))
-        assert (report.verdict, report.method) == ("not-coarsely-dense", "exact-solvable-shape")
+        assert density(loops_spec(e=(I2, E.rows))) == NOT_COCOMPACT
 
     def test_diagonal_alone_not_dense(self):
-        report = coarse_density({"h": H}, virtually_solvable({"h": H}))
-        assert report.verdict == "not-coarsely-dense"
-        assert report.method == "exact-solvable-shape"
+        assert density(loops_spec(h=([[1, 0], [0, 2]], [[2, 0], [0, 1]]))) == NOT_COCOMPACT
 
     def test_hausdorff_sampler_returns_small_distances_for_equal_groups(self):
         samples = cartan_hausdorff_samples(HP, HP, radii=(3, 4))

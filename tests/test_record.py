@@ -7,10 +7,10 @@ import pytest
 
 import gbsn
 from gbsn.britton import NormalForm
-from gbsn.classify import Evidence, QIVerdict
+from gbsn.classify import CoarseDensityReport, Evidence, QIVerdict
 from gbsn.gog import Edge, GoGSpec, InvalidSpecError, Presentation
 from gbsn.linalg import ProjInterval, QMat
-from gbsn.matgroups import CoarseDensityReport, ScalarCertificate
+from gbsn.matgroups import ScalarCertificate
 from gbsn.record import replace
 from gbsn.words import Word
 

@@ -145,8 +145,8 @@ class _FastOps:
     is integral (for sign +1, H = alpha U with U unimodular and push·H =
     omega U; for sign -1 it is alpha U), so the lattice part H q moves
     through the letter as moves·q, with no division.
-    ``tables[(loop_index, sign)]`` is ``(push_num, den, hnf)``: the push
-    map x -> t^-sign x t^sign as integer rows over ``den`` > 0, and H.
+    ``growth``, the analytic constant, is the largest |entry| of any push
+    map, and at least 2.0.
 
     ``abelian`` is the column HNF of the lattice L above, with a zero column
     wherever L has no pivot; ``abelian_image_is_zero`` reads a word's image.
@@ -162,7 +162,8 @@ class _FastOps:
         edges = {e.name: e for e in spec.loop_edges()}
         self.loop_names = sorted(edges)
         self.loop_index = {name: i for i, name in enumerate(self.loop_names)}
-        self.tables, self.plans = {}, {}
+        self.plans = {}
+        self.growth = 2.0
         for idx, name in enumerate(self.loop_names):
             e = edges[name]
             mat = e.comparison()  # x -> t^-1 x t
@@ -174,7 +175,8 @@ class _FastOps:
                     assert not any(rem for _, rem in move), "push map not integral on its lattice"
                     below = tuple((r, c) for r, c in enumerate(col) if r > i and c)
                     pivots.append((i, col[i], below, tuple(entry for entry, _ in move)))
-                self.tables[(idx, sign)] = (push.num, push.den, hnf)
+                top = max(abs(x) for row in push.num for x in row)
+                self.growth = max(self.growth, top / push.den)
                 self.plans[(idx, sign)] = (idx, sign, tuple(pivots))
         self.abelian = lattice_hnf(
             self.n,
@@ -210,7 +212,8 @@ class _FastOps:
         return (0,) * self.n
 
     def generator_steps(self):
-        """(kind, index, step) triples in the canonical expansion order."""
+        """(kind, index, step) triples in the canonical expansion order, each
+        next to its inverse: step ``g ^ 1`` undoes step ``g``."""
         steps = []
         for i in range(len(self.vletters)):
             steps.append((0, i, 1))
@@ -395,10 +398,6 @@ class GeodesicOracle:
     def __init__(self, spec: GoGSpec):
         self.ops = _fast_ops(spec)
         self.steps = self.ops.generator_steps()
-        # back[g]: index of the step that undoes step g
-        self.back = [
-            self.steps.index((kind, index, -step)) for kind, index, step in self.steps
-        ]
         identity = self.ops.identity()
         self.dist: dict[tuple, int] = {identity: 0}
         self.frontier: dict[tuple, int] = {identity: -1}
@@ -425,7 +424,6 @@ class GeodesicOracle:
         top = min(radius, FORWARD_CAP)
         apply = self.ops.apply
         steps = list(enumerate(self.steps))
-        back = self.back
         dist = self.dist
         while target not in dist and self.frontier and self.depth < top and (
             self.depth < half or self._next_level_pays()
@@ -442,7 +440,7 @@ class GeodesicOracle:
                         child = tuple(c)
                         if child not in dist:
                             dist[child] = d
-                            nxt[child] = back[g]
+                            nxt[child] = g ^ 1
             except BaseException:
                 for child in [s for s, k in dist.items() if k == d]:
                     del dist[child]
@@ -464,7 +462,6 @@ class GeodesicOracle:
         # backward search; a state at level l is at distance l from the target
         apply = self.ops.apply
         steps = list(enumerate(self.steps))
-        back = self.back
         seen = {flat_target}
         frontier = {flat_target: -1}
         for level in range(1, last + 1):
@@ -482,7 +479,7 @@ class GeodesicOracle:
                     # no level reads the last level's children
                     if level < last and child not in seen:
                         seen.add(child)
-                        nxt[child] = back[g]
+                        nxt[child] = g ^ 1
             frontier = nxt
         return None
 
@@ -571,20 +568,22 @@ def _vertex_vector(ops: _FastOps, element: Word) -> tuple:
 
 def _find_doubler(ops: _FastOps, vec: tuple):
     """Stable letter whose conjugation scales ``vec`` by an integer lambda
-    with |lambda| >= 2: the largest |lambda|, and lambda > 0 on a tie."""
+    with |lambda| >= 2: the largest |lambda|, and lambda > 0 on a tie.
+
+    Each letter t^sign is tested by one ``_stable_step`` on an empty form:
+    it leaves vec's residue modulo the letter's lattice in the form and
+    returns the pushed part, which is t^-sign vec t^sign when that residue
+    is zero."""
     best = None
     first = next(i for i, c in enumerate(vec) if c)
     for idx, name in enumerate(ops.loop_names):
         for sign in (1, -1):
-            # t^-sign vec t^sign is the push map through t^sign, and it
-            # needs vec in that letter's lattice
-            push, den, hnf = ops.tables[(idx, sign)]
-            image = [sum(map(mul, row, vec)) for row in push]
-            lam, rem = divmod(image[first], den * vec[first])
-            if rem or abs(lam) < 2 or any(y != lam * den * c for y, c in zip(image, vec)):
+            s = []
+            image = _stable_step(s, list(vec), ops.plans[idx, sign])
+            if any(s[:-2]):
                 continue
-            residue, _ = lattice_residue(hnf, vec)
-            if any(residue):
+            lam = image[first] // vec[first]
+            if abs(lam) < 2 or any(y != lam * c for y, c in zip(image, vec)):
                 continue
             if best is None or (abs(lam), lam) > (abs(best[2]), best[2]):
                 best = (name, sign, lam)
@@ -609,7 +608,7 @@ def distortion_profile(
     length when available, else the upper bound; the reported max ratio
     over the window estimates the limsup of |mv| / log m. The analytic
     lower bound is attached via ``analytic_lower_bound`` and is not
-    BFS-verified.
+    BFS-verified; its constant is ``_FastOps.growth``.
 
     All exact lengths come from the spec's oracle in the store that
     ``geodesic_length`` uses, held for the whole window, so each power's
@@ -644,10 +643,6 @@ def distortion_profile(
         memo[m] = best
         return best
 
-    growth = 2.0
-    for push, den, _ in ops.tables.values():
-        growth = max(growth, max(abs(x) for row in push for x in row) / den)
-
     entries = []
     with _kept_oracle(spec) as oracle:
         for m in powers:
@@ -675,6 +670,6 @@ def distortion_profile(
         max((e.ratio_to_log for e in entries if e.ratio_to_log is not None), default=None),
         doubler[0] if doubler else None,
         doubler[2] if doubler else None,
-        growth,
+        ops.growth,
         note,
     )

@@ -101,14 +101,19 @@ def letter_at_a_time(spec, start, w):
     return ops.from_flat(s)
 
 
-def reference_stable_step(ops, s, index, step):
+def reference_stable_step(spec, ops, s, index, step):
     """``s`` right-multiplied in place by t_index^step (step +-1) as the
     stable step did it before the integer move maps: the lattice part is
     accumulated as a vector ``lat``, pushed through the integer rows
-    ``push_num`` and divided by ``den``."""
+    ``push`` of the loop edge's push map and divided by its ``den``. The
+    push map (``Edge.comparison``, inverted for step -1) and the Hermite
+    basis of alpha or omega come from the edge, not from the kernel."""
     n = ops.n
     last = len(s) - n
-    push, den, hnf = ops.tables[(index, step)]
+    e = next(e for e in spec.loop_edges() if e.name == ops.loop_names[index])
+    mat = e.comparison() if step == 1 else e.comparison().inverse()
+    push, den = mat.num, mat.den
+    hnf = hermite_normal_form(e.alpha if step == 1 else e.omega)
     cols = tuple(zip(*hnf.num))
     lat = [0] * n
     for i in range(n):
@@ -206,7 +211,7 @@ def test_stable_step_matches_the_push_map(case):
             for step in (1, -1):
                 got, want = list(state), list(state)
                 ops.apply(got, 1, index, step)
-                reference_stable_step(ops, want, index, step)
+                reference_stable_step(spec, ops, want, index, step)
                 assert got == want
 
 

@@ -13,7 +13,7 @@ search gives are checked against a plain breadth-first ball.
 
 import math
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gbsn.britton import NormalForm, _fast_ops, britton_reduce, distortion_profile
@@ -146,8 +146,25 @@ def spec_and_vector(draw):
     return spec, tuple(vec)
 
 
+# the branches of the scaling test: in BS(2,4) the push map through t
+# doubles a, but a is outside t's lattice 2Z, so no letter scales it, while
+# a^2 is scaled by t with lambda 2; in BS(2,6) the lattice part 2 of a^3
+# pushes to 6, twice a^3, but a^3 is outside 2Z, so no letter scales it;
+# in BS(2,1) only t^-1 scales a; and of s and t, which scale a by -2 and 2,
+# the tie goes to t
+BS24 = GoGSpec.make(1, ["X"], [loop("t", [[2]], [[4]])])
+BS26 = GoGSpec.make(1, ["X"], [loop("t", [[2]], [[6]])])
+BS21 = GoGSpec.make(1, ["X"], [loop("t", [[2]], [[1]])])
+TIE = GoGSpec.make(1, ["X"], [loop("s", [[1]], [[-2]]), loop("t", [[1]], [[2]])])
+
+
 @PROPERTY
 @given(spec_and_vector())
+@example((BS24, (1,)))
+@example((BS24, (2,)))
+@example((BS26, (3,)))
+@example((BS21, (1,)))
+@example((TIE, (1,)))
 def test_window_matches_spelled_words(case):
     spec, vec = case
     names = vertex_letters(spec)[spec.vertices[0]]

@@ -36,8 +36,9 @@ exactly that level's distance, and otherwise to depth ceil(r/2) for a query
 of radius r. Past that depth it builds a level only if the level cannot
 take the ball past ``FORWARD_BALL_STATES`` states, or if backward searches
 have already spent as much as the level costs (ski rental). The last
-backward level only tests its states against the ball. Both searches expand
-a state by every generator step but the one back to its BFS parent.
+backward level only tests its states against the ball. Both searches reach
+each state first along its shortlex-least geodesic, so a state reached by
+step g skips the step back and every earlier step that commutes with g.
 ``distortion_profile`` searches each power only below its spelled upper
 bound, which the spelling itself attains.
 
@@ -358,9 +359,20 @@ class GeodesicOracle:
     later queries to the same oracle; a level that an exception interrupts
     is taken out again.
 
-    Both searches expand a state by every step but that one: its child
-    there is the parent, which is already in the ball (forward) or in the
-    states seen (backward), so skipping it changes no level.
+    Both searches expand a state reached by step g by ``after[g ^ 1]``:
+    every step h but g ^ 1, the way back, and those before g in ``steps``
+    that commute with g. Each level is scanned in insertion order and each
+    state's steps in order, so a state is first reached along its
+    shortlex-least geodesic (Epstein et al., *Word Processing in Groups*).
+    Such a word never has a step h right after a later step g that
+    commutes with it, since swapping the two spells the same element by a
+    smaller word of the same length; and it never steps straight back. So
+    every skipped child is reached first along another word, and no
+    distance, level or frontier order changes. Two vertex steps always
+    commute; two stable steps only if they are inverse (t u t^-1 u^-1 is
+    Britton-reduced otherwise); and t commutes with the vertex letter x
+    exactly when t^-1 x t = x, read off one ``_stable_step`` per loop and
+    coordinate.
 
     A query of radius r grows the ball one complete level at a time and
     stops as soon as a level holds the target: every state of a complete
@@ -398,19 +410,49 @@ class GeodesicOracle:
     def __init__(self, spec: GoGSpec):
         self.ops = _fast_ops(spec)
         self.steps = self.ops.generator_steps()
+        self.after = self._steps_after()
         identity = self.ops.identity()
         self.dist: dict[tuple, int] = {identity: 0}
         self.frontier: dict[tuple, int] = {identity: -1}
         self.depth = 0
         self.spent = 0  # states expanded by backward searches since the last level
 
+    def _steps_after(self) -> list:
+        """``after[back]``: the steps a state whose step back is ``back``
+        expands, as ``(h ^ 1, kind, index, step)`` with h's own step back
+        first; ``after[-1]``, the identity's, holds every step."""
+        ops, steps = self.ops, self.steps
+        n = ops.n
+        fixed = set()  # (loop, coordinate i) with t^-1 e_i t = e_i
+        for index in range(len(ops.loop_names)):
+            for i in range(n):
+                s, e = [], [0] * n
+                e[i] = 1
+                if _stable_step(s, e[:], ops.plans[index, 1]) == e and not any(s[:n]):
+                    fixed.add((index, i))
+
+        def skips(g, h):  # after step g; vertex steps come first in steps
+            if h == g ^ 1:
+                return True
+            if h >= g:
+                return False
+            (kind_g, loop, _), (kind_h, i, _) = steps[g], steps[h]
+            return kind_g == 0 or (kind_h == 0 and (loop, i) in fixed)
+
+        after = [
+            tuple((h ^ 1, *step) for h, step in enumerate(steps) if not skips(back ^ 1, h))
+            for back in range(len(steps))
+        ]
+        after.append(tuple((h ^ 1, *step) for h, step in enumerate(steps)))
+        return after
+
     def _next_level_pays(self) -> bool:
         """Whether to build the next level past ceil(r/2): it cannot pass
         ``FORWARD_BALL_STATES``, or backward searches have paid for it and
         it cannot pass ``KEPT_BALL_STATES``."""
         # at depth >= 1 building the next level expands each frontier state
-        # by the k - 1 steps that do not lead back to its BFS parent, so
-        # the bound adds exactly the expansions the level makes
+        # by at most the k - 1 steps that do not lead back to its BFS
+        # parent, so the bound is at least the ball the level makes
         bound = len(self.dist) + (len(self.steps) - 1) * len(self.frontier)
         return bound <= FORWARD_BALL_STATES or (
             self.spent >= len(self.frontier) and bound <= KEPT_BALL_STATES
@@ -423,7 +465,7 @@ class GeodesicOracle:
         half = min(-(-radius // 2), FORWARD_CAP)
         top = min(radius, FORWARD_CAP)
         apply = self.ops.apply
-        steps = list(enumerate(self.steps))
+        after = self.after
         dist = self.dist
         while target not in dist and self.frontier and self.depth < top and (
             self.depth < half or self._next_level_pays()
@@ -431,16 +473,14 @@ class GeodesicOracle:
             nxt = {}
             d = self.depth + 1
             try:
-                for state, skip in self.frontier.items():
-                    for g, (kind, index, step) in steps:
-                        if g == skip:
-                            continue
+                for state, back in self.frontier.items():
+                    for child_back, kind, index, step in after[back]:
                         c = list(state)
                         apply(c, kind, index, step)
                         child = tuple(c)
                         if child not in dist:
                             dist[child] = d
-                            nxt[child] = g ^ 1
+                            nxt[child] = child_back
             except BaseException:
                 for child in [s for s, k in dist.items() if k == d]:
                     del dist[child]
@@ -461,16 +501,14 @@ class GeodesicOracle:
         last = max_radius - forward
         # backward search; a state at level l is at distance l from the target
         apply = self.ops.apply
-        steps = list(enumerate(self.steps))
+        after = self.after
         seen = {flat_target}
         frontier = {flat_target: -1}
         for level in range(1, last + 1):
             self.spent += len(frontier)
             nxt = {}
-            for state, skip in frontier.items():
-                for g, (kind, index, step) in steps:
-                    if g == skip:
-                        continue
+            for state, back in frontier.items():
+                for child_back, kind, index, step in after[back]:
                     c = list(state)
                     apply(c, kind, index, step)
                     child = tuple(c)
@@ -479,7 +517,7 @@ class GeodesicOracle:
                     # no level reads the last level's children
                     if level < last and child not in seen:
                         seen.add(child)
-                        nxt[child] = g ^ 1
+                        nxt[child] = child_back
             frontier = nxt
         return None
 

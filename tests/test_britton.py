@@ -520,6 +520,18 @@ class TestGeodesicOracle:
         assert oracle.spent >= 1132 or grown  # credit was there, unspent
         assert_complete_levels(oracle, naive)
 
+    @pytest.mark.parametrize("name, states, calls", [("ascend2", 4189, 6514), ("bs12", 1317, 2134)])
+    def test_depth_8_ball_skips_commuting_steps(self, name, states, calls):
+        # ascend2's t fixes a, so a state reached by t skips a and a^-1, and
+        # one reached by b or b^-1 skips a and a^-1 too: 6,514 apply calls
+        # where skipping only the step back makes 10,806; rank-1 bs12 has
+        # nothing to skip
+        spec = NAIVE_SPECS[name]
+        oracle = GeodesicOracle(spec)
+        oracle.ops = counting = InterruptingOps(oracle.ops, float("inf"))
+        oracle._grow_forward(16, None)
+        assert (oracle.depth, len(oracle.dist), counting.made) == (8, states, calls)
+
     def test_small_ball_grows_to_cap(self, spec_bs12):
         oracle = GeodesicOracle(spec_bs12)
         assert oracle.distance(britton_reduce(spec_bs12, parse_word("a^16")), 10) == 8

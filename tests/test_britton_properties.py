@@ -4,7 +4,8 @@ The checks of canonicity use ``linalg`` directly (Hermite bases and
 residues), not the kernel's own tables. The stable step is checked against
 its earlier form, which pushed the lattice part as a vector through the
 rational push map; the geodesic search, which skips the step back to each
-state's BFS parent, against a plain breadth-first ball that skips nothing.
+state's BFS parent and the earlier steps that commute with the step that
+reached it, against a plain breadth-first ball that skips nothing.
 """
 
 import pytest
@@ -33,6 +34,8 @@ RANK3 = GoGSpec.make(
 SHEAR = GoGSpec.make(
     2, ["X"], [Edge("t", "X", "X", QMat([[2, 0], [1, 3]]), QMat([[1, 0], [1, 2]]))]
 )
+# Z x BS(1,3): t^-1 a t = a, so a and a^-1 commute with t and t^-1
+ZBS13 = GoGSpec.make(2, ["X"], [Edge("t", "X", "X", QMat.identity(2), QMat([[1, 0], [0, 3]]))])
 # t pinches against t^-1 after the free vector (2, 1), alpha's first column:
 # its pushed part (1, 1), omega's first column, joins the residue (0, 1)
 # before t^-1
@@ -220,11 +223,41 @@ def test_stable_step_matches_the_push_map(case):
 BALL_RADIUS = 4
 
 
+@PROPERTY
+@given(one_vertex_specs(max_rank=3, bound=4))
+@example(ZBS13)
+def test_search_skips_the_earlier_commuting_steps(spec):
+    # after step g the search drops step h exactly when h undoes g, or h
+    # comes first and g h and h g are one element; the identity drops none
+    oracle = GeodesicOracle(spec)
+    ops = oracle.ops
+    vertex = vertex_letters(spec)[spec.vertices[0]]
+    words = [
+        Word([(vertex[index] if kind == 0 else ops.loop_names[index], step)])
+        for kind, index, step in oracle.steps
+    ]
+    assert oracle.after[-1] == tuple((h ^ 1, *s) for h, s in enumerate(oracle.steps))
+    for g, word_g in enumerate(words):
+        kept = {back ^ 1: rest for back, *rest in oracle.after[g ^ 1]}
+        for h, word_h in enumerate(words):
+            dropped = h == g ^ 1 or (
+                h < g and britton_reduce(spec, word_g * word_h) == britton_reduce(spec, word_h * word_g)
+            )
+            assert (h not in kept) == dropped
+            if h in kept:
+                assert tuple(kept[h]) == oracle.steps[h]
+
+
 @settings(derandomize=True, deadline=None, max_examples=40)
 @given(one_vertex_specs(max_rank=3, bound=4))
+@example(SPECS["ascend2"])
+@example(SPECS["specA"])
 def test_geodesic_search_matches_the_plain_ball(spec):
     # the plain ball expands every state by every step; the oracle skips
-    # the step back to each state's BFS parent, forwards and backwards
+    # the step back to each state's BFS parent and the earlier steps that
+    # commute with the step that reached it, forwards and backwards. Random
+    # specs seldom have a stable letter that fixes a basis vector, so the
+    # examples are ascend2 and specA, where t and p fix a
     naive = naive_ball.__wrapped__(spec, BALL_RADIUS)
     spheres = [[] for _ in range(BALL_RADIUS + 1)]
     for state, d in naive.items():

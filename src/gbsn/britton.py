@@ -50,9 +50,9 @@ ball first, and keeps no ball that alone exceeds the bound. One lock covers
 lookup, query and eviction, so concurrent callers are served one at a time.
 Keeping balls between calls is safe for two reasons. Their memory is
 bounded by ``KEPT_BALL_STATES`` however many specs are queried. And a kept
-ball is never left half-grown: a level that an exception (a time limit,
-^C) interrupts is taken out again before the oracle goes back into the
-store, so it holds complete levels only and answers the next query exactly.
+ball is never left half-grown: a level is built apart and joins the ball
+only once it is complete, so one that an exception (a time limit, ^C)
+interrupts never does, and the ball answers the next query exactly.
 """
 
 from __future__ import annotations
@@ -356,8 +356,8 @@ class GeodesicOracle:
     ``depth``, and ``frontier`` is the sphere at that depth, a dict from each
     of its states to the index (in ``steps``) of the step that leads back to
     its BFS parent, -1 for the identity. It is grown lazily and kept for
-    later queries to the same oracle; a level that an exception interrupts
-    is taken out again.
+    later queries to the same oracle; a level joins ``dist`` only once it is
+    complete, so one that an exception interrupts never does.
 
     Both searches expand a state reached by step g by ``after[g ^ 1]``:
     every step h but g ^ 1, the way back, and those before g in ``steps``
@@ -471,23 +471,19 @@ class GeodesicOracle:
             self.depth < half or self._next_level_pays()
         ):
             nxt = {}
+            for state, back in self.frontier.items():
+                for child_back, kind, index, step in after[back]:
+                    c = list(state)
+                    apply(c, kind, index, step)
+                    child = tuple(c)
+                    if child not in dist:
+                        nxt.setdefault(child, child_back)
             d = self.depth + 1
-            try:
-                for state, back in self.frontier.items():
-                    for child_back, kind, index, step in after[back]:
-                        c = list(state)
-                        apply(c, kind, index, step)
-                        child = tuple(c)
-                        if child not in dist:
-                            dist[child] = d
-                            nxt[child] = child_back
-            except BaseException:
-                for child in [s for s, k in dist.items() if k == d]:
-                    del dist[child]
-                raise
-            self.frontier = nxt
-            self.depth = d
-            self.spent = 0
+            # CPython (3.11 on) runs a signal handler (a time limit, ^C) at a
+            # call or a loop's jump back, not at an operator or a store: an
+            # exception lands before the level joins or after all three stores
+            dist |= dict.fromkeys(nxt, d)
+            self.frontier, self.depth, self.spent = nxt, d, 0
 
     def distance(self, target: NormalForm, max_radius: int) -> Optional[int]:
         """Exact distance of the canonical ``target``, or None past max_radius."""

@@ -15,7 +15,9 @@ Each verdict is one function of a spec that reads its ``Analysis``:
 ``coarse_density``, by module global. The rules are functions of their own,
 each returning what it decides with its reason or evidence: ``_amenability``
 and ``_whyte_case`` for ``whyte_classify``, which builds its report once,
-and ``_qi_rule`` for ``qi_compare``.
+``_qi_rule`` for ``qi_compare`` and ``_compression_rule`` for
+``compression_report``. ``_analytic`` states how one verdict decides the
+three analytic properties.
 
 The quasi-isometry trichotomy for groups whose tree has infinitely many
 ends: (2a) semidirect products Z^n x| F with F a free subgroup of GL_n(Z) --
@@ -59,7 +61,7 @@ from .matgroups import (
     verify_certificate,
     virtually_solvable,
 )
-from .record import Record
+from .record import Record, replace
 
 Q = Fraction
 
@@ -271,9 +273,15 @@ def cv_properties(spec: GoGSpec) -> AnalyticProperties:
         )
     else:
         evidence = Evidence("tits-alternative", result.detail)
-    verdict = result.virtually_solvable
+    return _analytic(result.virtually_solvable, (evidence,))
+
+
+def _analytic(verdict: Optional[bool], evidence: tuple) -> AnalyticProperties:
+    """All three properties from one verdict: it is the Haagerup property
+    and weak amenability, and Lambda_cb is 1 where it holds and infinite
+    (not weakly amenable) where it fails."""
     cowling = {True: "1", False: "not-weakly-amenable", None: "undetermined"}[verdict]
-    return AnalyticProperties(verdict, verdict, cowling, (evidence,))
+    return AnalyticProperties(verdict, verdict, cowling, evidence)
 
 
 def classify(spec: GoGSpec) -> ClassificationReport:
@@ -289,17 +297,9 @@ def classify(spec: GoGSpec) -> ClassificationReport:
             raise AssertionError("an amenable group was reported without the Haagerup property")
         amenability = Evidence("amenability", "an amenable group has the Haagerup property "
                                "and is weakly amenable with Lambda_cb = 1")
-        c = AnalyticProperties(True, True, "1", c.evidence + (amenability,))
-    return ClassificationReport(
-        w.ends,
-        w.amenable,
-        w.amenable_reason,
-        w.whyte_case,
-        c.haagerup,
-        c.weakly_amenable,
-        c.cowling_haagerup,
-        w.evidence + c.evidence,
-    )
+        c = _analytic(True, c.evidence + (amenability,))
+    return replace(w, haagerup=c.haagerup, weakly_amenable=c.weakly_amenable,
+                   cowling_haagerup=c.cowling_haagerup, evidence=w.evidence + c.evidence)
 
 
 class QIVerdict(Record):
@@ -453,55 +453,43 @@ class CompressionReport(Record):
     detail: str = ""
 
 
-def compression_report(spec: GoGSpec, p) -> CompressionReport:
-    p = Q(p)
-    if p < 1:
-        raise ValueError("p must be >= 1")
+def _compression_rule(spec: GoGSpec, p: Q) -> tuple[str, tuple, str]:
+    """``(alpha_kind, checklist, detail)`` of ``spec`` at ``p`` by the first
+    rule of ``compression_report`` that applies."""
     if spec.rank != 2:
-        return CompressionReport(
-            p, "undetermined", None, (), "compression decision implemented for rank 2"
-        )
+        return "undetermined", (), "compression decision implemented for rank 2"
     stages = analysis(spec)
     haagerup = stages.tits.virtually_solvable
+    if haagerup is False and p <= 2:
+        return "zero", (("haagerup", "no"),), ("no Haagerup property: a positive exponent would "
+                                               "give a proper affine isometric action on L^p "
+                                               "with 1 <= p <= 2")
     if haagerup is False:
-        if p <= 2:
-            return CompressionReport(
-                p,
-                "zero",
-                Q(0),
-                (("haagerup", "no"),),
-                "no Haagerup property: a positive exponent would give a proper "
-                "affine isometric action on L^p with 1 <= p <= 2",
-            )
-        return CompressionReport(
-            p,
-            "undetermined",
-            None,
-            (("haagerup", "no"),),
-            "the vanishing argument applies to 1 <= p <= 2 only",
-        )
+        return ("undetermined", (("haagerup", "no"),),
+                "the vanishing argument applies to 1 <= p <= 2 only")
     if haagerup is None:
-        return CompressionReport(p, "undetermined", None, (), "holonomy decision undetermined")
-
+        return "undetermined", (), "holonomy decision undetermined"
     desc = stages.closure
     cocompact = desc.status == "triangular" and desc.diag_kind == "cyclic"
     distortion = any(spectral_radius_gt_one(g) for g in stages.holonomy.stable.values())
     checklist = (
         ("amenable-closure", "yes"),
-        (
-            "cocompact-in-connected-subgroup",
-            "yes (diagonal value group is infinite cyclic; closure cocompact in "
-            "the upper triangular subgroup)" if cocompact else "not established",
-        ),
-        (
-            "exponential-distortion-witness",
-            "yes (a holonomy generator has spectral radius > 1)"
-            if distortion
-            else "not established",
-        ),
+        ("cocompact-in-connected-subgroup", "yes (diagonal value group is infinite cyclic; "
+         "closure cocompact in the upper triangular subgroup)" if cocompact else "not established"),
+        ("exponential-distortion-witness", "yes (a holonomy generator has spectral radius > 1)"
+         if distortion else "not established"),
     )
     if cocompact and distortion:
-        return CompressionReport(p, "value", max(1 / p, Q(1, 2)), checklist)
-    return CompressionReport(
-        p, "undetermined", None, checklist, "positive-exponent conditions not established"
-    )
+        return "value", checklist, ""
+    return "undetermined", checklist, "positive-exponent conditions not established"
+
+
+def compression_report(spec: GoGSpec, p) -> CompressionReport:
+    """The exponent at ``p`` >= 1 by ``_compression_rule``, with alpha read
+    off its kind."""
+    p = Q(p)
+    if p < 1:
+        raise ValueError("p must be >= 1")
+    kind, checklist, detail = _compression_rule(spec, p)
+    alpha = max(1 / p, Q(1, 2)) if kind == "value" else Q(0) if kind == "zero" else None
+    return CompressionReport(p, kind, alpha, checklist, detail)

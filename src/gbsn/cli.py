@@ -144,9 +144,9 @@ def _cmd_presentation(args) -> tuple:
     pres = gog.presentation(spec)
     payload = {
         "command": "presentation",
-        "generators": list(pres.generators),
-        "relators": [str(r) for r in pres.relators],
-        "relations": [[str(a), str(b)] for a, b in pres.relations],
+        "generators": pres.generators,
+        "relators": pres.relators,
+        "relations": pres.relations,
     }
     return payload, [str(pres)], 0
 
@@ -208,7 +208,7 @@ def _cmd_compare(args) -> tuple:
         "verdict": verdict.verdict,
         # kept for readers of the report format: no verdict rests on sampling
         "sampled": False,
-        "reasons": list(verdict.reasons),
+        "reasons": verdict.reasons,
         "evidence": verdict.evidence,
     }
     lines = list(verdict.reasons) + [verdict.verdict]
@@ -225,7 +225,7 @@ def _cmd_distortion(args) -> tuple:
     )
     payload = {
         "command": "distortion",
-        "element": str(element),
+        "element": element,
         "note": profile.note,
         "max_ratio": profile.max_ratio,
         "analytic_constant": profile.analytic_constant,
@@ -258,7 +258,7 @@ def _cmd_compression(args) -> tuple:
         "p": report.p,
         "alpha_kind": report.alpha_kind,
         "alpha": report.alpha,
-        "checklist": [list(item) for item in report.checklist],
+        "checklist": report.checklist,
         "detail": report.detail,
     }
     lines = []

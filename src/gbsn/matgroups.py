@@ -238,8 +238,7 @@ class WordBall:
         ]
         self.identity = _flat(QMat.identity(self.n))
         self.parent: dict[tuple, tuple] = {self.identity: ()}
-        # first (state, letter, child) whose child was already stored, the
-        # step back along the state's own parent link excepted
+        # first (state, letter, child) whose child was already stored
         self._collision: Optional[tuple] = None
 
     def __len__(self) -> int:
@@ -248,22 +247,24 @@ class WordBall:
     def grow(self, radius: int) -> Iterator[tuple]:
         """Yield each new state in discovery order, level by level, out to
         word length ``radius``. A ball is grown by one call; a caller that
-        stops resuming it stores no further state."""
+        stops resuming it stores no further state. A state reached by step
+        g skips the step back, g ^ 1 in ``steps``, so every stored child that
+        a step reaches is a collision."""
         n, parent, steps = self.n, self.parent, self.steps
-        frontier = [self.identity]
+        frontier = [(self.identity, -1)]  # (state, its step back)
         for _ in range(radius):
             nxt = []
-            for state in frontier:
-                for letter, mat in steps:
+            for state, back in frontier:
+                for g, (letter, mat) in enumerate(steps):
+                    if g == back:
+                        continue
                     child = _scaled_mul(state, mat, n)
                     if child in parent:
                         if self._collision is None:
-                            link = parent[state]
-                            if not link or link[1] != (letter[0], -letter[1]):
-                                self._collision = (state, letter, child)
+                            self._collision = (state, letter, child)
                         continue
                     parent[child] = (state, letter)
-                    nxt.append(child)
+                    nxt.append((child, g ^ 1))
                     yield child
             frontier = nxt
 
@@ -283,11 +284,10 @@ class WordBall:
         twice the grown radius, or None.
 
         Two distinct reduced words of length <= r with one image exist
-        exactly when some step of the radius-r ball, other than a step back
-        along a parent link, reaches a stored element. For the first such
-        step the word is the element's stored spelling followed by the
-        inverse of the new one; the two end in different letters, so nothing
-        cancels.
+        exactly when some step of the radius-r ball reaches a stored
+        element. For the first such step the word is the element's stored
+        spelling followed by the inverse of the new one; the two end in
+        different letters, so nothing cancels.
         """
         if self._collision is None:
             return None

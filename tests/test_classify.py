@@ -798,7 +798,69 @@ class TestPaperTheorem:
             assert (code, json.loads(capsys.readouterr().out)["verdict"]) == (2, "undetermined")
 
 
+CHECKLIST_A = (
+    ("amenable-closure", "yes"),
+    (
+        "cocompact-in-connected-subgroup",
+        "yes (diagonal value group is infinite cyclic; closure cocompact in the upper "
+        "triangular subgroup)",
+    ),
+    ("exponential-distortion-witness", "yes (a holonomy generator has spectral radius > 1)"),
+)
+
+# one case per rule of compression_report: its .gog text, p, and its exact
+# (alpha_kind, alpha, checklist, detail)
+COMPRESSION_RULES = {
+    "rank 1": (
+        (DATA.parent / "tests" / "specs" / "rank1_dense.gog").read_text(),
+        2,
+        ("undetermined", None, (), "compression decision implemented for rank 2"),
+    ),
+    "zero": (
+        (DATA / "specB.gog").read_text(),
+        Q(3, 2),
+        ("zero", 0, (("haagerup", "no"),), "no Haagerup property: a positive exponent would "
+         "give a proper affine isometric action on L^p with 1 <= p <= 2"),
+    ),
+    "vanishing for p <= 2 only": (
+        (DATA / "specB.gog").read_text(),
+        3,
+        ("undetermined", None, (("haagerup", "no"),),
+         "the vanishing argument applies to 1 <= p <= 2 only"),
+    ),
+    "holonomy undetermined": (
+        one_vertex(2, ("s", "[[2,0],[0,2]]", "[[1,1],[-2,2]]"),
+                   ("t", "[[3,0],[0,3]]", "[[-4,3],[-3,0]]")),
+        2,
+        ("undetermined", None, (), "holonomy decision undetermined"),
+    ),
+    "value 1/p": ((DATA / "specA.gog").read_text(), Q(3, 2),
+                  ("value", Q(2, 3), CHECKLIST_A, "")),
+    "value 1/2": ((DATA / "specA.gog").read_text(), 3, ("value", Q(1, 2), CHECKLIST_A, "")),
+    "conditions not established": (
+        one_vertex(2, ("t", "[[1,0],[0,2]]", "[[1,0],[0,1]]")),
+        2,
+        (
+            "undetermined",
+            None,
+            (
+                ("amenable-closure", "yes"),
+                ("cocompact-in-connected-subgroup", "not established"),
+                ("exponential-distortion-witness", "not established"),
+            ),
+            "positive-exponent conditions not established",
+        ),
+    ),
+}
+
+
 class TestCompression:
+    @pytest.mark.parametrize("name", COMPRESSION_RULES)
+    def test_each_rule_gives_its_exponent_and_checklist(self, name):
+        text, p, expected = COMPRESSION_RULES[name]
+        report = compression_report(gogfile.parse(text).to_spec(), p)
+        assert (report.alpha_kind, report.alpha, report.checklist, report.detail) == expected
+
     def test_positive_exponents(self, spec_a):
         for p, expected in ((1, Q(1)), (Q(3, 2), Q(2, 3)), (2, Q(1, 2)), (3, Q(1, 2)), (4, Q(1, 2))):
             report = compression_report(spec_a, p)

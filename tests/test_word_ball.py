@@ -7,10 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gbsn import matgroups
+from gbsn.holonomy import compute_holonomy
 from gbsn.linalg import QMat
 from gbsn.matgroups import WordBall, _ball_mu_values, evaluate_word
 
-from conftest import reduced_words
+from conftest import load_spec, reduced_words
 
 H = QMat([[2, 0], [0, Q(1, 2)]])
 P = QMat([[1, 1], [0, 1]])
@@ -77,3 +79,31 @@ def test_cap_stops_growth():
     ball = WordBall(named)
     grown = list(itertools.islice(ball.grow(10), 50))
     assert len(ball) == 51 and len(grown) == 50
+
+
+@pytest.mark.parametrize(
+    "name, products, states, relation",
+    [
+        # 4 letters: 4 products from I, then 3 from each of the 16 states
+        # of lengths 1 and 2
+        ("specA.gog", 4 + 3 * 16, 52, None),
+        # 6 letters: 6 products from I, then 5 from each of the 31 states
+        # of lengths 1 and 2 (e^2 = e^-2 is found once)
+        ("specB.gog", 6 + 5 * 31, 123, "e^4"),
+    ],
+)
+def test_no_step_back(name, products, states, relation, monkeypatch):
+    """A state is never multiplied by the inverse of the letter that reached it."""
+    calls = []
+
+    def counted(a, b, n):
+        calls.append(None)
+        return scaled_mul(a, b, n)
+
+    scaled_mul = matgroups._scaled_mul
+    ball = WordBall(compute_holonomy(load_spec(name)).stable)
+    monkeypatch.setattr(matgroups, "_scaled_mul", counted)
+    assert sum(1 for _ in ball.grow(3)) == states
+    assert len(calls) == products
+    found = ball.relation()
+    assert (found if found is None else str(found)) == relation

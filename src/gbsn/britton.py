@@ -51,8 +51,9 @@ lookup, query and eviction, so concurrent callers are served one at a time.
 Keeping balls between calls is safe for two reasons. Their memory is
 bounded by ``KEPT_BALL_STATES`` however many specs are queried. And a kept
 ball is never left half-grown: a level is built apart and joins the ball
-only once it is complete, so one that an exception (a time limit, ^C)
-interrupts never does, and the ball answers the next query exactly.
+only once it is complete, and an exception (a time limit, ^C) that lands
+in the join takes it out again, so the ball holds complete levels only and
+answers the next query exactly.
 """
 
 from __future__ import annotations
@@ -357,7 +358,7 @@ class GeodesicOracle:
     of its states to the index (in ``steps``) of the step that leads back to
     its BFS parent, -1 for the identity. It is grown lazily and kept for
     later queries to the same oracle; a level joins ``dist`` only once it is
-    complete, so one that an exception interrupts never does.
+    complete, and is taken out again if an exception interrupts the join.
 
     Both searches expand a state reached by step g by ``after[g ^ 1]``:
     every step h but g ^ 1, the way back, and those before g in ``steps``
@@ -479,11 +480,19 @@ class GeodesicOracle:
                     if child not in dist:
                         nxt.setdefault(child, child_back)
             d = self.depth + 1
-            # CPython (3.11 on) runs a signal handler (a time limit, ^C) at a
-            # call or a loop's jump back, not at an operator or a store: an
-            # exception lands before the level joins or after all three stores
-            dist |= dict.fromkeys(nxt, d)
-            self.frontier, self.depth, self.spent = nxt, d, 0
+            frontier, spent = self.frontier, self.spent
+            try:
+                dist.update(dict.fromkeys(nxt, d))
+                self.frontier, self.spent, self.depth = nxt, 0, d
+            except BaseException:
+                # a signal handler (a time limit, ^C) may raise between any
+                # two of these instructions: unless the depth is stored,
+                # take the level out again and put back what it replaced
+                if self.depth != d:
+                    for child in nxt:
+                        dist.pop(child, None)
+                    self.frontier, self.spent = frontier, spent
+                raise
 
     def distance(self, target: NormalForm, max_radius: int) -> Optional[int]:
         """Exact distance of the canonical ``target``, or None past max_radius."""

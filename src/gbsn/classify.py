@@ -460,24 +460,38 @@ def _compression_rule(spec: GoGSpec, p: Q) -> tuple[str, tuple, str]:
         return "undetermined", (), "compression decision implemented for rank 2"
     stages = analysis(spec)
     haagerup = stages.tits.virtually_solvable
-    if haagerup is False and p <= 2:
-        return "zero", (("haagerup", "no"),), ("no Haagerup property: a positive exponent would "
-                                               "give a proper affine isometric action on L^p "
-                                               "with 1 <= p <= 2")
     if haagerup is False:
-        return ("undetermined", (("haagerup", "no"),),
-                "the vanishing argument applies to 1 <= p <= 2 only")
+        if p <= 2:
+            return (
+                "zero",
+                (("haagerup", "no"),),
+                "no Haagerup property: a positive exponent would give a proper "
+                "affine isometric action on L^p with 1 <= p <= 2",
+            )
+        return (
+            "undetermined",
+            (("haagerup", "no"),),
+            "the vanishing argument applies to 1 <= p <= 2 only",
+        )
     if haagerup is None:
         return "undetermined", (), "holonomy decision undetermined"
+
     desc = stages.closure
     cocompact = desc.status == "triangular" and desc.diag_kind == "cyclic"
     distortion = any(spectral_radius_gt_one(g) for g in stages.holonomy.stable.values())
     checklist = (
         ("amenable-closure", "yes"),
-        ("cocompact-in-connected-subgroup", "yes (diagonal value group is infinite cyclic; "
-         "closure cocompact in the upper triangular subgroup)" if cocompact else "not established"),
-        ("exponential-distortion-witness", "yes (a holonomy generator has spectral radius > 1)"
-         if distortion else "not established"),
+        (
+            "cocompact-in-connected-subgroup",
+            "yes (diagonal value group is infinite cyclic; closure cocompact in "
+            "the upper triangular subgroup)" if cocompact else "not established",
+        ),
+        (
+            "exponential-distortion-witness",
+            "yes (a holonomy generator has spectral radius > 1)"
+            if distortion
+            else "not established",
+        ),
     )
     if cocompact and distortion:
         return "value", checklist, ""

@@ -451,6 +451,51 @@ class TestGeodesicOracle:
         assert oracle.distance(target, 8) == 8
         assert_complete_levels(oracle, naive)
 
+    def test_interrupt_at_any_instruction_of_a_level(self):
+        # an exception raised before any one bytecode instruction that
+        # _grow_forward runs, as a signal handler may raise it, leaves the
+        # complete levels only, and the same oracle still answers exactly
+        spec = NAIVE_SPECS["bs12"]
+        naive = naive_ball(spec, 2)
+        target = _fast_ops(spec).from_flat(naive_spheres("bs12")[2][0])
+        code = GeodesicOracle._grow_forward.__code__
+        outer = sys.gettrace()
+
+        def query(oracle, at):
+            """Run one query on ``oracle``, raising ``Interrupt`` before the
+            ``at``-th instruction of ``_grow_forward``; the instructions run."""
+            count = 0
+
+            def local(frame, event, arg):
+                nonlocal count
+                if event == "opcode":
+                    count += 1
+                    if count == at:
+                        raise Interrupt
+                return local
+
+            def tracer(frame, event, arg):
+                if frame.f_code is code:
+                    frame.f_trace_opcodes = True
+                    return local
+                return None
+
+            sys.settrace(tracer)
+            try:
+                assert oracle.distance(target, 2) == 2
+            finally:
+                sys.settrace(outer)
+            return count
+
+        total = query(GeodesicOracle(spec), 0)  # two levels, 799 on CPython 3.11
+        for at in range(1, total + 1):
+            oracle = GeodesicOracle(spec)
+            with pytest.raises(Interrupt):
+                query(oracle, at)
+            assert_complete_levels(oracle, naive)
+            assert oracle.distance(target, 2) == 2
+            assert_complete_levels(oracle, naive)
+
     @pytest.mark.parametrize("name", sorted(NAIVE_RADIUS))
     def test_every_distance_and_cap(self, name, monkeypatch):
         # the boundary radii D - 1 and D for a state of each sphere, with

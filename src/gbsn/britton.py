@@ -40,7 +40,10 @@ backward level only tests its states against the ball. Both searches reach
 each state first along its shortlex-least geodesic, so a state reached by
 step g skips the step back and every earlier step that commutes with g.
 ``distortion_profile`` searches each power only below its spelled upper
-bound, which the spelling itself attains.
+bound, which the spelling itself attains. The oracle speaks flat states,
+the tuples that key its ball: ``geodesic_length`` folds its word straight
+into one and ``distortion_profile`` writes each power as one, so no query
+builds a ``NormalForm``.
 
 ``geodesic_length`` and ``distortion_profile`` take their oracle from one
 process-wide store keyed by spec, so a query pays only for the levels no
@@ -61,7 +64,6 @@ from __future__ import annotations
 import math
 import threading
 from collections import OrderedDict
-from contextlib import contextmanager
 from functools import lru_cache
 from itertools import groupby
 from operator import add, countOf, mul
@@ -347,16 +349,20 @@ FORWARD_BALL_STATES = 4096
 # query grows the ball.
 FORWARD_CAP = 8
 
+_SIGNS = frozenset((1, -1))  # the exponents of a state's stable letters
+
 
 class GeodesicOracle:
     """Exact word-metric distances by breadth-first search on canonical forms.
 
     The generating set is every vertex letter and every stable letter with
-    exponent +-1. ``dist`` maps each state of the forward ball around the
-    identity to its distance; the ball only ever holds complete levels, up to
-    ``depth``, and ``frontier`` is the sphere at that depth, a dict from each
-    of its states to the index (in ``steps``) of the step that leads back to
-    its BFS parent, -1 for the identity. It is grown lazily and kept for
+    exponent +-1. A state is a flat canonical form in ``_FastOps``' layout,
+    a tuple, and ``distance`` takes its target as one. ``dist`` maps each
+    state of the forward ball around the identity to its distance; the ball
+    only ever holds complete levels, up to ``depth``, and ``frontier`` is the
+    sphere at that depth, a dict from each of its states to the index (in
+    ``steps``) of the step that leads back to its BFS parent, -1 for the
+    identity. It is grown lazily and kept for
     later queries to the same oracle; a level joins ``dist`` only once it is
     complete, and is taken out again if an exception interrupts the join.
 
@@ -412,6 +418,7 @@ class GeodesicOracle:
         self.ops = _fast_ops(spec)
         self.steps = self.ops.generator_steps()
         self.after = self._steps_after()
+        self.loops = frozenset(range(len(self.ops.loop_names)))  # loop indices of a state
         identity = self.ops.identity()
         self.dist: dict[tuple, int] = {identity: 0}
         self.frontier: dict[tuple, int] = {identity: -1}
@@ -494,12 +501,26 @@ class GeodesicOracle:
                     self.frontier, self.spent = frontier, spent
                 raise
 
-    def distance(self, target: NormalForm, max_radius: int) -> Optional[int]:
-        """Exact distance of the canonical ``target``, or None past max_radius."""
-        flat_target = self.ops.to_flat(target)
-        self._grow_forward(max_radius, flat_target)
+    def distance(self, target: tuple, max_radius: int) -> Optional[int]:
+        """Exact distance of ``target``, or None past max_radius.
+
+        ``target`` is a flat canonical state, the tuple that keys ``dist``:
+        ``_FastOps.fold`` of a word, or ``_FastOps.to_flat`` of a form. One
+        whose shape does not fit the spec raises ValueError: its length must
+        be n modulo n + 2, each loop index in range and each sign +-1.
+        """
+        n = self.ops.n
+        if (
+            len(target) % (n + 2) != n
+            or not self.loops.issuperset(target[n :: n + 2])
+            or not _SIGNS.issuperset(target[n + 1 :: n + 2])
+        ):
+            raise ValueError(
+                f"{target!r} is not a state of a rank-{n} spec with {len(self.loops)} loops"
+            )
+        self._grow_forward(max_radius, target)
         dist = self.dist
-        d = dist.get(flat_target)
+        d = dist.get(target)
         if d is not None:
             return d if d <= max_radius else None
         forward = self.depth
@@ -507,8 +528,8 @@ class GeodesicOracle:
         # backward search; a state at level l is at distance l from the target
         apply = self.ops.apply
         after = self.after
-        seen = {flat_target}
-        frontier = {flat_target: -1}
+        seen = {target}
+        frontier = {target: -1}
         for level in range(1, last + 1):
             self.spent += len(frontier)
             nxt = {}
@@ -537,23 +558,28 @@ _kept: OrderedDict = OrderedDict()  # spec -> GeodesicOracle, least recent first
 _kept_lock = threading.Lock()
 
 
-@contextmanager
-def _kept_oracle(spec: GoGSpec):
-    """The stored oracle of ``spec``, or a new one, held under the store's lock.
+def _kept_query(spec: GoGSpec, query):
+    """``query(oracle)`` on the stored oracle of ``spec``, or a new one,
+    under the store's lock.
 
-    On exit, normal or not, the oracle goes back as the most recently used,
-    unless its ball alone exceeds ``KEPT_BALL_STATES``; the least recently
-    used balls are then evicted until the kept states are within the bound.
+    Afterwards, normal or not, the oracle goes back as the most recently
+    used, unless its ball alone exceeds ``KEPT_BALL_STATES``. If its ball is
+    new or grew, the least recently used balls are then evicted until the
+    kept states are within the bound; a ball that did not grow leaves the
+    kept states as the last eviction left them.
     """
     with _kept_lock:
-        oracle = _kept.pop(spec, None) or GeodesicOracle(spec)
+        oracle = _kept.pop(spec, None)
+        states = len(oracle.dist) if oracle else 0  # 0: a new ball, not counted yet
+        oracle = oracle or GeodesicOracle(spec)
         try:
-            yield oracle
+            return query(oracle)
         finally:
             if len(oracle.dist) <= KEPT_BALL_STATES:
                 _kept[spec] = oracle
-                while sum(len(o.dist) for o in _kept.values()) > KEPT_BALL_STATES:
-                    _kept.popitem(last=False)
+                if len(oracle.dist) != states:
+                    while sum(len(o.dist) for o in _kept.values()) > KEPT_BALL_STATES:
+                        _kept.popitem(last=False)
 
 
 def geodesic_length(spec: GoGSpec, w: Word, max_radius: int):
@@ -567,13 +593,17 @@ def geodesic_length(spec: GoGSpec, w: Word, max_radius: int):
     within 8 levels and passes depth ceil(r/2) only by levels that keep it
     within ``FORWARD_BALL_STATES`` states, or that earlier backward searches
     on the spec have paid for; the store keeps it for later queries while
-    all kept balls together stay within ``KEPT_BALL_STATES`` states.
+    all kept balls together stay within ``KEPT_BALL_STATES`` states. The
+    word is folded straight into its flat state, the oracle's key, so the
+    query builds no ``NormalForm``.
     """
-    target = britton_reduce(spec, w)
-    if target.is_trivial():
+    ops = _fast_ops(spec)
+    s = list(ops.identity())
+    ops.fold(s, w)
+    target = tuple(s)
+    if target == ops.identity():
         return 0
-    with _kept_oracle(spec) as oracle:
-        d = oracle.distance(target, max_radius)
+    d = _kept_query(spec, lambda oracle: oracle.distance(target, max_radius))
     return d if d is not None else "exceeds radius"
 
 
@@ -590,6 +620,7 @@ class DistortionProfile(Record, uncompared=("note",)):
     max_ratio: Optional[float]
     doubling_letter: Optional[str]
     doubling_factor: Optional[int]
+    doubling_multiple: Optional[int]
     analytic_constant: float
     note: str = ""
 
@@ -609,27 +640,43 @@ def _vertex_vector(ops: _FastOps, element: Word) -> tuple:
     return tuple(vec)
 
 
-def _find_doubler(ops: _FastOps, vec: tuple):
-    """Stable letter whose conjugation scales ``vec`` by an integer lambda
-    with |lambda| >= 2: the largest |lambda|, and lambda > 0 on a tie.
+def _least_multiple(vec: tuple, pivots: tuple) -> int:
+    """The least k >= 1 with k*vec in the lattice of a letter's pivot plan:
+    column by column, k takes the least factor that makes the pivot divide
+    what the earlier columns left of that coordinate."""
+    v, k = list(vec), 1
+    for i, pivot, below, _ in pivots:
+        g = pivot // math.gcd(v[i], pivot)
+        if g > 1:
+            k *= g
+            v = [g * c for c in v]
+        q = v[i] // pivot
+        for r, c in below:
+            v[r] -= q * c
+    return k
 
-    Each letter t^sign is tested by one ``_stable_step`` on an empty form:
-    it leaves vec's residue modulo the letter's lattice in the form and
-    returns the pushed part, which is t^-sign vec t^sign when that residue
-    is zero."""
+
+def _find_doubler(ops: _FastOps, vec: tuple):
+    """Stable letter t^sign whose conjugation scales k*vec, the least
+    multiple of ``vec`` in its lattice, by an integer lambda with
+    |lambda| >= 2, as (name, sign, lambda, k): the largest |lambda|, then
+    lambda > 0, then the least k.
+
+    k comes from the letter's pivot plan (``_least_multiple``), and one
+    ``_stable_step`` of k*vec on an empty form returns t^-sign k*vec t^sign."""
     best = None
     first = next(i for i, c in enumerate(vec) if c)
     for idx, name in enumerate(ops.loop_names):
         for sign in (1, -1):
-            s = []
-            image = _stable_step(s, list(vec), ops.plans[idx, sign])
-            if any(s[:-2]):
+            plan = ops.plans[idx, sign]
+            k = _least_multiple(vec, plan[2])
+            kvec = [k * c for c in vec]
+            image = _stable_step([], kvec[:], plan)
+            lam = image[first] // kvec[first]
+            if abs(lam) < 2 or any(y != lam * c for y, c in zip(image, kvec)):
                 continue
-            lam = image[first] // vec[first]
-            if abs(lam) < 2 or any(y != lam * c for y, c in zip(image, vec)):
-                continue
-            if best is None or (abs(lam), lam) > (abs(best[2]), best[2]):
-                best = (name, sign, lam)
+            if best is None or (abs(lam), lam, -k) > (abs(best[2]), best[2], -best[3]):
+                best = (name, sign, lam, k)
     return best
 
 
@@ -642,12 +689,13 @@ def distortion_profile(
     """Word-length growth of powers m*v of a vertex-group element.
 
     Upper bounds are the lengths of the greedy base-lambda spelling through
-    a stable letter that scales v by an integer lambda, |lambda| >= 2 (cost
-    2 per digit), or of the direct spelling when there is none; they are
-    counted, and no word is built. A power whose upper bound ub is within
-    ``bfs_cap`` gets an exact length: the oracle searches only to radius
-    ub - 1, and if the power is not within it, the counted spelling, a word
-    of length ub for m*v, certifies that its length is exactly ub. Ratios use the exact
+    a stable letter that scales k*v, the least multiple of v in its lattice,
+    by an integer lambda, |lambda| >= 2 (cost 2 per digit), or of the direct
+    spelling when there is none; they are counted, and no word is built. A
+    power whose upper bound ub is within ``bfs_cap`` gets an exact length:
+    the oracle searches only to radius ub - 1, and if the power is not
+    within it, the counted spelling, a word of length ub for m*v, certifies
+    that its length is exactly ub. Ratios use the exact
     length when available, else the upper bound; the reported max ratio
     over the window estimates the limsup of |mv| / log m. The analytic
     lower bound is attached via ``analytic_lower_bound`` and is not
@@ -668,11 +716,12 @@ def distortion_profile(
     memo: dict[int, int] = {}
 
     # cost(m), m >= 0, is the length of the cheapest known spelling of m*v:
-    # direct, or t^-s (spelling of q*v) t^s (r*v) through the scaling letter
-    # t^s, m = q*lambda + r, for q the floor or the ceiling of m / lambda,
-    # so |q| < m for m >= 2. A spelling of q*v for q < 0 is the inverse of
-    # one of -q*v, so cost(q) = cost(|q|). Below |lambda| only the branch
-    # with |q| = 1, t^-s (+-v) t^s (r*v), can win.
+    # direct, or t^-s (spelling of q*k*v) t^s (r*v) through the scaling
+    # letter t^s, which scales k*v by lambda, m = q*k*lambda + r, for q the
+    # floor or the ceiling of m / (k*lambda), wherever |q*k| < m; for k = 1
+    # that holds for every m >= 2. A spelling of q*v for q < 0 is the
+    # inverse of one of -q*v, so cost(q) = cost(|q|). Below |k*lambda| only
+    # the branch with |q| = 1, t^-s (+-k*v) t^s (r*v), can win.
     # Spellings and their inverses start with t^-s or a vertex letter and
     # end with t^s or one, so the pieces never cancel and their lengths add.
     def cost(m: int) -> int:
@@ -680,14 +729,15 @@ def distortion_profile(
             return memo[m]
         best = m * weight
         if doubler is not None and m >= 2:
-            lam = doubler[2]
-            for q in {m // lam, -(-m // lam)}:
-                best = min(best, 2 + cost(abs(q)) + abs(m - q * lam) * weight)
+            _, _, lam, k = doubler
+            for q in {m // (k * lam), -(-m // (k * lam))}:
+                if abs(q * k) < m:
+                    best = min(best, 2 + cost(abs(q * k)) + abs(m - q * k * lam) * weight)
         memo[m] = best
         return best
 
-    entries = []
-    with _kept_oracle(spec) as oracle:
+    def window(oracle) -> list:
+        entries = []
         for m in powers:
             m = int(m)
             if m < 1:
@@ -695,15 +745,21 @@ def distortion_profile(
             ub = cost(m)
             exact = None
             if ub <= bfs_cap:
-                target = NormalForm(tuple(m * c for c in vec), ())
-                exact = oracle.distance(target, ub - 1)
+                exact = oracle.distance(tuple(m * c for c in vec), ub - 1)
                 if exact is None:
                     exact = ub
             length = exact if exact is not None else ub
             entries.append(ProfileEntry(m, ub, exact, length / math.log(m) if m >= 2 else None))
+        return entries
+
+    entries = _kept_query(spec, window)
     note = (
-        "upper bounds by greedy base-%s rewriting through %s"
-        % (doubler[2] if doubler[2] > 0 else f"({doubler[2]})", doubler[0])
+        "upper bounds by greedy base-%s rewriting through %s%s"
+        % (
+            doubler[2] if doubler[2] > 0 else f"({doubler[2]})",
+            doubler[0],
+            f" of {doubler[3]} times the element" if doubler[3] > 1 else "",
+        )
         if doubler
         else "no scaling letter found; trivial spellings only"
     )
@@ -713,6 +769,7 @@ def distortion_profile(
         max((e.ratio_to_log for e in entries if e.ratio_to_log is not None), default=None),
         doubler[0] if doubler else None,
         doubler[2] if doubler else None,
+        doubler[3] if doubler else None,
         ops.growth,
         note,
     )

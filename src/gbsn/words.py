@@ -99,23 +99,21 @@ class Word:
 
 
 _TOKEN = re.compile(r"([A-Za-z_][A-Za-z_0-9]*)(?:\^(-?\d+))?")
+# letters, each after any run of spaces and '*'; a text that ``match``es
+# only up to some position has bad syntax there
+_WORD = re.compile(r"(?:[\s*]*[A-Za-z_][A-Za-z_0-9]*(?:\^-?\d+)?)*[\s*]*")
 
 
 def parse_word(text: str) -> Word:
-    """Parse 'h^-1 a h' / 'a^2 b' style strings; '1' is the empty word."""
+    """Parse 'h^-1 a h' / 'a^2 b' style strings; '1' is the empty word.
+
+    A letter is a name with an optional integer exponent; spaces and '*'
+    between letters are skipped. One regex pass checks the syntax, and
+    ``_TOKEN.findall`` reads the letters."""
     text = text.strip()
     if text in ("", "1"):
         return Word()
-    letters = []
-    pos = 0
-    while pos < len(text):
-        if text[pos].isspace() or text[pos] == "*":
-            pos += 1
-            continue
-        m = _TOKEN.match(text, pos)
-        if not m:
-            raise ValueError(f"bad word syntax at position {pos}: {text!r}")
-        name, exp = m.group(1), m.group(2)
-        letters.append((name, 1 if exp is None else int(exp)))
-        pos = m.end()
-    return Word(letters)
+    pos = _WORD.match(text).end()
+    if pos != len(text):
+        raise ValueError(f"bad word syntax at position {pos}: {text!r}")
+    return Word([(name, int(exp) if exp else 1) for name, exp in _TOKEN.findall(text)])

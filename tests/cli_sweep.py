@@ -30,7 +30,7 @@ carry a ping-pong free pair, and on each spec of ``outside_rank2_family``,
 10 specs of rank 1 and 3 and trees of groups, which reach the rank-n word
 ball and the collapse of a tree of groups. The compare and distortion runs
 are picked from the parsed documents, so the invalid specs get them too and
-exercise the error path. That is 6,282 runs over 187 spec files.
+exercise the error path. That is 6,370 runs over 188 spec files.
 
 The word problem has no CLI command, so a last section calls its API: for
 each of the 504 word_problem jobs of ``perfbench.specgen.generate`` at seeds

@@ -101,8 +101,18 @@ class TestBrittonReduce:
     def test_malformed_form_refused(self, spec_a, nf):
         with pytest.raises(ValueError):
             nf_multiply(spec_a, nf, parse_word("a"))
-        with pytest.raises(ValueError):
-            GeodesicOracle(spec_a).distance(nf, 4)
+
+    @pytest.mark.parametrize("state", [
+        (0,),  # too short
+        (0, 0, 0),  # length not 2 modulo 4
+        (0, 0, 2, 1, 0, 0),  # specA's loops are 0 and 1
+        (0, 0, -1, 1, 0, 0),
+        (0, 0, 0, 2, 0, 0),  # sign 2
+        (0, 0, 0, 1, 0, 0, 1, 0, 0, 0),  # the second sign is 0
+    ])
+    def test_malformed_state_refused(self, spec_a, state):
+        with pytest.raises(ValueError, match="not a state of a rank-2 spec with 2 loops"):
+            GeodesicOracle(spec_a).distance(state, 4)
 
     def test_incremental_multiply_agrees(self, spec_b):
         rng = random.Random(13)
@@ -259,21 +269,22 @@ class TestGeodesics:
         rng = random.Random(3)
         for _ in range(40):
             w = random_word(rng, list(letters), max_len=radius + 2, max_exp=1)
-            target = britton_reduce(spec, w)
+            target = ops.to_flat(britton_reduce(spec, w))
             oracle = GeodesicOracle(spec)
-            assert oracle.distance(target, radius) == naive.get(ops.to_flat(target))
+            assert oracle.distance(target, radius) == naive.get(target)
 
     def test_triangle_inequality(self, spec_a, monkeypatch):
         monkeypatch.setattr(britton, "FORWARD_CAP", 6)
         rng = random.Random(59)
         letters = ["a", "b", "h", "p"]
         oracle = GeodesicOracle(spec_a)
+        to_flat = _fast_ops(spec_a).to_flat
         for _ in range(40):
             u = random_word(rng, letters, max_len=4, max_exp=1)
             v = random_word(rng, letters, max_len=4, max_exp=1)
-            du = oracle.distance(britton_reduce(spec_a, u), 12)
-            dv = oracle.distance(britton_reduce(spec_a, v), 12)
-            duv = oracle.distance(britton_reduce(spec_a, u * v), 12)
+            du = oracle.distance(to_flat(britton_reduce(spec_a, u)), 12)
+            dv = oracle.distance(to_flat(britton_reduce(spec_a, v)), 12)
+            duv = oracle.distance(to_flat(britton_reduce(spec_a, u * v)), 12)
             if None not in (du, dv, duv):
                 assert duv <= du + dv
 
@@ -384,8 +395,9 @@ def a16_query_calls():
     counted on an uninterrupted query."""
     spec = NAIVE_SPECS["specA"]
     oracle = GeodesicOracle(spec)
+    target = oracle.ops.to_flat(britton_reduce(spec, parse_word("a^16")))
     oracle.ops = counting = InterruptingOps(oracle.ops, float("inf"))
-    assert oracle.distance(britton_reduce(spec, parse_word("a^16")), 8) == 8
+    assert oracle.distance(target, 8) == 8
     return counting.made
 
 
@@ -409,8 +421,8 @@ class TestGeodesicOracle:
             mp.setattr(britton, "FORWARD_CAP", cap)
             oracle = GeodesicOracle(spec)
             for word, radius in queries:
-                target = britton_reduce(spec, word)
-                d = naive.get(ops.to_flat(target))
+                target = ops.to_flat(britton_reduce(spec, word))
+                d = naive.get(target)
                 assert oracle.distance(target, radius) == (d if d is not None and d <= radius else None)
                 assert_complete_levels(oracle, naive)
 
@@ -428,8 +440,8 @@ class TestGeodesicOracle:
             mp.setattr(britton, "FORWARD_CAP", cap)
             for word, radius in queries:
                 oracle = GeodesicOracle(spec)
-                target = britton_reduce(spec, word)
-                d = naive.get(ops.to_flat(target))
+                target = ops.to_flat(britton_reduce(spec, word))
+                d = naive.get(target)
                 assert oracle.distance(target, radius) == (d if d is not None and d <= radius else None)
                 forced = sum(map(len, naive_spheres(name)[:min(-(-radius // 2), cap) + 1]))
                 assert len(oracle.dist) <= max(forced, FORWARD_BALL_STATES)
@@ -439,7 +451,7 @@ class TestGeodesicOracle:
         # an exception in the middle of a level leaves the complete levels
         # only, and the same oracle still answers exactly afterwards
         naive = naive_ball(spec_a, 7)
-        target = britton_reduce(spec_a, parse_word("a^16"))
+        target = _fast_ops(spec_a).to_flat(britton_reduce(spec_a, parse_word("a^16")))
         oracle = GeodesicOracle(spec_a)
         ops = oracle.ops
         oracle.ops = InterruptingOps(ops, interrupt_point(calls))
@@ -457,7 +469,7 @@ class TestGeodesicOracle:
         # complete levels only, and the same oracle still answers exactly
         spec = NAIVE_SPECS["bs12"]
         naive = naive_ball(spec, 2)
-        target = _fast_ops(spec).from_flat(naive_spheres("bs12")[2][0])
+        target = naive_spheres("bs12")[2][0]
         code = GeodesicOracle._grow_forward.__code__
         outer = sys.gettrace()
 
@@ -501,11 +513,10 @@ class TestGeodesicOracle:
         # the boundary radii D - 1 and D for a state of each sphere, with
         # forward depths from 2 up, so backward searches of up to 8 levels
         spec = NAIVE_SPECS[name]
-        ops = _fast_ops(spec)
         for cap in range(2, 9):
             monkeypatch.setattr(britton, "FORWARD_CAP", cap)
             for d, sphere in enumerate(naive_spheres(name)):
-                target = ops.from_flat(sphere[-1])
+                target = sphere[-1]
                 if d:
                     assert GeodesicOracle(spec).distance(target, d - 1) is None
                 assert GeodesicOracle(spec).distance(target, d) == d
@@ -517,7 +528,7 @@ class TestGeodesicOracle:
         # level further is past the radius
         monkeypatch.setattr(britton, "FORWARD_CAP", 2)
         spec = NAIVE_SPECS["bs12"]
-        target = _fast_ops(spec).from_flat(naive_spheres("bs12")[7][0])
+        target = naive_spheres("bs12")[7][0]
         for radius, answer in ((7, 7), (6, None), (3, None)):
             oracle = GeodesicOracle(spec)
             assert oracle.distance(target, radius) == answer
@@ -533,7 +544,8 @@ class TestGeodesicOracle:
                                          ("specB", "a^8", 6, (3, 579))):
             spec = NAIVE_SPECS[name]
             oracle = GeodesicOracle(spec)
-            assert oracle.distance(britton_reduce(spec, parse_word(word)), radius) == radius
+            target = oracle.ops.to_flat(britton_reduce(spec, parse_word(word)))
+            assert oracle.distance(target, radius) == radius
             assert (oracle.depth, len(oracle.dist)) == ball
             k = len(oracle.steps)
             assert len(oracle.dist) + (k - 1) * len(oracle.frontier) > FORWARD_BALL_STATES
@@ -552,7 +564,7 @@ class TestGeodesicOracle:
         for state in naive_spheres("specA")[7][:40]:
             depth, paid = oracle.depth, oracle.spent >= len(oracle.frontier)
             bound = len(oracle.dist) + 7 * len(oracle.frontier)
-            assert oracle.distance(oracle.ops.from_flat(state), 7) == 7
+            assert oracle.distance(state, 7) == 7
             if depth < 4:
                 assert oracle.depth == 4
             elif paid and bound <= kept:
@@ -579,18 +591,38 @@ class TestGeodesicOracle:
 
     def test_small_ball_grows_to_cap(self, spec_bs12):
         oracle = GeodesicOracle(spec_bs12)
-        assert oracle.distance(britton_reduce(spec_bs12, parse_word("a^16")), 10) == 8
+        target = oracle.ops.to_flat(britton_reduce(spec_bs12, parse_word("a^16")))
+        assert oracle.distance(target, 10) == 8
         assert (oracle.depth, len(oracle.dist)) == (8, 1317)
         assert_complete_levels(oracle, naive_ball(spec_bs12, 10))
 
     def test_stops_at_the_targets_level(self, spec_bs12):
         # the first complete level that holds the target is its distance, so
         # a radius-8 query for a state at distance 3 builds three levels only
-        target = _fast_ops(spec_bs12).from_flat(naive_spheres("bs12")[3][0])
+        target = naive_spheres("bs12")[3][0]
         oracle = GeodesicOracle(spec_bs12)
         assert oracle.distance(target, 8) == 3
         assert oracle.depth == 3
         assert_complete_levels(oracle, naive_ball(spec_bs12, 10))
+
+    def test_queries_convert_no_normal_form(self, spec_bs12, monkeypatch):
+        # the ball is keyed by flat states: a query folds its word into one
+        # and a distortion window writes its powers as one, so once the
+        # ball is built neither converts a NormalForm either way
+        a = parse_word("a")
+        assert geodesic_length(spec_bs12, parse_word("a^16"), 10) == 8  # 1,317 states
+        profile = distortion_profile(spec_bs12, a, range(1, 65), bfs_cap=12)
+
+        def refuse(*args):
+            raise AssertionError("a geodesic query converted a NormalForm")
+
+        monkeypatch.setattr(_FastOps, "from_flat", refuse)
+        monkeypatch.setattr(_FastOps, "to_flat", refuse)
+        for text, radius, answer in (("a^16", 8, 8), ("t a^5 t^-1 a^3", 12, 8),
+                                     ("a^64", 12, 12), ("a^64", 11, "exceeds radius"),
+                                     ("a t a^-1 t^-1", 8, 3), ("t a^-2 t^-1 a", 8, 0)):
+            assert geodesic_length(spec_bs12, parse_word(text), radius) == answer
+        assert distortion_profile(spec_bs12, a, range(1, 65), bfs_cap=12) == profile
 
 
 class TestOracleStore:

@@ -282,9 +282,8 @@ def test_geodesic_search_matches_the_plain_ball(spec):
             mp.setattr(britton, "FORWARD_CAP", cap)
             for d, sphere in enumerate(spheres[1:], start=1):
                 for state in (sphere[0], sphere[-1]):
-                    target = ops.from_flat(state)
-                    assert GeodesicOracle(spec).distance(target, d - 1) is None
-                    assert GeodesicOracle(spec).distance(target, d) == d
+                    assert GeodesicOracle(spec).distance(state, d - 1) is None
+                    assert GeodesicOracle(spec).distance(state, d) == d
 
 
 @PROPERTY

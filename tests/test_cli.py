@@ -52,6 +52,11 @@ GOLDEN_RUNS = [
     ("distortion_bs1_minus2",
      ["distortion", "tests/specs/bs1_minus2.gog", "--element", "a", "--max-power", "64",
       "--bfs-cap", "10"], 0),
+    # a is outside t's lattice 2Z, and t doubles 2a: base-2 spellings of
+    # the even part, exact length 6 at m = 8
+    ("distortion_bs24",
+     ["distortion", "tests/specs/bs24.gog", "--element", "a", "--max-power", "64",
+      "--bfs-cap", "10"], 0),
 ]
 # tests/specs/<name>.gog holds one shape of certificate each: an irrational
 # invariant line, a real and a complex invariant pair, a rational invariant

@@ -29,9 +29,11 @@ NONZERO = st.integers(-6, 6).filter(bool)
 
 
 def reference_find_doubler(ops, spec, vec):
-    """Stable letter whose conjugation scales ``vec`` by an integer lambda
-    with |lambda| >= 2, tested on the push maps as ``QMat``s: the largest
-    |lambda|, and lambda > 0 on a tie."""
+    """Stable letter whose conjugation scales k*vec, the least multiple of
+    ``vec`` in its lattice, by an integer lambda with |lambda| >= 2, tested
+    on the push maps as ``QMat``s, as (name, sign, lambda, k): the largest
+    |lambda|, then lambda > 0, then the least k. k is the first multiple up
+    to the lattice's index with a zero residue."""
     edges = {e.name: e for e in spec.loop_edges()}
     best = None
     for name in ops.loop_names:
@@ -47,12 +49,12 @@ def reference_find_doubler(ops, spec, vec):
                 continue
             if any(image[i] != 0 for i in range(len(vec)) if vec[i] == 0):
                 continue
-            residue, _ = lattice_residue(hermite_normal_form(image_lattice), vec)
-            if any(residue):
-                continue
+            hnf = hermite_normal_form(image_lattice)
+            k = next(k for k in range(1, int(abs(image_lattice.det())) + 1)
+                     if not any(lattice_residue(hnf, [k * c for c in vec])[0]))
             lam = int(lam)
-            if best is None or abs(lam) > abs(best[2]) or lam == -best[2] > 0:
-                best = (name, sign, lam)
+            if best is None or (abs(lam), lam, -k) > (abs(best[2]), best[2], -best[3]):
+                best = (name, sign, lam, k)
     return best
 
 
@@ -74,14 +76,15 @@ def reference_window(spec, vec, powers):
             return memo[m]
         best = direct(m)
         if doubler is not None and m >= 2:
-            name, sign, lam = doubler
-            q0, r0 = divmod(m, lam)
+            name, sign, lam, k = doubler
+            q0, r0 = divmod(m, k * lam)
             branches = [(q0, r0)]
             if r0:
-                branches.append((q0 + 1, r0 - lam))
+                branches.append((q0 + 1, r0 - k * lam))
             for q, r in branches:
-                assert abs(q) < m
-                cand = Word([(name, -sign)]) * spell(q) * Word([(name, sign)]) * direct(r)
+                if abs(q * k) >= m:
+                    continue
+                cand = Word([(name, -sign)]) * spell(q * k) * Word([(name, sign)]) * direct(r)
                 if len(cand) < len(best):
                     best = cand
         memo[m] = best
@@ -147,15 +150,18 @@ def spec_and_vector(draw):
 
 
 # the branches of the scaling test: in BS(2,4) the push map through t
-# doubles a, but a is outside t's lattice 2Z, so no letter scales it, while
-# a^2 is scaled by t with lambda 2; in BS(2,6) the lattice part 2 of a^3
-# pushes to 6, twice a^3, but a^3 is outside 2Z, so no letter scales it;
-# in BS(2,1) only t^-1 scales a; and of s and t, which scale a by -2 and 2,
-# the tie goes to t
+# doubles a, and a is outside t's lattice 2Z, so t scales 2a (k = 2) by 2,
+# while a^2 is scaled by t with k = 1; in BS(2,6) the lattice part 2 of a^3
+# pushes to 6, twice a^3, but push(6a) = 18a, so t scales k*a^3 with k = 2
+# by 3; in BS(2,1) only t^-1 scales a, since t maps 2a to a; of s and t,
+# which scale a by -2 and 2, the tie goes to t; and of s and t in
+# BS(2,4) with a second loop BS(1,2), both scale a by 2, and t wins with
+# k = 1
 BS24 = GoGSpec.make(1, ["X"], [loop("t", [[2]], [[4]])])
 BS26 = GoGSpec.make(1, ["X"], [loop("t", [[2]], [[6]])])
 BS21 = GoGSpec.make(1, ["X"], [loop("t", [[2]], [[1]])])
 TIE = GoGSpec.make(1, ["X"], [loop("s", [[1]], [[-2]]), loop("t", [[1]], [[2]])])
+TIE_K = GoGSpec.make(1, ["X"], [loop("s", [[2]], [[4]]), loop("t", [[1]], [[2]])])
 
 
 @PROPERTY
@@ -165,6 +171,8 @@ TIE = GoGSpec.make(1, ["X"], [loop("s", [[1]], [[-2]]), loop("t", [[1]], [[2]])]
 @example((BS26, (3,)))
 @example((BS21, (1,)))
 @example((TIE, (1,)))
+@example((TIE_K, (1,)))
+@example((TIE_K, (3,)))
 def test_window_matches_spelled_words(case):
     spec, vec = case
     names = vertex_letters(spec)[spec.vertices[0]]
@@ -179,6 +187,7 @@ def test_window_matches_spelled_words(case):
     assert all(e.exact_length is None for e in profile.entries)
     assert profile.doubling_letter == (doubler[0] if doubler else None)
     assert profile.doubling_factor == (doubler[2] if doubler else None)
+    assert profile.doubling_multiple == (doubler[3] if doubler else None)
     assert profile.analytic_constant == growth
     assert profile.max_ratio == max_ratio
 

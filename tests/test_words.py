@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -35,6 +36,31 @@ def reference_merge(letters):
         else:
             merged.append([name, exp])
     return tuple((n, e) for n, e in merged)
+
+
+_REFERENCE_TOKEN = re.compile(r"([A-Za-z_][A-Za-z_0-9]*)(?:\^(-?\d+))?")
+
+
+def reference_parse_word(text):
+    """``parse_word`` as a loop over the text that skips spaces and '*' and
+    matches one letter at a time: the form it had before one regex pass
+    checked the whole text."""
+    text = text.strip()
+    if text in ("", "1"):
+        return Word()
+    letters = []
+    pos = 0
+    while pos < len(text):
+        if text[pos].isspace() or text[pos] == "*":
+            pos += 1
+            continue
+        m = _REFERENCE_TOKEN.match(text, pos)
+        if not m:
+            raise ValueError(f"bad word syntax at position {pos}: {text!r}")
+        name, exp = m.group(1), m.group(2)
+        letters.append((name, 1 if exp is None else int(exp)))
+        pos = m.end()
+    return Word(letters)
 
 
 EXPONENTS = st.one_of(
@@ -137,6 +163,27 @@ def test_integral_exponent_of_any_type_accepted():
 def test_parse_rejects_garbage():
     with pytest.raises(ValueError):
         parse_word("a + b")
+
+
+@given(st.text(st.sampled_from("abZ_019^-* \t"), max_size=16))
+@example("h^-1 a h")
+@example("a^2b*c^-12")
+@example("a^-")
+@example("a^5^2")
+@example(" 1 ")
+@example("a 1")
+@example("2a")
+def test_parse_matches_the_reference(text):
+    # letters, digits, '^', '-', '*' and spaces: both parsers give the same
+    # word, or the same error at the same position
+    try:
+        want = reference_parse_word(text)
+    except ValueError as err:
+        with pytest.raises(ValueError) as got:
+            parse_word(text)
+        assert str(got.value) == str(err)
+        return
+    assert parse_word(text) == want
 
 
 def test_parse_empty_and_one():

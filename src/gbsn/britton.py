@@ -20,7 +20,8 @@ All stable-letter arithmetic is one function, ``_stable_step``: it
 right-multiplies a canonical form, a flat integer list with its free last
 vector apart, by t^{+-1} along the letter's pivot plan. ``_FastOps.fold``
 takes it per stable letter of a word (``britton_reduce``, ``nf_multiply``)
-and ``_FastOps.apply`` per stable step of the geodesic search.
+and ``GeodesicOracle._level`` per stable move of the geodesic search; the
+forward growth applies its pinch rule to tuples.
 
 ``is_identity`` first maps the word to the abelianization, Z^n/L + Z^k for
 k loops, where L is spanned by alpha_j c - omega_j c over every loop j and
@@ -36,9 +37,15 @@ exactly that level's distance, and otherwise to depth ceil(r/2) for a query
 of radius r. Past that depth it builds a level only if the level cannot
 take the ball past ``FORWARD_BALL_STATES`` states, or if backward searches
 have already spent as much as the level costs (ski rental). The last
-backward level only tests its states against the ball. Both searches reach
-each state first along its shortlex-least geodesic, so a state reached by
-step g skips the step back and every earlier step that commutes with g.
+backward level only tests its states against the ball. Both searches build
+each level with one routine, ``GeodesicOracle._level``, and reach each
+state first along its shortlex-least geodesic, so a state reached by step g
+skips the step back and every earlier step that commutes with g. A stable
+move depends on the letter and the state's last vector alone. One forward
+growth repeats most of its moves (84% of its stable steps over a pass of
+the benchmark's geodesics jobs), so it computes each once and keeps it in a
+table for the growth; a backward search repeats about one in six, too few
+to pay for a table, and computes each directly.
 ``distortion_profile`` searches each power only below its spelled upper
 bound, which the spelling itself attains. The oracle speaks flat states,
 the tuples that key its ball: ``geodesic_length`` folds its word straight
@@ -137,8 +144,8 @@ class _FastOps:
     integer sequence (g0[0..n-1], then per entry: loop_index, sign,
     vec[0..n-1]), a list while it is being changed and a tuple as a
     dictionary key. The last vector is free; every other one is a residue
-    modulo the lattice of the letter after it. ``apply`` right-multiplies
-    such a list in place by one generator step and ``fold`` by a word.
+    modulo the lattice of the letter after it. ``fold`` right-multiplies
+    such a list in place by a word.
 
     ``plans[(loop_index, sign)]`` is the pivot plan ``(loop_index, sign,
     pivots)`` of t^sign. H, the integer HNF of the lattice that passes right
@@ -226,19 +233,6 @@ class _FastOps:
             steps.append((1, i, 1))
             steps.append((1, i, -1))
         return steps
-
-    def apply(self, s: list, kind: int, index: int, step: int) -> None:
-        """Right-multiply the canonical form ``s`` in place by one step:
-        kind 0 adds ``step`` to coordinate ``index`` of the free last vector,
-        kind 1 splits that vector off for one ``_stable_step`` by
-        t_index^step (step is +-1) and puts back the vector it returns."""
-        n = self.n
-        if kind == 0:
-            s[index - n] += step
-            return
-        v = s[-n:]
-        del s[-n:]
-        s += _stable_step(s, v, self.plans[index, step])
 
     def fold(self, s: list, w: Word) -> None:
         """Right-multiply the canonical form ``s`` in place by the word ``w``.
@@ -366,11 +360,12 @@ class GeodesicOracle:
     later queries to the same oracle; a level joins ``dist`` only once it is
     complete, and is taken out again if an exception interrupts the join.
 
-    Both searches expand a state reached by step g by ``after[g ^ 1]``:
-    every step h but g ^ 1, the way back, and those before g in ``steps``
-    that commute with g. Each level is scanned in insertion order and each
-    state's steps in order, so a state is first reached along its
-    shortlex-least geodesic (Epstein et al., *Word Processing in Groups*).
+    Both searches build each level with ``_level`` and expand a state
+    reached by step g by ``after[g ^ 1]``: every step h but g ^ 1, the way
+    back, and those before g in ``steps`` that commute with g. Each level
+    is scanned in insertion order and each state's steps in order, so a
+    state is first reached along its shortlex-least geodesic (Epstein et
+    al., *Word Processing in Groups*).
     Such a word never has a step h right after a later step g that
     commutes with it, since swapping the two spells the same element by a
     smaller word of the same length; and it never steps straight back. So
@@ -395,6 +390,12 @@ class GeodesicOracle:
     early and leaves the rest to backward searches from the targets, which
     only go as deep as the answers need. ``FORWARD_CAP`` bounds the ball
     whatever the radius.
+
+    One growth keeps a table of the stable moves it computes, keyed by
+    (loop, sign, last vector), and drops it when it returns: its levels
+    repeat most moves (22,012 stable steps, 684 distinct, in specA's
+    depth-6 ball). A backward search repeats about one move in six, too
+    few to pay for a table, and keeps none.
 
     The backward search is exact. Let F be the forward depth and D > F the
     true distance of the target, which is not in the ball. A state at
@@ -469,23 +470,16 @@ class GeodesicOracle:
     def _grow_forward(self, radius: int, target: tuple):
         """Add complete levels until one holds ``target``; failing that, to
         depth ceil(radius/2), then on towards min(radius, FORWARD_CAP) while
-        ``_next_level_pays``."""
+        ``_next_level_pays``. The call's levels share one table of stable
+        moves, dropped when it returns."""
         half = min(-(-radius // 2), FORWARD_CAP)
         top = min(radius, FORWARD_CAP)
-        apply = self.ops.apply
-        after = self.after
         dist = self.dist
+        moves: dict = {}
         while target not in dist and self.frontier and self.depth < top and (
             self.depth < half or self._next_level_pays()
         ):
-            nxt = {}
-            for state, back in self.frontier.items():
-                for child_back, kind, index, step in after[back]:
-                    c = list(state)
-                    apply(c, kind, index, step)
-                    child = tuple(c)
-                    if child not in dist:
-                        nxt.setdefault(child, child_back)
+            nxt = self._level(self.frontier, dist, moves)
             d = self.depth + 1
             frontier, spent = self.frontier, self.spent
             try:
@@ -500,6 +494,69 @@ class GeodesicOracle:
                         dist.pop(child, None)
                     self.frontier, self.spent = frontier, spent
                 raise
+
+    def _level(self, frontier: dict, dist: dict, moves: Optional[dict] = None,
+               seen: Optional[set] = None) -> Optional[dict]:
+        """The next level of either search: each new child of ``frontier``
+        mapped to the index of its step back, or None when a backward search
+        meets ``dist``.
+
+        States are taken in insertion order and each state's steps in
+        ``after[back]`` order, and the first reach wins. Forward growth
+        passes ``moves``, its table of stable moves, and keeps each child
+        not in ``dist``. A backward search passes no table: it returns None
+        at the first child in ``dist`` and keeps each child outside
+        ``seen``, adding it there; its last level passes no ``seen`` and
+        keeps none.
+
+        A child is the state's ``head``, all but its free last vector ``v``,
+        plus what the step makes of ``v``. A vertex step changes one
+        coordinate. A stable step t_index^step turns ``v`` into a residue,
+        the letter and a pushed part, which depend on the letter and ``v``
+        alone: forward growth takes them from one ``_stable_step`` on an
+        empty form and a copy of ``v``, once per ``(index, step, v)``, and a
+        backward search, which seldom repeats a move, takes one
+        ``_stable_step`` on a copy of ``head`` itself.
+        """
+        n = self.ops.n
+        plans = self.ops.plans
+        after = self.after
+        forward = moves is not None
+        nxt: dict = {}
+        for state, back in frontier.items():
+            head, v = state[:-n], state[-n:]
+            for child_back, kind, index, step in after[back]:
+                if kind == 0:
+                    c = list(v)
+                    c[index] += step
+                    child = head + tuple(c)
+                elif forward:
+                    key = (index, step, v)
+                    move = moves.get(key)
+                    if move is None:
+                        s = []
+                        pushed = tuple(_stable_step(s, list(v), plans[index, step]))
+                        move = moves[key] = (tuple(s), pushed, not any(s[:n]))
+                    letter, pushed, zero = move
+                    # _stable_step's pinch rule, applied to a tuple: a zero
+                    # residue cancels against a last letter t_index^-step
+                    if zero and head and head[-1] == -step and head[-2] == index:
+                        child = head[: -n - 2] + tuple(map(add, head[-n - 2 : -2], pushed))
+                    else:
+                        child = head + letter + pushed
+                else:
+                    s = list(head)
+                    s += _stable_step(s, list(v), plans[index, step])
+                    child = tuple(s)
+                if child in dist:
+                    if not forward:
+                        return None
+                elif forward:
+                    nxt.setdefault(child, child_back)
+                elif seen is not None and child not in seen:
+                    seen.add(child)
+                    nxt[child] = child_back
+        return nxt
 
     def distance(self, target: tuple, max_radius: int) -> Optional[int]:
         """Exact distance of ``target``, or None past max_radius.
@@ -526,25 +583,14 @@ class GeodesicOracle:
         forward = self.depth
         last = max_radius - forward
         # backward search; a state at level l is at distance l from the target
-        apply = self.ops.apply
-        after = self.after
         seen = {target}
-        frontier = {target: -1}
+        frontier: Optional[dict] = {target: -1}
         for level in range(1, last + 1):
             self.spent += len(frontier)
-            nxt = {}
-            for state, back in frontier.items():
-                for child_back, kind, index, step in after[back]:
-                    c = list(state)
-                    apply(c, kind, index, step)
-                    child = tuple(c)
-                    if child in dist:
-                        return forward + level
-                    # no level reads the last level's children
-                    if level < last and child not in seen:
-                        seen.add(child)
-                        nxt[child] = child_back
-            frontier = nxt
+            # no level reads the last level's children
+            frontier = self._level(frontier, dist, seen=seen if level < last else None)
+            if frontier is None:
+                return forward + level
         return None
 
 
@@ -662,9 +708,15 @@ def _find_doubler(ops: _FastOps, vec: tuple):
     |lambda| >= 2, as (name, sign, lambda, k): the largest |lambda|, then
     lambda > 0, then the least k.
 
+    When that letter has k > 1, the letter of cheapest spelling wins. Each
+    base-lambda digit divides the power by |lambda| and costs 2 letters and
+    at most k|lambda|/2 copies of ``vec``, so the least (2 + |vec|_1 *
+    k|lambda|/2) / log|lambda| bounds the spelling's length best, and ties
+    go by the order above. A window whose first letter has k = 1 keeps it.
+
     k comes from the letter's pivot plan (``_least_multiple``), and one
     ``_stable_step`` of k*vec on an empty form returns t^-sign k*vec t^sign."""
-    best = None
+    found = []
     first = next(i for i, c in enumerate(vec) if c)
     for idx, name in enumerate(ops.loop_names):
         for sign in (1, -1):
@@ -673,10 +725,19 @@ def _find_doubler(ops: _FastOps, vec: tuple):
             kvec = [k * c for c in vec]
             image = _stable_step([], kvec[:], plan)
             lam = image[first] // kvec[first]
-            if abs(lam) < 2 or any(y != lam * c for y, c in zip(image, kvec)):
-                continue
-            if best is None or (abs(lam), lam, -k) > (abs(best[2]), best[2], -best[3]):
-                best = (name, sign, lam, k)
+            if abs(lam) >= 2 and all(y == lam * c for y, c in zip(image, kvec)):
+                found.append((name, sign, lam, k))
+    if not found:
+        return None
+    best = max(found, key=lambda d: (abs(d[2]), d[2], -d[3]))
+    if best[3] > 1:
+        weight = sum(map(abs, vec))
+
+        def spelling_cost(d):
+            _, _, lam, k = d
+            return (2 + weight * k * abs(lam) / 2) / math.log(abs(lam)), -abs(lam), -lam, k
+
+        best = min(found, key=spelling_cost)
     return best
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import strategies as st
 
 from gbsn import britton, cli, gogfile
-from gbsn.britton import _fast_ops
+from gbsn.britton import _fast_ops, _stable_step
 from gbsn.classify import analysis
 from gbsn.gog import Edge, GoGSpec, vertex_letters
 from gbsn.linalg import QMat
@@ -50,10 +50,25 @@ def word_of_normal_form(spec, nf):
     return w
 
 
+def apply_step(ops, s, kind, index, step):
+    """Right-multiply the flat canonical form ``s`` in place by one generator
+    step, the tests' reference step: kind 0 adds ``step`` to coordinate
+    ``index`` of the free last vector, kind 1 splits that vector off for one
+    ``_stable_step`` by t_index^step (step is +-1) and puts back the vector
+    it returns. The search builds its children apart from this."""
+    n = ops.n
+    if kind == 0:
+        s[index - n] += step
+        return
+    v = s[-n:]
+    del s[-n:]
+    s += _stable_step(s, v, ops.plans[index, step])
+
+
 @lru_cache(maxsize=None)
 def naive_ball(spec, radius):
     """Plain forward BFS ball {flat state: distance} of ``radius``, grown by
-    the normal-form step; built once per (spec, radius) in a test run."""
+    the reference step; built once per (spec, radius) in a test run."""
     ops = _fast_ops(spec)
     ball = {ops.identity(): 0}
     frontier = [ops.identity()]
@@ -62,7 +77,7 @@ def naive_ball(spec, radius):
         for s in frontier:
             for kind, idx, step in ops.generator_steps():
                 c = list(s)
-                ops.apply(c, kind, idx, step)
+                apply_step(ops, c, kind, idx, step)
                 c = tuple(c)
                 if c not in ball:
                     ball[c] = d

@@ -368,42 +368,54 @@ class Interrupt(BaseException):
     pass
 
 
-class InterruptingOps:
-    """The spec's normal-form operations, raising ``Interrupt`` from the
-    ``calls``-th ``apply`` on, as a time limit or ^C would; ``made`` counts
-    the ``apply`` calls that ran."""
+class ChildCounter:
+    """Counts the children a search builds, raising ``Interrupt`` from the
+    ``calls``-th on, as a time limit or ^C would; ``made`` counts the
+    children built. ``hook`` wraps an oracle's ``after`` entries so that
+    iterating one counts each child."""
 
-    def __init__(self, ops, calls):
-        self.ops = ops
+    def __init__(self, calls):
         self.calls = calls
         self.made = 0
 
-    def __getattr__(self, name):
-        return getattr(self.ops, name)
+    def hook(self, after):
+        return [CountingSteps(steps, self) for steps in after]
 
-    def apply(self, *args):
-        self.calls -= 1
-        if self.calls <= 0:
-            raise Interrupt
-        self.made += 1
-        return self.ops.apply(*args)
+
+class CountingSteps(tuple):
+    """One ``after`` entry that counts on ``counter`` each step taken from it."""
+
+    def __new__(cls, steps, counter):
+        entry = super().__new__(cls, steps)
+        entry.counter = counter
+        return entry
+
+    def __iter__(self):
+        counter = self.counter
+        for step in tuple.__iter__(self):
+            counter.calls -= 1
+            if counter.calls <= 0:
+                raise Interrupt
+            counter.made += 1
+            yield step
 
 
 @lru_cache(maxsize=None)
 def a16_query_calls():
-    """``apply`` calls of the specA a^16 radius-8 query on a fresh oracle,
-    counted on an uninterrupted query."""
+    """Children of the specA a^16 radius-8 query on a fresh oracle, counted
+    on an uninterrupted query."""
     spec = NAIVE_SPECS["specA"]
     oracle = GeodesicOracle(spec)
     target = oracle.ops.to_flat(britton_reduce(spec, parse_word("a^16")))
-    oracle.ops = counting = InterruptingOps(oracle.ops, float("inf"))
+    counting = ChildCounter(float("inf"))
+    oracle.after = counting.hook(oracle.after)
     assert oracle.distance(target, 8) == 8
     return counting.made
 
 
 def interrupt_point(calls):
-    """The ``apply`` call an interrupt comes at: ``calls``, or for "last"
-    the query's last call, in its last backward level, wherever that is."""
+    """The child an interrupt comes at: ``calls``, or for "last" the
+    query's last child, in its last backward level, wherever that is."""
     return a16_query_calls() if calls == "last" else calls
 
 
@@ -453,11 +465,11 @@ class TestGeodesicOracle:
         naive = naive_ball(spec_a, 7)
         target = _fast_ops(spec_a).to_flat(britton_reduce(spec_a, parse_word("a^16")))
         oracle = GeodesicOracle(spec_a)
-        ops = oracle.ops
-        oracle.ops = InterruptingOps(ops, interrupt_point(calls))
+        after = oracle.after
+        oracle.after = ChildCounter(interrupt_point(calls)).hook(after)
         with pytest.raises(Interrupt):
             oracle.distance(target, 8)
-        oracle.ops = ops
+        oracle.after = after
         assert_complete_levels(oracle, naive)
         assert oracle.depth < 5
         assert oracle.distance(target, 8) == 8
@@ -465,17 +477,19 @@ class TestGeodesicOracle:
 
     def test_interrupt_at_any_instruction_of_a_level(self):
         # an exception raised before any one bytecode instruction that
-        # _grow_forward runs, as a signal handler may raise it, leaves the
-        # complete levels only, and the same oracle still answers exactly
+        # _grow_forward or its level routine runs, as a signal handler may
+        # raise it, leaves the complete levels only, and the same oracle
+        # still answers exactly
         spec = NAIVE_SPECS["bs12"]
         naive = naive_ball(spec, 2)
         target = naive_spheres("bs12")[2][0]
-        code = GeodesicOracle._grow_forward.__code__
+        codes = {GeodesicOracle._grow_forward.__code__, GeodesicOracle._level.__code__}
         outer = sys.gettrace()
 
         def query(oracle, at):
             """Run one query on ``oracle``, raising ``Interrupt`` before the
-            ``at``-th instruction of ``_grow_forward``; the instructions run."""
+            ``at``-th instruction of ``_grow_forward`` and ``_level`` together;
+            the instructions run."""
             count = 0
 
             def local(frame, event, arg):
@@ -487,7 +501,7 @@ class TestGeodesicOracle:
                 return local
 
             def tracer(frame, event, arg):
-                if frame.f_code is code:
+                if frame.f_code in codes:
                     frame.f_trace_opcodes = True
                     return local
                 return None
@@ -499,7 +513,7 @@ class TestGeodesicOracle:
                 sys.settrace(outer)
             return count
 
-        total = query(GeodesicOracle(spec), 0)  # two levels, 799 on CPython 3.11
+        total = query(GeodesicOracle(spec), 0)  # two levels, 1,382 on CPython 3.11
         for at in range(1, total + 1):
             oracle = GeodesicOracle(spec)
             with pytest.raises(Interrupt):
@@ -580,14 +594,38 @@ class TestGeodesicOracle:
     @pytest.mark.parametrize("name, states, calls", [("ascend2", 4189, 6514), ("bs12", 1317, 2134)])
     def test_depth_8_ball_skips_commuting_steps(self, name, states, calls):
         # ascend2's t fixes a, so a state reached by t skips a and a^-1, and
-        # one reached by b or b^-1 skips a and a^-1 too: 6,514 apply calls
+        # one reached by b or b^-1 skips a and a^-1 too: 6,514 children
         # where skipping only the step back makes 10,806; rank-1 bs12 has
         # nothing to skip
         spec = NAIVE_SPECS[name]
         oracle = GeodesicOracle(spec)
-        oracle.ops = counting = InterruptingOps(oracle.ops, float("inf"))
+        counting = ChildCounter(float("inf"))
+        oracle.after = counting.hook(oracle.after)
         oracle._grow_forward(16, None)
         assert (oracle.depth, len(oracle.dist), counting.made) == (8, states, calls)
+
+    @pytest.mark.parametrize("name, depth, states, steps", [
+        ("specA", 6, 29269, 684), ("specB", 5, 23177, 462),
+        ("ascend2", 8, 4189, 444), ("bs12", 8, 1317, 112),
+    ])
+    def test_growth_computes_each_stable_move_once(self, monkeypatch, name, depth, states, steps):
+        # a stable move depends on the letter and the last vector alone, so
+        # one growth takes one _stable_step per distinct (loop, sign,
+        # vector): 684 for specA's depth-6 ball, where one per stable child
+        # makes 22,012
+        monkeypatch.setattr(britton, "FORWARD_CAP", depth)
+        oracle = GeodesicOracle(NAIVE_SPECS[name])
+        real_step = britton._stable_step
+        calls = 0
+
+        def counting(*args):
+            nonlocal calls
+            calls += 1
+            return real_step(*args)
+
+        monkeypatch.setattr(britton, "_stable_step", counting)
+        oracle._grow_forward(2 * depth, None)
+        assert (oracle.depth, len(oracle.dist), calls) == (depth, states, steps)
 
     def test_small_ball_grows_to_cap(self, spec_bs12):
         oracle = GeodesicOracle(spec_bs12)
@@ -664,19 +702,14 @@ class TestOracleStore:
     def test_interrupted_query_keeps_complete_levels(self, spec_a, monkeypatch, calls):
         naive = naive_ball(spec_a, 7)
         target = parse_word("a^16")
-        real_apply = _FastOps.apply
-        left = [interrupt_point(calls)]
-
-        def apply(self, *args):
-            left[0] -= 1
-            if left[0] <= 0:
-                raise Interrupt
-            return real_apply(self, *args)
-
-        monkeypatch.setattr(_FastOps, "apply", apply)
+        counting = ChildCounter(interrupt_point(calls))
+        steps_after = GeodesicOracle._steps_after
+        monkeypatch.setattr(GeodesicOracle, "_steps_after",
+                            lambda self: counting.hook(steps_after(self)))
         with pytest.raises(Interrupt):
             geodesic_length(spec_a, target, 8)
         monkeypatch.undo()
+        counting.calls = float("inf")  # the kept oracle's steps count on, unarmed
         oracle = britton._kept[spec_a]
         assert_complete_levels(oracle, naive)
         assert oracle.depth < 5

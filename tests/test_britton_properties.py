@@ -19,7 +19,7 @@ from gbsn.holonomy import compute_holonomy, word_image
 from gbsn.linalg import QMat, hermite_normal_form, lattice_residue
 from gbsn.words import Word, parse_word
 
-from conftest import load_spec, naive_ball, one_vertex_specs, word_of_normal_form
+from conftest import apply_step, load_spec, naive_ball, one_vertex_specs, word_of_normal_form
 
 RANK3 = GoGSpec.make(
     3,
@@ -89,7 +89,7 @@ def short_run_words(draw):
 
 
 def letter_at_a_time(spec, start, w):
-    """``start`` right-multiplied by ``w`` with one ``_FastOps.apply`` per
+    """``start`` right-multiplied by ``w`` with one ``apply_step`` per
     single letter: kind 0 with step +-1 for a vertex letter, kind 1 for a
     stable letter. The reference for the fold, which reads runs."""
     ops = _fast_ops(spec)
@@ -100,7 +100,7 @@ def letter_at_a_time(spec, start, w):
         else:
             kind, index = 1, ops.loop_index[name]
         for _ in range(abs(exp)):
-            ops.apply(s, kind, index, 1 if exp > 0 else -1)
+            apply_step(ops, s, kind, index, 1 if exp > 0 else -1)
     return ops.from_flat(s)
 
 
@@ -213,7 +213,7 @@ def test_stable_step_matches_the_push_map(case):
         for index in range(len(ops.loop_names)):
             for step in (1, -1):
                 got, want = list(state), list(state)
-                ops.apply(got, 1, index, step)
+                apply_step(ops, got, 1, index, step)
                 reference_stable_step(spec, ops, want, index, step)
                 assert got == want
 
@@ -274,7 +274,7 @@ def test_geodesic_search_matches_the_plain_ball(spec):
             assert sorted(oracle.frontier) == sorted(spheres[d])
             for state, back in oracle.frontier.items():
                 parent = list(state)
-                ops.apply(parent, *oracle.steps[back])
+                apply_step(ops, parent, *oracle.steps[back])
                 assert naive[tuple(parent)] == d - 1
         # backward searches from forward depths 1 and 2, at the boundary
         # radii D - 1 and D
@@ -284,6 +284,42 @@ def test_geodesic_search_matches_the_plain_ball(spec):
                 for state in (sphere[0], sphere[-1]):
                     assert GeodesicOracle(spec).distance(state, d - 1) is None
                     assert GeodesicOracle(spec).distance(state, d) == d
+
+
+# radius of the plain ball whose states the level routine expands
+LEVEL_RADIUS = 3
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(one_vertex_specs(max_rank=3, bound=4))
+@example(ZBS13)
+@example(SPECS["specA"])
+def test_level_children_match_the_reference_step(spec):
+    # each sphere of the plain ball as one frontier, each state by every
+    # step: forward growth and a backward search both give the reference
+    # step's children, in order, each with its step back, pinches
+    # included. Forward growth's table serves every sphere, so its moves
+    # are reused under other heads; a last backward level keeps no child,
+    # and a backward level stops at a child in the ball
+    naive = naive_ball.__wrapped__(spec, LEVEL_RADIUS)
+    oracle = GeodesicOracle(spec)
+    ops = oracle.ops
+    moves = {}
+    pinched = False
+    for d in range(LEVEL_RADIUS + 1):
+        frontier = {state: -1 for state, k in naive.items() if k == d}
+        want = {}
+        for state in frontier:
+            for back, kind, index, step in oracle.after[-1]:
+                child = list(state)
+                apply_step(ops, child, kind, index, step)
+                pinched |= len(child) < len(state)
+                want.setdefault(tuple(child), back)
+        assert list(oracle._level(frontier, {}, moves).items()) == list(want.items())
+        assert list(oracle._level(frontier, {}, seen=set()).items()) == list(want.items())
+        assert oracle._level(frontier, {}) == {}
+        assert oracle._level(frontier, dict.fromkeys(list(want)[-1:])) is None
+    assert pinched
 
 
 @PROPERTY

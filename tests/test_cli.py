@@ -57,6 +57,12 @@ GOLDEN_RUNS = [
     ("distortion_bs24",
      ["distortion", "tests/specs/bs24.gog", "--element", "a", "--max-power", "64",
       "--bfs-cap", "10"], 0),
+    # t scales 9a by 8 and s scales 4a by 2: base-2 digits through s cost
+    # at most 2 + 4 letters a factor 2, base-8 ones through t up to 2 + 36 a
+    # factor 8, so the window spells through s: max ratio 5.051, not 11.505
+    ("distortion_rank1_cyclic",
+     ["distortion", "tests/specs/rank1_cyclic.gog", "--element", "a", "--max-power", "200",
+      "--bfs-cap", "10"], 0),
 ]
 # tests/specs/<name>.gog holds one shape of certificate each: an irrational
 # invariant line, a real and a complex invariant pair, a rational invariant

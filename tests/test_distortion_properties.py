@@ -32,10 +32,13 @@ def reference_find_doubler(ops, spec, vec):
     """Stable letter whose conjugation scales k*vec, the least multiple of
     ``vec`` in its lattice, by an integer lambda with |lambda| >= 2, tested
     on the push maps as ``QMat``s, as (name, sign, lambda, k): the largest
-    |lambda|, then lambda > 0, then the least k. k is the first multiple up
-    to the lattice's index with a zero residue."""
+    |lambda|, then lambda > 0, then the least k; and if that letter has
+    k > 1, the least bound (2 + |vec|_1 k|lambda|/2) / log|lambda| on the
+    spelling's letters per factor e of the power, ties in the same order. k
+    is the first multiple up to the lattice's index with a zero residue."""
     edges = {e.name: e for e in spec.loop_edges()}
     best = None
+    found = []
     for name in ops.loop_names:
         e = edges[name]
         mat = e.comparison()
@@ -53,7 +56,15 @@ def reference_find_doubler(ops, spec, vec):
             k = next(k for k in range(1, int(abs(image_lattice.det())) + 1)
                      if not any(lattice_residue(hnf, [k * c for c in vec])[0]))
             lam = int(lam)
+            found.append((name, sign, lam, k))
             if best is None or (abs(lam), lam, -k) > (abs(best[2]), best[2], -best[3]):
+                best = (name, sign, lam, k)
+    if best is not None and best[3] > 1:
+        weight = sum(abs(c) for c in vec)
+        for name, sign, lam, k in found:
+            rate = (2 + weight * k * abs(lam) / 2) / math.log(abs(lam))
+            best_rate = (2 + weight * best[3] * abs(best[2]) / 2) / math.log(abs(best[2]))
+            if (rate, -abs(lam), -lam, k) < (best_rate, -abs(best[2]), -best[2], best[3]):
                 best = (name, sign, lam, k)
     return best
 
@@ -156,12 +167,15 @@ def spec_and_vector(draw):
 # by 3; in BS(2,1) only t^-1 scales a, since t maps 2a to a; of s and t,
 # which scale a by -2 and 2, the tie goes to t; and of s and t in
 # BS(2,4) with a second loop BS(1,2), both scale a by 2, and t wins with
-# k = 1
+# k = 1; of s and t in rank1_cyclic, s scales 4a by 2 and t scales 9a by 8,
+# and s wins, its spelling costing at most 6 letters a factor 2 against 38
+# a factor 8
 BS24 = GoGSpec.make(1, ["X"], [loop("t", [[2]], [[4]])])
 BS26 = GoGSpec.make(1, ["X"], [loop("t", [[2]], [[6]])])
 BS21 = GoGSpec.make(1, ["X"], [loop("t", [[2]], [[1]])])
 TIE = GoGSpec.make(1, ["X"], [loop("s", [[1]], [[-2]]), loop("t", [[1]], [[2]])])
 TIE_K = GoGSpec.make(1, ["X"], [loop("s", [[2]], [[4]]), loop("t", [[1]], [[2]])])
+CYCLIC = GoGSpec.make(1, ["X"], [loop("s", [[4]], [[8]]), loop("t", [[9]], [[72]])])
 
 
 @PROPERTY
@@ -173,6 +187,7 @@ TIE_K = GoGSpec.make(1, ["X"], [loop("s", [[2]], [[4]]), loop("t", [[1]], [[2]])
 @example((TIE, (1,)))
 @example((TIE_K, (1,)))
 @example((TIE_K, (3,)))
+@example((CYCLIC, (1,)))
 def test_window_matches_spelled_words(case):
     spec, vec = case
     names = vertex_letters(spec)[spec.vertices[0]]

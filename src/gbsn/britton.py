@@ -60,10 +60,10 @@ ball first, and keeps no ball that alone exceeds the bound. One lock covers
 lookup, query and eviction, so concurrent callers are served one at a time.
 Keeping balls between calls is safe for two reasons. Their memory is
 bounded by ``KEPT_BALL_STATES`` however many specs are queried. And a kept
-ball is never left half-grown: a level is built apart and joins the ball
-only once it is complete, and an exception (a time limit, ^C) that lands
-in the join takes it out again, so the ball holds complete levels only and
-answers the next query exactly.
+ball is never left half-grown: it is one snapshot, and a level joins by
+one attribute store of a new snapshot, so an exception (a time limit, ^C)
+lands before or after that store, and the ball holds complete levels only
+and answers the next query exactly.
 """
 
 from __future__ import annotations
@@ -351,14 +351,14 @@ class GeodesicOracle:
 
     The generating set is every vertex letter and every stable letter with
     exponent +-1. A state is a flat canonical form in ``_FastOps``' layout,
-    a tuple, and ``distance`` takes its target as one. ``dist`` maps each
-    state of the forward ball around the identity to its distance; the ball
-    only ever holds complete levels, up to ``depth``, and ``frontier`` is the
+    a tuple, and ``distance`` takes its target as one. The forward ball
+    around the identity is one snapshot, ``ball = (dist, frontier, depth)``,
+    each also a property: ``dist`` maps each state to its distance, the ball
+    holds complete levels only, up to ``depth``, and ``frontier`` is the
     sphere at that depth, a dict from each of its states to the index (in
-    ``steps``) of the step that leads back to its BFS parent, -1 for the
-    identity. It is grown lazily and kept for
-    later queries to the same oracle; a level joins ``dist`` only once it is
-    complete, and is taken out again if an exception interrupts the join.
+    ``steps``) of the step back to its BFS parent, -1 for the identity. It
+    is grown lazily and kept for later queries; a level joins by one store
+    of a new snapshot, and no stored snapshot is ever changed.
 
     Both searches build each level with ``_level`` and expand a state
     reached by step g by ``after[g ^ 1]``: every step h but g ^ 1, the way
@@ -421,10 +421,12 @@ class GeodesicOracle:
         self.after = self._steps_after()
         self.loops = frozenset(range(len(self.ops.loop_names)))  # loop indices of a state
         identity = self.ops.identity()
-        self.dist: dict[tuple, int] = {identity: 0}
-        self.frontier: dict[tuple, int] = {identity: -1}
-        self.depth = 0
+        self.ball: tuple[dict, dict, int] = ({identity: 0}, {identity: -1}, 0)
         self.spent = 0  # states expanded by backward searches since the last level
+
+    dist = property(lambda self: self.ball[0])
+    frontier = property(lambda self: self.ball[1])
+    depth = property(lambda self: self.ball[2])
 
     def _steps_after(self) -> list:
         """``after[back]``: the steps a state whose step back is ``back``
@@ -471,29 +473,21 @@ class GeodesicOracle:
         """Add complete levels until one holds ``target``; failing that, to
         depth ceil(radius/2), then on towards min(radius, FORWARD_CAP) while
         ``_next_level_pays``. The call's levels share one table of stable
-        moves, dropped when it returns."""
+        moves, dropped when it returns. A level joins by one store of a new
+        snapshot, so an exception lands before or after it, and one before
+        the reset of ``spent`` only changes when the next level pays."""
         half = min(-(-radius // 2), FORWARD_CAP)
         top = min(radius, FORWARD_CAP)
-        dist = self.dist
+        dist, frontier, depth = self.ball
         moves: dict = {}
-        while target not in dist and self.frontier and self.depth < top and (
-            self.depth < half or self._next_level_pays()
+        while target not in dist and frontier and depth < top and (
+            depth < half or self._next_level_pays()
         ):
-            nxt = self._level(self.frontier, dist, moves)
-            d = self.depth + 1
-            frontier, spent = self.frontier, self.spent
-            try:
-                dist.update(dict.fromkeys(nxt, d))
-                self.frontier, self.spent, self.depth = nxt, 0, d
-            except BaseException:
-                # a signal handler (a time limit, ^C) may raise between any
-                # two of these instructions: unless the depth is stored,
-                # take the level out again and put back what it replaced
-                if self.depth != d:
-                    for child in nxt:
-                        dist.pop(child, None)
-                    self.frontier, self.spent = frontier, spent
-                raise
+            frontier = self._level(frontier, dist, moves)
+            depth += 1
+            dist = dist | dict.fromkeys(frontier, depth)
+            self.ball = (dist, frontier, depth)
+            self.spent = 0
 
     def _level(self, frontier: dict, dist: dict, moves: Optional[dict] = None,
                seen: Optional[set] = None) -> Optional[dict]:
@@ -576,11 +570,10 @@ class GeodesicOracle:
                 f"{target!r} is not a state of a rank-{n} spec with {len(self.loops)} loops"
             )
         self._grow_forward(max_radius, target)
-        dist = self.dist
+        dist, _, forward = self.ball
         d = dist.get(target)
         if d is not None:
             return d if d <= max_radius else None
-        forward = self.depth
         last = max_radius - forward
         # backward search; a state at level l is at distance l from the target
         seen = {target}
@@ -610,20 +603,20 @@ def _kept_query(spec: GoGSpec, query):
 
     Afterwards, normal or not, the oracle goes back as the most recently
     used, unless its ball alone exceeds ``KEPT_BALL_STATES``. If its ball is
-    new or grew, the least recently used balls are then evicted until the
-    kept states are within the bound; a ball that did not grow leaves the
-    kept states as the last eviction left them.
+    new or grew, a snapshot other than the one the query began with, the
+    least recently used balls are then evicted until the kept states are
+    within the bound; an unchanged ball leaves them as they were.
     """
     with _kept_lock:
-        oracle = _kept.pop(spec, None)
-        states = len(oracle.dist) if oracle else 0  # 0: a new ball, not counted yet
-        oracle = oracle or GeodesicOracle(spec)
+        kept = _kept.pop(spec, None)
+        before = kept.ball if kept else None
+        oracle = kept or GeodesicOracle(spec)
         try:
             return query(oracle)
         finally:
             if len(oracle.dist) <= KEPT_BALL_STATES:
                 _kept[spec] = oracle
-                if len(oracle.dist) != states:
+                if oracle.ball is not before:
                     while sum(len(o.dist) for o in _kept.values()) > KEPT_BALL_STATES:
                         _kept.popitem(last=False)
 

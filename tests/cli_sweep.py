@@ -35,8 +35,11 @@ exercise the error path. That is 6,370 runs over 188 spec files.
 The word problem has no CLI command, so a last section calls its API: for
 each of the 504 word_problem jobs of ``perfbench.specgen.generate`` at seeds
 1-3, the ``britton_reduce`` form and the ``is_identity`` answer of each of
-its words, and the forms of the ``nf_multiply`` chain through them. The
-whole sweep takes under three minutes on a 2-core x86 VM.
+its words, and the forms of the ``nf_multiply`` chain through them. A
+geodesics section then prints ``geodesic_length``'s answer for each of the
+141 geodesic jobs of ``generate`` at seeds 1-3, in job order, in the same
+process, so each query meets the oracle store as earlier queries left it.
+The whole sweep takes under three minutes on a 2-core x86 VM.
 """
 
 from __future__ import annotations
@@ -55,10 +58,10 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
 from gbsn import gogfile  # noqa: E402
-from gbsn.britton import britton_reduce, is_identity, nf_multiply  # noqa: E402
+from gbsn.britton import britton_reduce, geodesic_length, is_identity, nf_multiply  # noqa: E402
 from gbsn.cli import run  # noqa: E402
 from gbsn.gog import vertex_letters  # noqa: E402
-from gbsn.words import Word  # noqa: E402
+from gbsn.words import Word, parse_word  # noqa: E402
 from perfbench.specgen import WORKLOADS, generate  # noqa: E402
 
 SEEDS = (1, 2, 3)
@@ -274,6 +277,23 @@ def word_problem_lines():
                 yield f"chain: {nf}\n"
 
 
+def geodesic_lines():
+    """Lines for every geodesic job of ``generate`` at ``SEEDS``, in job
+    order: its spec, target and radius, and ``geodesic_length``'s answer.
+    The jobs run in this one process, after the CLI runs, so a query reuses
+    any ball that the process-wide store kept from earlier ones, and one
+    whose ball grows goes through the store's eviction check. No CLI
+    command reaches ``geodesic_length``."""
+    for seed in SEEDS:
+        specs, jobs = generate("geodesics", seed)
+        parsed = {spec.name: gogfile.parse(spec.text()).to_spec() for spec in specs}
+        for k, job in enumerate(jobs):
+            if job.kind == "geodesic":
+                target, radius = job.args
+                answer = geodesic_length(parsed[job.spec], parse_word(target), radius)
+                yield f"$ geodesic {seed} {k} {job.spec} {target} radius {radius}: {answer}\n"
+
+
 def main() -> None:
     texts, family, pairs = spec_texts(), certificate_family(), free_pair_family()
     outside = outside_rank2_family()
@@ -297,6 +317,7 @@ def main() -> None:
         finally:
             os.chdir(cwd)
     out.writelines(word_problem_lines())
+    out.writelines(geodesic_lines())
 
 
 if __name__ == "__main__":

@@ -513,7 +513,7 @@ class TestGeodesicOracle:
                 sys.settrace(outer)
             return count
 
-        total = query(GeodesicOracle(spec), 0)  # two levels, 1,382 on CPython 3.11
+        total = query(GeodesicOracle(spec), 0)  # two levels, 1,353 on CPython 3.11
         for at in range(1, total + 1):
             oracle = GeodesicOracle(spec)
             with pytest.raises(Interrupt):
@@ -521,6 +521,21 @@ class TestGeodesicOracle:
             assert_complete_levels(oracle, naive)
             assert oracle.distance(target, 2) == 2
             assert_complete_levels(oracle, naive)
+
+    def test_replaced_snapshot_is_never_changed(self, spec_bs12):
+        # a level joins by one store of a new snapshot and leaves the one it
+        # replaces as it was, which is all an interrupted join can leave
+        # behind; a query answered inside the ball stores no snapshot
+        oracle = GeodesicOracle(spec_bs12)
+        for d in (3, 5):
+            before = oracle.ball
+            states = dict(before[0])
+            assert oracle.distance(naive_spheres("bs12")[d][0], 8) == d
+            assert oracle.ball is not before
+            assert before[0] == states
+        before = oracle.ball
+        assert oracle.distance(naive_spheres("bs12")[4][0], 8) == 4
+        assert oracle.ball is before
 
     @pytest.mark.parametrize("name", sorted(NAIVE_RADIUS))
     def test_every_distance_and_cap(self, name, monkeypatch):

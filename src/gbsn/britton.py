@@ -47,7 +47,11 @@ the benchmark's geodesics jobs), so it computes each once and keeps it in a
 table for the growth; a backward search repeats about one in six, too few
 to pay for a table, and computes each directly.
 ``distortion_profile`` searches each power only below its spelled upper
-bound, which the spelling itself attains. The oracle speaks flat states,
+bound, which the spelling itself attains, and not at all once the
+triangle inequality |m*v| >= |k*v| - cost(|m - k|) (the vertex group is
+abelian) reaches that bound for a power k it has decided; it decides the
+powers longest spelling first, so the long powers, searched anyway, settle
+shorter ones. The oracle speaks flat states,
 the tuples that key its ball: ``geodesic_length`` folds its word straight
 into one and ``distortion_profile`` writes each power as one, so no query
 builds a ``NormalForm``.
@@ -58,6 +62,8 @@ earlier query on that spec has built. The store keeps at most
 ``KEPT_BALL_STATES`` ball states in all, evicts the least recently used
 ball first, and keeps no ball that alone exceeds the bound. One lock covers
 lookup, query and eviction, so concurrent callers are served one at a time.
+A query allocates no reference cycles, so the cyclic garbage collector is
+paused while it runs.
 Keeping balls between calls is safe for two reasons. Their memory is
 bounded by ``KEPT_BALL_STATES`` however many specs are queried. And a kept
 ball is never left half-grown: it is one snapshot, and a level joins by
@@ -68,8 +74,10 @@ and answers the next query exactly.
 
 from __future__ import annotations
 
+import gc
 import math
 import threading
+from bisect import bisect_left, bisect_right, insort
 from collections import OrderedDict
 from functools import lru_cache
 from itertools import groupby
@@ -606,14 +614,25 @@ def _kept_query(spec: GoGSpec, query):
     new or grew, a snapshot other than the one the query began with, the
     least recently used balls are then evicted until the kept states are
     within the bound; an unchanged ball leaves them as they were.
+
+    The cyclic garbage collector is off, for the whole process, while the
+    query runs under the lock: a query allocates acyclic tuples, lists and
+    dicts only, so the collector's passes over a growing ball would free
+    nothing. It is turned back on afterwards, normal or not, unless it was
+    already off when the query began.
     """
     with _kept_lock:
         kept = _kept.pop(spec, None)
         before = kept.ball if kept else None
         oracle = kept or GeodesicOracle(spec)
+        paused = gc.isenabled()
+        if paused:
+            gc.disable()
         try:
             return query(oracle)
         finally:
+            if paused:
+                gc.enable()
             if len(oracle.dist) <= KEPT_BALL_STATES:
                 _kept[spec] = oracle
                 if oracle.ball is not before:
@@ -749,7 +768,13 @@ def distortion_profile(
     power whose upper bound ub is within ``bfs_cap`` gets an exact length:
     the oracle searches only to radius ub - 1, and if the power is not
     within it, the counted spelling, a word of length ub for m*v, certifies
-    that its length is exactly ub. Ratios use the exact
+    that its length is exactly ub. The window decides its powers longest
+    spelling first, ties by power, and a power that the ball cannot answer
+    by a lookup is first tested against the longer powers k decided
+    before it: |m*v| >= |k*v| - cost(|m - k|), since the distance from k*v
+    to m*v is |(m - k)*v|, and when that reaches ub the spelling is
+    geodesic and no search runs. Entries follow ``powers``, one per given
+    power, repeats included. Ratios use the exact
     length when available, else the upper bound; the reported max ratio
     over the window estimates the limsup of |mv| / log m. The analytic
     lower bound is attached via ``analytic_lower_bound`` and is not
@@ -791,19 +816,54 @@ def distortion_profile(
         return best
 
     def window(oracle) -> list:
+        given = [int(m) for m in powers]
+        if any(m < 1 for m in given):
+            raise ValueError("powers must be positive")
+        bound = {m: cost(m) for m in given}
+        # reach[s] bounds the j >= 0 with cost(j) <= s: j <= s // weight
+        # spelled directly, and j <= |lambda| * reach[s - 2 - r * weight] + r
+        # through the scaling letter with r vertex letters after it
+        reach = [0] * (min(bfs_cap, max(bound.values(), default=0)) + 1)
+        lam = abs(doubler[2]) if doubler is not None else 0
+        for s in range(1, len(reach)):
+            reach[s] = s // weight
+            if lam:
+                for r in range((s - 2) // weight + 1):
+                    reach[s] = max(reach[s], lam * reach[s - 2 - r * weight] + r)
+        exact: dict[int, int] = {}
+        decided: dict[int, list] = {}  # exact length -> its powers, ascending
+
+        def settled(m: int, ub: int) -> bool:
+            # |m*v| >= |k*v| - |(m - k)*v| >= exact(k) - cost(|m - k|) for a
+            # decided k; a k of length ub + slack can lift that to ub only
+            # when cost(|m - k|) <= slack, so |m - k| <= reach[slack]
+            for length, ks in decided.items():
+                slack = length - ub
+                if slack > 0:
+                    r = reach[slack]
+                    for k in ks[bisect_left(ks, m - r) : bisect_right(ks, m + r)]:
+                        if cost(abs(m - k)) <= slack:
+                            return True
+            return False
+
+        # longest spelling first, ties by power: the long powers are searched
+        # anyway, and their lengths settle shorter ones; a power the ball
+        # answers by a lookup is not tested
+        for m in sorted((m for m in bound if bound[m] <= bfs_cap), key=lambda m: (-bound[m], m)):
+            ub = bound[m]
+            if ub - 1 > oracle.depth and settled(m, ub):
+                d = ub
+            else:
+                d = oracle.distance(tuple(m * c for c in vec), ub - 1)
+                if d is None:
+                    d = ub
+            exact[m] = d
+            insort(decided.setdefault(d, []), m)
         entries = []
-        for m in powers:
-            m = int(m)
-            if m < 1:
-                raise ValueError("powers must be positive")
-            ub = cost(m)
-            exact = None
-            if ub <= bfs_cap:
-                exact = oracle.distance(tuple(m * c for c in vec), ub - 1)
-                if exact is None:
-                    exact = ub
-            length = exact if exact is not None else ub
-            entries.append(ProfileEntry(m, ub, exact, length / math.log(m) if m >= 2 else None))
+        for m in given:
+            ub, d = bound[m], exact.get(m)
+            length = d if d is not None else ub
+            entries.append(ProfileEntry(m, ub, d, length / math.log(m) if m >= 2 else None))
         return entries
 
     entries = _kept_query(spec, window)

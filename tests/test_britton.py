@@ -1,3 +1,4 @@
+import gc
 import random
 import sys
 import threading
@@ -732,6 +733,33 @@ class TestOracleStore:
         assert britton._kept[spec_a] is oracle
         assert_complete_levels(oracle, naive)
 
+    def test_collector_paused_while_a_query_runs(self, spec_a, spec_bs12, monkeypatch):
+        # a query allocates no reference cycles, so the store pauses the
+        # cyclic collector while it runs and turns it on again afterwards,
+        # also when the query is interrupted mid-level; a caller that had
+        # disabled the collector finds it still disabled
+        a16 = parse_word("a^16")
+        assert gc.isenabled()
+        assert britton._kept_query(spec_bs12, lambda oracle: gc.isenabled()) is False
+        assert geodesic_length(spec_bs12, a16, 10) == 8
+        assert gc.isenabled()
+        britton._kept.pop(spec_a, None)
+        counting = ChildCounter(700)
+        steps_after = GeodesicOracle._steps_after
+        monkeypatch.setattr(GeodesicOracle, "_steps_after",
+                            lambda self: counting.hook(steps_after(self)))
+        with pytest.raises(Interrupt):
+            geodesic_length(spec_a, a16, 8)
+        monkeypatch.undo()
+        britton._kept.pop(spec_a)  # its steps would raise again
+        assert gc.isenabled()
+        gc.disable()
+        try:
+            assert geodesic_length(spec_bs12, a16, 10) == 8
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+
     def test_concurrent_queries(self, monkeypatch):
         # four threads, each in its own order, on two specs with frequent
         # thread switches and a bound that keeps evicting: the store's lock
@@ -792,6 +820,30 @@ class TestDistortion:
         assert all(e.exact_length is not None for e in prof.entries)
         assert all(e.exact_length <= e.upper_bound for e in prof.entries)
         assert prof.max_ratio <= 6
+
+    def test_decided_powers_settle_shorter_ones(self, spec_a, monkeypatch):
+        # specA's b window at cap 12 on a fresh store: the longest spellings
+        # are searched first, and the triangle inequality settles shorter
+        # powers from their lengths, so the backward searches build 111
+        # levels from 21,872 states (178 and 29,605 with a search per power)
+        britton._kept.pop(spec_a, None)
+        built = [0, 0]
+        level = GeodesicOracle._level
+
+        def counting(self, frontier, dist, moves=None, seen=None):
+            if moves is None:
+                built[0] += 1
+                built[1] += len(frontier)
+            return level(self, frontier, dist, moves, seen)
+
+        monkeypatch.setattr(GeodesicOracle, "_level", counting)
+        prof = distortion_profile(spec_a, parse_word("b"), range(1, 65), bfs_cap=12)
+        assert built == [111, 21872]
+        assert sum(e.exact_length is not None for e in prof.entries) == 51
+
+    def test_non_positive_power_rejected(self, spec_a):
+        with pytest.raises(ValueError, match="powers must be positive"):
+            distortion_profile(spec_a, parse_word("a"), [3, 0], bfs_cap=8)
 
     def test_no_doubler_means_trivial_spelling(self):
         spec = GoGSpec.make(

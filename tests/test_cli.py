@@ -41,6 +41,12 @@ GOLDEN_RUNS = [
     for spec, element, top, cap in (("bs12", "a", "64", "12"), ("ascend2", "b", "64", "12"),
                                     ("specA", "a", "16", "12"), ("specB", "a", "64", "10"))
 ] + [
+    # exact lengths up to 12 letters, every one the spelled bound; on a
+    # fresh store, 12 of the 51 powers are settled from the lengths of
+    # longer powers, not searched
+    ("distortion_specA_b",
+     ["distortion", "data/specA.gog", "--element", "b", "--max-power", "64", "--bfs-cap", "12"], 0),
+] + [
     # no stable letter scales (1, 1) in ascend2, so only direct spellings
     ("distortion_ascend2_ab",
      ["distortion", "data/ascend2.gog", "--element", "a b", "--max-power", "32", "--bfs-cap", "8"], 0),

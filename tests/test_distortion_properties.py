@@ -8,14 +8,19 @@ analytic constant read off the push maps' ``Fraction`` entries.
 ``distortion_profile`` counts the same lengths and tests the same scaling
 on integer rows. Each spelled word reduces to its power m*v, which is what
 lets a window search only below the upper bound; the exact lengths that
-search gives are checked against a plain breadth-first ball.
+search gives are checked against a plain breadth-first ball, in any order of
+the powers: a window settles some powers from the lengths it has found
+already, by the triangle inequality, and each must be what a search of that
+power alone finds.
 """
 
 import math
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from gbsn import britton
 from gbsn.britton import NormalForm, _fast_ops, britton_reduce, distortion_profile
 from gbsn.gog import Edge, GoGSpec, vertex_letters
 from gbsn.linalg import QMat, hermite_normal_form, lattice_residue
@@ -240,3 +245,49 @@ def test_exact_lengths_match_the_naive_ball(case):
         else:
             target = NormalForm(tuple(e.power * c for c in vec), ())
             assert e.exact_length == ball[ops.to_flat(target)]
+
+
+@st.composite
+def shuffled_windows(draw):
+    """A small window with its powers 1..16 in any order, some of them
+    repeated, and a forward cap of 0 to 3 levels, so that the window tests
+    its powers against each other rather than its ball answering them all
+    by a lookup."""
+    spec, vec, cap = draw(small_windows())
+    repeats = draw(st.lists(st.integers(1, 16), max_size=8))
+    return spec, vec, cap, draw(st.permutations([*range(1, 17), *repeats])), draw(st.integers(0, 3))
+
+
+# in BS(1,-6), a^5 has length 4, below its spelled bound 5, and with no
+# forward ball the window tests it against the longer powers near it
+BS1_MINUS6 = GoGSpec.make(1, ["X"], [loop("t", [[1]], [[-6]])])
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(shuffled_windows())
+@example((BS1_MINUS6, (5,), 7, [*range(16, 0, -1), 1], 0))
+def test_any_order_matches_each_power_alone(case):
+    # powers settled by the triangle inequality from longer ones, in
+    # whatever order they come, have the lengths of the window in order, of
+    # the naive ball and of each power searched alone on a fresh store
+    spec, vec, cap, powers, forward = case
+    ops = _fast_ops(spec)
+    ball = naive_ball(spec, EXACT_CAP)
+    names = vertex_letters(spec)[spec.vertices[0]]
+    element = Word((names[i], c) for i, c in enumerate(vec))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(britton, "FORWARD_CAP", forward)
+        britton._kept.clear()
+        in_order = distortion_profile(spec, element, range(1, 17), bfs_cap=cap).entries
+        britton._kept.clear()
+        profile = distortion_profile(spec, element, powers, bfs_cap=cap)
+        assert [e.power for e in profile.entries] == powers
+        for e in profile.entries:
+            assert e == in_order[e.power - 1]
+            if e.exact_length is not None:
+                target = NormalForm(tuple(e.power * c for c in vec), ())
+                assert e.exact_length == ball[ops.to_flat(target)]
+        for e in in_order:
+            britton._kept.clear()
+            assert distortion_profile(spec, element, [e.power], bfs_cap=cap).entries == (e,)
+    britton._kept.clear()  # no ball of a lowered cap is left for later tests

@@ -35,12 +35,11 @@ levels, and a backward search from the target for the rest. A query grows
 the ball only until a complete level holds its target, which is then at
 exactly that level's distance, and otherwise to depth ceil(r/2) for a query
 of radius r. Past that depth it builds a level only if the level cannot
-take the ball past ``FORWARD_BALL_STATES`` states, or if backward searches
-have already spent as much as the level costs (ski rental). The last
-backward level only tests its states against the ball. Both searches build
-each level with one routine, ``GeodesicOracle._level``, and reach each
-state first along its shortlex-least geodesic, so a state reached by step g
-skips the step back and every earlier step that commutes with g. A stable
+take the ball past ``FORWARD_BALL_STATES`` states. The last backward level
+only tests its states against the ball. Both searches build each level with
+one routine, ``GeodesicOracle._level``, and reach each state first along
+its shortlex-least geodesic, so a state reached by step g skips the step
+back and every earlier step that commutes with g. A stable
 move depends on the letter and the state's last vector alone. One forward
 growth repeats most of its moves (84% of its stable steps over a pass of
 the benchmark's geodesics jobs), so it computes each once and keeps it in a
@@ -343,8 +342,7 @@ def nf_multiply(spec: GoGSpec, nf: NormalForm, w: Word) -> NormalForm:
 # Bound on the forward ball past depth ceil(r/2), checked against the most
 # the next level can add. Not a tuned value: bs12's ball reaches depth 8
 # (1,317 states) within it, which the benchmark's tracer test asserts, and
-# specB's stops at depth 3 (579 states) for a radius-6 query. A level that
-# backward searches have paid for may pass it, up to ``KEPT_BALL_STATES``.
+# specB's stops at depth 3 (579 states) for a radius-6 query.
 FORWARD_BALL_STATES = 4096
 
 # Deepest level the forward ball grows to, whatever the radius; read when a
@@ -388,16 +386,18 @@ class GeodesicOracle:
     stops as soon as a level holds the target: every state of a complete
     level k is at distance exactly k, and the target is in no earlier level,
     so k is its distance. Otherwise the ball grows to depth ceil(r/2), then
-    on towards min(r, ``FORWARD_CAP``) by each level that pays
-    (``_next_level_pays``): one that cannot take the ball past
-    ``FORWARD_BALL_STATES``, or one that the backward searches since the
-    last level have paid for, having expanded (``spent``) as many states as
-    the level's frontier holds, and that the store would keep. A small ball
-    (bs12 has 1,317 states at depth 8) then answers most queries alone; a
-    large one (specB has 579 states at depth 3 and 23,177 at depth 5) stops
-    early and leaves the rest to backward searches from the targets, which
-    only go as deep as the answers need. ``FORWARD_CAP`` bounds the ball
-    whatever the radius.
+    on towards min(r, ``FORWARD_CAP``) by each level that cannot take the
+    ball past ``FORWARD_BALL_STATES``. A small ball (bs12 has 1,317 states
+    at depth 8) then answers most queries alone; a large one (specB has 579
+    states at depth 3 and 23,177 at depth 5) stops early and leaves the rest
+    to backward searches from the targets, which only go as deep as the
+    answers need. ``FORWARD_CAP`` bounds the ball whatever the radius.
+    These conditions read only the radius, the target and the depth
+    reached, and ``ball`` is the oracle's only state, so a query grows the
+    ball as it would grow a fresh one. Once a condition stops a growth it
+    stops any deeper one too, while the level bound does not fall as the
+    depth grows (as on a spec whose spheres do not shrink), so a kept ball
+    is as deep as the deepest that any of its queries would reach alone.
 
     One growth keeps a table of the stable moves it computes, keyed by
     (loop, sign, last vector), and drops it when it returns: its levels
@@ -419,8 +419,7 @@ class GeodesicOracle:
     holds for any forward depth F, so a ball that stopped early for an
     earlier target, or grew deeper for one, serves every later query.
     No level reads the children of the last level, r - F, so that level
-    only tests them against the ball and keeps none; its frontier still
-    counts in ``spent``.
+    only tests them against the ball and keeps none.
     """
 
     def __init__(self, spec: GoGSpec):
@@ -430,7 +429,6 @@ class GeodesicOracle:
         self.loops = frozenset(range(len(self.ops.loop_names)))  # loop indices of a state
         identity = self.ops.identity()
         self.ball: tuple[dict, dict, int] = ({identity: 0}, {identity: -1}, 0)
-        self.spent = 0  # states expanded by backward searches since the last level
 
     dist = property(lambda self: self.ball[0])
     frontier = property(lambda self: self.ball[1])
@@ -465,37 +463,28 @@ class GeodesicOracle:
         after.append(tuple((h ^ 1, *step) for h, step in enumerate(steps)))
         return after
 
-    def _next_level_pays(self) -> bool:
-        """Whether to build the next level past ceil(r/2): it cannot pass
-        ``FORWARD_BALL_STATES``, or backward searches have paid for it and
-        it cannot pass ``KEPT_BALL_STATES``."""
-        # at depth >= 1 building the next level expands each frontier state
-        # by at most the k - 1 steps that do not lead back to its BFS
-        # parent, so the bound is at least the ball the level makes
-        bound = len(self.dist) + (len(self.steps) - 1) * len(self.frontier)
-        return bound <= FORWARD_BALL_STATES or (
-            self.spent >= len(self.frontier) and bound <= KEPT_BALL_STATES
-        )
-
     def _grow_forward(self, radius: int, target: tuple):
         """Add complete levels until one holds ``target``; failing that, to
         depth ceil(radius/2), then on towards min(radius, FORWARD_CAP) while
-        ``_next_level_pays``. The call's levels share one table of stable
-        moves, dropped when it returns. A level joins by one store of a new
-        snapshot, so an exception lands before or after it, and one before
-        the reset of ``spent`` only changes when the next level pays."""
+        the next level cannot pass ``FORWARD_BALL_STATES``. The call's
+        levels share one table of stable moves, dropped when it returns. A
+        level joins by one store of a new snapshot, so an exception lands
+        before or after it."""
         half = min(-(-radius // 2), FORWARD_CAP)
         top = min(radius, FORWARD_CAP)
+        k = len(self.steps)
         dist, frontier, depth = self.ball
         moves: dict = {}
+        # at depth >= 1 the next level expands each frontier state by at
+        # most the k - 1 steps that do not lead back to its BFS parent, so
+        # the bound is at least the ball the level makes
         while target not in dist and frontier and depth < top and (
-            depth < half or self._next_level_pays()
+            depth < half or len(dist) + (k - 1) * len(frontier) <= FORWARD_BALL_STATES
         ):
             frontier = self._level(frontier, dist, moves)
             depth += 1
             dist = dist | dict.fromkeys(frontier, depth)
             self.ball = (dist, frontier, depth)
-            self.spent = 0
 
     def _level(self, frontier: dict, dist: dict, moves: Optional[dict] = None,
                seen: Optional[set] = None) -> Optional[dict]:
@@ -587,7 +576,6 @@ class GeodesicOracle:
         seen = {target}
         frontier: Optional[dict] = {target: -1}
         for level in range(1, last + 1):
-            self.spent += len(frontier)
             # no level reads the last level's children
             frontier = self._level(frontier, dist, seen=seen if level < last else None)
             if frontier is None:
@@ -595,10 +583,9 @@ class GeodesicOracle:
         return None
 
 
-# Bound on the forward-ball states the oracle store keeps, summed over specs,
-# and on a ball that backward searches pay for: room for all six balls of
-# the perfbench geodesics workload (13,976 states, 4,189 of them ascend2's),
-# not for specA's depth-8 ball (570,069).
+# Bound on the forward-ball states the oracle store keeps, summed over specs:
+# room for all six balls of the perfbench geodesics workload (9,964 states,
+# at most 2,929 in one), not for specA's depth-8 ball (570,069).
 KEPT_BALL_STATES = 1 << 16
 
 _kept: OrderedDict = OrderedDict()  # spec -> GeodesicOracle, least recent first
@@ -649,11 +636,10 @@ def geodesic_length(spec: GoGSpec, w: Word, max_radius: int):
     only the forward levels that no earlier query on the spec has built,
     and none past the first level that holds ``w``. The forward ball stays
     within 8 levels and passes depth ceil(r/2) only by levels that keep it
-    within ``FORWARD_BALL_STATES`` states, or that earlier backward searches
-    on the spec have paid for; the store keeps it for later queries while
-    all kept balls together stay within ``KEPT_BALL_STATES`` states. The
-    word is folded straight into its flat state, the oracle's key, so the
-    query builds no ``NormalForm``.
+    within ``FORWARD_BALL_STATES`` states; the store keeps it for later
+    queries while all kept balls together stay within ``KEPT_BALL_STATES``
+    states. The word is folded straight into its flat state, the oracle's
+    key, so the query builds no ``NormalForm``.
     """
     ops = _fast_ops(spec)
     s = list(ops.identity())
@@ -774,7 +760,8 @@ def distortion_profile(
     before it: |m*v| >= |k*v| - cost(|m - k|), since the distance from k*v
     to m*v is |(m - k)*v|, and when that reaches ub the spelling is
     geodesic and no search runs. Entries follow ``powers``, one per given
-    power, repeats included. Ratios use the exact
+    power, repeats included; a power that is not a positive integer is
+    refused with ValueError. Ratios use the exact
     length when available, else the upper bound; the reported max ratio
     over the window estimates the limsup of |mv| / log m. The analytic
     lower bound is attached via ``analytic_lower_bound`` and is not
@@ -816,7 +803,12 @@ def distortion_profile(
         return best
 
     def window(oracle) -> list:
-        given = [int(m) for m in powers]
+        given = []
+        for value in powers:
+            m = int(value)
+            if m != value:
+                raise ValueError(f"power {value!r} is not an integer")
+            given.append(m)
         if any(m < 1 for m in given):
             raise ValueError("powers must be positive")
         bound = {m: cost(m) for m in given}

@@ -140,6 +140,12 @@ def rank2_shear(draw):
 
 
 @st.composite
+def bs1n(draw):
+    n = draw(st.integers(-6, 6).filter(lambda n: n not in (-1, 0, 1)))
+    return GoGSpec.make(1, ["X"], [loop("t", [[1]], [[n]])])
+
+
+@st.composite
 def z_times_bs1n(draw):
     n = draw(st.integers(-5, 5).filter(lambda n: n not in (-1, 0, 1)))
     return GoGSpec.make(2, ["X"], [loop("t", [[1, 0], [0, 1]], [[1, 0], [0, n]])])
@@ -218,10 +224,11 @@ EXACT_CAP = 7
 
 @st.composite
 def small_windows(draw):
-    """A rank-1 BS(p, q) or a Z x BS(1, n), a vertex vector and a bfs_cap
-    from 4 up, so that most windows have exact lengths, some of them below
-    the upper bound."""
-    spec = draw(st.one_of(rank1(), z_times_bs1n()))
+    """A rank-1 BS(p, q), a BS(1, n) or a Z x BS(1, n), a vertex vector and
+    a bfs_cap from 4 up, so that most windows have exact lengths, some of
+    them below the upper bound. BS(1, n), negative n included, is drawn as
+    often as the other shapes, since independent p and q seldom give it."""
+    spec = draw(st.one_of(rank1(), bs1n(), z_times_bs1n()))
     vec = draw(
         st.lists(st.integers(-6, 6), min_size=spec.rank, max_size=spec.rank).filter(any)
     )

@@ -76,7 +76,6 @@ from __future__ import annotations
 import gc
 import math
 import threading
-from bisect import bisect_left, bisect_right, insort
 from collections import OrderedDict
 from functools import lru_cache
 from itertools import groupby
@@ -812,45 +811,24 @@ def distortion_profile(
         if any(m < 1 for m in given):
             raise ValueError("powers must be positive")
         bound = {m: cost(m) for m in given}
-        # reach[s] bounds the j >= 0 with cost(j) <= s: j <= s // weight
-        # spelled directly, and j <= |lambda| * reach[s - 2 - r * weight] + r
-        # through the scaling letter with r vertex letters after it
-        reach = [0] * (min(bfs_cap, max(bound.values(), default=0)) + 1)
-        lam = abs(doubler[2]) if doubler is not None else 0
-        for s in range(1, len(reach)):
-            reach[s] = s // weight
-            if lam:
-                for r in range((s - 2) // weight + 1):
-                    reach[s] = max(reach[s], lam * reach[s - 2 - r * weight] + r)
         exact: dict[int, int] = {}
-        decided: dict[int, list] = {}  # exact length -> its powers, ascending
-
-        def settled(m: int, ub: int) -> bool:
-            # |m*v| >= |k*v| - |(m - k)*v| >= exact(k) - cost(|m - k|) for a
-            # decided k; a k of length ub + slack can lift that to ub only
-            # when cost(|m - k|) <= slack, so |m - k| <= reach[slack]
-            for length, ks in decided.items():
-                slack = length - ub
-                if slack > 0:
-                    r = reach[slack]
-                    for k in ks[bisect_left(ks, m - r) : bisect_right(ks, m + r)]:
-                        if cost(abs(m - k)) <= slack:
-                            return True
-            return False
-
         # longest spelling first, ties by power: the long powers are searched
         # anyway, and their lengths settle shorter ones; a power the ball
         # answers by a lookup is not tested
         for m in sorted((m for m in bound if bound[m] <= bfs_cap), key=lambda m: (-bound[m], m)):
             ub = bound[m]
-            if ub - 1 > oracle.depth and settled(m, ub):
+            # |m*v| >= |k*v| - |(m - k)*v| >= exact(k) - cost(|m - k|) for a
+            # decided k; every longer one is tested, since no workload's
+            # window is long enough for a filter on k to pay
+            if ub - 1 > oracle.depth and any(
+                d > ub and d - cost(abs(m - k)) >= ub for k, d in exact.items()
+            ):
                 d = ub
             else:
                 d = oracle.distance(tuple(m * c for c in vec), ub - 1)
                 if d is None:
                     d = ub
             exact[m] = d
-            insort(decided.setdefault(d, []), m)
         entries = []
         for m in given:
             ub, d = bound[m], exact.get(m)

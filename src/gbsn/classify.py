@@ -373,11 +373,16 @@ def coarse_density(spec: GoGSpec) -> CoarseDensityReport:
 
 def _qi_rule(a: GoGSpec, b: GoGSpec, ra: ClassificationReport,
              rb: ClassificationReport) -> tuple[str, str, tuple]:
-    """``(verdict, reason, evidence)`` of the specs ``a`` and ``b`` of one
-    lattice rank, classified as ``ra`` and ``rb``, by the first rule of
-    ``qi_compare`` that applies."""
+    """``(verdict, reason, evidence)`` of the specs ``a`` and ``b``,
+    classified as ``ra`` and ``rb``, by the first rule of ``qi_compare``
+    that applies. Amenability decides a pair of any ranks; every later rule
+    is stated for one lattice rank, so a cross-rank pair that amenability
+    does not separate is undetermined."""
     if ra.amenable is not None and rb.amenable is not None and ra.amenable != rb.amenable:
         return "not-quasi-isometric", "amenability is a quasi-isometry invariant and differs", ()
+    if a.rank != b.rank:
+        return "undetermined", (f"lattice ranks {a.rank} and {b.rank} differ; no rule beyond "
+                                "amenability compares across ranks"), ()
     cases = {ra.whyte_case, rb.whyte_case}
     if cases <= {"2a", "2b", "2c"} and len(cases) == 2:
         return "not-quasi-isometric", "the subclasses are quasi-isometry invariant and differ", ()
@@ -421,10 +426,10 @@ def qi_compare(a: GoGSpec, b: GoGSpec) -> QIVerdict:
       exactly by ``coarse_density``, so the two are Hausdorff equivalent.
 
     Every other (2c) pair is 'undetermined', with sampled Cartan distances
-    as diagnostics only.
+    as diagnostics only. Specs of different lattice ranks are compared by
+    amenability alone: 'not-quasi-isometric' when both answers are decided
+    and differ, 'undetermined' otherwise.
     """
-    if a.rank != b.rank:
-        raise ValueError("dimension mismatch: specs have different ranks")
     ra, rb = classify(a), classify(b)
     verdict, reason, evidence = _qi_rule(a, b, ra, rb)
     reasons = (

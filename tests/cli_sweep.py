@@ -17,11 +17,12 @@ by relative paths, so no report depends on where the checkout lies.
 
 The runs, per spec: validate, presentation, holonomy, classify and
 compression (``--p 3/2`` and ``3``), each in JSON and in text; compare on
-every ordered pair of distinct parsed specs of the same rank, in JSON; and,
-on one-vertex specs, distortion in JSON with ``--max-power 200`` and
-``--bfs-cap`` 0, 6 and 10, for each vertex letter, the products x y^-1 of up
-to three pairs of letters, and the cube of the first letter. Then holonomy,
-classify and compression ``--p 3/2`` in JSON on each spec of
+every ordered pair of distinct parsed specs of the same rank, and on every
+ordered pair of ``data/`` and ``tests/specs/`` specs of different ranks, in
+JSON; and, on one-vertex specs, distortion in JSON with ``--max-power 200``
+and ``--bfs-cap`` 0, 6 and 10, for each vertex letter, the products x y^-1
+of up to three pairs of letters, and the cube of the first letter. Then
+holonomy, classify and compression ``--p 3/2`` in JSON on each spec of
 ``certificate_family``, 40 one-loop specs whose irrational certificates are
 stated over a radicand with a square factor or with a denominator; and
 classify and compression ``--p 3/2`` in JSON on each spec of
@@ -30,7 +31,7 @@ carry a ping-pong free pair, and on each spec of ``outside_rank2_family``,
 10 specs of rank 1 and 3 and trees of groups, which reach the rank-n word
 ball and the collapse of a tree of groups. The compare and distortion runs
 are picked from the parsed documents, so the invalid specs get them too and
-exercise the error path. That is 6,370 runs over 188 spec files.
+exercise the error path. That is 6,624 runs over 188 spec files.
 
 The word problem has no CLI command, so a last section calls its API: for
 each of the 504 word_problem jobs of ``perfbench.specgen.generate`` at seeds
@@ -239,8 +240,10 @@ def runs(texts: dict):
         for command in SPEC_COMMANDS:
             for fmt in ("json", "text"):
                 yield [command[0], path, *command[1:], "--format", fmt]
+    fixed = ("data/", "specs/")
     for first, second in ((a, b) for a in parsed for b in parsed if a != b):
-        if parsed[first].rank == parsed[second].rank:
+        if parsed[first].rank == parsed[second].rank or (
+                first.startswith(fixed) and second.startswith(fixed)):
             yield ["compare", first, second, "--format", "json"]
     for path, doc in parsed.items():
         if len(doc.vertices) != 1:

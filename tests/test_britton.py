@@ -866,6 +866,17 @@ class TestDistortion:
         assert len(exact) >= 9
         assert all(e.exact_length == e.upper_bound for e in exact)
 
+    def test_long_window_within_budget(self):
+        # the settle test reads every longer decided power, so it is
+        # quadratic in the powers within the cap; BS(1,20) at cap 12 has
+        # 814 of its first 20,000 powers there
+        spec = GoGSpec.make(1, ["X"], [Edge("t", "X", "X", QMat.identity(1), QMat([[20]]))])
+        with time_budget(5):
+            prof = distortion_profile(spec, parse_word("a"), range(1, 20001), bfs_cap=12)
+        exact = [e for e in prof.entries if e.exact_length is not None]
+        assert len(exact) == 814
+        assert all(e.exact_length <= e.upper_bound for e in exact)
+
     def test_zero_element_rejected(self, spec_a):
         with pytest.raises(ValueError):
             distortion_profile(spec_a, Word(), [2])

@@ -13,7 +13,7 @@ from gbsn.classify import (
     qi_compare,
     whyte_classify,
 )
-from gbsn.gog import Edge, GoGSpec
+from gbsn.gog import Edge, GoGSpec, InvalidSpecError
 from gbsn.holonomy import compute_holonomy, non_discreteness_witness, verify_nondiscreteness
 from gbsn.linalg import QMat
 from gbsn.matgroups import TitsResult, verify_certificate
@@ -716,8 +716,24 @@ class TestCompare:
         assert qi_compare(spec_ascend2, spec_a).verdict == "not-quasi-isometric"
 
     def test_dimension_mismatch_rejected(self, spec_a, spec_bs12):
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            qi_compare(spec_a, spec_bs12)
+        # ranks 2 and 1: amenability alone separates them
+        assert qi_compare(spec_a, spec_bs12).verdict == "not-quasi-isometric"
+
+    def test_cross_rank_pairs_compared_by_amenability(self):
+        specs = []
+        for path in sorted([*DATA.glob("*.gog"), *(DATA.parent / "tests" / "specs").glob("*.gog")]):
+            try:
+                specs.append(gogfile.parse(path.read_text()).to_spec())
+            except InvalidSpecError:
+                pass
+        pairs = [(a, b) for a in specs for b in specs if a.rank != b.rank]
+        assert pairs
+        for a, b in pairs:
+            verdict = qi_compare(a, b).verdict
+            assert verdict == qi_compare(b, a).verdict
+            amenable = {classify(a).amenable, classify(b).amenable}
+            differ = None not in amenable and len(amenable) == 2
+            assert verdict == ("not-quasi-isometric" if differ else "undetermined")
 
     def test_two_ascending_specs_undetermined(self, spec_ascend2):
         other = GoGSpec.make(

@@ -31,7 +31,11 @@ GOLDEN_RUNS = [
             2 if spec == "bs12" else 0,
         ),
     )
-] + [("compare_specA_specB", ["compare", "data/specA.gog", "data/specB.gog"], 0)] + [
+] + [
+    ("compare_specA_specB", ["compare", "data/specA.gog", "data/specB.gog"], 0),
+    # ranks 1 and 2: amenability is yes against no
+    ("compare_bs12_specA", ["compare", "data/bs12.gog", "data/specA.gog"], 0),
+] + [
     # exact lengths up to 12 letters, and up to 10 on specB: there a power
     # with upper bound 12 searches to radius 11, which forces the
     # 143,001-state ball of depth ceil(11/2) = 6
@@ -411,18 +415,6 @@ class TestExitCodes:
             code, out, err = invoke(capsys, "compression", str(bad), "--p", "3/2")
             assert (code, out) == (1, "")
             assert err == "error: edge t: edge inclusion not injective (alpha)\n"
-
-    def test_compare_checks_rank_before_the_holonomy(self, capsys, monkeypatch):
-        def no_holonomy(spec):
-            raise AssertionError("holonomy computed for specs of different ranks")
-
-        module = importlib.import_module("gbsn.classify")
-        # an analysis kept from an earlier test would not call compute_holonomy
-        module.analysis.cache_clear()
-        monkeypatch.setattr(module, "compute_holonomy", no_holonomy)
-        code, out, err = invoke(capsys, "compare", BS12, SPEC_A)
-        assert (code, out) == (1, "")
-        assert err == "error: dimension mismatch: specs have different ranks\n"
 
     def test_decided_undetermined_error_trichotomy(self, capsys, tmp_path):
         assert invoke(capsys, "classify", SPEC_A)[0] == 0
